@@ -50,11 +50,12 @@ lift_F = Submodule(tgtF, 3, [
 ])
 
 # 3. Push them through the pipeline: intersect with the fields that restrict
-#    to the parameter zero section, restrict, prune, certify.
-lift_f = lift_from_unfolding(U, lift_F)
-print("liftable fields of the core germ:")
-for g in lift_f.generators:
-    print("   ", g)
+#    to the parameter zero section, restrict, prune, certify.  The pipeline
+#    returns each output generator's certificate along with the module.
+lift_f, certificates = lift_from_unfolding(U, lift_F)
+print("liftable fields of the core germ, with their witnesses:")
+for g, cert in zip(lift_f.generators, certificates):
+    print("   ", g, "lifts to", cert.xi)
 
 # 4. Same module, other route: tangency fields of the discriminant of f.
 D = discriminant(f)

@@ -48,7 +48,6 @@ from .germs import (
     jacobian,
     push_forward,
     tf_generators,
-    unfolding_restrict,
     wf_apply,
 )
 from .lifting import (
@@ -57,10 +56,8 @@ from .lifting import (
     is_liftable,
     lift_from_unfolding,
     origin_span,
-    prune,
     restrict_field,
     restrictable_fields,
-    tau_tilde,
 )
 from .derlog import (
     AugmentationSpec,

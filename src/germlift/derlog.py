@@ -23,7 +23,7 @@ from .errors import (
 from .germs import MapGerm, Unfolding, VectorField, mapgerm_determinant
 from .groebner import Budget, eliminate, module_intersect, prune_module, syzygy_module
 from .modules import ModuleElement, Submodule
-from .poly import Polynomial, VarSet, exact_divide, integer_normalize
+from .poly import Polynomial, VarSet, exact_divide, fresh_name, integer_normalize, rering
 
 
 class Divisor:
@@ -110,12 +110,6 @@ def euler_field(space: VarSet, weights=None) -> VectorField:
     )
 
 
-def _reringed(p: Polynomial, ring: VarSet) -> Polynomial:
-    if p.ring.names != ring.names:
-        raise AmbientError("cannot move polynomial between unrelated rings")
-    return Polynomial(ring, p.terms)
-
-
 def poly_lcm(a: Polynomial, b: Polynomial, budget: Budget | None = None) -> Polynomial:
     """Least common multiple via intersection of principal ideals."""
     ring = a.ring
@@ -181,7 +175,7 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
         raise StructureError(
             f"eliminated ideal is not principal ({len(polys)} generators)"
         )
-    h = squarefree_part(_reringed(polys[0], f.target), budget)
+    h = squarefree_part(rering(polys[0], f.target), budget)
     h = integer_normalize(h)
     weights = None
     if f.target.weights is not None and h.is_weighted_homogeneous(f.target.weights):
@@ -221,13 +215,6 @@ def augment_map(spec: AugmentationSpec) -> MapGerm:
     return MapGerm(F.source, F.target, comps)
 
 
-def _fresh(names, stem):
-    name = stem
-    while name in names:
-        name += "_"
-    return name
-
-
 def augment_unfolding(spec: AugmentationSpec) -> Unfolding:
     """The canonical one-parameter stable unfolding of the augmented germ,
     obtained by substituting z^k + mu for the unfolding parameter."""
@@ -235,8 +222,8 @@ def augment_unfolding(spec: AugmentationSpec) -> Unfolding:
     lam = spec.unfolding.source_params[0]
     Lam = spec.unfolding.target_params[0]
     tgt_idx = spec.unfolding.target_param_indices()[0]
-    mu = _fresh(F.source.names, "mu")
-    MU = _fresh(F.target.names, "Mu")
+    mu = fresh_name(F.source, "mu")
+    MU = fresh_name(F.target, "Mu")
     src = VarSet(F.source.names + (mu,))
     tgt = VarSet(F.target.names + (MU,))
     lam_poly = Polynomial.variable(src, lam)

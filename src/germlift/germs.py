@@ -285,10 +285,3 @@ class Unfolding:
             f"total {self.total!r})"
         )
 
-
-def unfolding_restrict(U: Unfolding) -> MapGerm:
-    """Recompute the core from the total map; must equal the stored core."""
-    got = U.restrict()
-    if got != U.core:
-        raise StructureError("unfolding invariant failed: restriction != core")
-    return got

@@ -31,6 +31,7 @@ from .poly import (
     exp_divides,
     exp_lcm,
     exp_sub,
+    fresh_name,
 )
 
 Vec = dict  # {(comp, exp): Fraction}
@@ -310,12 +311,31 @@ def _embedded_key(morder: ModuleOrder, main_rank: int):
     return key
 
 
+def _reduced_basis(key, vecs: Sequence[Vec], budget: Budget, use_product: bool,
+                   partial_cb: Callable[[list], tuple]) -> list[tuple[Vec, tuple]]:
+    """The reduced basis of ``vecs`` as (vector, lead) pairs sorted by ``key``."""
+    kern = _Kernel(key, budget, use_product, partial_cb)
+    kern.run(vecs)
+    kern.interreduce()
+    return sorted(zip(kern.basis, kern.leads), key=lambda p: key(*p[1]))
+
+
+def _reducer(key, pairs: Sequence[tuple[Vec, tuple]], budget: Budget) -> _Kernel:
+    """A kernel that only reduces, against the finished basis ``pairs``."""
+    kern = _Kernel(key, budget, use_product=False, partial_cb=lambda b: ())
+    kern.basis = [vec for vec, _ in pairs]
+    kern.leads = [lead for _, lead in pairs]
+    return kern
+
+
 @dataclass
 class GroebnerBasis:
     """Reduced basis of a submodule plus tracking data.
 
     ``reps[i]`` expresses ``elements[i]`` in the original generators;
     ``syzygies`` generate all relations among the original generators.
+    ``reducer`` holds ``elements[i]`` with ``reps[i]`` in the trailing
+    components, as (vector, lead) pairs of the embedded order.
     """
 
     ring: VarSet
@@ -325,6 +345,7 @@ class GroebnerBasis:
     reps: tuple
     syzygies: tuple
     stats: dict
+    reducer: tuple = field(repr=False, compare=False)
 
 
 def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
@@ -339,19 +360,18 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
             for v in basis
         )
 
-    kern = _Kernel(key, budget, use_product=False, partial_cb=partial)
     vecs = []
     for i, g in enumerate(gens):
         v = _vec_of(g)
         v[(rank + i, ring.zero_exp())] = ONE
         vecs.append(v)
-    kern.run(vecs)
-    kern.interreduce()
+    pairs = _reduced_basis(key, vecs, budget, False, partial)
+    reducer = tuple((vec, lead) for vec, lead in pairs if lead[0] < rank)
 
     elements = []
     reps = []
     syzygies = []
-    for vec, lead in sorted(zip(kern.basis, kern.leads), key=lambda p: key(*p[1])):
+    for vec, lead in pairs:
         main = {(c, e): k for (c, e), k in vec.items() if c < rank}
         tailv = {(c - rank, e): k for (c, e), k in vec.items() if c >= rank}
         if main:
@@ -375,11 +395,7 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
             acc = acc + g.scale(c)
         if not acc.is_zero:
             raise StructureError("internal: syzygy failed to expand to zero")
-    check = _Kernel(key, Budget(), use_product=False, partial_cb=lambda b: ())
-    for elem in elements:
-        vec = _vec_of(elem)
-        check.basis.append(vec)
-        check.leads.append(max(vec, key=check.key))
+    check = _reducer(key, reducer, budget)
     for g in gens:
         rem = check.reduce_full(_vec_of(g), main_rank=rank)
         if any(t[0] < rank for t in rem):
@@ -393,6 +409,7 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
         reps=tuple(reps),
         syzygies=tuple(syzygies),
         stats=budget.stats(),
+        reducer=reducer,
     )
 
 
@@ -435,19 +452,10 @@ def express(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
         raise AmbientError("vector and module over different rings")
     if v.rank != M.rank:
         raise RankError(f"rank mismatch: {v.rank} vs {M.rank}")
-    gb = compute_gb(M)
+    budget = budget or Budget()
+    gb = compute_gb(M, budget)
     m = len(M.generators)
-    key = _embedded_key(M.order, M.rank)
-    kern = _Kernel(key, budget or Budget(), use_product=False,
-                   partial_cb=lambda b: ())
-    for elem, rep in zip(gb.elements, gb.reps):
-        vec = _vec_of(elem)
-        for i, p in enumerate(rep):
-            for e, k in p.terms.items():
-                vec[(M.rank + i, e)] = k
-        lead = max((t for t in vec if t[0] < M.rank), key=kern.key)
-        kern.basis.append(vec)
-        kern.leads.append(lead)
+    kern = _reducer(_embedded_key(M.order, M.rank), gb.reducer, budget)
     work = _vec_of(v)
     rem_all = kern.reduce_full(work, main_rank=M.rank)
     remainder = _elem_of(M.ring, M.rank,
@@ -474,20 +482,6 @@ def contains(M: Submodule, v: ModuleElement, budget: Budget | None = None) -> bo
     return express(v, M, budget).is_member
 
 
-def _contains_plain(M: Submodule, v: ModuleElement, budget: Budget | None = None) -> bool:
-    """Membership by plain reduction, without coefficient extraction."""
-    key = _plain_key(M.order)
-    kern = _Kernel(key, budget or Budget(), use_product=False, partial_cb=lambda b: ())
-    if getattr(M, "_plain", None) is None:
-        seed = _Kernel(key, budget or Budget(), use_product=(M.rank == 1),
-                       partial_cb=lambda b: tuple(_elem_of(M.ring, M.rank, x) for x in b))
-        seed.run([_vec_of(g) for g in M.generators])
-        seed.interreduce()
-        M._plain = (seed.basis, seed.leads)
-    kern.basis, kern.leads = M._plain
-    return not kern.reduce_full(_vec_of(v))
-
-
 def module_equal(M: Submodule, N: Submodule, budget: Budget | None = None) -> bool:
     """Two-sided membership of generators."""
     return all(contains(N, g, budget) for g in M.generators) and all(
@@ -512,13 +506,6 @@ def syzygy_module(gens: Sequence[ModuleElement], budget: Budget | None = None,
     return Submodule(ring, len(gens), gb.syzygies)
 
 
-def _fresh_name(ring: VarSet, stem: str = "t") -> str:
-    name = stem
-    while name in ring.names:
-        name += "_"
-    return name
-
-
 def module_intersect(M: Submodule, N: Submodule,
                      budget: Budget | None = None) -> Submodule:
     """Generators of the intersection via one auxiliary scalar variable.
@@ -533,7 +520,7 @@ def module_intersect(M: Submodule, N: Submodule,
     ring = M.ring
     rank = M.rank
     budget = budget or Budget()
-    tname = _fresh_name(ring)
+    tname = fresh_name(ring, "t")
     ring_t = VarSet((tname,) + ring.names)
     base = MonomialOrder.elimination(1)
     morder = ModuleOrder(base)
@@ -556,17 +543,17 @@ def module_intersect(M: Submodule, N: Submodule,
     def partial(basis):
         return tuple(_elem_of(ring_t, rank, v) for v in basis)
 
-    kern = _Kernel(key, budget, use_product=(rank == 1), partial_cb=partial)
-    kern.run(lift(M.generators, True, False) + lift(N.generators, False, True))
-    kern.interreduce()
+    pairs = _reduced_basis(
+        key, lift(M.generators, True, False) + lift(N.generators, False, True),
+        budget, rank == 1, partial)
 
     gens_out = []
-    for vec, lead in sorted(zip(kern.basis, kern.leads), key=lambda p: key(*p[1])):
+    for vec, _ in pairs:
         if all(e[0] == 0 for (_, e) in vec):
             stripped = {(c, e[1:]): k for (c, e), k in vec.items()}
             gens_out.append(_elem_of(ring, rank, stripped))
     for g in gens_out:
-        if not contains(M, g) or not contains(N, g):
+        if not contains(M, g, budget) or not contains(N, g, budget):
             raise StructureError("internal: intersection output failed membership")
     return Submodule(ring, rank, gens_out, M.order)
 
@@ -601,15 +588,10 @@ def eliminate(I: Submodule, names: Sequence[str],
     def partial(basis):
         return tuple(_elem_of(big_ring, 1, v) for v in basis)
 
-    kern = _Kernel(key, budget or Budget(), use_product=True, partial_cb=partial)
-    vecs = []
-    for g in I.generators:
-        vecs.append({(0, permute(e)): k for e, k in g.entries[0].terms.items()})
-    kern.run(vecs)
-    kern.interreduce()
-
+    vecs = [{(0, permute(e)): k for e, k in g.entries[0].terms.items()}
+            for g in I.generators]
     out = []
-    for vec, lead in sorted(zip(kern.basis, kern.leads), key=lambda p: key(*p[1])):
+    for vec, _ in _reduced_basis(key, vecs, budget or Budget(), True, partial):
         if all(not any(e[:nb]) for (_, e) in vec):
             out.append(Polynomial(kept_ring, {e[nb:]: k for (_, e), k in vec.items()}))
     return Submodule.ideal(kept_ring, out)
@@ -630,6 +612,12 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     Module equality with the input is verified by membership of every
     dropped and kept generator in the pruned module.
     """
+    budget = budget or Budget()
+    key = _plain_key(M.order)
+
+    def partial(basis):
+        return tuple(_elem_of(M.ring, M.rank, v) for v in basis)
+
     gens = [g for g in M.generators if not g.is_zero]
     gens.sort(key=lambda g: _element_sort_key(g, M.order))
     kept = list(gens)
@@ -637,8 +625,9 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
         others = [h for h in kept if h is not g]
         if not others:
             continue
-        rest = Submodule(M.ring, M.rank, others, M.order)
-        if _contains_plain(rest, g, budget):
+        plain = _reduced_basis(key, [_vec_of(h) for h in others], budget,
+                               M.rank == 1, partial)
+        if not _reducer(key, plain, budget).reduce_full(_vec_of(g)):
             kept = others
     out = Submodule(M.ring, M.rank, kept, M.order)
     for g in M.generators:

@@ -5,7 +5,8 @@ field xi on the source.  Certificates carry the witness xi and re-verify the
 defining identity by exact expansion; the pipeline recovers the liftable
 fields of a core germ from those of an unfolding by intersecting with the
 module of fields whose parameter components vanish on the zero section,
-restricting, and pruning.
+restricting, and pruning, and returns the certificate of every output
+generator along with the module.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     StructureError,
 )
 from .germs import MapGerm, Unfolding, VectorField, jacobian, tf_generators, wf_apply
-from .groebner import Budget, express, prune_module
+from .groebner import Budget, express, module_intersect, prune_module
 from .modules import ModuleElement, Submodule
 from .poly import Polynomial
 
@@ -125,23 +126,28 @@ def restrict_field(eta: VectorField, U: Unfolding) -> VectorField:
 
 
 def lift_from_unfolding(U: Unfolding, liftF: Submodule,
-                        budget: Budget | None = None) -> Submodule:
+                        budget: Budget | None = None
+                        ) -> tuple[Submodule, tuple[LiftCertificate, ...]]:
     """Liftable fields of the core from a generating set of Lift(total).
 
     Every input generator is certified liftable over the unfolding before
     use, and every output generator is certified liftable over the core; a
-    failure of either check is an error, never silently dropped.
+    failure of either check is an error, never silently dropped.  Returns
+    the module with one certificate per generator, in generator order (for
+    a trivial unfolding, the input module and its certificates).
     """
     ring = U.total.target
     if liftF.ring != ring or liftF.rank != U.total.p:
         raise AmbientError("liftF must be a module of fields on the unfolded target")
+    certs = []
     for idx, g in enumerate(liftF.generators):
         res = is_liftable(U.total, VectorField.from_element(g), budget)
         if not res.certified:
             raise InputNotLiftable(idx, res.obstruction)
+        certs.append(res.certificate)
     if U.r == 0:
-        return liftF
-    crossed = liftF.intersect(restrictable_fields(U), budget)
+        return liftF, tuple(certs)
+    crossed = module_intersect(liftF, restrictable_fields(U), budget)
     candidates = [
         restrict_field(VectorField.from_element(g), U).as_element()
         for g in crossed.generators
@@ -149,15 +155,13 @@ def lift_from_unfolding(U: Unfolding, liftF: Submodule,
     candidates = [c for c in candidates if not c.is_zero]
     raw = Submodule(U.core.target, U.core.p, candidates)
     out = prune_module(raw, budget)
+    certs = []
     for idx, g in enumerate(out.generators):
         res = is_liftable(U.core, VectorField.from_element(g), budget)
         if not res.certified:
             raise OutputNotCertified(idx, res.obstruction)
-    return out
-
-
-def prune(M: Submodule, budget: Budget | None = None) -> Submodule:
-    return prune_module(M, budget)
+        certs.append(res.certificate)
+    return out, tuple(certs)
 
 
 def origin_span(M: Submodule) -> list[tuple[Fraction, ...]]:
@@ -180,6 +184,3 @@ def origin_span(M: Submodule) -> list[tuple[Fraction, ...]]:
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return [tuple(basis[i]) for i in order]
 
-
-def tau_tilde(M: Submodule) -> list[tuple[Fraction, ...]]:
-    return origin_span(M)

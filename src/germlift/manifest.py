@@ -299,6 +299,20 @@ def _check_tasks(tasks, m: Manifest):
                 raise SchemaError(f"{path}.{key}", f"unresolved name {task[key]!r}")
 
 
+SECTIONS = ("rings", "maps", "unfoldings", "fields", "divisors", "augmentations")
+
+
+def _section(raw: dict, name: str) -> dict:
+    """A top-level section: an object whose every entry is an object."""
+    sec = raw.get(name, {})
+    if not isinstance(sec, dict):
+        raise SchemaError(name, "expected an object")
+    for key, spec in sec.items():
+        if not isinstance(spec, dict):
+            raise SchemaError(f"{name}.{key}", "expected an object")
+    return sec
+
+
 def loads(text: str) -> Manifest:
     try:
         raw = json.loads(text)
@@ -308,13 +322,17 @@ def loads(text: str) -> Manifest:
         raise SchemaError("$", "manifest must be a JSON object")
     if raw.get("schema") != SCHEMA:
         raise SchemaError("schema", f"expected {SCHEMA!r}, got {raw.get('schema')!r}")
-    m = Manifest(raw, {}, {}, {}, {}, {}, {}, list(raw.get("tasks", [])))
-    _load_rings(raw.get("rings", {}), m.rings)
-    _load_maps(raw.get("maps", {}), m.rings, m.maps)
-    _load_unfoldings(raw.get("unfoldings", {}), m.maps, m.unfoldings)
-    _load_fields(raw.get("fields", {}), m.rings, m.fields)
-    _load_divisors(raw.get("divisors", {}), m.rings, m.divisors)
-    _load_augmentations(raw.get("augmentations", {}), m, m.augmentations)
+    sec = {name: _section(raw, name) for name in SECTIONS}
+    tasks = raw.get("tasks", [])
+    if not isinstance(tasks, list):
+        raise SchemaError("tasks", "expected a list")
+    m = Manifest(raw, {}, {}, {}, {}, {}, {}, list(tasks))
+    _load_rings(sec["rings"], m.rings)
+    _load_maps(sec["maps"], m.rings, m.maps)
+    _load_unfoldings(sec["unfoldings"], m.maps, m.unfoldings)
+    _load_fields(sec["fields"], m.rings, m.fields)
+    _load_divisors(sec["divisors"], m.rings, m.divisors)
+    _load_augmentations(sec["augmentations"], m, m.augmentations)
     _check_tasks(m.tasks, m)
     return m
 

@@ -151,7 +151,6 @@ class Submodule:
                 raise RankError("generator rank differs from module rank")
         self.order = order or ModuleOrder(ring.default_order())
         self._gb = None  # GroebnerBasis, filled lazily
-        self._plain = None  # untracked reduced basis, filled lazily
 
     @staticmethod
     def ideal(ring: VarSet, polys: Iterable[Polynomial], order=None) -> "Submodule":
@@ -162,46 +161,6 @@ class Submodule:
         if self.rank != 1:
             raise RankError("not a rank-1 module")
         return tuple(g.entries[0] for g in self.generators)
-
-    # Thin wrappers over the kernel; imported locally to avoid a cycle.
-
-    def groebner(self, budget=None):
-        from . import groebner as _g
-
-        return _g.compute_gb(self, budget)
-
-    def basis_elements(self, budget=None):
-        return self.groebner(budget).elements
-
-    def express(self, v: ModuleElement, budget=None):
-        from . import groebner as _g
-
-        return _g.express(v, self, budget)
-
-    def normal_form(self, v: ModuleElement, budget=None) -> ModuleElement:
-        from . import groebner as _g
-
-        return _g.normal_form(v, self, budget)
-
-    def contains(self, v: ModuleElement, budget=None) -> bool:
-        from . import groebner as _g
-
-        return _g.contains(self, v, budget)
-
-    def intersect(self, other: "Submodule", budget=None) -> "Submodule":
-        from . import groebner as _g
-
-        return _g.module_intersect(self, other, budget)
-
-    def equals_module(self, other: "Submodule", budget=None) -> bool:
-        from . import groebner as _g
-
-        return _g.module_equal(self, other, budget)
-
-    def pruned(self, budget=None) -> "Submodule":
-        from . import groebner as _g
-
-        return _g.prune_module(self, budget)
 
     def __repr__(self) -> str:
         return f"Submodule(rank={self.rank}, {len(self.generators)} generators)"

@@ -432,23 +432,19 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Dispatch form of +, -, *; exact result in canonical form."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
+def rering(p: Polynomial, ring: VarSet) -> Polynomial:
+    """``p`` over ``ring``, which must name the same variables in order."""
+    if p.ring.names != ring.names:
+        raise AmbientError("cannot move polynomial between unrelated rings")
+    return Polynomial(ring, p.terms)
 
 
-def substitute(p: Polynomial, mapping, into: VarSet | None = None) -> Polynomial:
-    return p.substitute(mapping, into)
-
-
-def partial_derivative(p: Polynomial, name: str) -> Polynomial:
-    return p.diff(name)
+def fresh_name(ring: VarSet, stem: str) -> str:
+    """``stem``, extended by underscores until no variable of ``ring`` has it."""
+    name = stem
+    while name in ring.names:
+        name += "_"
+    return name
 
 
 def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -31,7 +31,7 @@ from .groebner import Budget, contains, module_equal
 from .lifting import is_liftable, lift_from_unfolding, restrict_field, restrictable_fields, origin_span
 from .manifest import Manifest, load_manifest
 from .modules import ModuleElement, Submodule, proportional
-from .poly import Polynomial, VarSet
+from .poly import Polynomial, VarSet, rering
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -75,17 +75,14 @@ def _field_str(f) -> str:
     return "(" + ", ".join(print_poly(p) for p in f.entries) + ")"
 
 
-def _reringed_ideal(I: Submodule) -> Submodule:
-    plain = VarSet(I.ring.names)
-    gens = [
-        ModuleElement(plain, [Polynomial(plain, g.entries[0].terms)])
-        for g in I.generators
-    ]
-    return Submodule(plain, 1, gens)
-
-
 def _ideals_equal(I: Submodule, J: Submodule, budget) -> bool:
-    return module_equal(_reringed_ideal(I), _reringed_ideal(J), budget)
+    """Equality of two ideals over the same variable names, weights aside."""
+    plain = VarSet(I.ring.names)
+
+    def moved(K: Submodule) -> Submodule:
+        return Submodule.ideal(plain, [rering(p, plain) for p in K.ideal_generators()])
+
+    return module_equal(moved(I), moved(J), budget)
 
 
 def _run_lift_check(m: Manifest, task, budget) -> Report:
@@ -178,23 +175,19 @@ def _run_project_combinations(m: Manifest, task, budget) -> Report:
     return Report(task["id"], PASS, details, certs)
 
 
-def _witness_certs(module: Submodule, germ, budget):
-    certs = []
-    for g in module.generators:
-        res = is_liftable(germ, VectorField.from_element(g), budget)
-        certs.append(
-            {"field": str(g), "witness": _field_str(res.certificate.xi)}
-            if res.certified
-            else {"field": str(g), "obstruction": str(res.obstruction)}
-        )
-    return certs
+def _witness_certs(module: Submodule, certificates) -> list:
+    """Report entries for the certificates ``lift_from_unfolding`` returned."""
+    return [
+        {"field": str(g), "witness": _field_str(c.xi)}
+        for g, c in zip(module.generators, certificates)
+    ]
 
 
 def _run_pipeline(m: Manifest, task, budget) -> Report:
     U = m.unfoldings[task["unfolding"]]
     lift_total = m.fields[task["fields"]].as_submodule()
-    out = lift_from_unfolding(U, lift_total, budget)
-    certs = _witness_certs(out, U.core, budget)
+    out, lifts = lift_from_unfolding(U, lift_total, budget)
+    certs = _witness_certs(out, lifts)
     if "expect" in task:
         exp = m.fields[task["expect"]].as_submodule()
         if not module_equal(out, exp, budget):
@@ -209,8 +202,8 @@ def _run_pipeline(m: Manifest, task, budget) -> Report:
 def _run_pipeline_vs_derlog(m: Manifest, task, budget) -> Report:
     U = m.unfoldings[task["unfolding"]]
     lift_total = m.fields[task["fields"]].as_submodule()
-    out = lift_from_unfolding(U, lift_total, budget)
-    certs = _witness_certs(out, U.core, budget)
+    out, lifts = lift_from_unfolding(U, lift_total, budget)
+    certs = _witness_certs(out, lifts)
     D = m.divisors[task["divisor"]]
     expected = derlog_tangent(D, budget).module
     if not module_equal(out, expected, budget):
@@ -231,8 +224,7 @@ def _run_discriminant(m: Manifest, task, budget) -> Report:
     germ = m.maps[task["map"]]
     D = discriminant(germ, budget)
     want = m.divisors[task["expect_divisor"]]
-    got = Polynomial(want.ring, D.h.terms) if D.ring.names == want.ring.names else D.h
-    sc = _poly_proportional(got, want.h)
+    sc = _poly_proportional(rering(D.h, want.ring), want.h)
     if sc is None:
         return Report(task["id"], FAIL, ["defining equation differs"],
                       [{"computed": print_poly(D.h)}])
@@ -338,7 +330,7 @@ def _run_augment_pi2(m: Manifest, task, budget) -> Report:
         expect = Submodule.ideal(
             plain, [parse_poly(t, plain) for t in task["expect_ideal"]]
         )
-        if not module_equal(_reringed_ideal(I_aug), expect, budget):
+        if not _ideals_equal(I_aug, expect, budget):
             return Report(task["id"], FAIL, ["ideal differs from the expected one"])
     gens = sorted(print_poly(g.entries[0]) for g in I_aug.generators)
     return Report(
@@ -381,7 +373,7 @@ def _run_augment_tau(m: Manifest, task, budget) -> Report:
         return Report(task["id"], FAIL, ["field ring does not match the unfolded target"])
     eta = VectorField(
         AF.total.target,
-        [Polynomial(AF.total.target, p.terms) for p in table.fields[0].entries],
+        [rering(p, AF.total.target) for p in table.fields[0].entries],
     )
     res = is_liftable(AF.total, eta, budget)
     if not res.certified:

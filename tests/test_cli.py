@@ -60,6 +60,17 @@ def test_corrupt_manifest_data_error(tmp_path, capsys):
     assert "manifest error" in err
 
 
+@pytest.mark.parametrize("section", ['"rings": []', '"maps": {"m": 3}',
+                                     '"tasks": {}'],
+                         ids=["rings-list", "map-entry-number", "tasks-object"])
+def test_malformed_section_data_error(tmp_path, capsys, section):
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text('{"schema": "germlift-manifest/1", ' + section + '}')
+    code, _, err = run(capsys, "paper-suite", "-m", str(bad))
+    assert code == 65
+    assert "manifest error" in err
+
+
 def test_missing_file_data_error(capsys):
     code, _, err = run(capsys, "paper-suite", "-m", "/nonexistent.json")
     assert code == 65

@@ -12,7 +12,6 @@ from germlift.germs import (
     mapgerm_determinant,
     push_forward,
     tf_generators,
-    unfolding_restrict,
     wf_apply,
 )
 from germlift.modules import ModuleElement
@@ -217,7 +216,7 @@ def _H2_unfolding():
 
 def test_unfolding_restrict_H2():
     U = _H2_unfolding()
-    assert unfolding_restrict(U) == U.core
+    assert U.restrict() == U.core
 
 
 def test_unfolding_restrict_trivial():
@@ -226,7 +225,7 @@ def test_unfolding_restrict_trivial():
     tgt = VarSet(["X", "Lam"])
     total = MapGerm(src, tgt, [parse_poly("x^2", src), parse_poly("lam", src)])
     U = Unfolding(total, ["lam"], ["Lam"], f)
-    assert unfolding_restrict(U) == f
+    assert U.restrict() == f
 
 
 def test_unfolding_structure_violation():

@@ -6,6 +6,7 @@ from germlift.errors import GroebnerTimeout, RankError
 from germlift.exprio import parse_poly
 from germlift.groebner import (
     Budget,
+    compute_gb,
     contains,
     eliminate,
     express,
@@ -48,7 +49,7 @@ def test_gb_monomial_module_unchanged():
     e1 = ModuleElement.unit(R, 2, 0)
     Le2 = ModuleElement.unit(R, 2, 1).scale(parse_poly("L", R))
     M = Submodule(R, 2, [e1, Le2])
-    assert set(M.basis_elements()) == {e1, Le2}
+    assert set(compute_gb(M).elements) == {e1, Le2}
 
 
 def test_normal_form_member_is_zero(xy):
@@ -157,20 +158,26 @@ def test_reduced_gb_unique_under_shuffle():
         shuffled = gens[:]
         rng.shuffle(shuffled)
         M2 = Submodule(R, 2, shuffled)
-        assert M1.basis_elements() == M2.basis_elements()
+        assert compute_gb(M1).elements == compute_gb(M2).elements
 
 
 def test_budget_timeout_carries_partial(xy):
     I = _ideal(xy, "x^2 - y", "x^3", "y^3 - x")
     with pytest.raises(GroebnerTimeout) as ei:
-        Submodule(xy, 1, I.generators).groebner(Budget(max_reductions=1))
+        compute_gb(Submodule(xy, 1, I.generators), Budget(max_reductions=1))
     assert isinstance(ei.value.partial, tuple)
+
+
+def test_express_charges_basis_build_to_its_budget(xy):
+    M = Submodule(xy, 1, _ideal(xy, "x^2 - y", "x^3", "y^3 - x").generators)
+    with pytest.raises(GroebnerTimeout):
+        express(ModuleElement.zero(xy, 1), M, Budget(max_reductions=1))
 
 
 def test_budget_zero_seconds(xy):
     I = _ideal(xy, "x^2 - y", "x^3")
     with pytest.raises(GroebnerTimeout):
-        I.groebner(Budget(seconds=0))
+        compute_gb(I, Budget(seconds=0))
 
 
 def test_rank_mismatch(xy):
@@ -196,19 +203,19 @@ def test_position_over_term_order(xy):
     gens = [ModuleElement(xy, [parse_poly("x", xy), parse_poly("y^5", xy)])]
     order = ModuleOrder(xy.default_order(), position_over_term=True)
     M = Submodule(xy, 2, gens, order)
-    gb = M.groebner()
+    gb = compute_gb(M)
     assert gb.elements[0].entries[0] == parse_poly("x", xy)
 
 
-def test_submodule_method_wrappers(xy):
+def test_submodule_operations(xy):
     x = parse_poly("x", xy)
     y = parse_poly("y", xy)
     M = Submodule.ideal(xy, [x, x * y, y])
     v = ModuleElement(xy, [x * y])
-    assert M.contains(v)
-    assert M.express(v).is_member
-    assert M.normal_form(ModuleElement(xy, [Polynomial.const(xy, 1)])) is not None
-    assert M.equals_module(Submodule.ideal(xy, [y, x]))
-    assert len(M.pruned().generators) == 2
-    K = Submodule.ideal(xy, [x]).intersect(Submodule.ideal(xy, [y]))
+    assert contains(M, v)
+    assert express(v, M).is_member
+    assert normal_form(ModuleElement(xy, [Polynomial.const(xy, 1)]), M) is not None
+    assert module_equal(M, Submodule.ideal(xy, [y, x]))
+    assert len(prune_module(M).generators) == 2
+    K = module_intersect(Submodule.ideal(xy, [x]), Submodule.ideal(xy, [y]))
     assert [str(g.entries[0]) for g in K.generators] == ["x*y"]

@@ -5,16 +5,14 @@ import pytest
 from germlift.errors import InputNotLiftable, StructureError
 from germlift.exprio import parse_poly
 from germlift.germs import MapGerm, Unfolding, VectorField
-from germlift.groebner import module_equal
+from germlift.groebner import module_equal, module_intersect, prune_module
 from germlift.lifting import (
     LiftCertificate,
     is_liftable,
     lift_from_unfolding,
     origin_span,
-    prune,
     restrict_field,
     restrictable_fields,
-    tau_tilde,
 )
 from germlift.modules import ModuleElement, Submodule
 from germlift.poly import Polynomial, VarSet
@@ -140,9 +138,13 @@ def test_pipeline_trivial_fold_unfolding():
         ModuleElement(tgt, [parse_poly("X", tgt), Polynomial.zero(tgt)]),
         ModuleElement(tgt, [Polynomial.zero(tgt), Polynomial.const(tgt, 1)]),
     ])
-    out = lift_from_unfolding(U, liftF)
+    out, certs = lift_from_unfolding(U, liftF)
     expected = Submodule(tgtc, 1, [ModuleElement(tgtc, [parse_poly("X", tgtc)])])
     assert module_equal(out, expected)
+    assert len(certs) == len(out.generators)
+    for g, cert in zip(out.generators, certs):
+        assert cert.germ == U.core
+        assert cert.eta == VectorField.from_element(g)
 
 
 def test_pipeline_r0_returns_input():
@@ -150,8 +152,10 @@ def test_pipeline_r0_returns_input():
     U = Unfolding(f, [], [], f)
     liftF = Submodule(f.target, 3, [
         _field(f.target, "4*X", "3*Y", "5*Z").as_element()])
-    out = lift_from_unfolding(U, liftF)
+    out, certs = lift_from_unfolding(U, liftF)
     assert out is liftF
+    assert [c.eta.as_element() for c in certs] == list(liftF.generators)
+    assert all(c.germ == U.total for c in certs)
 
 
 def test_pipeline_rejects_nonliftable_input():
@@ -171,7 +175,7 @@ def test_pipeline_rejects_nonliftable_input():
 def test_prune_examples(xy):
     x = parse_poly("x", xy)
     M = Submodule.ideal(xy, [x, parse_poly("x^2", xy)])
-    assert [str(g.entries[0]) for g in prune(M).generators] == ["x"]
+    assert [str(g.entries[0]) for g in prune_module(M).generators] == ["x"]
 
 
 def test_tau_zero_for_positive_degree_fields():
@@ -190,7 +194,7 @@ def test_tau_contains_translation_direction():
         ModuleElement(tgt, [Polynomial.zero(tgt), Polynomial.const(tgt, 1)]),
         ModuleElement(tgt, [parse_poly("X", tgt), Polynomial.zero(tgt)]),
     ])
-    span = tau_tilde(M)
+    span = origin_span(M)
     assert (Fraction(0), Fraction(1)) in [tuple(r) for r in span]
 
 
@@ -222,7 +226,7 @@ def test_intersection_output_satisfies_parameter_conditions():
     ]
     liftF2 = Submodule(tgt5, 5, [_field(tgt5, *row).as_element()
                                  for row in table])
-    crossed = liftF2.intersect(restrictable_fields(U))
+    crossed = module_intersect(liftF2, restrictable_fields(U))
     zero_params = {"U1": Polynomial.zero(tgt5), "V2": Polynomial.zero(tgt5)}
     for g in crossed.generators:
         for idx in U.target_param_indices():

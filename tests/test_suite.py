@@ -1,9 +1,8 @@
 import json
 
-import pytest
-
+from germlift.groebner import Budget
 from germlift.manifest import loads
-from germlift.poly import poly_arith, set_default_order_kind
+from germlift.poly import set_default_order_kind
 from germlift.suite import (
     FAIL,
     PASS,
@@ -14,6 +13,7 @@ from germlift.suite import (
     instance_note,
     reports_to_json,
     run_manifest,
+    bundled_manifests,
     run_task,
 )
 
@@ -86,14 +86,12 @@ def test_run_manifest_only_filter():
     assert [r.task_id for r in reports] == ["hk2.certify"]
 
 
-def test_poly_arith_dispatch(xy, P):
+def test_poly_arith_operators(xy, P):
     a = P("x + y", xy)
     b = P("x - y", xy)
-    assert poly_arith(a, b, "add") == P("2*x", xy)
-    assert poly_arith(a, b, "sub") == P("2*y", xy)
-    assert poly_arith(a, b, "mul") == P("x^2 - y^2", xy)
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "div")
+    assert a + b == P("2*x", xy)
+    assert a - b == P("2*y", xy)
+    assert a * b == P("x^2 - y^2", xy)
 
 
 def test_order_override_round_trips():
@@ -130,3 +128,25 @@ def test_bad_inverse_reports_fail_not_crash():
     report = run_task(m, task)
     assert report.verdict == FAIL
     assert "InverseCheckFailed" in report.details[0]
+
+
+def test_every_reduction_is_charged_to_the_task_budget(monkeypatch):
+    # a class-level hook sees every reduction of every kernel run; each
+    # bundled task's report must account for all of them
+    calls = []
+    charge = Budget.charge_reduction
+
+    def counting(self):
+        calls.append(1)
+        return charge(self)
+
+    monkeypatch.setattr(Budget, "charge_reduction", counting)
+    tasks = 0
+    for m in bundled_manifests():
+        for task in m.tasks:
+            calls.clear()
+            report = run_task(m, task)
+            assert report.verdict == PASS, task["id"]
+            assert len(calls) == report.counters["reductions"], task["id"]
+            tasks += 1
+    assert tasks == 46
