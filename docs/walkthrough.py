@@ -2,7 +2,9 @@
 """A guided tour: certify a liftable field, run the unfolding pipeline, and
 compare with the tangency module of the discriminant.
 
-Run as `python docs/walkthrough.py`; every step asserts what it prints.
+Run from a checkout as `PYTHONPATH=src python docs/walkthrough.py`, or as
+`python docs/walkthrough.py` after `pip install -e .`; every step asserts
+what it prints.
 """
 
 from germlift import (

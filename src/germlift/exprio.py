@@ -9,7 +9,8 @@ only unary form, matching what the printer emits):
     base   := nat | nat '/' nat | ident | '(' expr ')'
 
 Identifiers must be declared variables of the ring.  ``parse(print(p)) == p``
-for every polynomial.
+for every polynomial.  Parentheses nest at most ``MAX_NESTING`` deep, so the
+recursive descent stays far from the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from fractions import Fraction
 
 from .errors import ExprSyntaxError, UnknownVariable
 from .poly import Polynomial, VarSet
+
+MAX_NESTING = 100
 
 
 # AST nodes: kept tiny; evaluation happens immediately after parsing.
@@ -83,6 +86,7 @@ class _Tokenizer:
 class _Parser:
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
+        self.depth = 0
 
     def parse(self):
         node = self.expr()
@@ -143,7 +147,12 @@ class _Parser:
         if kind == "ident":
             return Var(val, off)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", off)
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             k2, _, off2 = self.toks.next()
             if k2 != ")":
                 raise ExprSyntaxError("expected ')'", off2)
@@ -156,7 +165,21 @@ def parse_expr(text: str):
     return _Parser(text).parse()
 
 
+_ARITH = {"+": Polynomial.__add__, "-": Polynomial.__sub__, "*": Polynomial.__mul__}
+
+
 def _to_poly(node, ring: VarSet) -> Polynomial:
+    if isinstance(node, BinOp) and node.op in _ARITH:
+        # a chain a + b - c ... or a * b * c ... nests to the left once per
+        # operator, so walk its left spine iteratively
+        spine = []
+        while isinstance(node, BinOp) and node.op in _ARITH:
+            spine.append(node)
+            node = node.left
+        acc = _to_poly(node, ring)
+        for op in reversed(spine):
+            acc = _ARITH[op.op](acc, _to_poly(op.right, ring))
+        return acc
     if isinstance(node, Num):
         return Polynomial.const(ring, node.value)
     if isinstance(node, Var):
@@ -165,17 +188,8 @@ def _to_poly(node, ring: VarSet) -> Polynomial:
         return Polynomial.variable(ring, node.name)
     if isinstance(node, Neg):
         return -_to_poly(node.arg, ring)
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            return _to_poly(node.left, ring) ** int(node.right.value)
-        a = _to_poly(node.left, ring)
-        b = _to_poly(node.right, ring)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
+    if isinstance(node, BinOp) and node.op == "^":
+        return _to_poly(node.left, ring) ** int(node.right.value)
     raise ExprSyntaxError("malformed expression tree", 0)
 
 

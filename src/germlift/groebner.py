@@ -11,11 +11,25 @@ One engine serves four needs:
 
 Working vectors are plain dicts mapping ``(component, exponent-tuple)`` to
 ``Fraction``; ModuleElement is used only at the boundaries.
+
+Every step above runs through one normal-form routine,
+``_Kernel.reduce_full``.  It compares terms by heap keys: flat int tuples,
+computed straight from the order (``ModuleOrder.heap_key``,
+:func:`_embedded_key`) and memoized once per kernel, in which the greatest
+term has the least key.  The terms still to be reduced sit in a heap of
+those keys (Monagan-Pearce, 2007), so each leading term is popped instead
+of found by rescanning the vector.  Each lead exponent carries a bitmask of
+the variables it contains; a lead whose mask is not within the term's mask
+cannot divide it, so most divisibility tests are one integer operation
+(Bachmann-Schoenemann, 1998).  Interreduction needs one sweep: once the
+basis is minimal its leads no longer change, and reducibility depends on
+the leads alone.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -99,25 +113,41 @@ def _elem_of(ring: VarSet, rank: int, vec: Vec) -> ModuleElement:
     return ModuleElement(ring, [Polynomial(ring, t) for t in polys])
 
 
+def _support(e) -> int:
+    """Bitmask of the variables that occur in the exponent tuple ``e``."""
+    mask = 0
+    bit = 1
+    for x in e:
+        if x:
+            mask |= bit
+        bit <<= 1
+    return mask
+
+
 class _Kernel:
-    """One Buchberger run over a fixed key function."""
+    """One Buchberger run over a fixed heap-key function.
+
+    ``key(c, e)`` is the order's heap key (``ModuleOrder.heap_key`` or
+    :func:`_embedded_key`): a flat int tuple, least for the greatest term.
+    """
 
     def __init__(self, key: Callable, budget: Budget, use_product: bool,
                  partial_cb: Callable[[list], tuple]):
         self.memo: dict = {}
-        self.rawkey = key
+        self.order_key = key
         self.budget = budget
         self.use_product = use_product
         self.partial_cb = partial_cb
         self.basis: list[Vec] = []
         self.leads: list[tuple] = []  # (comp, exp)
+        self.masks: list[int] = []  # _support of each lead exponent
         self.pairs: dict = {}  # (i,j) -> lcm exp
         self.heap: list = []
 
     def key(self, t):
         k = self.memo.get(t)
         if k is None:
-            k = self.rawkey(t[0], t[1])
+            k = self.order_key(t[0], t[1])
             self.memo[t] = k
         return k
 
@@ -126,7 +156,7 @@ class _Kernel:
                               stats=self.budget.stats())
 
     def _lead(self, vec: Vec):
-        return max(vec, key=self.key)
+        return min(vec, key=self.key)
 
     def reduce_full(self, work: Vec, main_rank: int | None = None,
                     skip: int | None = None) -> Vec:
@@ -135,32 +165,37 @@ class _Kernel:
         With ``main_rank`` set, only terms in components < main_rank are
         reduction targets (the rest pass through to the remainder).  ``skip``
         excludes one basis index (used during interreduction).
+
+        Targets sit in a heap of heap keys, so each step pops the greatest
+        remaining target.  A term is pushed when it enters ``work``; a
+        popped term that has since cancelled is skipped.  A reduction step
+        only adds terms below the term it removes, so a popped term never
+        returns and the steps are those of a full rescan for the maximum.
+        Divisor candidates are pre-filtered by support masks: lead ``l``
+        can divide ``e`` only if ``mask(l) & ~mask(e) == 0``.
         """
         rem: Vec = {}
         basis = self.basis
         leads = self.leads
-        while work:
-            if main_rank is None:
-                t = max(work, key=self.key)
-            else:
-                best = None
-                for t2 in work:
-                    if t2[0] < main_rank and (best is None or self.key(t2) > self.key(best)):
-                        best = t2
-                if best is None:
-                    rem.update(work)
-                    return rem
-                t = best
+        masks = self.masks
+        key = self.key
+        limit = math.inf if main_rank is None else main_rank
+        heap = [(key(t), t) for t in work if t[0] < limit]
+        heapq.heapify(heap)
+        while heap:
+            t = heapq.heappop(heap)[1]
+            coeff = work.get(t)
+            if coeff is None:
+                continue
             c, e = t
-            coeff = work[t]
+            outside = ~_support(e)
             hit = -1
-            for i in range(len(basis)):
-                if i == skip:
-                    continue
-                lc_, le_ = leads[i]
-                if lc_ == c and exp_divides(le_, e):
-                    hit = i
-                    break
+            for i, m in enumerate(masks):
+                if not m & outside and i != skip:
+                    lc_, le_ = leads[i]
+                    if lc_ == c and exp_divides(le_, e):
+                        hit = i
+                        break
             if hit < 0:
                 rem[t] = coeff
                 del work[t]
@@ -168,9 +203,9 @@ class _Kernel:
             over = self.budget.charge_reduction()
             if over:
                 self._timeout(over)
-            shift = exp_sub(e, leads[hit][1])
-            red = basis[hit]
             lead_t = leads[hit]
+            shift = exp_sub(e, lead_t[1])
+            red = basis[hit]
             q = coeff / red[lead_t]
             zero_shift = not any(shift)
             for (c2, e2), k2 in red.items():
@@ -178,12 +213,15 @@ class _Kernel:
                 s = work.get(t2)
                 if s is None:
                     work[t2] = -q * k2
+                    if c2 < limit:
+                        heapq.heappush(heap, (key(t2), t2))
                 else:
                     s = s - q * k2
                     if s:
                         work[t2] = s
                     else:
                         del work[t2]
+        rem.update(work)
         return rem
 
     def _monic(self, vec: Vec, lead) -> Vec:
@@ -199,6 +237,7 @@ class _Kernel:
         vec = self._monic(vec, lead)
         self.basis.append(vec)
         self.leads.append(lead)
+        self.masks.append(_support(lead[1]))
         ct, et = lead
         # criterion B: prune old pairs strictly covered by the new lead
         for (i, j), L in list(self.pairs.items()):
@@ -225,7 +264,10 @@ class _Kernel:
             if self.use_product and L == exp_add(self.leads[i][1], et):
                 continue
             self.pairs[(i, t)] = L
-            heapq.heappush(self.heap, (self.key((ct, L)), i, t))
+            # normal strategy: least lcm first.  Negating a flat heap key
+            # reverses its order, as all keys of one component have one length.
+            rank = tuple(-x for x in self.order_key(ct, L))
+            heapq.heappush(self.heap, (rank, i, t))
 
     def spair(self, i: int, j: int) -> Vec:
         ci, ei = self.leads[i]
@@ -271,8 +313,15 @@ class _Kernel:
                 self.budget.zero_reductions += 1
 
     def interreduce(self):
-        """Minimalize and tail-reduce; the result is the unique reduced basis."""
-        order = sorted(range(len(self.basis)), key=lambda i: self.key(self.leads[i]))
+        """Minimalize and tail-reduce; the result is the unique reduced basis.
+
+        After minimalization no lead divides another, so each element keeps
+        its lead (still monic) when reduced against the others.  Whether a
+        term is reducible depends only on the leads, which no longer change,
+        so one sweep leaves every element reduced.
+        """
+        order = sorted(range(len(self.basis)), key=lambda i: self.key(self.leads[i]),
+                       reverse=True)
         minimal: list[int] = []
         for i in order:
             ci, ei = self.leads[i]
@@ -282,42 +331,34 @@ class _Kernel:
             minimal.append(i)
         self.basis = [self.basis[i] for i in minimal]
         self.leads = [self.leads[i] for i in minimal]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(self.basis)):
-                work = dict(self.basis[i])
-                r = self.reduce_full(work, skip=i)
-                if r != self.basis[i]:
-                    lead = self._lead(r)
-                    self.basis[i] = self._monic(r, lead)
-                    self.leads[i] = lead
-                    changed = True
-
-
-def _plain_key(morder: ModuleOrder):
-    return lambda c, e: morder.key(c, e)
+        self.masks = [self.masks[i] for i in minimal]
+        for i in range(len(self.basis)):
+            self.basis[i] = self.reduce_full(dict(self.basis[i]), skip=i)
 
 
 def _embedded_key(morder: ModuleOrder, main_rank: int):
-    base = morder.key
-    tail = MonomialOrder.grevlex()
+    """Heap key of the order that embeds ``morder`` on components below
+    ``main_rank`` above trailing components ordered by grevlex, then position."""
+    base = morder.heap_key
+    tail = MonomialOrder.grevlex().heap_key
 
     def key(c, e):
         if c < main_rank:
-            return (1, base(c, e))
-        return (0, (tail.key(e), main_rank - c))
+            return (-1,) + base(c, e)
+        return (0,) + tail(e) + (c - main_rank,)
 
     return key
 
 
 def _reduced_basis(key, vecs: Sequence[Vec], budget: Budget, use_product: bool,
                    partial_cb: Callable[[list], tuple]) -> list[tuple[Vec, tuple]]:
-    """The reduced basis of ``vecs`` as (vector, lead) pairs sorted by ``key``."""
+    """The reduced basis of ``vecs`` as (vector, lead) pairs, least lead first
+    in the order whose heap key is ``key``."""
     kern = _Kernel(key, budget, use_product, partial_cb)
     kern.run(vecs)
     kern.interreduce()
-    return sorted(zip(kern.basis, kern.leads), key=lambda p: key(*p[1]))
+    return sorted(zip(kern.basis, kern.leads), key=lambda p: kern.key(p[1]),
+                  reverse=True)
 
 
 def _reducer(key, pairs: Sequence[tuple[Vec, tuple]], budget: Budget) -> _Kernel:
@@ -325,6 +366,7 @@ def _reducer(key, pairs: Sequence[tuple[Vec, tuple]], budget: Budget) -> _Kernel
     kern = _Kernel(key, budget, use_product=False, partial_cb=lambda b: ())
     kern.basis = [vec for vec, _ in pairs]
     kern.leads = [lead for _, lead in pairs]
+    kern.masks = [_support(lead[1]) for lead in kern.leads]
     return kern
 
 
@@ -524,7 +566,7 @@ def module_intersect(M: Submodule, N: Submodule,
     ring_t = VarSet((tname,) + ring.names)
     base = MonomialOrder.elimination(1)
     morder = ModuleOrder(base)
-    key = _plain_key(morder)
+    key = morder.heap_key
 
     def lift(vecs, with_t, complement):
         out = []
@@ -580,7 +622,7 @@ def eliminate(I: Submodule, names: Sequence[str],
     big_ring = VarSet([ring.names[i] for i in perm])
     nb = len(elim_idx)
     base = MonomialOrder.elimination(nb)
-    key = _plain_key(ModuleOrder(base))
+    key = ModuleOrder(base).heap_key
 
     def permute(e):
         return tuple(e[i] for i in perm)
@@ -613,7 +655,7 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     dropped and kept generator in the pruned module.
     """
     budget = budget or Budget()
-    key = _plain_key(M.order)
+    key = M.order.heap_key
 
     def partial(basis):
         return tuple(_elem_of(M.ring, M.rank, v) for v in basis)

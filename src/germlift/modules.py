@@ -128,6 +128,14 @@ class ModuleOrder:
             return (pos, mono)
         return (mono, pos)
 
+    def heap_key(self, comp: int, exp: Exp) -> tuple[int, ...]:
+        """Flat int tuple reversing :meth:`key` (see MonomialOrder.heap_key)."""
+        mono = self.base.heap_key(exp)
+        pos = (self.component_rank(comp),)
+        if self.position_over_term:
+            return pos + mono
+        return mono + pos
+
 
 class Submodule:
     """Finitely generated submodule of a free module with a cached basis."""

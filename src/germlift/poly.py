@@ -159,6 +159,24 @@ class MonomialOrder:
             return (_grevlex_key(e[:b]), _grevlex_key(e[b:]))
         raise ValueError(f"unknown order kind {self.kind!r}")
 
+    def heap_key(self, e: Exp) -> tuple[int, ...]:
+        """A flat int tuple that reverses :meth:`key`: the greatest monomial
+        has the least heap key, so ``heapq`` pops monomials in descending
+        order.  Every exponent tuple of one ring gives a key of one length.
+        """
+        if self.kind == "grevlex":
+            return (-sum(e),) + e[::-1]
+        if self.kind == "wgrevlex":
+            w = self.weights
+            return (-sum(wi * xi for wi, xi in zip(w, e)), -sum(e)) + e[::-1]
+        if self.kind == "lex":
+            return tuple(-x for x in e)
+        if self.kind == "block":
+            hi = e[:self.block]
+            lo = e[self.block:]
+            return (-sum(hi),) + hi[::-1] + (-sum(lo),) + lo[::-1]
+        raise ValueError(f"unknown order kind {self.kind!r}")
+
 
 class Polynomial:
     """Immutable polynomial: a map from exponent tuples to nonzero Fractions."""

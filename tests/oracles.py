@@ -2,15 +2,16 @@
 
 Nothing here touches the Groebner kernel: membership and intersection are
 decided by degree-bounded exact linear algebra, derivatives by Newton
-forward differences of point evaluations.  These deliberately slower paths
-stay independent of the code they check.
+forward differences of point evaluations, and normal forms by a plain
+rescan for the greatest term under the nested sort keys of the orders.
+These deliberately slower paths stay independent of the code they check.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from germlift.modules import ModuleElement
-from germlift.poly import Polynomial, VarSet
+from germlift.poly import MonomialOrder, Polynomial, VarSet
 
 
 def monomials_up_to(n_vars, max_deg):
@@ -215,3 +216,56 @@ def random_poly(rng, ring: VarSet, max_deg=3, max_terms=4, coeff_bound=6,
 
 def random_element(rng, ring: VarSet, rank, **kw) -> ModuleElement:
     return ModuleElement(ring, [random_poly(rng, ring, **kw) for _ in range(rank)])
+
+
+def embedded_order_key(morder, main_rank):
+    """Sort key (greater term, greater key) of the order that puts components
+    below ``main_rank``, ordered by ``morder``, above the trailing ones, which
+    compare by grevlex and then by position."""
+    tail = MonomialOrder.grevlex()
+
+    def key(c, e):
+        if c < main_rank:
+            return (1, morder.key(c, e))
+        return (0, (tail.key(e), main_rank - c))
+
+    return key
+
+
+def normal_form_maxscan(basis, leads, key, work, budget, main_rank=None,
+                        skip=None):
+    """Complete normal form of the vector ``work`` ({(comp, exp): coeff})
+    against ``basis`` with lead terms ``leads``: rescan for the greatest
+    target term under ``key(comp, exp)`` at every step and reduce it by the
+    first lead of its component that divides it, charging ``budget`` once
+    per reduction.  Terms in components >= ``main_rank`` are not targets and
+    pass to the remainder; ``skip`` excludes one basis index."""
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    rem = {}
+    work = dict(work)
+    while work:
+        targets = [t for t in work if main_rank is None or t[0] < main_rank]
+        if not targets:
+            break
+        t = max(targets, key=lambda u: key(*u))
+        c, e = t
+        coeff = work[t]
+        hit = next((i for i, (lc, le) in enumerate(leads)
+                    if i != skip and lc == c and divides(le, e)), None)
+        if hit is None:
+            rem[t] = work.pop(t)
+            continue
+        budget.charge_reduction()
+        shift = tuple(x - y for x, y in zip(e, leads[hit][1]))
+        q = coeff / basis[hit][leads[hit]]
+        for (c2, e2), k2 in basis[hit].items():
+            t2 = (c2, tuple(x + y for x, y in zip(e2, shift)))
+            s = work.get(t2, Fraction(0)) - q * k2
+            if s:
+                work[t2] = s
+            else:
+                work.pop(t2, None)
+    rem.update(work)
+    return rem

@@ -71,6 +71,20 @@ def test_malformed_section_data_error(tmp_path, capsys, section):
     assert "manifest error" in err
 
 
+def test_deeply_nested_expression_data_error(tmp_path, capsys):
+    deep = "(" * 5000 + "x" + ")" * 5000
+    bad = tmp_path / "deep.manifest.json"
+    bad.write_text(json.dumps({
+        "schema": "germlift-manifest/1",
+        "rings": {"r": {"vars": ["x"]}},
+        "maps": {"m": {"source": "r", "target": "r", "components": [deep]}},
+    }))
+    code, _, err = run(capsys, "paper-suite", "-m", str(bad))
+    assert code == 65
+    assert "nested deeper" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_data_error(capsys):
     code, _, err = run(capsys, "paper-suite", "-m", "/nonexistent.json")
     assert code == 65

@@ -4,7 +4,7 @@ import string
 import pytest
 
 from germlift.errors import ExprSyntaxError, UnknownVariable
-from germlift.exprio import parse_poly, print_poly
+from germlift.exprio import MAX_NESTING, parse_poly, print_poly
 from germlift.poly import VarSet
 
 from oracles import random_poly
@@ -61,6 +61,20 @@ def test_syntax_error_offset(xy):
     with pytest.raises(ExprSyntaxError) as e:
         parse_poly("x + ?", xy)
     assert e.value.offset == 4
+
+
+def test_nesting_depth_is_bounded(xy):
+    ok = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(ok, xy) == parse_poly("x", xy)
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_poly("(" * 5000 + "x" + ")" * 5000, xy)
+    assert e.value.offset == MAX_NESTING
+
+
+def test_long_operator_chains(xy):
+    assert parse_poly(" + ".join(["x"] * 5000), xy) == parse_poly("5000*x", xy)
+    assert parse_poly(" - ".join(["y"] * 3001), xy) == parse_poly("-2999*y", xy)
+    assert parse_poly("*".join(["x"] * 3000), xy) == parse_poly("x^3000", xy)
 
 
 def test_unknown_variable(xy):

@@ -13,6 +13,7 @@ from germlift.suite import (
     instance_note,
     reports_to_json,
     run_manifest,
+    run_paper_suite,
     bundled_manifests,
     run_task,
 )
@@ -150,3 +151,22 @@ def test_every_reduction_is_charged_to_the_task_budget(monkeypatch):
             assert len(calls) == report.counters["reductions"], task["id"]
             tasks += 1
     assert tasks == 46
+
+
+# The counters of the paper-suite report.  Tasks of one manifest share cached
+# bases, so each count holds for the suite's task order.  Reduced bases are
+# unique: a kernel change that keeps the algorithm keeps these exactly, and a
+# change in any of them means the kernel does different work.
+PINNED_COUNTERS = {
+    "hk2.pipeline": {"reductions": 4031, "s_pairs": 397, "zero_reductions": 212},
+    "hk3.pipeline": {"reductions": 1396, "s_pairs": 476, "zero_reductions": 234},
+    "hk4.pipeline": {"reductions": 1486, "s_pairs": 544, "zero_reductions": 268},
+    "hk5.pipeline": {"reductions": 1596, "s_pairs": 599, "zero_reductions": 296},
+    "aug.pipeline_f": {"reductions": 186, "s_pairs": 42, "zero_reductions": 14},
+}
+
+
+def test_pipeline_work_counters_are_pinned():
+    seen = {r.task_id: r.counters for r in run_paper_suite()
+            if r.task_id in PINNED_COUNTERS}
+    assert seen == PINNED_COUNTERS
