@@ -14,7 +14,6 @@ import sys
 from .errors import ManifestError
 from .groebner import Budget
 from .manifest import load_manifest
-from .poly import set_default_order_kind
 from .suite import (
     Report,
     exit_code,
@@ -37,8 +36,6 @@ def _add_common(sp, manifest_required=True):
     sp.add_argument("-m", "--manifest", required=manifest_required,
                     action="append", default=[],
                     help="manifest file (repeatable)")
-    sp.add_argument("--order", choices=["grevlex", "lex", "weighted"],
-                    default="weighted", help="base monomial order")
     sp.add_argument("--timeout", type=float, default=None,
                     help="per-task budget in seconds (default: GERMLIFT_TIMEOUT)")
     sp.add_argument("--json", action="store_true", help="machine-readable report")
@@ -127,7 +124,6 @@ def _emit(reports: list[Report], args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    set_default_order_kind(args.order)
     make_budget = _budget_factory(args)
 
     try:

@@ -63,9 +63,10 @@ class _Tokenizer:
         if i >= n:
             return ("end", "", i)
         ch = t[i]
-        if ch.isdigit():
+        # ASCII only: str.isdigit also accepts digits that int() rejects
+        if ch.isascii() and ch.isdigit():
             j = i
-            while j < n and t[j].isdigit():
+            while j < n and t[j].isascii() and t[j].isdigit():
                 j += 1
             return ("nat", t[i:j], i)
         if ch.isalpha() or ch == "_":

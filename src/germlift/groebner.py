@@ -640,12 +640,11 @@ def eliminate(I: Submodule, names: Sequence[str],
 
 
 def _element_sort_key(g: ModuleElement, morder: ModuleOrder):
-    terms = []
-    for c, p in enumerate(g.entries):
-        for e, k in p.terms.items():
-            terms.append((morder.key(c, e), k))
-    terms.sort(reverse=True)
-    return (tuple(terms),)
+    """Terms in descending order, each as (negated heap key, coefficient):
+    negating flat keys of one length orders them like their terms."""
+    terms = sorted((morder.heap_key(c, e), k)
+                   for c, p in enumerate(g.entries) for e, k in p.terms.items())
+    return tuple((tuple(-x for x in h), k) for h, k in terms)
 
 
 def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:

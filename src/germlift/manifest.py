@@ -91,12 +91,34 @@ class Manifest:
 
 
 def _need(obj: dict, key: str, path: str, kind=None):
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected an object")
     if key not in obj:
         raise SchemaError(path, f"missing required key {key!r}")
     val = obj[key]
     if kind is not None and not isinstance(val, kind):
         raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}")
     return val
+
+
+def _names(obj: dict, key: str, path: str) -> list:
+    names = _need(obj, key, path, list)
+    if not all(isinstance(n, str) for n in names):
+        raise SchemaError(f"{path}.{key}", "expected a list of names")
+    return names
+
+
+def _weights(spec: dict, path: str) -> list | None:
+    weights = spec.get("weights")
+    if weights is None:
+        return None
+    # bool is an int subclass, but true/false are not weights
+    if not isinstance(weights, list) or not all(
+            type(w) is int for w in weights):
+        raise SchemaError(f"{path}.weights", "weights must be a list of integers")
+    if any(w <= 0 for w in weights):
+        raise SchemaError(f"{path}.weights", "weights must be positive")
+    return weights
 
 
 def _parse(text, ring: VarSet, path: str) -> Polynomial:
@@ -111,13 +133,8 @@ def _parse(text, ring: VarSet, path: str) -> Polynomial:
 def _load_rings(raw, out):
     for name, spec in raw.items():
         path = f"rings.{name}"
-        names = _need(spec, "vars", path, list)
-        weights = spec.get("weights")
-        if weights is not None:
-            if not all(isinstance(w, int) for w in weights):
-                raise SchemaError(f"{path}.weights", "weights must be integers")
-            if any(w <= 0 for w in weights):
-                raise SchemaError(f"{path}.weights", "weights must be positive")
+        names = _names(spec, "vars", path)
+        weights = _weights(spec, path)
         try:
             out[name] = VarSet(names, weights)
         except GermliftError as e:
@@ -157,8 +174,8 @@ def _load_unfoldings(raw, maps, out):
         try:
             out[name] = Unfolding(
                 maps[total_name],
-                _need(spec, "source_params", path, list),
-                _need(spec, "target_params", path, list),
+                _names(spec, "source_params", path),
+                _names(spec, "target_params", path),
                 maps[core_name],
             )
         except GermliftError as e:
@@ -190,8 +207,9 @@ def _load_divisors(raw, rings, out):
         path = f"divisors.{name}"
         ring = _ring_ref(rings, _need(spec, "ring", path, str), f"{path}.ring")
         h = _parse(_need(spec, "equation", path, str), ring, f"{path}.equation")
+        weights = _weights(spec, path)
         try:
-            out[name] = Divisor(ring, h, spec.get("weights"))
+            out[name] = Divisor(ring, h, weights)
         except GermliftError as e:
             raise ValidationError(path, str(e)) from e
 
@@ -295,7 +313,11 @@ def _check_tasks(tasks, m: Manifest):
             if key not in task:
                 raise SchemaError(path, f"operation {op!r} requires key {key!r}")
         for key, registry in TASK_REFS[op].items():
-            if key in task and task[key] not in registries[registry]:
+            if key not in task:
+                continue
+            if not isinstance(task[key], str):
+                raise SchemaError(f"{path}.{key}", "expected a name")
+            if task[key] not in registries[registry]:
                 raise SchemaError(f"{path}.{key}", f"unresolved name {task[key]!r}")
 
 

@@ -121,15 +121,10 @@ class ModuleOrder:
             return comp
         return self.precedence.index(comp)
 
-    def key(self, comp: int, exp: Exp):
-        mono = self.base.key(exp)
-        pos = -self.component_rank(comp)
-        if self.position_over_term:
-            return (pos, mono)
-        return (mono, pos)
-
     def heap_key(self, comp: int, exp: Exp) -> tuple[int, ...]:
-        """Flat int tuple reversing :meth:`key` (see MonomialOrder.heap_key)."""
+        """Flat int tuple, least for the greatest term (see
+        :meth:`MonomialOrder.heap_key`); components of higher precedence
+        are greater."""
         mono = self.base.heap_key(exp)
         pos = (self.component_rank(comp),)
         if self.position_over_term:

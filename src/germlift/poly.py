@@ -19,18 +19,6 @@ Exp = tuple[int, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Process-wide order override used by the CLI's --order flag.  "weighted"
-# (the built-in default) prefers the ring's weights when declared.
-_DEFAULT_ORDER_KIND: str | None = None
-
-
-def set_default_order_kind(kind: str | None):
-    global _DEFAULT_ORDER_KIND
-    if kind not in (None, "weighted", "grevlex", "lex"):
-        raise ValueError(f"unknown order kind {kind!r}")
-    _DEFAULT_ORDER_KIND = None if kind == "weighted" else kind
-
-
 def exp_add(a: Exp, b: Exp) -> Exp:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -103,26 +91,18 @@ class VarSet:
         return tuple(e)
 
     def default_order(self) -> "MonomialOrder":
-        kind = _DEFAULT_ORDER_KIND
-        if kind == "lex":
-            return MonomialOrder.lex()
-        if kind == "grevlex":
-            return MonomialOrder.grevlex()
+        """wgrevlex by the ring's weights when it declares them, else grevlex."""
         if self.weights is not None:
             return MonomialOrder.wgrevlex(self.weights)
         return MonomialOrder.grevlex()
 
 
-def _grevlex_key(e: Exp):
-    return (sum(e), tuple(-x for x in reversed(e)))
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A term order given as a sort key on exponent tuples.
+    """A term order, encoded by :meth:`heap_key` on exponent tuples.
 
-    ``key(e)`` is monotone: larger monomial, larger key.  All four kinds are
-    total well-orders compatible with multiplication.
+    All four kinds are total well-orders compatible with multiplication.
+    Orders other than the ring's default are used by passing them explicitly.
     """
 
     kind: str
@@ -146,23 +126,11 @@ class MonomialOrder:
         """Block order eliminating the first ``block`` variables."""
         return MonomialOrder("block", block=block)
 
-    def key(self, e: Exp):
-        if self.kind == "grevlex":
-            return _grevlex_key(e)
-        if self.kind == "wgrevlex":
-            w = self.weights
-            return (sum(wi * xi for wi, xi in zip(w, e)), _grevlex_key(e))
-        if self.kind == "lex":
-            return e
-        if self.kind == "block":
-            b = self.block
-            return (_grevlex_key(e[:b]), _grevlex_key(e[b:]))
-        raise ValueError(f"unknown order kind {self.kind!r}")
-
     def heap_key(self, e: Exp) -> tuple[int, ...]:
-        """A flat int tuple that reverses :meth:`key`: the greatest monomial
-        has the least heap key, so ``heapq`` pops monomials in descending
-        order.  Every exponent tuple of one ring gives a key of one length.
+        """A flat int tuple, least for the greatest monomial, so ``min``
+        finds the leading monomial and ``heapq`` pops monomials in
+        descending order.  Every exponent tuple of one ring gives a key of
+        one length, and distinct exponents give distinct keys.
         """
         if self.kind == "grevlex":
             return (-sum(e),) + e[::-1]
@@ -416,12 +384,13 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         order = order or self.ring.default_order()
-        e = max(self.terms, key=order.key)
+        e = min(self.terms, key=order.heap_key)
         return e, self.terms[e]
 
     def sorted_terms(self, order: MonomialOrder | None = None):
+        """Terms in descending order, leading term first."""
         order = order or self.ring.default_order()
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: order.heap_key(t[0]))
 
     # -- printing -----------------------------------------------------------------
 

@@ -218,6 +218,32 @@ def random_element(rng, ring: VarSet, rank, **kw) -> ModuleElement:
     return ModuleElement(ring, [random_poly(rng, ring, **kw) for _ in range(rank)])
 
 
+def _grevlex(e):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def order_key(order, e):
+    """Nested sort key of the MonomialOrder ``order``: the greater monomial
+    has the greater key.  Written from the definitions of the orders, apart
+    from ``MonomialOrder.heap_key``, which must reverse it."""
+    if order.kind == "grevlex":
+        return _grevlex(e)
+    if order.kind == "wgrevlex":
+        return (sum(w * x for w, x in zip(order.weights, e)), _grevlex(e))
+    if order.kind == "lex":
+        return e
+    if order.kind == "block":
+        return (_grevlex(e[:order.block]), _grevlex(e[order.block:]))
+    raise ValueError(f"unknown order kind {order.kind!r}")
+
+
+def module_order_key(morder, c, e):
+    """Nested sort key of the ModuleOrder ``morder`` on the term (c, e)."""
+    mono = order_key(morder.base, e)
+    pos = -morder.component_rank(c)
+    return (pos, mono) if morder.position_over_term else (mono, pos)
+
+
 def embedded_order_key(morder, main_rank):
     """Sort key (greater term, greater key) of the order that puts components
     below ``main_rank``, ordered by ``morder``, above the trailing ones, which
@@ -226,8 +252,8 @@ def embedded_order_key(morder, main_rank):
 
     def key(c, e):
         if c < main_rank:
-            return (1, morder.key(c, e))
-        return (0, (tail.key(e), main_rank - c))
+            return (1, module_order_key(morder, c, e))
+        return (0, (order_key(tail, e), main_rank - c))
 
     return key
 

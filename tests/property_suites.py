@@ -13,7 +13,7 @@ from germlift.lifting import is_liftable
 from germlift.modules import ModuleElement, Submodule
 from germlift.poly import Polynomial, VarSet, exp_lcm, exp_sub
 
-from oracles import intersection_bounded, random_element, random_poly
+from oracles import intersection_bounded, module_order_key, random_element, random_poly
 
 
 def _lead(elem, morder):
@@ -22,7 +22,7 @@ def _lead(elem, morder):
         for c, p in enumerate(elem.entries)
         for e, k in p.terms.items()
     ]
-    return max(terms, key=lambda t: morder.key(*t[0]))
+    return max(terms, key=lambda t: module_order_key(morder, *t[0]))
 
 
 def _random_module(rng, rank_choices=(1, 2), nvars=2, gens=3, max_deg=2):

@@ -52,6 +52,14 @@ def test_missing_argument_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_order_flag_is_gone_usage_error(capsys):
+    # the order is the ring's default; other orders are passed in the library
+    with pytest.raises(SystemExit) as e:
+        main(["paper-suite", "--order", "lex"])
+    assert e.value.code == 64
+    capsys.readouterr()
+
+
 def test_corrupt_manifest_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.manifest.json"
     bad.write_text('{"schema": "germlift-manifest/1", "rings": {"r": {}}}')
@@ -60,15 +68,47 @@ def test_corrupt_manifest_data_error(tmp_path, capsys):
     assert "manifest error" in err
 
 
-@pytest.mark.parametrize("section", ['"rings": []', '"maps": {"m": 3}',
-                                     '"tasks": {}'],
-                         ids=["rings-list", "map-entry-number", "tasks-object"])
-def test_malformed_section_data_error(tmp_path, capsys, section):
+RING_X = '"rings": {"r": {"vars": ["x"]}}, '
+
+
+@pytest.mark.parametrize("section, path", [
+    ('"rings": []', "rings"),
+    ('"maps": {"m": 3}', "maps.m"),
+    ('"tasks": {}', "tasks"),
+    ('"rings": {"r": {"vars": ["x"], "weights": 5}}', "rings.r.weights"),
+    ('"rings": {"r": {"vars": ["x"], "weights": [true]}}', "rings.r.weights"),
+    ('"rings": {"r": {"vars": ["x", 1]}}', "rings.r.vars"),
+    (RING_X + '"divisors": {"d": {"ring": "r", "equation": "x", "weights": 3}}',
+     "divisors.d.weights"),
+], ids=["rings-list", "map-entry-number", "tasks-object", "ring-weights-number",
+        "ring-weights-bool", "ring-var-number", "divisor-weights-number"])
+def test_malformed_section_data_error(tmp_path, capsys, section, path):
     bad = tmp_path / "bad.manifest.json"
     bad.write_text('{"schema": "germlift-manifest/1", ' + section + '}')
     code, _, err = run(capsys, "paper-suite", "-m", str(bad))
     assert code == 65
-    assert "manifest error" in err
+    assert f"manifest error: {path}:" in err
+
+
+@pytest.mark.parametrize("entry, value, path", [
+    (("instances", "2"), 7, "augmentations.quartic.instances.2"),
+    (("instances", "2", "recipes", 0), 5,
+     "augmentations.quartic.instances.2.recipes[0]"),
+], ids=["instance-number", "recipe-number"])
+def test_malformed_augmentation_entry_data_error(tmp_path, capsys, entry, value,
+                                                 path):
+    with open(AUG) as fh:
+        doc = json.load(fh)
+    node = doc["augmentations"]["quartic"]
+    for key in entry[:-1]:
+        node = node[key]
+    node[entry[-1]] = value
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "paper-suite", "-m", str(bad))
+    assert code == 65
+    assert f"manifest error: {path}:" in err
+    assert "Traceback" not in err
 
 
 def test_deeply_nested_expression_data_error(tmp_path, capsys):
@@ -135,14 +175,6 @@ def test_json_reports_are_deterministic(capsys):
     doc = json.loads(out1)
     assert doc["schema"] == "germlift-report/1"
     assert doc["summary"]["fail"] == 0
-
-
-def test_order_flag(capsys):
-    code, out, _ = run(capsys, "lift-check", "-m", HK, "--map", "H2",
-                       "--fields", "lift_H2", "--order", "lex")
-    assert code == 0
-    from germlift.poly import set_default_order_kind
-    set_default_order_kind(None)
 
 
 def test_env_timeout(monkeypatch, capsys):

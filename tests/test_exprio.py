@@ -61,6 +61,10 @@ def test_syntax_error_offset(xy):
     with pytest.raises(ExprSyntaxError) as e:
         parse_poly("x + ?", xy)
     assert e.value.offset == 4
+    # a digit to str.isdigit that int() cannot read
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_poly("x^\u00b9", xy)
+    assert e.value.offset == 2
 
 
 def test_nesting_depth_is_bounded(xy):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germlift.errors import GroebnerTimeout, RankError
 from germlift.exprio import parse_poly
@@ -18,7 +20,7 @@ from germlift.groebner import (
     syzygy_module,
 )
 from germlift.modules import ModuleElement, ModuleOrder, Submodule
-from germlift.poly import Polynomial, VarSet, integer_normalize
+from germlift.poly import MonomialOrder, Polynomial, VarSet, integer_normalize
 
 from oracles import intersection_bounded, membership_bounded, random_element
 
@@ -219,3 +221,44 @@ def test_submodule_operations(xy):
     assert len(prune_module(M).generators) == 2
     K = module_intersect(Submodule.ideal(xy, [x]), Submodule.ideal(xy, [y]))
     assert [str(g.entries[0]) for g in K.generators] == ["x*y"]
+
+
+def _nonzero_elements(rng, ring, rank, count):
+    out = []
+    while len(out) < count:
+        g = random_element(rng, ring, rank, max_deg=2, max_terms=3, coeff_bound=4)
+        if not g.is_zero:
+            out.append(g)
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_results_agree_across_orders(seed):
+    # verdicts are module equalities, so no answer may depend on the order
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 3)
+    rank = rng.randint(1, 2)
+    ring = VarSet(["x", "y", "z"][:nvars])
+    gm = _nonzero_elements(rng, ring, rank, rng.randint(1, 3))
+    gn = _nonzero_elements(rng, ring, rank, rng.randint(1, 2))
+    if rng.random() < 0.5:
+        v = _nonzero_elements(rng, ring, rank, 1)[0]
+    else:
+        v = ModuleElement.zero(ring, rank)
+        for g in gm:
+            v = v + g.scale(random_element(rng, ring, 1, max_deg=1).entries[0])
+    orders = [ModuleOrder(o) for o in (
+        MonomialOrder.grevlex(), MonomialOrder.lex(),
+        MonomialOrder.wgrevlex((2, 3, 1)[:nvars]))]
+    members, meets, syzygies = [], [], []
+    for order in orders:
+        M = Submodule(ring, rank, gm, order)
+        N = Submodule(ring, rank, gn, order)
+        members.append(contains(M, v))
+        meets.append(module_intersect(M, N))
+        syzygies.append(syzygy_module(gm, order=order))
+    assert len(set(members)) == 1
+    for out in (meets, syzygies):
+        for other in out[1:]:
+            assert module_equal(out[0], other)

@@ -9,6 +9,7 @@ against sympy.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,7 +27,7 @@ from germlift.modules import ModuleOrder, Submodule
 from germlift.poly import MonomialOrder, Polynomial, VarSet, exp_divides
 from germlift.suite import bundled_manifests
 
-from oracles import embedded_order_key, normal_form_maxscan
+from oracles import embedded_order_key, module_order_key, normal_form_maxscan
 
 try:
     import sympy
@@ -47,13 +48,13 @@ BASES = {
 
 def _cases():
     out = []
-    for name, base in BASES.items():
-        morder = ModuleOrder(base)
-        out.append((name, morder.key, morder.heap_key, RANK, (None,)))
-    pot = ModuleOrder(MonomialOrder.grevlex(), position_over_term=True)
-    out.append(("pot", pot.key, pot.heap_key, RANK, (None,)))
-    prec = ModuleOrder(MonomialOrder.wgrevlex([1, 2, 1]), precedence=(1, 0))
-    out.append(("precedence", prec.key, prec.heap_key, RANK, (None,)))
+    morders = {name: ModuleOrder(base) for name, base in BASES.items()}
+    morders["pot"] = ModuleOrder(MonomialOrder.grevlex(), position_over_term=True)
+    morders["precedence"] = ModuleOrder(MonomialOrder.wgrevlex([1, 2, 1]),
+                                        precedence=(1, 0))
+    for name, morder in morders.items():
+        out.append((name, partial(module_order_key, morder), morder.heap_key,
+                    RANK, (None,)))
     for name in ("grevlex", "lex"):
         morder = ModuleOrder(BASES[name])
         out.append((f"embedded-{name}", embedded_order_key(morder, RANK),

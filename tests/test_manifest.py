@@ -1,12 +1,19 @@
+import copy
+import importlib.util
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from germlift.errors import SchemaError, ValidationError
-from germlift.manifest import load_manifest, loads
+from germlift.errors import ManifestError, SchemaError, ValidationError
+from germlift.manifest import Manifest, load_manifest, loads
 from germlift.suite import BUNDLED_FIXTURES, bundled_manifests
 
 from conftest import fixture_path
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def test_bundled_fixtures_load():
@@ -147,12 +154,74 @@ def test_field_entry_count_must_match_ring():
 
 def test_fixtures_match_published_json_schema():
     jsonschema = pytest.importorskip("jsonschema")
-    import os
-
-    schema_path = os.path.join(os.path.dirname(__file__), "..", "docs",
-                               "manifest.schema.json")
+    schema_path = os.path.join(ROOT, "docs", "manifest.schema.json")
     with open(schema_path) as fh:
         schema = json.load(fh)
     for name in BUNDLED_FIXTURES:
         m = load_manifest(fixture_path(name))
         jsonschema.validate(m.raw, schema)
+
+
+def test_fixtures_match_their_generator():
+    # the suite reads these files; the benchmark builds its hk manifests
+    # from the generator, so the two must not drift apart
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", os.path.join(ROOT, "tools", "make_fixtures.py"))
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    texts = make_fixtures.fixture_texts()
+    assert sorted(texts) == sorted(BUNDLED_FIXTURES)
+    for name, text in texts.items():
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            assert fh.read() == text, name
+
+
+def _node_paths(value, path=()):
+    """The path to every node of a JSON document, the root included."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from _node_paths(child, path + (key,))
+
+
+def _fuzz_doc(name):
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return doc, list(_node_paths(doc))
+
+
+FUZZ_DOCS = {name: _fuzz_doc(name)
+             for name in ("hk.manifest.json", "augment.manifest.json")}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_mutated_fixture_loads_or_raises_manifest_error(data):
+    doc, paths = FUZZ_DOCS[data.draw(st.sampled_from(sorted(FUZZ_DOCS)))]
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(json_values)
+    if path:
+        doc = copy.deepcopy(doc)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        doc = value
+    try:
+        m = loads(json.dumps(doc))
+    except ManifestError:
+        return
+    assert isinstance(m, Manifest)

@@ -161,6 +161,7 @@ def test_derivative_linear_leibniz_random():
 
 
 def test_orders_are_multiplicative_well_orders():
+    # heap keys reverse the order: the greater monomial has the lesser key
     rng = random.Random(42)
     orders = [
         MonomialOrder.lex(),
@@ -174,22 +175,33 @@ def test_orders_are_multiplicative_well_orders():
             a = tuple(rng.randint(0, 5) for _ in range(3))
             b = tuple(rng.randint(0, 5) for _ in range(3))
             c = tuple(rng.randint(0, 5) for _ in range(3))
-            ka, kb = order.key(a), order.key(b)
+            ka, kb = order.heap_key(a), order.heap_key(b)
             assert (ka < kb) + (ka == kb) + (ka > kb) == 1
             if a != b:
                 assert ka != kb
             if ka < kb:
                 ac = tuple(x + y for x, y in zip(a, c))
                 bc = tuple(x + y for x, y in zip(b, c))
-                assert order.key(ac) < order.key(bc)
+                assert order.heap_key(ac) < order.heap_key(bc)
             if a != zero:
-                assert order.key(zero) < order.key(a)
+                assert order.heap_key(zero) > order.heap_key(a)
 
 
 def test_elimination_order_blocks_dominate():
     order = MonomialOrder.elimination(1)
     # anything containing the first variable beats anything that does not
-    assert order.key((1, 0, 0)) > order.key((0, 9, 9))
+    assert order.heap_key((1, 0, 0)) < order.heap_key((0, 9, 9))
+
+
+def test_leading_and_sorted_terms_follow_the_order():
+    R = VarSet(["x", "y"])
+    p = parse_poly("x*y + y^3 + x^2", R)
+    assert p.leading(MonomialOrder.lex())[0] == (2, 0)
+    assert p.leading(MonomialOrder.grevlex())[0] == (0, 3)
+    assert [e for e, _ in p.sorted_terms(MonomialOrder.lex())] == [
+        (2, 0), (1, 1), (0, 3)]
+    assert [e for e, _ in p.sorted_terms(MonomialOrder.grevlex())] == [
+        (0, 3), (2, 0), (1, 1)]
 
 
 def test_exact_divide():

@@ -1,8 +1,10 @@
 import json
+import time
+
+import pytest
 
 from germlift.groebner import Budget
-from germlift.manifest import loads
-from germlift.poly import set_default_order_kind
+from germlift.manifest import load_manifest, loads
 from germlift.suite import (
     FAIL,
     PASS,
@@ -95,20 +97,6 @@ def test_poly_arith_operators(xy, P):
     assert a * b == P("x^2 - y^2", xy)
 
 
-def test_order_override_round_trips():
-    from germlift.poly import MonomialOrder, VarSet
-
-    try:
-        set_default_order_kind("lex")
-        assert VarSet(["x", "y"], [2, 1]).default_order() == MonomialOrder.lex()
-        set_default_order_kind("grevlex")
-        assert VarSet(["x"], [3]).default_order() == MonomialOrder.grevlex()
-        set_default_order_kind("weighted")
-        assert VarSet(["x"], [3]).default_order() == MonomialOrder.wgrevlex((3,))
-    finally:
-        set_default_order_kind(None)
-
-
 def test_bad_inverse_reports_fail_not_crash():
     doc = {
         "schema": "germlift-manifest/1",
@@ -170,3 +158,17 @@ def test_pipeline_work_counters_are_pinned():
     seen = {r.task_id: r.counters for r in run_paper_suite()
             if r.task_id in PINNED_COUNTERS}
     assert seen == PINNED_COUNTERS
+
+
+@pytest.mark.parametrize("fixture", ["hk.manifest.json", "hk_k3.manifest.json",
+                                     "hk_k4.manifest.json", "hk_k5.manifest.json"])
+def test_timeout_overshoot_is_bounded(fixture):
+    # the budget reads the clock only every few hundred reductions; a fresh
+    # manifest has no cached bases, so all the task's kernel work is timed
+    m = load_manifest(fixture_path(fixture))
+    task = next(t for t in m.tasks if t["op"] == "pipeline")
+    start = time.perf_counter()
+    report = run_task(m, task, Budget(seconds=0.1))
+    elapsed = time.perf_counter() - start
+    assert report.verdict == TIMEOUT
+    assert elapsed < 1.0

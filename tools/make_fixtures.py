@@ -365,15 +365,21 @@ def augment_manifest():
     return m
 
 
-def main():
-    os.makedirs(OUT, exist_ok=True)
+def fixture_texts():
+    """{file name: text} of every bundled fixture, as written by main()."""
     files = {"hk.manifest.json": hk_manifest(2), "augment.manifest.json": augment_manifest()}
     for k in (3, 4, 5):
         files[f"hk_k{k}.manifest.json"] = hk_manifest(k)
-    for name, data in files.items():
+    return {name: json.dumps(data, indent=2, sort_keys=True) + "\n"
+            for name, data in files.items()}
+
+
+def main():
+    os.makedirs(OUT, exist_ok=True)
+    for name, text in fixture_texts().items():
         path = os.path.join(OUT, name)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+            fh.write(text)
         print("wrote", os.path.normpath(path))
 
 
