@@ -13,7 +13,7 @@ import sys
 
 from .errors import ManifestError
 from .groebner import Budget
-from .manifest import load_manifest
+from .manifest import DERLOG_MODES, load_manifest
 from .suite import (
     Report,
     exit_code,
@@ -65,7 +65,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("derlog", help="logarithmic vector fields of a divisor")
     _add_common(sp)
     sp.add_argument("--divisor", required=True)
-    sp.add_argument("--mode", choices=["strict", "delta"], default="delta")
+    sp.add_argument("--mode", choices=DERLOG_MODES, default="delta")
     sp.add_argument("--expect", default=None)
 
     sp = sub.add_parser("augment", help="augmentation checks")

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .germs import MapGerm, Unfolding, VectorField, mapgerm_determinant
 from .groebner import Budget, eliminate, module_intersect, prune_module, syzygy_module
-from .modules import ModuleElement, Submodule
+from .modules import ModuleElement, Submodule, membership_module
 from .poly import Polynomial, VarSet, exact_divide, fresh_name, integer_normalize, rering
 
 
@@ -88,7 +88,7 @@ def derlog_tangent(D: Divisor, budget: Budget | None = None) -> TangentFields:
         for s in syz.generators
         if not all(q.is_zero for q in s.entries[:p])
     ]
-    module = prune_module(Submodule(ring, p, projected), budget)
+    module = prune_module(membership_module(ring, p, projected), budget)
     quotients = []
     for g in module.generators:
         alpha = tangency_quotient(VectorField(ring, g.entries), D.h)

@@ -650,19 +650,24 @@ def _element_sort_key(g: ModuleElement, morder: ModuleOrder):
 def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     """Drop generators lying in the submodule of the others; canonical sort.
 
-    Module equality with the input is verified by membership of every
-    dropped and kept generator in the pruned module.
+    Generators are sorted, and tried for dropping, by the ring's default
+    order, so the output is the same under every working order ``M.order``;
+    the drop tests and the final check only decide membership and run
+    under ``M.order`` (grevlex for a ``membership_module``).  Module
+    equality with the input is verified by membership of every dropped and
+    kept generator in the pruned module.
     """
     budget = budget or Budget()
     key = M.order.heap_key
+    sort_order = ModuleOrder(M.ring.default_order())
 
     def partial(basis):
         return tuple(_elem_of(M.ring, M.rank, v) for v in basis)
 
     gens = [g for g in M.generators if not g.is_zero]
-    gens.sort(key=lambda g: _element_sort_key(g, M.order))
+    gens.sort(key=lambda g: _element_sort_key(g, sort_order))
     kept = list(gens)
-    for g in sorted(kept, key=lambda g: _element_sort_key(g, M.order), reverse=True):
+    for g in sorted(kept, key=lambda g: _element_sort_key(g, sort_order), reverse=True):
         others = [h for h in kept if h is not g]
         if not others:
             continue

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .germs import MapGerm, Unfolding, VectorField, jacobian, tf_generators, wf_apply
 from .groebner import Budget, express, module_intersect, prune_module
-from .modules import ModuleElement, Submodule
+from .modules import ModuleElement, Submodule, membership_module
 from .poly import Polynomial
 
 
@@ -103,7 +103,7 @@ def restrictable_fields(U: Unfolding) -> Submodule:
         lam = Polynomial.variable(ring, tv)
         for j in U.target_param_indices():
             gens.append(ModuleElement.unit(ring, P, j).scale(lam))
-    return Submodule(ring, P, gens)
+    return membership_module(ring, P, gens)
 
 
 def restrict_field(eta: VectorField, U: Unfolding) -> VectorField:
@@ -153,7 +153,7 @@ def lift_from_unfolding(U: Unfolding, liftF: Submodule,
         for g in crossed.generators
     ]
     candidates = [c for c in candidates if not c.is_zero]
-    raw = Submodule(U.core.target, U.core.p, candidates)
+    raw = membership_module(U.core.target, U.core.p, candidates)
     out = prune_module(raw, budget)
     certs = []
     for idx, g in enumerate(out.generators):

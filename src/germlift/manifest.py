@@ -20,7 +20,7 @@ from .errors import (
 )
 from .exprio import parse_poly
 from .germs import MapGerm, Unfolding, VectorField
-from .modules import Submodule
+from .modules import Submodule, membership_module
 from .poly import Polynomial, VarSet
 
 SCHEMA = "germlift-manifest/1"
@@ -50,7 +50,7 @@ class FieldTable:
     fields: tuple
 
     def as_submodule(self) -> Submodule:
-        return Submodule(
+        return membership_module(
             self.ring, len(self.ring), [f.as_element() for f in self.fields]
         )
 
@@ -293,6 +293,56 @@ TASK_REFS = {
 }
 
 
+DERLOG_MODES = ("strict", "delta")
+
+
+def _check_combinations(task: dict, m: Manifest, path: str):
+    """``combinations``: one list of [coefficient, index] pairs per field of
+    the ``expect`` table, each index into the ``fields`` table.  The
+    coefficients are parsed when the task runs."""
+    table = m.fields[task["fields"]]
+    combos = task["combinations"]
+    if not isinstance(combos, list):
+        raise SchemaError(f"{path}.combinations", "expected a list of combinations")
+    if len(combos) != len(m.fields[task["expect"]].fields):
+        raise SchemaError(f"{path}.combinations",
+                          "expected one combination per expected field")
+    for i, combo in enumerate(combos):
+        cpath = f"{path}.combinations[{i}]"
+        if not isinstance(combo, list):
+            raise SchemaError(cpath, "expected a list of [coefficient, index] pairs")
+        for j, entry in enumerate(combo):
+            epath = f"{cpath}[{j}]"
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise SchemaError(epath, "expected [coefficient, index]")
+            coef, idx = entry
+            if not isinstance(coef, str):
+                raise SchemaError(epath, "expected an expression string")
+            if type(idx) is not int or not 0 <= idx < len(table.fields):
+                raise SchemaError(epath, f"field index {idx!r} out of range")
+
+
+def _check_params(task: dict, op: str, m: Manifest, path: str):
+    """Type-check the values of ``task`` that are not registry names."""
+    keys = TASK_OPS[op]
+    for key in ("k", "degree"):
+        # bool is an int subclass, but true/false are not integers here
+        if key in keys and type(task[key]) is not int:
+            raise SchemaError(f"{path}.{key}", "expected an integer")
+    if "mode" in keys and task["mode"] not in DERLOG_MODES:
+        raise SchemaError(f"{path}.mode", "mode must be 'strict' or 'delta'")
+    if "text" in keys and not isinstance(task["text"], str):
+        raise SchemaError(f"{path}.text", "expected a string")
+    if "expect_ideal" in keys:
+        ideal = task["expect_ideal"]
+        if ideal is not None and not (
+                isinstance(ideal, list) and all(isinstance(t, str) for t in ideal)):
+            raise SchemaError(f"{path}.expect_ideal",
+                              "expected null or a list of expression strings")
+    if "combinations" in keys:
+        _check_combinations(task, m, path)
+
+
 def _check_tasks(tasks, m: Manifest):
     registries = {
         "maps": m.maps,
@@ -319,6 +369,7 @@ def _check_tasks(tasks, m: Manifest):
                 raise SchemaError(f"{path}.{key}", "expected a name")
             if task[key] not in registries[registry]:
                 raise SchemaError(f"{path}.{key}", f"unresolved name {task[key]!r}")
+        _check_params(task, op, m, path)
 
 
 SECTIONS = ("rings", "maps", "unfoldings", "fields", "divisors", "augmentations")

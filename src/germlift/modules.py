@@ -167,3 +167,16 @@ class Submodule:
 
     def __repr__(self) -> str:
         return f"Submodule(rank={self.rank}, {len(self.generators)} generators)"
+
+
+def membership_module(ring: VarSet, rank: int,
+                      generators: Iterable[ModuleElement]) -> Submodule:
+    """A module of vector fields whose basis only answers membership.
+
+    Membership does not depend on the order, so such modules work under
+    plain grevlex: on the skewed weights of the hk targets the ring's
+    weighted order makes Buchberger do several times the work.  Modules
+    whose bases reach a report (printed witnesses, syzygies that become
+    generators) stay on the ring's default order.
+    """
+    return Submodule(ring, rank, generators, ModuleOrder(MonomialOrder.grevlex()))

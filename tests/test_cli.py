@@ -108,6 +108,39 @@ def test_malformed_augmentation_entry_data_error(tmp_path, capsys, entry, value,
     code, _, err = run(capsys, "paper-suite", "-m", str(bad))
     assert code == 65
     assert f"manifest error: {path}:" in err
+
+
+NOTE_TASK = {"id": "note", "op": "note", "text": "ok"}
+
+
+@pytest.mark.parametrize("fixture, index, key, value", [
+    (AUG, 8, "k", "two"),
+    (AUG, 8, "k", True),
+    (AUG, 7, "degree", "12"),
+    (AUG, 4, "mode", "weak"),
+    (HK, 4, "combinations", "x"),
+    (HK, 4, "combinations", [[["1", 0]]]),
+    (HK, 4, "combinations", [[["1", 9]]] * 5),
+    (HK, 4, "combinations", [[[3, 0]]] * 5),
+    (HK, 4, "combinations", [[["1", 0, 2]]] * 5),
+    (AUG, 10, "expect_ideal", "X"),
+    (AUG, None, "text", 5),
+], ids=["k-string", "k-bool", "degree-string", "mode-unknown", "combinations-string",
+        "combinations-count", "combination-index-range", "combination-coefficient-number",
+        "combination-triple", "expect-ideal-string", "text-number"])
+def test_malformed_task_parameter_data_error(tmp_path, capsys, fixture, index,
+                                             key, value):
+    with open(fixture) as fh:
+        doc = json.load(fh)
+    if index is None:
+        index = len(doc["tasks"])
+        doc["tasks"].append(dict(NOTE_TASK))
+    doc["tasks"][index][key] = value
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "paper-suite", "-m", str(bad))
+    assert code == 65
+    assert f"manifest error: tasks[{index}].{key}" in err
     assert "Traceback" not in err
 
 

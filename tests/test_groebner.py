@@ -262,3 +262,35 @@ def test_results_agree_across_orders(seed):
     for out in (meets, syzygies):
         for other in out[1:]:
             assert module_equal(out[0], other)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_prune_and_membership_do_not_depend_on_the_working_order(seed):
+    # prune's output follows the ring's default order whatever the module's
+    # working order is; membership agrees with a bounded linear-algebra search
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 3)
+    rank = rng.randint(1, 3)
+    weights = (2, 3, 1)[:nvars] if rng.random() < 0.5 else None
+    ring = VarSet(["x", "y", "z"][:nvars], weights)
+    gens = _nonzero_elements(rng, ring, rank, rng.randint(1, 3))
+    combo = ModuleElement.zero(ring, rank)
+    for g in gens:
+        combo = combo + g.scale(random_element(rng, ring, 1, max_deg=1).entries[0])
+    if not combo.is_zero:
+        gens.insert(rng.randint(0, len(gens)), combo)
+    v = combo if rng.random() < 0.5 else _nonzero_elements(rng, ring, rank, 1)[0]
+    witness = membership_bounded(v, gens, 1)
+    orders = [ModuleOrder(o) for o in (
+        MonomialOrder.grevlex(), MonomialOrder.wgrevlex((3, 1, 2)[:nvars]),
+        MonomialOrder.lex())]
+    pruned = []
+    for order in orders:
+        M = Submodule(ring, rank, gens, order)
+        pruned.append(prune_module(M).generators)
+        if witness is not None:
+            assert contains(M, v)
+        if not contains(M, v):
+            assert witness is None
+    assert pruned[1:] == pruned[:1] * (len(orders) - 1)
