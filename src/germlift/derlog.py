@@ -77,7 +77,11 @@ class TangentFields:
 
 
 def derlog_tangent(D: Divisor, budget: Budget | None = None) -> TangentFields:
-    """Fields tangent to the divisor, with the quotient of each generator."""
+    """Fields tangent to the divisor, with the quotient of each generator.
+
+    The module's working order is grevlex (``membership_module``); its
+    generators are sorted by the ring's default order.
+    """
     ring = D.ring
     p = len(ring)
     gens = [ModuleElement(ring, (D.h.diff(v),)) for v in ring.names]

@@ -653,7 +653,8 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     Generators are sorted, and tried for dropping, by the ring's default
     order, so the output is the same under every working order ``M.order``;
     the drop tests and the final check only decide membership and run
-    under ``M.order`` (grevlex for a ``membership_module``).  Module
+    under ``M.order`` (grevlex for a ``membership_module``), which is also
+    the working order of the returned module.  Module
     equality with the input is verified by membership of every dropped and
     kept generator in the pruned module.
     """

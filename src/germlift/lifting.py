@@ -134,7 +134,10 @@ def lift_from_unfolding(U: Unfolding, liftF: Submodule,
     use, and every output generator is certified liftable over the core; a
     failure of either check is an error, never silently dropped.  Returns
     the module with one certificate per generator, in generator order (for
-    a trivial unfolding, the input module and its certificates).
+    a trivial unfolding, the input module and its certificates).  The
+    returned module of a nontrivial unfolding has working order grevlex
+    (``membership_module``); its generators are sorted by the ring's
+    default order.
     """
     ring = U.total.target
     if liftF.ring != ring or liftF.rank != U.total.p:

@@ -251,17 +251,10 @@ def _load_augmentations(raw, m: Manifest, out):
                 if kind not in ("map", "div"):
                     raise SchemaError(rpath, "recipe kind must be 'map' or 'div'")
                 combo = []
-                for entry in _need(rec, "combo", rpath, list):
-                    if not isinstance(entry, list) or len(entry) != 2:
-                        raise SchemaError(rpath, "combo entries are [coefficient, index]")
-                    coef, idx = entry
-                    if not isinstance(idx, int) or not (
-                        0 <= idx < len(lift_fields.fields)
-                    ):
-                        raise SchemaError(rpath, f"combo index {idx} out of range")
-                    combo.append(
-                        (_parse(coef, lift_fields.ring, rpath), idx)
-                    )
+                for c, entry in enumerate(_need(rec, "combo", rpath, list)):
+                    epath = f"{rpath}.combo[{c}]"
+                    coef, idx = _combo_pair(entry, len(lift_fields.fields), epath)
+                    combo.append((_parse(coef, lift_fields.ring, epath), idx))
                 recipes.append((kind, tuple(combo)))
             instances[k] = AugInstance(
                 k, ring, m.divisors[dname], m.fields[fname], tuple(recipes)
@@ -294,6 +287,21 @@ TASK_REFS = {
 
 
 DERLOG_MODES = ("strict", "delta")
+LIFT_EXPECTS = ("certified", "obstructed")
+
+
+def _combo_pair(entry, nfields: int, path: str) -> tuple:
+    """A [coefficient string, index] pair whose index points into a table of
+    ``nfields`` fields."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise SchemaError(path, "expected [coefficient, index]")
+    coef, idx = entry
+    if not isinstance(coef, str):
+        raise SchemaError(path, "expected an expression string")
+    # bool is an int subclass, but true/false are not indices here
+    if type(idx) is not int or not 0 <= idx < nfields:
+        raise SchemaError(path, f"field index {idx!r} out of range")
+    return coef, idx
 
 
 def _check_combinations(task: dict, m: Manifest, path: str):
@@ -312,14 +320,7 @@ def _check_combinations(task: dict, m: Manifest, path: str):
         if not isinstance(combo, list):
             raise SchemaError(cpath, "expected a list of [coefficient, index] pairs")
         for j, entry in enumerate(combo):
-            epath = f"{cpath}[{j}]"
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise SchemaError(epath, "expected [coefficient, index]")
-            coef, idx = entry
-            if not isinstance(coef, str):
-                raise SchemaError(epath, "expected an expression string")
-            if type(idx) is not int or not 0 <= idx < len(table.fields):
-                raise SchemaError(epath, f"field index {idx!r} out of range")
+            _combo_pair(entry, len(table.fields), f"{cpath}[{j}]")
 
 
 def _check_params(task: dict, op: str, m: Manifest, path: str):
@@ -329,6 +330,9 @@ def _check_params(task: dict, op: str, m: Manifest, path: str):
         # bool is an int subclass, but true/false are not integers here
         if key in keys and type(task[key]) is not int:
             raise SchemaError(f"{path}.{key}", "expected an integer")
+    if op == "lift_check" and task["expect"] not in LIFT_EXPECTS:
+        raise SchemaError(f"{path}.expect",
+                          "expect must be 'certified' or 'obstructed'")
     if "mode" in keys and task["mode"] not in DERLOG_MODES:
         raise SchemaError(f"{path}.mode", "mode must be 'strict' or 'delta'")
     if "text" in keys and not isinstance(task["text"], str):

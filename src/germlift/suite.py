@@ -259,7 +259,7 @@ def _run_euler(m: Manifest, task, budget) -> Report:
     D = m.divisors[task["divisor"]]
     w = D.effective_weights()
     e = euler_field(D.ring, w)
-    d = int(task["degree"])
+    d = task["degree"]
     if e.apply_to(D.h) != D.h * d:
         return Report(task["id"], FAIL, [f"e(h) != {d}*h"])
     details = [f"e(h) = {d}*h"]
@@ -273,7 +273,7 @@ def _run_euler(m: Manifest, task, budget) -> Report:
 
 def _augmentation_parts(m: Manifest, task):
     aug = m.augmentations[task["augmentation"]]
-    k = int(task["k"])
+    k = task["k"]
     if k not in aug.instances:
         raise GermliftError(f"no instance k={k} for augmentation")
     return aug, k, aug.instances[k]

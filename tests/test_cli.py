@@ -94,7 +94,11 @@ def test_malformed_section_data_error(tmp_path, capsys, section, path):
     (("instances", "2"), 7, "augmentations.quartic.instances.2"),
     (("instances", "2", "recipes", 0), 5,
      "augmentations.quartic.instances.2.recipes[0]"),
-], ids=["instance-number", "recipe-number"])
+    (("instances", "2", "recipes", 0, "combo", 0), ["1", True],
+     "augmentations.quartic.instances.2.recipes[0].combo[0]"),
+    (("instances", "2", "recipes", 0, "combo", 0), ["1", 9],
+     "augmentations.quartic.instances.2.recipes[0].combo[0]"),
+], ids=["instance-number", "recipe-number", "combo-index-bool", "combo-index-range"])
 def test_malformed_augmentation_entry_data_error(tmp_path, capsys, entry, value,
                                                  path):
     with open(AUG) as fh:
@@ -108,6 +112,7 @@ def test_malformed_augmentation_entry_data_error(tmp_path, capsys, entry, value,
     code, _, err = run(capsys, "paper-suite", "-m", str(bad))
     assert code == 65
     assert f"manifest error: {path}:" in err
+    assert "Traceback" not in err
 
 
 NOTE_TASK = {"id": "note", "op": "note", "text": "ok"}
@@ -125,9 +130,12 @@ NOTE_TASK = {"id": "note", "op": "note", "text": "ok"}
     (HK, 4, "combinations", [[["1", 0, 2]]] * 5),
     (AUG, 10, "expect_ideal", "X"),
     (AUG, None, "text", 5),
+    (HK, 0, "expect", "certifed"),
+    (HK, 1, "expect", 1),
 ], ids=["k-string", "k-bool", "degree-string", "mode-unknown", "combinations-string",
         "combinations-count", "combination-index-range", "combination-coefficient-number",
-        "combination-triple", "expect-ideal-string", "text-number"])
+        "combination-triple", "expect-ideal-string", "text-number",
+        "lift-expect-typo", "lift-expect-number"])
 def test_malformed_task_parameter_data_error(tmp_path, capsys, fixture, index,
                                              key, value):
     with open(fixture) as fh:

@@ -291,6 +291,4 @@ def test_prune_and_membership_do_not_depend_on_the_working_order(seed):
         pruned.append(prune_module(M).generators)
         if witness is not None:
             assert contains(M, v)
-        if not contains(M, v):
-            assert witness is None
     assert pruned[1:] == pruned[:1] * (len(orders) - 1)
