@@ -51,9 +51,11 @@ lift_F = Submodule(tgtF, 3, [
     ModuleElement(tgtF, [parse_poly(s, tgtF) for s in row]) for row in rows
 ])
 
-# 3. Push them through the pipeline: intersect with the fields that restrict
-#    to the parameter zero section, restrict, prune, certify.  The pipeline
-#    returns each output generator's certificate along with the module.
+# 3. Push them through the pipeline: keep the fields whose parameter
+#    components vanish on the parameter zero section (the parameter
+#    multiples of the generators, and their combinations by the syzygies of
+#    the parameter components there), restrict, prune, certify.  The
+#    pipeline returns each output generator's certificate with the module.
 lift_f, certificates = lift_from_unfolding(U, lift_F)
 print("liftable fields of the core germ, with their witnesses:")
 for g, cert in zip(lift_f.generators, certificates):

@@ -57,7 +57,7 @@ from .lifting import (
     lift_from_unfolding,
     origin_span,
     restrict_field,
-    restrictable_fields,
+    restrictable,
 )
 from .derlog import (
     AugmentationSpec,

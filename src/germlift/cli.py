@@ -8,6 +8,7 @@ out, 64 usage error (including unresolved names), 65 bad manifest data.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -32,11 +33,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def _seconds(text: str) -> float:
+    """A time limit in seconds: a number >= 0, ``inf`` for none.  NaN is
+    rejected too: no deadline comparison would ever catch it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"expected seconds >= 0 or inf, not {text!r}")
+    return value
+
+
 def _add_common(sp, manifest_required=True):
     sp.add_argument("-m", "--manifest", required=manifest_required,
                     action="append", default=[],
                     help="manifest file (repeatable)")
-    sp.add_argument("--timeout", type=float, default=None,
+    sp.add_argument("--timeout", type=_seconds, default=None,
                     help="per-task budget in seconds (default: GERMLIFT_TIMEOUT)")
     sp.add_argument("--json", action="store_true", help="machine-readable report")
     sp.add_argument("--show-witness", action="store_true",
@@ -81,12 +94,15 @@ def build_parser() -> _Parser:
     return p
 
 
-def _budget_factory(args):
+def _budget_factory(args, parser):
     timeout = args.timeout
     if timeout is None:
         env = os.environ.get("GERMLIFT_TIMEOUT")
         if env:
-            timeout = float(env)
+            try:
+                timeout = _seconds(env)
+            except argparse.ArgumentTypeError as e:
+                parser.error(f"GERMLIFT_TIMEOUT: {e}")
 
     def make():
         return Budget(seconds=timeout)
@@ -124,7 +140,7 @@ def _emit(reports: list[Report], args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    make_budget = _budget_factory(args)
+    make_budget = _budget_factory(args, parser)
 
     try:
         manifests = _load_all(args.manifest)

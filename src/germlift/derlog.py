@@ -164,14 +164,9 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     if set(f.source.names) & set(f.target.names):
         raise AmbientError("source and target variable names must be disjoint")
     big = VarSet(f.source.names + f.target.names)
-    lift_src = {
-        n: Polynomial.variable(big, n) for n in f.source.names
-    }
-    gens = []
-    for name, comp in zip(f.target.names, f.components):
-        gens.append(
-            Polynomial.variable(big, name) - comp.substitute(lift_src, into=big)
-        )
+    lift_src = {n: Polynomial.variable(big, n) for n in f.source.names}
+    gens = [Polynomial.variable(big, name) - comp.substitute(lift_src, into=big)
+            for name, comp in zip(f.target.names, f.components)]
     gens.append(det.substitute(lift_src, into=big))
     elim = eliminate(Submodule.ideal(big, gens), list(f.source.names), budget)
     polys = elim.ideal_generators()
@@ -213,9 +208,8 @@ def augment_map(spec: AugmentationSpec) -> MapGerm:
     tgt_idx = spec.unfolding.target_param_indices()[0]
     lam_poly = Polynomial.variable(F.source, lam)
     mapping = {lam: lam_poly**spec.k}
-    comps = []
-    for i, c in enumerate(F.components):
-        comps.append(lam_poly if i == tgt_idx else c.substitute(mapping))
+    comps = [lam_poly if i == tgt_idx else c.substitute(mapping)
+             for i, c in enumerate(F.components)]
     return MapGerm(F.source, F.target, comps)
 
 
@@ -236,9 +230,8 @@ def augment_unfolding(spec: AugmentationSpec) -> Unfolding:
         lam: lam_poly**spec.k + mu_poly,
         **{n: Polynomial.variable(src, n) for n in F.source.names if n != lam},
     }
-    comps = []
-    for i, c in enumerate(F.components):
-        comps.append(lam_poly if i == tgt_idx else c.substitute(mapping, into=src))
+    comps = [lam_poly if i == tgt_idx else c.substitute(mapping, into=src)
+             for i, c in enumerate(F.components)]
     comps.append(mu_poly)
     total = MapGerm(src, tgt, comps)
     return Unfolding(total, (mu,), (MU,), augment_map(spec))
@@ -248,40 +241,35 @@ def _last_var(space: VarSet) -> str:
     return space.names[-1]
 
 
+def _substitute_power(eta: VectorField, k: int, into: VarSet | None):
+    """The entries of eta with z^k for the last coordinate z, over ``into``,
+    and the derivative k*z^(k-1)."""
+    space = into if into is not None else eta.space
+    if space.names != eta.space.names:
+        raise AmbientError("target space must share coordinate names")
+    name = _last_var(eta.space)
+    z = Polynomial.variable(space, name)
+    zk = z ** k
+    entries = [p.substitute({name: zk}, into=space) for p in eta.entries]
+    return space, entries, z ** (k - 1) * k
+
+
 def augment_field(eta: VectorField, k: int, into: VarSet | None = None) -> VectorField:
     """Transform a field on the unfolding target to the augmentation target:
     substitute z^k for the last coordinate everywhere, and multiply every
     entry except the last by the derivative k*z^(k-1)."""
-    space = into if into is not None else eta.space
-    if space.names != eta.space.names:
-        raise AmbientError("target space must share coordinate names")
-    z = _last_var(eta.space)
-    zk = Polynomial.variable(space, z) ** k
-    phi_prime = Polynomial.variable(space, z) ** (k - 1) * k
-    out = []
-    for i, p in enumerate(eta.entries):
-        q = p.substitute({z: zk}, into=space)
-        out.append(q if i == len(eta.entries) - 1 else q * phi_prime)
-    return VectorField(space, out)
+    space, entries, phi_prime = _substitute_power(eta, k, into)
+    return VectorField(space, [q * phi_prime for q in entries[:-1]] + entries[-1:])
 
 
 def augment_field_div(eta: VectorField, k: int, into: VarSet | None = None) -> VectorField:
     """The transform above divided exactly by k*z^(k-1); requires the last
     entry of eta to vanish on the zero section of the last coordinate."""
-    space = into if into is not None else eta.space
-    if space.names != eta.space.names:
-        raise AmbientError("target space must share coordinate names")
     z = _last_var(eta.space)
-    last = eta.entries[-1]
-    if not last.substitute({z: Polynomial.zero(eta.space)}).is_zero:
+    if not eta.entries[-1].substitute({z: Polynomial.zero(eta.space)}).is_zero:
         raise NotDivisible("last entry does not vanish at the zero section")
-    zk = Polynomial.variable(space, z) ** k
-    divisor = Polynomial.variable(space, z) ** (k - 1) * k
-    out = []
-    for i, p in enumerate(eta.entries):
-        q = p.substitute({z: zk}, into=space)
-        out.append(exact_divide(q, divisor) if i == len(eta.entries) - 1 else q)
-    return VectorField(space, out)
+    space, entries, divisor = _substitute_power(eta, k, into)
+    return VectorField(space, entries[:-1] + [exact_divide(entries[-1], divisor)])
 
 
 def last_component_ideal(M: Submodule) -> Submodule:
@@ -297,12 +285,8 @@ def last_component_ideal(M: Submodule) -> Submodule:
     last_idx = len(ring) - 1
     out = []
     for g in M.generators:
-        p = g.entries[-1]
-        terms = {}
-        for e, c in p.terms.items():
-            if e[last_idx] == 0:
-                terms[e[:-1]] = c
-        q = Polynomial(short, terms)
+        q = Polynomial(short, {e[:-1]: c for e, c in g.entries[-1].terms.items()
+                               if e[last_idx] == 0})
         if not q.is_zero:
             out.append(q)
     return Submodule.ideal(short, out)
@@ -351,14 +335,11 @@ def descend_field(eta_bar: VectorField, k: int, H_div: Divisor) -> DescentResult
             terms[tuple(new)] = c * scale
         return Polynomial(H_ring, terms)
 
-    entries = []
     if beta_zero:
-        for i in range(p):
-            entries.append(extract(eta_bar.entries[i], 0, 0, Fraction(1)))
+        entries = [extract(q, 0, 0, Fraction(1)) for q in eta_bar.entries[:p]]
         entries.append(extract(eta_bar.entries[-1], 1, 1, Fraction(k)))
     else:
-        for i in range(p):
-            entries.append(extract(eta_bar.entries[i], k - 1, 0, Fraction(1, k)))
+        entries = [extract(q, k - 1, 0, Fraction(1, k)) for q in eta_bar.entries[:p]]
         entries.append(extract(eta_bar.entries[-1], 0, 0, Fraction(1)))
     field = VectorField(H_ring, entries)
 

@@ -55,11 +55,10 @@ class OutputNotCertified(GermliftError):
 
 
 class GroebnerTimeout(GermliftError, TimeoutError):
-    """Resource budget exhausted; carries whatever part of the basis exists."""
+    """Resource budget exhausted; ``stats`` holds the budget's counters."""
 
-    def __init__(self, message, partial=(), stats=None):
+    def __init__(self, message, stats=None):
         super().__init__(message)
-        self.partial = tuple(partial)
         self.stats = dict(stats or {})
 
 

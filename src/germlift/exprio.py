@@ -10,11 +10,14 @@ only unary form, matching what the printer emits):
 
 Identifiers must be declared variables of the ring.  ``parse(print(p)) == p``
 for every polynomial.  Parentheses nest at most ``MAX_NESTING`` deep, so the
-recursive descent stays far from the interpreter's recursion limit.
+recursive descent stays far from the interpreter's recursion limit.  A power
+``base^n`` of a ``v``-term base is expanded only if its multinomial term bound
+C(n+v-1, v-1) is at most ``MAX_TERMS``: (x+y+z+1)^20, with 1771 terms, is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from .errors import ExprSyntaxError, UnknownVariable
 from .poly import Polynomial, VarSet
 
 MAX_NESTING = 100
+MAX_TERMS = 2000
 
 
 # AST nodes: kept tiny; evaluation happens immediately after parsing.
@@ -43,9 +47,16 @@ class Neg:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # '+', '-', '*', '^'
+    op: str  # '+', '-', '*'
     left: object
     right: object
+
+
+@dataclass(frozen=True)
+class Pow:
+    base: object
+    exp: int
+    offset: int  # of the '^'
 
 
 class _Tokenizer:
@@ -123,13 +134,13 @@ class _Parser:
 
     def factor(self):
         node = self.base()
-        kind, _, _ = self.toks.peek()
+        kind, _, off = self.toks.peek()
         if kind == "^":
             self.toks.next()
-            k2, val, off = self.toks.next()
+            k2, val, off2 = self.toks.next()
             if k2 != "nat":
-                raise ExprSyntaxError("exponent must be a literal natural number", off)
-            node = BinOp("^", node, Num(Fraction(int(val))))
+                raise ExprSyntaxError("exponent must be a literal natural number", off2)
+            node = Pow(node, int(val), off)
         return node
 
     def base(self):
@@ -189,8 +200,14 @@ def _to_poly(node, ring: VarSet) -> Polynomial:
         return Polynomial.variable(ring, node.name)
     if isinstance(node, Neg):
         return -_to_poly(node.arg, ring)
-    if isinstance(node, BinOp) and node.op == "^":
-        return _to_poly(node.left, ring) ** int(node.right.value)
+    if isinstance(node, Pow):
+        base = _to_poly(node.base, ring)
+        v, n = len(base.terms), node.exp
+        # C(n+v-1, n) > n for v > 1: a large n is rejected without computing it
+        if v > 1 and (n >= MAX_TERMS or math.comb(n + v - 1, n) > MAX_TERMS):
+            raise ExprSyntaxError(
+                f"power would expand to more than {MAX_TERMS} terms", node.offset)
+        return base ** n
     raise ExprSyntaxError("malformed expression tree", 0)
 
 

@@ -7,7 +7,8 @@ One engine serves four needs:
   identity re-verified by exact expansion,
 * syzygy modules, computed by embedding the generators alongside unit
   vectors and eliminating the leading block,
-* submodule intersection and variable elimination via block orders.
+* submodule intersection, read off the syzygies of both generating sets
+  together, and variable elimination via block orders.
 
 Working vectors are plain dicts mapping ``(component, exponent-tuple)`` to
 ``Fraction``; ModuleElement is used only at the boundaries.
@@ -36,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import AmbientError, GroebnerTimeout, RankError, StructureError
-from .modules import ModuleElement, ModuleOrder, Submodule
+from .modules import GREVLEX, ModuleElement, ModuleOrder, Submodule, combine
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -45,7 +46,6 @@ from .poly import (
     exp_divides,
     exp_lcm,
     exp_sub,
-    fresh_name,
 )
 
 Vec = dict  # {(comp, exp): Fraction}
@@ -131,13 +131,11 @@ class _Kernel:
     :func:`_embedded_key`): a flat int tuple, least for the greatest term.
     """
 
-    def __init__(self, key: Callable, budget: Budget, use_product: bool,
-                 partial_cb: Callable[[list], tuple]):
+    def __init__(self, key: Callable, budget: Budget, use_product: bool):
         self.memo: dict = {}
         self.order_key = key
         self.budget = budget
         self.use_product = use_product
-        self.partial_cb = partial_cb
         self.basis: list[Vec] = []
         self.leads: list[tuple] = []  # (comp, exp)
         self.masks: list[int] = []  # _support of each lead exponent
@@ -152,8 +150,7 @@ class _Kernel:
         return k
 
     def _timeout(self, reason: str):
-        raise GroebnerTimeout(reason, partial=self.partial_cb(self.basis),
-                              stats=self.budget.stats())
+        raise GroebnerTimeout(reason, stats=self.budget.stats())
 
     def _lead(self, vec: Vec):
         return min(vec, key=self.key)
@@ -350,20 +347,29 @@ def _embedded_key(morder: ModuleOrder, main_rank: int):
     return key
 
 
-def _reduced_basis(key, vecs: Sequence[Vec], budget: Budget, use_product: bool,
-                   partial_cb: Callable[[list], tuple]) -> list[tuple[Vec, tuple]]:
+def _reduced_basis(key, vecs: Sequence[Vec], budget: Budget,
+                   use_product: bool) -> list[tuple[Vec, tuple]]:
     """The reduced basis of ``vecs`` as (vector, lead) pairs, least lead first
     in the order whose heap key is ``key``."""
-    kern = _Kernel(key, budget, use_product, partial_cb)
+    kern = _Kernel(key, budget, use_product)
     kern.run(vecs)
     kern.interreduce()
     return sorted(zip(kern.basis, kern.leads), key=lambda p: kern.key(p[1]),
                   reverse=True)
 
 
+def grevlex_basis(ring: VarSet, rank: int, elems: Sequence[ModuleElement],
+                  budget: Budget) -> list[ModuleElement]:
+    """The reduced grevlex (term over position) basis of the module that
+    ``elems`` generate, least lead first, without tracking."""
+    pairs = _reduced_basis(GREVLEX.heap_key, [_vec_of(g) for g in elems], budget,
+                           rank == 1)
+    return [_elem_of(ring, rank, vec) for vec, _ in pairs]
+
+
 def _reducer(key, pairs: Sequence[tuple[Vec, tuple]], budget: Budget) -> _Kernel:
     """A kernel that only reduces, against the finished basis ``pairs``."""
-    kern = _Kernel(key, budget, use_product=False, partial_cb=lambda b: ())
+    kern = _Kernel(key, budget, use_product=False)
     kern.basis = [vec for vec, _ in pairs]
     kern.leads = [lead for _, lead in pairs]
     kern.masks = [_support(lead[1]) for lead in kern.leads]
@@ -395,19 +401,12 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
     budget = budget or Budget()
     m = len(gens)
     key = _embedded_key(morder, rank)
-
-    def partial(basis):
-        return tuple(
-            _elem_of(ring, rank, {t: k for t, k in v.items() if t[0] < rank})
-            for v in basis
-        )
-
     vecs = []
     for i, g in enumerate(gens):
         v = _vec_of(g)
         v[(rank + i, ring.zero_exp())] = ONE
         vecs.append(v)
-    pairs = _reduced_basis(key, vecs, budget, False, partial)
+    pairs = _reduced_basis(key, vecs, budget, False)
     reducer = tuple((vec, lead) for vec, lead in pairs if lead[0] < rank)
 
     elements = []
@@ -426,16 +425,10 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
     # every syzygy expands to zero, and every input generator reduces to
     # zero against the basis (mutual membership of the cached basis).
     for elem, rep in zip(elements, reps):
-        acc = ModuleElement.zero(ring, rank)
-        for c, g in zip(rep, gens):
-            acc = acc + g.scale(c)
-        if acc != elem:
+        if combine(ring, rank, rep, gens) != elem:
             raise StructureError("internal: basis representation failed to re-expand")
     for s in syzygies:
-        acc = ModuleElement.zero(ring, rank)
-        for c, g in zip(s.entries, gens):
-            acc = acc + g.scale(c)
-        if not acc.is_zero:
+        if not combine(ring, rank, s.entries, gens).is_zero:
             raise StructureError("internal: syzygy failed to expand to zero")
     check = _reducer(key, reducer, budget)
     for g in gens:
@@ -508,10 +501,7 @@ def express(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
                       {(t[0] - M.rank, t[1]): -k for t, k in rem_all.items()
                        if t[0] >= M.rank})
     coefficients = tuple(coeffs.entries[:m])
-    acc = ModuleElement.zero(M.ring, M.rank)
-    for c, g in zip(coefficients, M.generators):
-        acc = acc + g.scale(c)
-    if acc != v:
+    if combine(M.ring, M.rank, coefficients, M.generators) != v:
         raise StructureError("internal: expressed coefficients failed to re-expand")
     return Membership(coefficients, remainder)
 
@@ -550,9 +540,9 @@ def syzygy_module(gens: Sequence[ModuleElement], budget: Budget | None = None,
 
 def module_intersect(M: Submodule, N: Submodule,
                      budget: Budget | None = None) -> Submodule:
-    """Generators of the intersection via one auxiliary scalar variable.
-
-    Eliminates t from t*M + (1-t)*N; every output generator is checked for
+    """Generators of the intersection: the reduced grevlex basis of the
+    elements sum(b_i * m_i) = -sum(c_j * n_j) over the syzygies (b, c) of
+    M's and N's generators together.  Every output generator is checked for
     membership in both inputs before being returned.
     """
     if M.ring != N.ring:
@@ -561,39 +551,15 @@ def module_intersect(M: Submodule, N: Submodule,
         raise RankError(f"rank mismatch: {M.rank} vs {N.rank}")
     ring = M.ring
     rank = M.rank
+    if not M.generators or not N.generators:
+        return Submodule(ring, rank, (), M.order)
     budget = budget or Budget()
-    tname = fresh_name(ring, "t")
-    ring_t = VarSet((tname,) + ring.names)
-    base = MonomialOrder.elimination(1)
-    morder = ModuleOrder(base)
-    key = morder.heap_key
-
-    def lift(vecs, with_t, complement):
-        out = []
-        for g in vecs:
-            v: Vec = {}
-            for c, p in enumerate(g.entries):
-                for e, k in p.terms.items():
-                    if with_t:
-                        v[(c, (1,) + e)] = k
-                    if complement:
-                        v[(c, (0,) + e)] = v.get((c, (0,) + e), Fraction(0)) + k
-                        v[(c, (1,) + e)] = v.get((c, (1,) + e), Fraction(0)) - k
-            out.append({t: k for t, k in v.items() if k})
-        return out
-
-    def partial(basis):
-        return tuple(_elem_of(ring_t, rank, v) for v in basis)
-
-    pairs = _reduced_basis(
-        key, lift(M.generators, True, False) + lift(N.generators, False, True),
-        budget, rank == 1, partial)
-
-    gens_out = []
-    for vec, _ in pairs:
-        if all(e[0] == 0 for (_, e) in vec):
-            stripped = {(c, e[1:]): k for (c, e), k in vec.items()}
-            gens_out.append(_elem_of(ring, rank, stripped))
+    m = len(M.generators)
+    syz = syzygy_module(M.generators + N.generators, budget, GREVLEX)
+    gens_out = grevlex_basis(
+        ring, rank,
+        [combine(ring, rank, s.entries[:m], M.generators) for s in syz.generators],
+        budget)
     for g in gens_out:
         if not contains(M, g, budget) or not contains(N, g, budget):
             raise StructureError("internal: intersection output failed membership")
@@ -619,7 +585,6 @@ def eliminate(I: Submodule, names: Sequence[str],
     if ring.weights is not None:
         kept_weights = [ring.weights[i] for i in keep_idx]
     kept_ring = VarSet([ring.names[i] for i in keep_idx], kept_weights)
-    big_ring = VarSet([ring.names[i] for i in perm])
     nb = len(elim_idx)
     base = MonomialOrder.elimination(nb)
     key = ModuleOrder(base).heap_key
@@ -627,13 +592,10 @@ def eliminate(I: Submodule, names: Sequence[str],
     def permute(e):
         return tuple(e[i] for i in perm)
 
-    def partial(basis):
-        return tuple(_elem_of(big_ring, 1, v) for v in basis)
-
     vecs = [{(0, permute(e)): k for e, k in g.entries[0].terms.items()}
             for g in I.generators]
     out = []
-    for vec, _ in _reduced_basis(key, vecs, budget or Budget(), True, partial):
+    for vec, _ in _reduced_basis(key, vecs, budget or Budget(), True):
         if all(not any(e[:nb]) for (_, e) in vec):
             out.append(Polynomial(kept_ring, {e[nb:]: k for (_, e), k in vec.items()}))
     return Submodule.ideal(kept_ring, out)
@@ -662,9 +624,6 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     key = M.order.heap_key
     sort_order = ModuleOrder(M.ring.default_order())
 
-    def partial(basis):
-        return tuple(_elem_of(M.ring, M.rank, v) for v in basis)
-
     gens = [g for g in M.generators if not g.is_zero]
     gens.sort(key=lambda g: _element_sort_key(g, sort_order))
     kept = list(gens)
@@ -673,7 +632,7 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
         if not others:
             continue
         plain = _reduced_basis(key, [_vec_of(h) for h in others], budget,
-                               M.rank == 1, partial)
+                               M.rank == 1)
         if not _reducer(key, plain, budget).reduce_full(_vec_of(g)):
             kept = others
     out = Submodule(M.ring, M.rank, kept, M.order)

@@ -4,9 +4,9 @@ A field eta on the target is liftable over f when df o xi = eta o f for some
 field xi on the source.  Certificates carry the witness xi and re-verify the
 defining identity by exact expansion; the pipeline recovers the liftable
 fields of a core germ from those of an unfolding by intersecting with the
-module of fields whose parameter components vanish on the zero section,
-restricting, and pruning, and returns the certificate of every output
-generator along with the module.
+restrictable fields (whose parameter components vanish on the zero section
+of the parameters, a monomial module), restricting, and pruning, and returns
+the certificate of every output generator along with the module.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .errors import (
     StructureError,
 )
 from .germs import MapGerm, Unfolding, VectorField, jacobian, tf_generators, wf_apply
-from .groebner import Budget, express, module_intersect, prune_module
-from .modules import ModuleElement, Submodule, membership_module
+from .groebner import Budget, express, grevlex_basis, prune_module, syzygy_module
+from .modules import GREVLEX, ModuleElement, Submodule, combine, membership_module
 from .poly import Polynomial
 
 
@@ -90,20 +90,19 @@ def is_liftable(f: MapGerm, eta: VectorField, budget: Budget | None = None) -> L
     return LiftResult(None, membership.remainder, _graded_setup(f, rhs))
 
 
-def restrictable_fields(U: Unfolding) -> Submodule:
-    """Fields on the unfolded target whose restriction to the parameter zero
-    section is well defined: unit fields at non-parameter coordinates plus
-    (parameter) * d/d(parameter) in all combinations."""
-    ring = U.total.target
-    P = U.total.p
-    gens = []
-    for i in U.non_param_target_indices():
-        gens.append(ModuleElement.unit(ring, P, i))
-    for tv in U.target_params:
-        lam = Polynomial.variable(ring, tv)
-        for j in U.target_param_indices():
-            gens.append(ModuleElement.unit(ring, P, j).scale(lam))
-    return membership_module(ring, P, gens)
+def _zero_section_params(eta: ModuleElement, U: Unfolding) -> list[Polynomial]:
+    """The parameter components of ``eta`` with the target parameters set to 0."""
+    zero = {v: Polynomial.zero(U.total.target) for v in U.target_params}
+    return [eta.entries[j].substitute(zero) for j in U.target_param_indices()]
+
+
+def restrictable(eta: ModuleElement, U: Unfolding) -> bool:
+    """Whether every parameter component of ``eta`` vanishes once the target
+    parameters are set to 0: membership in the module generated by the core
+    unit fields and (parameter) * d/d(parameter) in all combinations."""
+    if eta.ring != U.total.target or eta.rank != U.total.p:
+        raise AmbientError("field must live on the unfolded target")
+    return all(p.is_zero for p in _zero_section_params(eta, U))
 
 
 def restrict_field(eta: VectorField, U: Unfolding) -> VectorField:
@@ -125,10 +124,37 @@ def restrict_field(eta: VectorField, U: Unfolding) -> VectorField:
     return VectorField(core_tgt, entries)
 
 
+def restrictable_part(U: Unfolding, liftF: Submodule,
+                      budget: Budget | None = None) -> list[ModuleElement]:
+    """The reduced grevlex basis of the restrictable fields in ``liftF``.
+
+    sum(c_i * g_i) is restrictable exactly when c on the zero section is a
+    syzygy of the g_i's parameter components there, so (parameter) * g_i and
+    sum(b_i * g_i) over those syzygies b generate the restrictable part.
+    Every basis element is checked restrictable.
+    """
+    budget = budget or Budget()
+    ring = U.total.target
+    gens = liftF.generators
+    spanning = [g.scale(Polynomial.variable(ring, v))
+                for v in U.target_params for g in gens]
+    if gens:
+        at_zero = [ModuleElement(ring, _zero_section_params(g, U)) for g in gens]
+        syz = syzygy_module(at_zero, budget, GREVLEX)
+        spanning += [combine(ring, U.total.p, b.entries, gens) for b in syz.generators]
+    basis = grevlex_basis(ring, U.total.p, spanning, budget)
+    if not all(restrictable(g, U) for g in basis):
+        raise StructureError("internal: intersection output is not restrictable")
+    return basis
+
+
 def lift_from_unfolding(U: Unfolding, liftF: Submodule,
                         budget: Budget | None = None
                         ) -> tuple[Submodule, tuple[LiftCertificate, ...]]:
     """Liftable fields of the core from a generating set of Lift(total).
+
+    The restrictable fields of Lift(total) (:func:`restrictable_part`, in
+    it by construction) are restricted to the zero section and pruned.
 
     Every input generator is certified liftable over the unfolding before
     use, and every output generator is certified liftable over the core; a
@@ -142,6 +168,7 @@ def lift_from_unfolding(U: Unfolding, liftF: Submodule,
     ring = U.total.target
     if liftF.ring != ring or liftF.rank != U.total.p:
         raise AmbientError("liftF must be a module of fields on the unfolded target")
+    budget = budget or Budget()
     certs = []
     for idx, g in enumerate(liftF.generators):
         res = is_liftable(U.total, VectorField.from_element(g), budget)
@@ -150,10 +177,9 @@ def lift_from_unfolding(U: Unfolding, liftF: Submodule,
         certs.append(res.certificate)
     if U.r == 0:
         return liftF, tuple(certs)
-    crossed = module_intersect(liftF, restrictable_fields(U), budget)
     candidates = [
         restrict_field(VectorField.from_element(g), U).as_element()
-        for g in crossed.generators
+        for g in restrictable_part(U, liftF, budget)
     ]
     candidates = [c for c in candidates if not c.is_zero]
     raw = membership_module(U.core.target, U.core.p, candidates)

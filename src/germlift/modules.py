@@ -132,6 +132,18 @@ class ModuleOrder:
         return mono + pos
 
 
+GREVLEX = ModuleOrder(MonomialOrder.grevlex())
+
+
+def combine(ring: VarSet, rank: int, coeffs: Iterable,
+            gens: Iterable[ModuleElement]) -> ModuleElement:
+    """sum(coeffs_i * gens_i), the zero vector of ``rank`` for no terms."""
+    acc = ModuleElement.zero(ring, rank)
+    for c, g in zip(coeffs, gens):
+        acc = acc + g.scale(c)
+    return acc
+
+
 class Submodule:
     """Finitely generated submodule of a free module with a cached basis."""
 
@@ -179,4 +191,4 @@ def membership_module(ring: VarSet, rank: int,
     whose bases reach a report (printed witnesses, syzygies that become
     generators) stay on the ring's default order.
     """
-    return Submodule(ring, rank, generators, ModuleOrder(MonomialOrder.grevlex()))
+    return Submodule(ring, rank, generators, GREVLEX)

@@ -24,13 +24,13 @@ from .derlog import (
     last_component_ideal,
     tangency_quotient,
 )
-from .errors import GermliftError, GroebnerTimeout
+from .errors import GermliftError, GroebnerTimeout, InputNotLiftable, OutputNotCertified
 from .exprio import parse_poly, print_poly
 from .germs import VectorField, push_forward
-from .groebner import Budget, contains, module_equal
-from .lifting import is_liftable, lift_from_unfolding, restrict_field, restrictable_fields, origin_span
+from .groebner import Budget, module_equal
+from .lifting import is_liftable, lift_from_unfolding, origin_span, restrict_field, restrictable
 from .manifest import Manifest, load_manifest
-from .modules import ModuleElement, Submodule, proportional
+from .modules import ModuleElement, Submodule, combine, proportional
 from .poly import Polynomial, VarSet, rering
 
 PASS = "PASS"
@@ -93,33 +93,19 @@ def _run_lift_check(m: Manifest, task, budget) -> Report:
     verdict = PASS
     for i, eta in enumerate(table.fields):
         res = is_liftable(germ, eta, budget)
-        if expect == "certified":
-            if res.certified:
-                certs.append(
-                    {"field": _field_str(eta), "witness": _field_str(res.certificate.xi)}
-                )
-            else:
-                if res.conclusive or verdict == FAIL:
-                    verdict = FAIL
-                else:
-                    verdict = UNDECIDED_LOCAL
-                details.append(f"generator {i} not polynomially liftable")
-                certs.append(
-                    {"field": _field_str(eta), "obstruction": str(res.obstruction)}
-                )
-        else:  # expect == "obstructed"
-            if res.certified:
-                verdict = FAIL
-                details.append(f"generator {i} unexpectedly liftable")
-                certs.append(
-                    {"field": _field_str(eta), "witness": _field_str(res.certificate.xi)}
-                )
-            else:
-                if not res.conclusive and verdict == PASS:
-                    verdict = UNDECIDED_LOCAL
-                certs.append(
-                    {"field": _field_str(eta), "obstruction": str(res.obstruction)}
-                )
+        if res.certified:
+            certs.append({"field": _field_str(eta),
+                          "witness": _field_str(res.certificate.xi)})
+        else:
+            certs.append({"field": _field_str(eta), "obstruction": str(res.obstruction)})
+        if expect == "certified" and not res.certified:
+            verdict = FAIL if res.conclusive or verdict == FAIL else UNDECIDED_LOCAL
+            details.append(f"generator {i} not polynomially liftable")
+        elif expect == "obstructed" and res.certified:
+            verdict = FAIL
+            details.append(f"generator {i} unexpectedly liftable")
+        elif expect == "obstructed" and not res.conclusive and verdict == PASS:
+            verdict = UNDECIDED_LOCAL
     if verdict == PASS:
         details.append(f"{len(table.fields)}/{len(table.fields)} as expected")
     return Report(task["id"], verdict, details, certs)
@@ -149,15 +135,12 @@ def _run_project_combinations(m: Manifest, task, budget) -> Report:
     table = m.fields[task["fields"]]
     exp = m.fields[task["expect"]]
     ring = table.ring
-    G = restrictable_fields(U)
     scalars = []
     details = []
     for i, combo in enumerate(task["combinations"]):
-        acc = ModuleElement.zero(ring, len(ring))
-        for coef_text, idx in combo:
-            coef = parse_poly(coef_text, ring)
-            acc = acc + table.fields[idx].as_element().scale(coef)
-        if not contains(G, acc, budget):
+        acc = combine(ring, len(ring), [parse_poly(c, ring) for c, _ in combo],
+                      [table.fields[idx].as_element() for _, idx in combo])
+        if not restrictable(acc, U):
             return Report(
                 task["id"], FAIL,
                 [f"combination {i} has parameter components off the constraint module"],
@@ -280,11 +263,10 @@ def _augmentation_parts(m: Manifest, task):
 
 
 def _combo_field(aug, combo) -> VectorField:
-    ring = aug.lift_fields.ring
-    acc = ModuleElement.zero(ring, len(ring))
-    for coef, idx in combo:
-        acc = acc + aug.lift_fields.fields[idx].as_element().scale(coef)
-    return VectorField.from_element(acc)
+    table = aug.lift_fields
+    return VectorField.from_element(combine(
+        table.ring, len(table.ring), [coef for coef, _ in combo],
+        [table.fields[idx].as_element() for _, idx in combo]))
 
 
 def _run_augment_tilde(m: Manifest, task, budget) -> Report:
@@ -421,8 +403,6 @@ _RUNNERS = {
 
 
 def run_task(m: Manifest, task: dict, budget: Budget | None = None) -> Report:
-    from .errors import InputNotLiftable, OutputNotCertified
-
     budget = budget if budget is not None else Budget()
     try:
         report = _RUNNERS[task["op"]](m, task, budget)

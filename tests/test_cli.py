@@ -166,6 +166,20 @@ def test_deeply_nested_expression_data_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_power_too_large_data_error(tmp_path, capsys):
+    bad = tmp_path / "power.manifest.json"
+    bad.write_text(json.dumps({
+        "schema": "germlift-manifest/1",
+        "rings": {"r": {"vars": ["x", "y", "z"]}},
+        "maps": {"m": {"source": "r", "target": "r",
+                       "components": ["(x+y+z+1)^40", "y", "z"]}},
+    }))
+    code, _, err = run(capsys, "paper-suite", "-m", str(bad))
+    assert code == 65
+    assert "terms (at offset 9)" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_data_error(capsys):
     code, _, err = run(capsys, "paper-suite", "-m", "/nonexistent.json")
     assert code == 65
@@ -176,6 +190,34 @@ def test_timeout_budget_zero(capsys):
                        "--mode", "delta", "--timeout", "0")
     assert code == 3
     assert "TIMEOUT" in out
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1", ""])
+def test_bad_timeout_flag_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as e:
+        main(["derlog", "-m", AUG, "--divisor", "H", f"--timeout={value}"])
+    assert e.value.code == 64
+    assert "argument --timeout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "NaN", "-0.5"])
+def test_bad_env_timeout_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("GERMLIFT_TIMEOUT", value)
+    with pytest.raises(SystemExit) as e:
+        main(["derlog", "-m", AUG, "--divisor", "H"])
+    assert e.value.code == 64
+    err = capsys.readouterr().err
+    assert "GERMLIFT_TIMEOUT" in err
+    assert "Traceback" not in err
+
+
+def test_infinite_timeout_means_no_limit(monkeypatch, capsys):
+    code, out, _ = run(capsys, "derlog", "-m", AUG, "--divisor", "H",
+                       "--timeout", "inf")
+    assert code == 0
+    monkeypatch.setenv("GERMLIFT_TIMEOUT", "inf")
+    code, out, _ = run(capsys, "derlog", "-m", AUG, "--divisor", "H")
+    assert code == 0
 
 
 def test_from_unfolding_with_expect(capsys):

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from germlift.errors import (
@@ -21,6 +24,7 @@ from germlift.derlog import (
     euler_field,
     last_component_ideal,
     poly_gcd,
+    poly_lcm,
     squarefree_part,
     tangency_quotient,
 )
@@ -28,6 +32,13 @@ from germlift.germs import MapGerm, Unfolding, VectorField
 from germlift.groebner import contains, module_equal
 from germlift.modules import ModuleElement, Submodule
 from germlift.poly import Polynomial, VarSet, exact_divide, integer_normalize
+
+from oracles import random_poly
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
 
 
 def _field(ring, *texts):
@@ -94,6 +105,37 @@ def test_poly_gcd_and_squarefree(xy):
     h = parse_poly("x + y", xy) ** 2 * parse_poly("x - y", xy)
     sf = squarefree_part(h)
     assert sf == integer_normalize(parse_poly("x + y", xy) * parse_poly("x - y", xy))
+
+
+def _to_sympy(p, gens):
+    return sympy.Add(*[sympy.Rational(k.numerator, k.denominator)
+                       * sympy.Mul(*[g ** x for g, x in zip(gens, e)])
+                       for e, k in p.terms.items()])
+
+
+def _from_sympy(expr, gens, ring):
+    return Polynomial(ring, {tuple(int(x) for x in e): Fraction(int(k.p), int(k.q))
+                             for e, k in sympy.Poly(expr, *gens).terms()})
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+def test_poly_lcm_and_gcd_match_sympy():
+    # products with a random common factor, so that most gcds are nontrivial
+    rng = random.Random(808)
+    ring = VarSet(["x", "y", "z"])
+    gens = sympy.symbols(ring.names)
+    for _ in range(25):
+        common, a, b = (random_poly(rng, ring, max_deg=2, max_terms=3, allow_zero=False)
+                        for _ in range(3))
+        if rng.random() < 0.7:
+            a, b = a * common, b * common
+        if a.is_zero or b.is_zero:
+            continue
+        sa, sb = _to_sympy(a, gens), _to_sympy(b, gens)
+        assert poly_lcm(a, b) == integer_normalize(
+            _from_sympy(sympy.lcm(sa, sb), gens, ring))
+        assert poly_gcd(a, b) == integer_normalize(
+            _from_sympy(sympy.gcd(sa, sb), gens, ring))
 
 
 QUARTIC_H = ("256*X^3 + 27*Y^4 + 144*X*Y^2*Z + 128*X^2*Z^2"

@@ -4,7 +4,7 @@ import string
 import pytest
 
 from germlift.errors import ExprSyntaxError, UnknownVariable
-from germlift.exprio import MAX_NESTING, parse_poly, print_poly
+from germlift.exprio import MAX_NESTING, MAX_TERMS, parse_poly, print_poly
 from germlift.poly import VarSet
 
 from oracles import random_poly
@@ -73,6 +73,19 @@ def test_nesting_depth_is_bounded(xy):
     with pytest.raises(ExprSyntaxError) as e:
         parse_poly("(" * 5000 + "x" + ")" * 5000, xy)
     assert e.value.offset == MAX_NESTING
+
+
+def test_power_term_count_is_bounded():
+    # (x+y+z+1)^n has C(n+3, 3) terms: 1771 at n = 20, 12341 at n = 40
+    xyz = VarSet(["x", "y", "z"])
+    assert MAX_TERMS >= 1771
+    assert len(parse_poly("(x + y + z + 1)^20", xyz).terms) == 1771
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_poly("2*(x + y + z + 1)^40", xyz)
+    assert e.value.offset == 17
+    assert f"more than {MAX_TERMS} terms" in str(e.value)
+    # a one-term base has one term at any power
+    assert parse_poly("(2*x*y)^100000", xyz).terms.keys() == {(100000, 100000, 0)}
 
 
 def test_long_operator_chains(xy):

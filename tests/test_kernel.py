@@ -152,14 +152,13 @@ def test_reduced_basis_of_fixture_modules_is_reduced():
     count = 0
     for M in _fixture_modules():
         vecs = [_vec_of(g) for g in M.generators]
-        plain = _reduced_basis(M.order.heap_key, vecs, Budget(), M.rank == 1,
-                               lambda b: ())
+        plain = _reduced_basis(M.order.heap_key, vecs, Budget(), M.rank == 1)
         _assert_reduced(plain, M.order.heap_key)
         embedded = _embedded_key(M.order, M.rank)
         tracked = [{**v, (M.rank + i, M.ring.zero_exp()): Fraction(1)}
                    for i, v in enumerate(vecs)]
-        _assert_reduced(_reduced_basis(embedded, tracked, Budget(), False,
-                                       lambda b: ()), embedded)
+        _assert_reduced(_reduced_basis(embedded, tracked, Budget(), False),
+                        embedded)
         count += 1
     assert count >= 10
 
@@ -171,7 +170,7 @@ def test_reduced_basis_of_fixture_modules_is_reduced():
 def test_reduced_basis_of_random_modules_is_reduced(case, data):
     _, _, heap, ncomp, _ = case
     vecs = data.draw(st.lists(vectors(ncomp, 3, max_exp=2), min_size=1, max_size=3))
-    _assert_reduced(_reduced_basis(heap, vecs, Budget(), False, lambda b: ()), heap)
+    _assert_reduced(_reduced_basis(heap, vecs, Budget(), False), heap)
 
 
 def _sympy_basis(polys, ring, order):

@@ -1,23 +1,27 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germlift.errors import InputNotLiftable, StructureError
 from germlift.exprio import parse_poly
 from germlift.germs import MapGerm, Unfolding, VectorField
-from germlift.groebner import module_equal, module_intersect, prune_module
+from germlift.groebner import contains, module_equal, module_intersect, prune_module
 from germlift.lifting import (
     LiftCertificate,
     is_liftable,
     lift_from_unfolding,
     origin_span,
     restrict_field,
-    restrictable_fields,
+    restrictable,
+    restrictable_part,
 )
 from germlift.modules import ModuleElement, Submodule
 from germlift.poly import Polynomial, VarSet
 
-from oracles import membership_bounded
+from oracles import intersection_bounded, membership_bounded, random_element
 
 
 def _field(ring, *texts):
@@ -77,33 +81,53 @@ def _unfolding_H2():
     return Unfolding(F2, ["u1", "v2"], ["U1", "V2"], H2)
 
 
+def restrictable_reference(U):
+    """The restrictable fields as a module: unit fields at non-parameter
+    coordinates plus (parameter) * d/d(parameter) in all combinations."""
+    ring = U.total.target
+    P = U.total.p
+    gens = [ModuleElement.unit(ring, P, i) for i in U.non_param_target_indices()]
+    for tv in U.target_params:
+        lam = Polynomial.variable(ring, tv)
+        for j in U.target_param_indices():
+            gens.append(ModuleElement.unit(ring, P, j).scale(lam))
+    return Submodule(ring, P, gens)
+
+
 def test_constraint_module_p3_r2():
     U = _unfolding_H2()
-    G = restrictable_fields(U)
-    got = {str(g) for g in G.generators}
-    assert got == {
-        "(0, 1, 0, 0, 0)", "(0, 0, 0, 1, 0)", "(0, 0, 0, 0, 1)",
-        "(U1, 0, 0, 0, 0)", "(V2, 0, 0, 0, 0)",
-        "(0, 0, U1, 0, 0)", "(0, 0, V2, 0, 0)",
-    }
+    tgt5 = U.total.target
+    for text in ("(0, 1, 0, 0, 0)", "(0, 0, 0, 1, 0)", "(0, 0, 0, 0, 1)",
+                 "(U1, 0, 0, 0, 0)", "(V2, 0, 0, 0, 0)",
+                 "(0, 0, U1, 0, 0)", "(0, 0, V2, 0, 0)"):
+        assert restrictable(_field(tgt5, *text[1:-1].split(", ")).as_element(), U)
+    for texts in (("1", "0", "0", "0", "0"), ("0", "0", "V1 + U1", "0", "0"),
+                  ("0", "0", "W1^2", "1", "0")):
+        assert not restrictable(_field(tgt5, *texts).as_element(), U)
 
 
-def test_constraint_module_trailing_r1():
+def _unfolding_fold():
     src = VarSet(["x", "lam"])
     tgt = VarSet(["X", "Lam"])
     f = MapGerm(VarSet(["x"]), VarSet(["X"]), [parse_poly("x^2", VarSet(["x"]))])
     total = MapGerm(src, tgt, [parse_poly("x^2", src), parse_poly("lam", src)])
-    U = Unfolding(total, ["lam"], ["Lam"], f)
-    got = {str(g) for g in restrictable_fields(U).generators}
-    assert got == {"(1, 0)", "(0, Lam)"}
+    return Unfolding(total, ["lam"], ["Lam"], f)
+
+
+def test_constraint_module_trailing_r1():
+    U = _unfolding_fold()
+    tgt = U.total.target
+    assert restrictable(_field(tgt, "1", "0").as_element(), U)
+    assert restrictable(_field(tgt, "0", "Lam").as_element(), U)
+    assert not restrictable(_field(tgt, "0", "1 + X*Lam").as_element(), U)
 
 
 def test_constraint_module_r0_is_free():
     f = _H2()
     U = Unfolding(f, [], [], f)
-    got = restrictable_fields(U)
-    assert len(got.generators) == 3
-    assert all(str(g).count("1") == 1 for g in got.generators)
+    for i in range(3):
+        assert restrictable(ModuleElement.unit(f.target, 3, i), U)
+    assert restrictable(_field(f.target, "1", "Y", "X^2").as_element(), U)
 
 
 def test_restrict_field_eta_ke():
@@ -118,9 +142,10 @@ def test_restrict_field_kills_parameter_only_generators():
     U = _unfolding_H2()
     param_only = ("(U1, 0, 0, 0, 0)", "(V2, 0, 0, 0, 0)",
                   "(0, 0, U1, 0, 0)", "(0, 0, V2, 0, 0)")
-    for g in restrictable_fields(U).generators:
-        if str(g) in param_only:
-            assert restrict_field(VectorField.from_element(g), U).is_zero
+    for text in param_only:
+        eta = _field(U.total.target, *text[1:-1].split(", "))
+        assert restrictable(eta.as_element(), U)
+        assert restrict_field(eta, U).is_zero
 
 
 def test_pipeline_trivial_fold_unfolding():
@@ -226,8 +251,35 @@ def test_intersection_output_satisfies_parameter_conditions():
     ]
     liftF2 = Submodule(tgt5, 5, [_field(tgt5, *row).as_element()
                                  for row in table])
-    crossed = module_intersect(liftF2, restrictable_fields(U))
+    crossed = restrictable_part(U, liftF2)
+    assert crossed == list(module_intersect(liftF2, restrictable_reference(U)).generators)
     zero_params = {"U1": Polynomial.zero(tgt5), "V2": Polynomial.zero(tgt5)}
-    for g in crossed.generators:
+    for g in crossed:
+        assert restrictable(g, U)
         for idx in U.target_param_indices():
             assert g.entries[idx].substitute(zero_params).is_zero
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_restrictable_part_is_the_intersection(seed):
+    # the syzygy route equals the general intersection with the module of
+    # restrictable fields, generator for generator, and contains every
+    # element of that intersection a degree-bounded linear solve finds
+    rng = random.Random(seed)
+    U = _unfolding_H2() if rng.random() < 0.5 else _unfolding_fold()
+    ring = U.total.target
+    P = U.total.p
+    gens = [random_element(rng, ring, P, max_deg=2, max_terms=2, coeff_bound=3)
+            for _ in range(rng.randint(1, 3))]
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return
+    liftF = Submodule(ring, P, gens)
+    N = restrictable_reference(U)
+    got = restrictable_part(U, liftF)
+    assert got == list(module_intersect(liftF, N).generators)
+    assert all(restrictable(g, U) for g in got)
+    meet = Submodule(ring, P, got)
+    for elem in intersection_bounded(gens, list(N.generators), 2):
+        assert contains(meet, elem)
