@@ -13,6 +13,10 @@ for every polynomial.  Parentheses nest at most ``MAX_NESTING`` deep, so the
 recursive descent stays far from the interpreter's recursion limit.  A power
 ``base^n`` of a ``v``-term base is expanded only if its multinomial term bound
 C(n+v-1, v-1) is at most ``MAX_TERMS``: (x+y+z+1)^20, with 1771 terms, is.
+A product ``a*b`` is expanded only if ``len(a.terms) * len(b.terms)`` is at
+most ``MAX_TERMS``, so (x+y+z+1)^20*(x+y+z+1)^20 is rejected.  A numeric
+literal has at most ``MAX_DIGITS`` digits, well below the length at which
+Python's ``int`` refuses to convert a string (4,300 digits by default).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .poly import Polynomial, VarSet
 
 MAX_NESTING = 100
 MAX_TERMS = 2000
+MAX_DIGITS = 1000
 
 
 # AST nodes: kept tiny; evaluation happens immediately after parsing.
@@ -50,6 +55,7 @@ class BinOp:
     op: str  # '+', '-', '*'
     left: object
     right: object
+    offset: int  # of the operator
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,9 @@ class _Tokenizer:
             j = i
             while j < n and t[j].isascii() and t[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ExprSyntaxError(
+                    f"numeric literal longer than {MAX_DIGITS} digits", i)
             return ("nat", t[i:j], i)
         if ch.isalpha() or ch == "_":
             j = i
@@ -115,20 +124,20 @@ class _Parser:
         else:
             node = self.term()
         while True:
-            kind, _, _ = self.toks.peek()
+            kind, _, off = self.toks.peek()
             if kind in ("+", "-"):
                 self.toks.next()
-                node = BinOp(kind, node, self.term())
+                node = BinOp(kind, node, self.term(), off)
             else:
                 return node
 
     def term(self):
         node = self.factor()
         while True:
-            kind, _, _ = self.toks.peek()
+            kind, _, off = self.toks.peek()
             if kind == "*":
                 self.toks.next()
-                node = BinOp("*", node, self.factor())
+                node = BinOp("*", node, self.factor(), off)
             else:
                 return node
 
@@ -190,7 +199,11 @@ def _to_poly(node, ring: VarSet) -> Polynomial:
             node = node.left
         acc = _to_poly(node, ring)
         for op in reversed(spine):
-            acc = _ARITH[op.op](acc, _to_poly(op.right, ring))
+            right = _to_poly(op.right, ring)
+            if op.op == "*" and len(acc.terms) * len(right.terms) > MAX_TERMS:
+                raise ExprSyntaxError(
+                    f"product would expand to more than {MAX_TERMS} terms", op.offset)
+            acc = _ARITH[op.op](acc, right)
         return acc
     if isinstance(node, Num):
         return Polynomial.const(ring, node.value)

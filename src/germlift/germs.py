@@ -1,5 +1,12 @@
 """Polynomial map-germs, unfoldings with arbitrarily placed parameters, and
-transport of vector fields along target diffeomorphisms."""
+transport of vector fields along target diffeomorphisms.
+
+Every composition with a germ f (``wf_apply``, ``MapGerm.compose``,
+``push_forward``) runs through :func:`pull_back`, which sums
+``c_e * f^e`` over the terms of a polynomial into one term dict.  The
+monomial images ``f^e`` are cached on the germ (``MapGerm._images``), so
+a field composed with f reuses every image that an earlier field needed.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +14,20 @@ from typing import Sequence
 
 from .errors import AmbientError, InverseCheckFailed, RankError, StructureError
 from .modules import ModuleElement, Submodule
-from .poly import Polynomial, VarSet
+from .poly import Exp, Polynomial, VarSet
 
 
 class MapGerm:
-    """A polynomial map fixing the origin, (K^n, 0) -> (K^p, 0)."""
+    """A polynomial map fixing the origin, (K^n, 0) -> (K^p, 0).
 
-    __slots__ = ("source", "target", "components", "_tf")
+    Three caches live on a germ: its tangent module ``_tf``
+    (:func:`tf_generators`), its monomial images ``_images`` (exponent
+    over the target -> f^e over the source, :func:`pull_back`) and
+    ``_inverse``, the germ last verified to invert it
+    (:func:`push_forward`).  :meth:`drop_caches` forgets all three.
+    """
+
+    __slots__ = ("source", "target", "components", "_tf", "_images", "_inverse")
 
     def __init__(self, source: VarSet, target: VarSet, components: Sequence[Polynomial]):
         self.source = source
@@ -28,7 +42,12 @@ class MapGerm:
                 raise AmbientError("components must live over the source ring")
             if p.constant_term() != 0:
                 raise StructureError("germ must map the origin to the origin")
+        self.drop_caches()
+
+    def drop_caches(self):
         self._tf = None
+        self._images: dict[Exp, Polynomial] = {}
+        self._inverse = None
 
     @property
     def n(self) -> int:
@@ -38,15 +57,11 @@ class MapGerm:
     def p(self) -> int:
         return len(self.target)
 
-    def component_map(self) -> dict[str, Polynomial]:
-        return dict(zip(self.target.names, self.components))
-
     def compose(self, inner: "MapGerm") -> "MapGerm":
         """self after inner."""
         if inner.target.names != self.source.names:
             raise AmbientError("composition: inner target must match outer source")
-        mapping = dict(zip(self.source.names, inner.components))
-        comps = [c.substitute(mapping, into=inner.source) for c in self.components]
+        comps = [pull_back(c, inner) for c in self.components]
         return MapGerm(inner.source, self.target, comps)
 
     def is_identity(self) -> bool:
@@ -153,34 +168,75 @@ def tf_generators(f: MapGerm) -> Submodule:
     return f._tf
 
 
+def _image(f: MapGerm, e: Exp) -> Polynomial:
+    """f^e = prod(f_i^e_i) over the source, from the germ's image cache.
+
+    A missing image is the product of the powers f_i^e_i, each cached
+    under its own exponent and built from f_i^(e_i - 1) when that is
+    cached, else by repeated squaring, so no exponent costs more than
+    its bit length in products and nothing recurses.
+    """
+    images = f._images
+    img = images.get(e)
+    if img is not None:
+        return img
+    for i, k in enumerate(e):
+        if not k:
+            continue
+        unit = (0,) * i + (k,) + (0,) * (len(e) - i - 1)
+        power = images.get(unit)
+        if power is None:
+            below = images.get(unit[:i] + (k - 1,) + unit[i + 1:])
+            if below is None:
+                power = f.components[i] ** k
+            else:
+                power = below * f.components[i]
+            images[unit] = power
+        img = power if img is None else img * power
+    if img is None:
+        img = Polynomial.const(f.source, 1)
+    images[e] = img
+    return img
+
+
+def pull_back(p: Polynomial, f: MapGerm) -> Polynomial:
+    """p o f: ``p`` over f's target (matched by position) composed with f,
+    summed into one term dict from the cached monomial images of f."""
+    acc: dict = {}
+    for e, c in p.terms.items():
+        for e2, k in _image(f, e).terms.items():
+            s = acc.get(e2)
+            acc[e2] = c * k if s is None else s + c * k
+    return Polynomial(f.source, acc)
+
+
 def wf_apply(eta: VectorField, f: MapGerm) -> ModuleElement:
     """eta composed with f, a rank-p element over the source ring."""
     if eta.space != f.target:
         raise AmbientError("field must live on the target of the germ")
-    mapping = f.component_map()
-    return ModuleElement(
-        f.source, [p.substitute(mapping, into=f.source) for p in eta.entries]
-    )
+    return ModuleElement(f.source, [pull_back(p, f) for p in eta.entries])
 
 
 def push_forward(eta: VectorField, H: MapGerm, H_inv: MapGerm) -> VectorField:
     """Transport of a field through a diffeomorphism, dH o eta o H^{-1}.
 
-    Both composites of H and H_inv are checked to be the identity, exactly.
+    Both composites of H and H_inv are checked to be the identity, exactly,
+    once per pair: ``H`` remembers the inverse it passed with.  An inverse
+    that fails is never remembered, so every call with it raises.
     """
     if eta.space != H.source:
         raise AmbientError("field must live on the source of the diffeomorphism")
-    if not H.compose(H_inv).is_identity() or not H_inv.compose(H).is_identity():
-        raise InverseCheckFailed("supplied inverse does not invert the map")
-    inv_map = H_inv.component_map()
+    if H._inverse is not H_inv:
+        if not H.compose(H_inv).is_identity() or not H_inv.compose(H).is_identity():
+            raise InverseCheckFailed("supplied inverse does not invert the map")
+        H._inverse = H_inv
     J = jacobian(H)
-    entries_at_inv = [p.substitute(inv_map, into=H_inv.source) for p in eta.entries]
+    entries_at_inv = wf_apply(eta, H_inv).entries
     out = []
     for i in range(H.p):
         acc = Polynomial.zero(H.target)
         for j in range(H.n):
-            Jij = J[i][j].substitute(inv_map, into=H_inv.source)
-            acc = acc + Jij * entries_at_inv[j]
+            acc = acc + pull_back(J[i][j], H_inv) * entries_at_inv[j]
         out.append(acc)
     return VectorField(H.target, out)
 

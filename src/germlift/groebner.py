@@ -3,8 +3,10 @@
 One engine serves four needs:
 
 * reduced Groebner bases (deterministic for a fixed module order),
-* normal forms and membership with coefficient extraction, every returned
-  identity re-verified by exact expansion,
+* normal forms and membership with coefficient extraction (``_divide``);
+  ``express`` re-verifies each returned identity by exact expansion, and
+  ``lifting.is_liftable`` divides directly because its certificate
+  re-expands the same identity,
 * syzygy modules, computed by embedding the generators alongside unit
   vectors and eliminating the leading block,
 * submodule intersection, read off the syzygies of both generating sets
@@ -476,12 +478,11 @@ class Membership:
         return self.coefficients is not None
 
 
-def express(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Membership:
-    """Division with coefficient extraction against the original generators.
-
-    On membership, returns coefficients c with sum(c_i * gen_i) == v, the
-    identity re-verified by exact expansion before returning.  Otherwise the
-    nonzero normal form is the certificate of polynomial non-membership.
+def _divide(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Membership:
+    """Division of ``v`` by the tracked basis of ``M``: the normal form and,
+    when it is zero, the coefficients read off the tracking components.
+    The identity sum(c_i * gen_i) == v is not re-expanded here; every
+    caller does that once (:func:`express`, ``lifting.LiftCertificate``).
     """
     if v.ring != M.ring:
         raise AmbientError("vector and module over different rings")
@@ -500,10 +501,21 @@ def express(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
     coeffs = _elem_of(M.ring, m if m else 1,
                       {(t[0] - M.rank, t[1]): -k for t, k in rem_all.items()
                        if t[0] >= M.rank})
-    coefficients = tuple(coeffs.entries[:m])
-    if combine(M.ring, M.rank, coefficients, M.generators) != v:
+    return Membership(tuple(coeffs.entries[:m]), remainder)
+
+
+def express(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Membership:
+    """Division with coefficient extraction against the original generators.
+
+    On membership, returns coefficients c with sum(c_i * gen_i) == v, the
+    identity re-verified by exact expansion before returning.  Otherwise the
+    nonzero normal form is the certificate of polynomial non-membership.
+    """
+    membership = _divide(v, M, budget)
+    if membership.is_member and combine(M.ring, M.rank, membership.coefficients,
+                                        M.generators) != v:
         raise StructureError("internal: expressed coefficients failed to re-expand")
-    return Membership(coefficients, remainder)
+    return membership
 
 
 def normal_form(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> ModuleElement:

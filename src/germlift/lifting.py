@@ -2,7 +2,9 @@
 
 A field eta on the target is liftable over f when df o xi = eta o f for some
 field xi on the source.  Certificates carry the witness xi and re-verify the
-defining identity by exact expansion; the pipeline recovers the liftable
+defining identity by exact expansion; that is the one re-expansion behind a
+certified lift, as :func:`is_liftable` divides by the columns of df without
+``express``'s own check.  The pipeline recovers the liftable
 fields of a core germ from those of an unfolding by intersecting with the
 restrictable fields (whose parameter components vanish on the zero section
 of the parameters, a monomial module), restricting, and pruning, and returns
@@ -20,15 +22,19 @@ from .errors import (
     OutputNotCertified,
     StructureError,
 )
-from .germs import MapGerm, Unfolding, VectorField, jacobian, tf_generators, wf_apply
-from .groebner import Budget, express, grevlex_basis, prune_module, syzygy_module
+from .germs import MapGerm, Unfolding, VectorField, tf_generators, wf_apply
+from .groebner import Budget, _divide, grevlex_basis, prune_module, syzygy_module
 from .modules import GREVLEX, ModuleElement, Submodule, combine, membership_module
 from .poly import Polynomial
 
 
 @dataclass(frozen=True)
 class LiftCertificate:
-    """A verified witness pair: df o xi = eta o f, exactly."""
+    """A verified witness pair: df o xi = eta o f, exactly.
+
+    Building one re-expands sum(xi_j * (column j of df)) against eta o f
+    and raises StructureError when they differ.
+    """
 
     germ: MapGerm
     eta: VectorField
@@ -39,15 +45,10 @@ class LiftCertificate:
             raise AmbientError("eta must live on the target of the germ")
         if self.xi.space != self.germ.source:
             raise AmbientError("xi must live on the source of the germ")
-        J = jacobian(self.germ)
-        lhs = []
-        for i in range(self.germ.p):
-            acc = Polynomial.zero(self.germ.source)
-            for j in range(self.germ.n):
-                acc = acc + J[i][j] * self.xi.entries[j]
-            lhs.append(acc)
-        rhs = wf_apply(self.eta, self.germ)
-        if ModuleElement(self.germ.source, lhs) != rhs:
+        germ = self.germ
+        lhs = combine(germ.source, germ.p, self.xi.entries,
+                      tf_generators(germ).generators)
+        if lhs != wf_apply(self.eta, germ):
             raise StructureError("certificate identity df(xi) = eta o f failed")
 
 
@@ -79,11 +80,16 @@ def _graded_setup(f: MapGerm, rhs: ModuleElement) -> bool:
 
 
 def is_liftable(f: MapGerm, eta: VectorField, budget: Budget | None = None) -> LiftResult:
-    """Decide polynomial liftability of eta over f, producing a certificate."""
+    """Decide polynomial liftability of eta over f, producing a certificate.
+
+    eta o f is divided by the columns of df once; a witness is returned only
+    inside a :class:`LiftCertificate`, whose construction re-expands
+    df(xi) = eta o f exactly.
+    """
     if eta.space != f.target:
         raise AmbientError("field must live on the target of the germ")
     rhs = wf_apply(eta, f)
-    membership = express(rhs, tf_generators(f), budget)
+    membership = _divide(rhs, tf_generators(f), budget)
     if membership.is_member:
         xi = VectorField(f.source, membership.coefficients)
         return LiftResult(LiftCertificate(f, eta, xi))

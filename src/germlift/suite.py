@@ -403,7 +403,11 @@ _RUNNERS = {
 
 
 def run_task(m: Manifest, task: dict, budget: Budget | None = None) -> Report:
+    """Run one task with fresh germ caches, so its counters depend on the
+    task alone and not on which tasks of the manifest ran before it."""
     budget = budget if budget is not None else Budget()
+    for germ in m.maps.values():
+        germ.drop_caches()
     try:
         report = _RUNNERS[task["op"]](m, task, budget)
     except GroebnerTimeout as e:

@@ -180,6 +180,36 @@ def test_power_too_large_data_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _map_manifest(tmp_path, component):
+    path = tmp_path / "map.manifest.json"
+    path.write_text(json.dumps({
+        "schema": "germlift-manifest/1",
+        "rings": {"r": {"vars": ["x", "y", "z"]}},
+        "maps": {"m": {"source": "r", "target": "r",
+                       "components": [component, "y", "z"]}},
+    }))
+    return str(path)
+
+
+def test_product_too_large_data_error(tmp_path, capsys):
+    # 66 * 66 term products; each factor passes the power bound on its own
+    bad = _map_manifest(tmp_path, "(x+y+z)^10*(x+y+z)^10")
+    code, _, err = run(capsys, "paper-suite", "-m", bad)
+    assert code == 65
+    assert "terms (at offset 10)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("component", ["x^" + "9" * 5000, "1" + "0" * 5000 + "*x"],
+                         ids=["exponent", "coefficient"])
+def test_long_literal_data_error(tmp_path, capsys, component):
+    bad = _map_manifest(tmp_path, component)
+    code, _, err = run(capsys, "paper-suite", "-m", bad)
+    assert code == 65
+    assert "digits" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_data_error(capsys):
     code, _, err = run(capsys, "paper-suite", "-m", "/nonexistent.json")
     assert code == 65

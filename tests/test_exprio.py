@@ -4,7 +4,7 @@ import string
 import pytest
 
 from germlift.errors import ExprSyntaxError, UnknownVariable
-from germlift.exprio import MAX_NESTING, MAX_TERMS, parse_poly, print_poly
+from germlift.exprio import MAX_DIGITS, MAX_NESTING, MAX_TERMS, parse_poly, print_poly
 from germlift.poly import VarSet
 
 from oracles import random_poly
@@ -86,6 +86,30 @@ def test_power_term_count_is_bounded():
     assert f"more than {MAX_TERMS} terms" in str(e.value)
     # a one-term base has one term at any power
     assert parse_poly("(2*x*y)^100000", xyz).terms.keys() == {(100000, 100000, 0)}
+
+
+def test_product_term_count_is_bounded():
+    xyz = VarSet(["x", "y", "z"])
+    # 45 * 45 = 2025 term products: over the bound, though the result has 231
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_poly("y + (x + y + z)^8 * (x + y + z)^8", xyz)
+    assert e.value.offset == 18
+    assert f"more than {MAX_TERMS} terms" in str(e.value)
+    # 44 * 45 = 1980 products pass, and so does a long chain of small factors
+    assert len(parse_poly("(x + y)^43 * (x + y + z)^8", xyz).terms) > 0
+    assert parse_poly("*".join(["(x + 1)"] * 10), xyz) == parse_poly("(x + 1)^10", xyz)
+
+
+def test_literal_length_is_bounded(xy):
+    longest = "9" * MAX_DIGITS
+    assert parse_poly(f"{longest}*x^{longest}", xy).terms == {
+        (int(longest), 0): int(longest)}
+    for text in ("x + " + "1" * (MAX_DIGITS + 1), "x^" + "9" * 5000,
+                 "x + 1/" + "7" * 5000):
+        with pytest.raises(ExprSyntaxError) as e:
+            parse_poly(text, xy)
+        assert e.value.offset == len(text.rstrip("0123456789"))
+        assert f"longer than {MAX_DIGITS} digits" in str(e.value)
 
 
 def test_long_operator_chains(xy):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germlift.errors import AmbientError, InverseCheckFailed, StructureError
 from germlift.exprio import parse_poly
@@ -136,7 +138,7 @@ def test_transport_bijective_and_linear():
     G2i = MapGerm(R, R, [parse_poly(t, R) for t in
                          ("U1", "V1", "V2 + W1", "W1", "W2")])
     rng = random.Random(3)
-    inv_map = G2i.component_map()
+    inv_map = dict(zip(G2i.target.names, G2i.components))
     for _ in range(25):
         e1 = VectorField(R, [random_poly(rng, R, max_deg=2, max_terms=2)
                              for _ in R.names])
@@ -199,6 +201,62 @@ def test_jacobian_chain_rule_random():
 def test_determinant():
     F = _map(["x", "y", "z"], ["X", "Y", "Z"], ["x^4 + y*x + z*x^2", "y", "z"])
     assert mapgerm_determinant(F) == parse_poly("4*x^3 + y + 2*z*x", F.source)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cached_composition_matches_substitute(seed, n, p):
+    rng = random.Random(seed)
+    src = VarSet(["s", "t", "u"][:n])
+    tgt = VarSet(["X", "Y", "Z"][:p])
+    comps = []
+    for _ in range(p):
+        c = random_poly(rng, src, max_deg=3, max_terms=3)
+        comps.append(c - c.constant_term())
+    f = MapGerm(src, tgt, comps)
+    fields = [VectorField(tgt, [random_poly(rng, tgt, max_deg=5, max_terms=4)
+                                for _ in range(p)]) for _ in range(4)]
+    mapping = dict(zip(tgt.names, f.components))
+    want = [ModuleElement(src, [e.substitute(mapping, into=src) for e in eta.entries])
+            for eta in fields]
+    # forward, backward and repeated on one germ: no answer may depend on
+    # which monomial images an earlier call left in the cache
+    for i in (0, 1, 2, 3, 3, 2, 1, 0, 2, 2):
+        assert wf_apply(fields[i], f) == want[i]
+    f.drop_caches()
+    assert wf_apply(fields[3], f) == want[3]
+    # the same routine composes germs: g o f against substitution
+    g = MapGerm(tgt, tgt, [e - e.constant_term() for e in fields[0].entries])
+    assert g.compose(f).components == tuple(
+        c.substitute(mapping, into=src) for c in g.components)
+
+
+def test_inverse_pair_checked_once_and_refused_every_time(monkeypatch):
+    R = _tgt5()
+    G2 = MapGerm(R, R, [parse_poly(t, R) for t in
+                        ("U1", "V1", "V2 - W1", "W1", "W2")])
+    G2i = MapGerm(R, R, [parse_poly(t, R) for t in
+                         ("U1", "V1", "V2 + W1", "W1", "W2")])
+    composed = []
+    compose = MapGerm.compose
+
+    def counted(self, inner):
+        composed.append(1)
+        return compose(self, inner)
+
+    monkeypatch.setattr(MapGerm, "compose", counted)
+    eta = _field5(R, "2*U1", "2*V1", "V2", "3*W1", "3*W2")
+    for _ in range(3):
+        push_forward(eta, G2, G2i)
+    assert len(composed) == 2
+    for _ in range(2):
+        with pytest.raises(InverseCheckFailed):
+            push_forward(eta, G2, G2)
+    # G2 o G2 is not the identity, so each refusal composes once
+    assert len(composed) == 4
+    # a refused inverse does not displace the verified one
+    push_forward(eta, G2, G2i)
+    assert len(composed) == 4
 
 
 def _H2_unfolding():

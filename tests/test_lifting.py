@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from germlift import groebner, lifting
 from germlift.errors import InputNotLiftable, StructureError
 from germlift.exprio import parse_poly
-from germlift.germs import MapGerm, Unfolding, VectorField
-from germlift.groebner import contains, module_equal, module_intersect, prune_module
+from germlift.germs import MapGerm, Unfolding, VectorField, tf_generators, wf_apply
+from germlift.groebner import (
+    Membership,
+    compute_gb,
+    contains,
+    express,
+    module_equal,
+    module_intersect,
+    prune_module,
+)
 from germlift.lifting import (
     LiftCertificate,
     is_liftable,
@@ -58,8 +67,6 @@ def test_H2_constant_direction_obstructed_conclusively():
     assert res.conclusive
     assert not res.obstruction.is_zero
     # the degree-bounded oracle agrees there is no polynomial witness
-    from germlift.germs import tf_generators, wf_apply
-
     rhs = wf_apply(_field(H2.target, "0", "0", "1"), H2)
     assert membership_bounded(rhs, list(tf_generators(H2).generators), 7) is None
 
@@ -69,6 +76,50 @@ def test_certificate_identity_enforced():
     with pytest.raises(StructureError):
         LiftCertificate(H2, _field(H2.target, "4*X", "3*Y", "5*Z"),
                         _field(H2.source, "x", "y"))
+
+
+def _wrong_division(monkeypatch, module):
+    """Make ``module``'s division step return coefficients off by one."""
+    real = groebner._divide
+
+    def wrong(v, M, budget=None):
+        membership = real(v, M, budget)
+        return Membership(tuple(c + 1 for c in membership.coefficients),
+                          membership.remainder)
+
+    monkeypatch.setattr(module, "_divide", wrong)
+
+
+def test_certified_lift_re_expands_its_identity_once(monkeypatch):
+    H2 = _H2()
+    # the basis self-check re-expands its own identities; build it first
+    compute_gb(tf_generators(H2))
+    calls = []
+    for module in (lifting, groebner):
+        def counted(*args, _module=module, _real=module.combine):
+            calls.append(_module.__name__)
+            return _real(*args)
+        monkeypatch.setattr(module, "combine", counted)
+    res = is_liftable(H2, _field(H2.target, "4*X", "3*Y", "5*Z"))
+    assert res.certified
+    assert calls == ["germlift.lifting"]
+
+
+def test_wrong_division_is_refused_not_certified(monkeypatch):
+    H2 = _H2()
+    eta = _field(H2.target, "4*X", "3*Y", "5*Z")
+    _wrong_division(monkeypatch, lifting)
+    with pytest.raises(StructureError):
+        is_liftable(H2, eta)
+
+
+def test_express_re_expands_on_its_own(monkeypatch):
+    H2 = _H2()
+    rhs = wf_apply(_field(H2.target, "4*X", "3*Y", "5*Z"), H2)
+    assert express(rhs, tf_generators(H2)).is_member
+    _wrong_division(monkeypatch, groebner)
+    with pytest.raises(StructureError):
+        express(rhs, tf_generators(H2))
 
 
 def _unfolding_H2():

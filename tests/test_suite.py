@@ -7,6 +7,7 @@ import pytest
 from germlift.groebner import Budget
 from germlift.manifest import load_manifest, loads
 from germlift.suite import (
+    BUNDLED_FIXTURES,
     FAIL,
     PASS,
     TIMEOUT,
@@ -142,17 +143,17 @@ def test_every_reduction_is_charged_to_the_task_budget(monkeypatch):
     assert tasks == 46
 
 
-# The counters of the paper-suite report.  Tasks of one manifest share cached
-# bases, so each count holds for the suite's task order.  Reduced bases are
+# The counters of the paper-suite report.  Each task runs with fresh germ
+# caches, so each count is a function of the task alone.  Reduced bases are
 # unique: a kernel change that keeps the algorithm keeps these exactly, and a
 # change in any of them means the kernel does different work.  The algorithm
 # includes each module's working order: field modules that only answer
 # membership work under grevlex (``modules.membership_module``).
 PINNED_COUNTERS = {
-    "hk2.pipeline": {"reductions": 1169, "s_pairs": 135, "zero_reductions": 76},
-    "hk3.pipeline": {"reductions": 646, "s_pairs": 114, "zero_reductions": 71},
-    "hk4.pipeline": {"reductions": 675, "s_pairs": 115, "zero_reductions": 72},
-    "hk5.pipeline": {"reductions": 706, "s_pairs": 115, "zero_reductions": 72},
+    "hk2.pipeline": {"reductions": 1173, "s_pairs": 136, "zero_reductions": 76},
+    "hk3.pipeline": {"reductions": 650, "s_pairs": 115, "zero_reductions": 71},
+    "hk4.pipeline": {"reductions": 679, "s_pairs": 116, "zero_reductions": 72},
+    "hk5.pipeline": {"reductions": 710, "s_pairs": 116, "zero_reductions": 72},
     "aug.pipeline_f": {"reductions": 69, "s_pairs": 22, "zero_reductions": 4},
 }
 
@@ -169,6 +170,19 @@ def test_pipeline_work_counters_are_pinned(paper_suite_report):
     seen = {r["id"]: r["counters"] for r in paper_suite_report["results"]
             if r["id"] in PINNED_COUNTERS}
     assert seen == PINNED_COUNTERS
+
+
+def test_task_counters_do_not_depend_on_earlier_tasks(paper_suite_report):
+    # what `paper-suite --only ID` runs: the task alone on a freshly loaded
+    # manifest, with no cache that an earlier task could have filled
+    suite = {r["id"]: r["counters"] for r in paper_suite_report["results"]}
+    alone = {}
+    for name in BUNDLED_FIXTURES:
+        for task in load_manifest(fixture_path(name)).tasks:
+            alone[task["id"]] = run_task(load_manifest(fixture_path(name)),
+                                         task).counters
+    assert len(alone) == 46
+    assert alone == {tid: suite[tid] for tid in alone}
 
 
 def test_paper_suite_report_matches_golden(paper_suite_report):
