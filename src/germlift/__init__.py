@@ -34,10 +34,8 @@ from .groebner import (
     contains,
     eliminate,
     express,
-    groebner_basis,
     module_equal,
     module_intersect,
-    normal_form,
     prune_module,
     syzygy_module,
 )
@@ -79,7 +77,7 @@ from .derlog import (
     squarefree_part,
     tangency_quotient,
 )
-from .exprio import parse_expr, parse_poly, print_poly
+from .exprio import parse_poly, print_poly
 from .manifest import Manifest, load_manifest, save_manifest
 
 __version__ = "0.1.0"

@@ -8,21 +8,31 @@ only unary form, matching what the printer emits):
     factor := base ('^' nat)?
     base   := nat | nat '/' nat | ident | '(' expr ')'
 
-Identifiers must be declared variables of the ring.  ``parse(print(p)) == p``
-for every polynomial.  Parentheses nest at most ``MAX_NESTING`` deep, so the
-recursive descent stays far from the interpreter's recursion limit.  A power
-``base^n`` of a ``v``-term base is expanded only if its multinomial term bound
-C(n+v-1, v-1) is at most ``MAX_TERMS``: (x+y+z+1)^20, with 1771 terms, is.
-A product ``a*b`` is expanded only if ``len(a.terms) * len(b.terms)`` is at
-most ``MAX_TERMS``, so (x+y+z+1)^20*(x+y+z+1)^20 is rejected.  A numeric
-literal has at most ``MAX_DIGITS`` digits, well below the length at which
-Python's ``int`` refuses to convert a string (4,300 digits by default).
+The parser evaluates while it parses: each rule returns the polynomial its
+text denotes, so a text with several faults reports the first one in text
+order.  Identifiers must be declared variables of the ring.
+``parse(print(p)) == p`` for every polynomial.
+
+Every expansion is bounded before it is made, with an ``ExprSyntaxError``
+at the offset of the operator (or literal) at fault:
+
+* parentheses nest at most ``MAX_NESTING`` deep, so the recursive descent
+  stays far from the interpreter's recursion limit;
+* a power ``base^n`` of a ``v``-term base is expanded only if its
+  multinomial term bound C(n+v-1, v-1) is at most ``MAX_TERMS``:
+  (x+y+z+1)^20, with 1771 terms, is;
+* a product ``a*b`` is expanded only if ``len(a.terms) * len(b.terms)`` is
+  at most ``MAX_TERMS``, so (x+y+z+1)^20*(x+y+z+1)^20 is rejected;
+* a numeric literal has at most ``MAX_DIGITS`` digits, and so has every
+  numerator and denominator that a power or product can produce, judged
+  from a bound on the operands' coefficients (:func:`_height`): 2^20000
+  and (1000*x + 1)^1999 are rejected.  Python's ``int`` refuses to convert
+  to or from a string of more than 4,300 digits by default.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExprSyntaxError, UnknownVariable
@@ -32,37 +42,23 @@ MAX_NESTING = 100
 MAX_TERMS = 2000
 MAX_DIGITS = 1000
 
-
-# AST nodes: kept tiny; evaluation happens immediately after parsing.
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    offset: int
+# the least integer with more than MAX_DIGITS digits
+_TOO_LONG = 10 ** MAX_DIGITS
+_TOO_LONG_BITS = _TOO_LONG.bit_length()
+_MANY = f"would expand to more than {MAX_TERMS} terms"
+_LONG = f"could have a coefficient longer than {MAX_DIGITS} digits"
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
-    offset: int  # of the operator
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
-    offset: int  # of the '^'
+def _height(p: Polynomial) -> int:
+    """A bound on p's numerators and denominators from which those of a
+    product or power follow: every coefficient of ``a*b`` has numerator and
+    denominator at most ``_height(a) * _height(b)``, and of ``p^n`` at most
+    ``_height(p)^n``.  It is the larger of the lcm ``d`` of p's
+    denominators and the sum of ``|d*c|`` over p's coefficients ``c``."""
+    d = 1
+    for c in p.terms.values():
+        d = math.lcm(d, c.denominator)
+    return max(d, sum(abs(c.numerator) * (d // c.denominator) for c in p.terms.values()))
 
 
 class _Tokenizer:
@@ -105,128 +101,106 @@ class _Tokenizer:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent over the grammar above; each rule returns the
+    polynomial over ``ring`` that its text denotes."""
+
+    def __init__(self, text: str, ring: VarSet):
         self.toks = _Tokenizer(text)
+        self.ring = ring
         self.depth = 0
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> Polynomial:
+        p = self.expr()
         kind, val, off = self.toks.peek()
         if kind != "end":
             raise ExprSyntaxError(f"trailing input {val!r}", off)
-        return node
+        return p
 
-    def expr(self):
-        kind, _, _ = self.toks.peek()
-        if kind == "-":
+    def expr(self) -> Polynomial:
+        if self.toks.peek()[0] == "-":
             self.toks.next()
-            node = Neg(self.term())
+            acc = -self.term()
         else:
-            node = self.term()
+            acc = self.term()
+        while True:
+            kind = self.toks.peek()[0]
+            if kind == "+":
+                self.toks.next()
+                acc = acc + self.term()
+            elif kind == "-":
+                self.toks.next()
+                acc = acc - self.term()
+            else:
+                return acc
+
+    def term(self) -> Polynomial:
+        acc = self.factor()
         while True:
             kind, _, off = self.toks.peek()
-            if kind in ("+", "-"):
-                self.toks.next()
-                node = BinOp(kind, node, self.term(), off)
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, _, off = self.toks.peek()
-            if kind == "*":
-                self.toks.next()
-                node = BinOp("*", node, self.factor(), off)
-            else:
-                return node
-
-    def factor(self):
-        node = self.base()
-        kind, _, off = self.toks.peek()
-        if kind == "^":
+            if kind != "*":
+                return acc
             self.toks.next()
-            k2, val, off2 = self.toks.next()
-            if k2 != "nat":
-                raise ExprSyntaxError("exponent must be a literal natural number", off2)
-            node = Pow(node, int(val), off)
-        return node
+            right = self.factor()
+            if len(acc.terms) * len(right.terms) > MAX_TERMS:
+                raise ExprSyntaxError(f"product {_MANY}", off)
+            if _height(acc) * _height(right) >= _TOO_LONG:
+                raise ExprSyntaxError(f"product {_LONG}", off)
+            acc = acc * right
 
-    def base(self):
+    def factor(self) -> Polynomial:
+        base = self.base()
+        kind, _, off = self.toks.peek()
+        if kind != "^":
+            return base
+        self.toks.next()
+        k2, val, off2 = self.toks.next()
+        if k2 != "nat":
+            raise ExprSyntaxError("exponent must be a literal natural number", off2)
+        v, n = len(base.terms), int(val)
+        # C(n+v-1, n) > n for v > 1: a large n is rejected without computing it
+        if v > 1 and (n >= MAX_TERMS or math.comb(n + v - 1, n) > MAX_TERMS):
+            raise ExprSyntaxError(f"power {_MANY}", off)
+        # h^n >= 2^(n * (bits - 1)): a large n is rejected without computing h^n
+        h = _height(base)
+        if h > 1 and (n * (h.bit_length() - 1) >= _TOO_LONG_BITS or h ** n >= _TOO_LONG):
+            raise ExprSyntaxError(f"power {_LONG}", off)
+        return base ** n
+
+    def base(self) -> Polynomial:
         kind, val, off = self.toks.next()
         if kind == "nat":
-            k2, _, _ = self.toks.peek()
-            if k2 == "/":
-                self.toks.next()
-                k3, den, off3 = self.toks.next()
-                if k3 != "nat":
-                    raise ExprSyntaxError("denominator must be a natural number", off3)
-                if int(den) == 0:
-                    raise ExprSyntaxError("zero denominator", off3)
-                return Num(Fraction(int(val), int(den)))
-            return Num(Fraction(int(val)))
+            if self.toks.peek()[0] != "/":
+                return Polynomial.const(self.ring, int(val))
+            self.toks.next()
+            k3, den, off3 = self.toks.next()
+            if k3 != "nat":
+                raise ExprSyntaxError("denominator must be a natural number", off3)
+            if int(den) == 0:
+                raise ExprSyntaxError("zero denominator", off3)
+            return Polynomial.const(self.ring, Fraction(int(val), int(den)))
         if kind == "ident":
-            return Var(val, off)
+            if val not in self.ring.names:
+                raise UnknownVariable(val, off)
+            return Polynomial.variable(self.ring, val)
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ExprSyntaxError(
                     f"parentheses nested deeper than {MAX_NESTING}", off)
             self.depth += 1
-            node = self.expr()
+            p = self.expr()
             self.depth -= 1
             k2, _, off2 = self.toks.next()
             if k2 != ")":
                 raise ExprSyntaxError("expected ')'", off2)
-            return node
+            return p
         raise ExprSyntaxError(f"unexpected token {val!r}", off)
 
 
-def parse_expr(text: str):
-    """Parse to an AST without evaluating; raises ExprSyntaxError."""
-    return _Parser(text).parse()
-
-
-_ARITH = {"+": Polynomial.__add__, "-": Polynomial.__sub__, "*": Polynomial.__mul__}
-
-
-def _to_poly(node, ring: VarSet) -> Polynomial:
-    if isinstance(node, BinOp) and node.op in _ARITH:
-        # a chain a + b - c ... or a * b * c ... nests to the left once per
-        # operator, so walk its left spine iteratively
-        spine = []
-        while isinstance(node, BinOp) and node.op in _ARITH:
-            spine.append(node)
-            node = node.left
-        acc = _to_poly(node, ring)
-        for op in reversed(spine):
-            right = _to_poly(op.right, ring)
-            if op.op == "*" and len(acc.terms) * len(right.terms) > MAX_TERMS:
-                raise ExprSyntaxError(
-                    f"product would expand to more than {MAX_TERMS} terms", op.offset)
-            acc = _ARITH[op.op](acc, right)
-        return acc
-    if isinstance(node, Num):
-        return Polynomial.const(ring, node.value)
-    if isinstance(node, Var):
-        if node.name not in ring.names:
-            raise UnknownVariable(node.name, node.offset)
-        return Polynomial.variable(ring, node.name)
-    if isinstance(node, Neg):
-        return -_to_poly(node.arg, ring)
-    if isinstance(node, Pow):
-        base = _to_poly(node.base, ring)
-        v, n = len(base.terms), node.exp
-        # C(n+v-1, n) > n for v > 1: a large n is rejected without computing it
-        if v > 1 and (n >= MAX_TERMS or math.comb(n + v - 1, n) > MAX_TERMS):
-            raise ExprSyntaxError(
-                f"power would expand to more than {MAX_TERMS} terms", node.offset)
-        return base ** n
-    raise ExprSyntaxError("malformed expression tree", 0)
-
-
 def parse_poly(text: str, ring: VarSet) -> Polynomial:
-    """Parse expression text into a canonical polynomial over the ring."""
-    return _to_poly(parse_expr(text), ring)
+    """Parse expression text into a canonical polynomial over the ring;
+    raises ExprSyntaxError (UnknownVariable for an undeclared name) at the
+    first fault in the text."""
+    return _Parser(text, ring).parse()
 
 
 def print_poly(p: Polynomial) -> str:

@@ -2,10 +2,10 @@
 transport of vector fields along target diffeomorphisms.
 
 Every composition with a germ f (``wf_apply``, ``MapGerm.compose``,
-``push_forward``) runs through :func:`pull_back`, which sums
-``c_e * f^e`` over the terms of a polynomial into one term dict.  The
-monomial images ``f^e`` are cached on the germ (``MapGerm._images``), so
-a field composed with f reuses every image that an earlier field needed.
+``push_forward``) runs through :func:`pull_back`, which hands
+``poly.compose`` the germ's own cache of monomial images ``f^e``
+(``MapGerm._images``), so a field composed with f reuses every image that
+an earlier field needed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import AmbientError, InverseCheckFailed, RankError, StructureError
 from .modules import ModuleElement, Submodule
-from .poly import Exp, Polynomial, VarSet
+from .poly import Exp, Polynomial, VarSet, compose
 
 
 class MapGerm:
@@ -168,46 +168,10 @@ def tf_generators(f: MapGerm) -> Submodule:
     return f._tf
 
 
-def _image(f: MapGerm, e: Exp) -> Polynomial:
-    """f^e = prod(f_i^e_i) over the source, from the germ's image cache.
-
-    A missing image is the product of the powers f_i^e_i, each cached
-    under its own exponent and built from f_i^(e_i - 1) when that is
-    cached, else by repeated squaring, so no exponent costs more than
-    its bit length in products and nothing recurses.
-    """
-    images = f._images
-    img = images.get(e)
-    if img is not None:
-        return img
-    for i, k in enumerate(e):
-        if not k:
-            continue
-        unit = (0,) * i + (k,) + (0,) * (len(e) - i - 1)
-        power = images.get(unit)
-        if power is None:
-            below = images.get(unit[:i] + (k - 1,) + unit[i + 1:])
-            if below is None:
-                power = f.components[i] ** k
-            else:
-                power = below * f.components[i]
-            images[unit] = power
-        img = power if img is None else img * power
-    if img is None:
-        img = Polynomial.const(f.source, 1)
-    images[e] = img
-    return img
-
-
 def pull_back(p: Polynomial, f: MapGerm) -> Polynomial:
     """p o f: ``p`` over f's target (matched by position) composed with f,
-    summed into one term dict from the cached monomial images of f."""
-    acc: dict = {}
-    for e, c in p.terms.items():
-        for e2, k in _image(f, e).terms.items():
-            s = acc.get(e2)
-            acc[e2] = c * k if s is None else s + c * k
-    return Polynomial(f.source, acc)
+    through the germ's cache of monomial images."""
+    return compose(p, f.components, f.source, f._images)
 
 
 def wf_apply(eta: VectorField, f: MapGerm) -> ModuleElement:

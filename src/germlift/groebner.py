@@ -382,19 +382,14 @@ def _reducer(key, pairs: Sequence[tuple[Vec, tuple]], budget: Budget) -> _Kernel
 class GroebnerBasis:
     """Reduced basis of a submodule plus tracking data.
 
-    ``reps[i]`` expresses ``elements[i]`` in the original generators;
     ``syzygies`` generate all relations among the original generators.
-    ``reducer`` holds ``elements[i]`` with ``reps[i]`` in the trailing
-    components, as (vector, lead) pairs of the embedded order.
+    ``reducer`` holds each element with its representation in the original
+    generators in the trailing components, as (vector, lead) pairs of the
+    embedded order.
     """
 
-    ring: VarSet
-    rank: int
-    order: ModuleOrder
     elements: tuple
-    reps: tuple
     syzygies: tuple
-    stats: dict
     reducer: tuple = field(repr=False, compare=False)
 
 
@@ -412,7 +407,7 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
     reducer = tuple((vec, lead) for vec, lead in pairs if lead[0] < rank)
 
     elements = []
-    reps = []
+    reps = []  # reps[i] expresses elements[i] in the original generators
     syzygies = []
     for vec, lead in pairs:
         main = {(c, e): k for (c, e), k in vec.items() if c < rank}
@@ -438,16 +433,7 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
         if any(t[0] < rank for t in rem):
             raise StructureError("internal: generator does not reduce to zero")
 
-    return GroebnerBasis(
-        ring=ring,
-        rank=rank,
-        order=morder,
-        elements=tuple(elements),
-        reps=tuple(reps),
-        syzygies=tuple(syzygies),
-        stats=budget.stats(),
-        reducer=reducer,
-    )
+    return GroebnerBasis(tuple(elements), tuple(syzygies), reducer)
 
 
 def compute_gb(M: Submodule, budget: Budget | None = None) -> GroebnerBasis:
@@ -455,15 +441,6 @@ def compute_gb(M: Submodule, budget: Budget | None = None) -> GroebnerBasis:
     if M._gb is None:
         M._gb = _tracked_gb(M.ring, M.rank, M.generators, M.order, budget)
     return M._gb
-
-
-def groebner_basis(M: Submodule, order: ModuleOrder | None = None,
-                   budget: Budget | None = None) -> Submodule:
-    """Reduced Groebner basis, returned as a submodule with cached basis."""
-    if order is not None and order != M.order:
-        M = Submodule(M.ring, M.rank, M.generators, order)
-    gb = compute_gb(M, budget)
-    return Submodule(M.ring, M.rank, gb.elements, M.order)
 
 
 @dataclass
@@ -516,10 +493,6 @@ def express(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
                                         M.generators) != v:
         raise StructureError("internal: expressed coefficients failed to re-expand")
     return membership
-
-
-def normal_form(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> ModuleElement:
-    return express(v, M, budget).remainder
 
 
 def contains(M: Submodule, v: ModuleElement, budget: Budget | None = None) -> bool:

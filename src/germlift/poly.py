@@ -3,6 +3,11 @@
 Coefficients are :class:`fractions.Fraction` throughout; there is no floating
 point anywhere in the package.  Monomials are dense exponent tuples whose
 length is fixed by the ambient :class:`VarSet`.
+
+Composition has one routine, :func:`compose`: it sums ``c_e * img^e`` into
+one term dict, taking each monomial image ``img^e`` from a cache that the
+caller supplies.  ``Polynomial.substitute`` passes a fresh cache, and
+``germs.pull_back`` the cache kept on the germ.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import AmbientError, NotDivisible
 
@@ -327,21 +332,7 @@ class Polynomial:
                 images.append(Polynomial.variable(target, name))
             else:
                 images.append(None)
-        result = Polynomial.zero(target)
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-        for e, c in self.terms.items():
-            term = Polynomial.const(target, c)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                key = (i, k)
-                p = pow_cache.get(key)
-                if p is None:
-                    p = images[i] ** k
-                    pow_cache[key] = p
-                term = term * p
-            result = result + term
-        return result
+        return compose(self, images, target, {})
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation at a rational point (all variables required)."""
@@ -417,6 +408,43 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
+            cache: dict[Exp, Polynomial]) -> Polynomial:
+    """``p(images[0], images[1], ...)`` over ``ring``: the sum of ``c_e * img^e``
+    over the terms of ``p``, summed into one term dict.
+
+    ``img^e = prod(images[i]^e_i)`` comes from ``cache`` (exponent ->
+    image), which is valid for as long as the caller keeps the images
+    fixed.  A missing image is the product of the powers
+    ``images[i]^e_i``, each cached under its own exponent and built from
+    ``images[i]^(e_i - 1)`` when that is cached, else by repeated
+    squaring, so no exponent costs more than its bit length in products
+    and nothing recurses.  ``images[i]`` is read only if some term of
+    ``p`` contains variable ``i``.
+    """
+    acc: dict[Exp, Fraction] = {}
+    for e, c in p.terms.items():
+        img = cache.get(e)
+        if img is None:
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                unit = (0,) * i + (k,) + (0,) * (len(e) - i - 1)
+                power = cache.get(unit)
+                if power is None:
+                    below = cache.get(unit[:i] + (k - 1,) + unit[i + 1:])
+                    power = images[i] ** k if below is None else below * images[i]
+                    cache[unit] = power
+                img = power if img is None else img * power
+            if img is None:
+                img = Polynomial.const(ring, 1)
+            cache[e] = img
+        for e2, k in img.terms.items():
+            s = acc.get(e2)
+            acc[e2] = c * k if s is None else s + c * k
+    return Polynomial(ring, acc)
 
 
 def rering(p: Polynomial, ring: VarSet) -> Polynomial:

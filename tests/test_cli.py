@@ -210,6 +210,33 @@ def test_long_literal_data_error(tmp_path, capsys, component):
     assert "Traceback" not in err
 
 
+def test_constant_power_field_data_error(tmp_path, capsys):
+    # 2^20000 has 6,021 digits, more than Python will convert to a string
+    with open(HK) as fh:
+        doc = json.load(fh)
+    doc["fields"]["huge"] = {"ring": "tgt3", "elements": [["2^20000*X", "0", "0"]]}
+    bad = tmp_path / "field.manifest.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "lift-check", "-m", str(bad), "--map", "H2",
+                       "--fields", "huge")
+    assert code == 65
+    assert "longer than 1000 digits (at offset 1)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("component, offset", [
+    ("(1000*x + 1)^1999 - 1", 12),  # passes the term bound; 45 s to expand
+    ("(1/3*x)^3000", 7),
+    ("10^600*x*10^600", 8),
+], ids=["binomial-power", "denominator-power", "product"])
+def test_coefficient_too_long_data_error(tmp_path, capsys, component, offset):
+    bad = _map_manifest(tmp_path, component)
+    code, _, err = run(capsys, "paper-suite", "-m", bad)
+    assert code == 65
+    assert f"longer than 1000 digits (at offset {offset})" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_data_error(capsys):
     code, _, err = run(capsys, "paper-suite", "-m", "/nonexistent.json")
     assert code == 65

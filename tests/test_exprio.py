@@ -1,13 +1,21 @@
 import random
 import string
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germlift.errors import ExprSyntaxError, UnknownVariable
 from germlift.exprio import MAX_DIGITS, MAX_NESTING, MAX_TERMS, parse_poly, print_poly
 from germlift.poly import VarSet
 
 from oracles import random_poly
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
 
 
 def test_paper_component(xy):
@@ -85,7 +93,7 @@ def test_power_term_count_is_bounded():
     assert e.value.offset == 17
     assert f"more than {MAX_TERMS} terms" in str(e.value)
     # a one-term base has one term at any power
-    assert parse_poly("(2*x*y)^100000", xyz).terms.keys() == {(100000, 100000, 0)}
+    assert parse_poly("(x*y)^100000", xyz).terms.keys() == {(100000, 100000, 0)}
 
 
 def test_product_term_count_is_bounded():
@@ -110,6 +118,62 @@ def test_literal_length_is_bounded(xy):
             parse_poly(text, xy)
         assert e.value.offset == len(text.rstrip("0123456789"))
         assert f"longer than {MAX_DIGITS} digits" in str(e.value)
+
+
+def test_coefficient_length_is_bounded(xy):
+    # 2^3321 has 1000 digits, 2^3322 has 1001; a denominator counts alike
+    assert len(str(parse_poly("2^3321*x", xy))) == MAX_DIGITS + 2
+    assert parse_poly("(1/2*x)^3321", xy).terms == {(3321, 0): Fraction(1, 2 ** 3321)}
+    nines = "9" * (MAX_DIGITS // 2)
+    assert parse_poly(f"{nines}*{nines}*y", xy).terms == {(0, 1): int(nines) ** 2}
+    for text, offset in [("x + 2^3322", 5), ("(1/2*x)^3322", 7),
+                         (f"{nines}*{nines}9*y", len(nines)),
+                         # the term bound passes at n = 1999; 45 s to expand
+                         ("(1000*x + 1)^1999", 12),
+                         ("x^100000*2^3321*2", 15)]:
+        with pytest.raises(ExprSyntaxError) as e:
+            parse_poly(text, xy)
+        assert e.value.offset == offset
+        assert f"coefficient longer than {MAX_DIGITS} digits" in str(e.value)
+
+
+def test_first_fault_in_text_order_is_reported(xy):
+    # evaluation happens while parsing, so no later fault is seen first
+    for text, offset in [("(x + y + 1)^2001 + ?", 11), ("q + x)", 0),
+                         ("x*q + (y", 2), ("2^20000 + 1/0", 1)]:
+        with pytest.raises(ExprSyntaxError) as e:
+            parse_poly(text, xy)
+        assert e.value.offset == offset
+
+
+_LEAF = st.one_of(
+    st.sampled_from(["x", "y", "z"]),
+    st.integers(0, 30).map(str),
+    st.tuples(st.integers(0, 30), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}"))
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*"]), children).map(" ".join),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        children.map(lambda c: f"({c})"))
+
+
+_EXPR = st.tuples(st.booleans(), st.recursive(_LEAF, _extend, max_leaves=10)).map(
+    lambda t: "-" + t[1] if t[0] else t[1])
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@given(text=_EXPR)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_parse_matches_sympy(text):
+    R = VarSet(["x", "y", "z"])
+    gens = sympy.symbols(R.names)
+    expected = sympy.Poly(sympy.sympify(text.replace("^", "**"),
+                                        locals=dict(zip(R.names, gens))), *gens)
+    want = {tuple(int(k) for k in e): Fraction(int(c.p), int(c.q))
+            for e, c in expected.terms() if c}
+    assert parse_poly(text, R).terms == want
 
 
 def test_long_operator_chains(xy):

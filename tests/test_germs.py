@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -205,7 +206,7 @@ def test_determinant():
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3))
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_cached_composition_matches_substitute(seed, n, p):
+def test_cached_composition_matches_evaluation(seed, n, p):
     rng = random.Random(seed)
     src = VarSet(["s", "t", "u"][:n])
     tgt = VarSet(["X", "Y", "Z"][:p])
@@ -216,19 +217,27 @@ def test_cached_composition_matches_substitute(seed, n, p):
     f = MapGerm(src, tgt, comps)
     fields = [VectorField(tgt, [random_poly(rng, tgt, max_deg=5, max_terms=4)
                                 for _ in range(p)]) for _ in range(4)]
-    mapping = dict(zip(tgt.names, f.components))
-    want = [ModuleElement(src, [e.substitute(mapping, into=src) for e in eta.entries])
-            for eta in fields]
+    # p o f at x0 is p at f(x0), by exact evaluation at seeded rational points
+    points = [{v: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for v in src.names}
+              for _ in range(3)]
+    images = [dict(zip(tgt.names, (c.evaluate(x0) for c in comps))) for x0 in points]
+
+    def assert_composes(polys, composed):
+        for x0, y0 in zip(points, images):
+            assert [c.evaluate(x0) for c in composed] == [q.evaluate(y0) for q in polys]
+
     # forward, backward and repeated on one germ: no answer may depend on
     # which monomial images an earlier call left in the cache
     for i in (0, 1, 2, 3, 3, 2, 1, 0, 2, 2):
-        assert wf_apply(fields[i], f) == want[i]
+        assert_composes(fields[i].entries, wf_apply(fields[i], f).entries)
     f.drop_caches()
-    assert wf_apply(fields[3], f) == want[3]
-    # the same routine composes germs: g o f against substitution
+    assert_composes(fields[3].entries, wf_apply(fields[3], f).entries)
+    # the same routine composes germs and substitutes for variables
     g = MapGerm(tgt, tgt, [e - e.constant_term() for e in fields[0].entries])
-    assert g.compose(f).components == tuple(
-        c.substitute(mapping, into=src) for c in g.components)
+    assert_composes(g.components, g.compose(f).components)
+    mapping = dict(zip(tgt.names, comps))
+    assert_composes(fields[1].entries,
+                    [e.substitute(mapping, into=src) for e in fields[1].entries])
 
 
 def test_inverse_pair_checked_once_and_refused_every_time(monkeypatch):
