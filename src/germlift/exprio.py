@@ -21,13 +21,23 @@ at the offset of the operator (or literal) at fault:
 * a power ``base^n`` of a ``v``-term base is expanded only if its
   multinomial term bound C(n+v-1, v-1) is at most ``MAX_TERMS``:
   (x+y+z+1)^20, with 1771 terms, is;
+* and only if the term products that ``Polynomial.__pow__``'s repeated
+  squaring makes, counted from that bound for each intermediate power
+  (:func:`_power_products`), number at most ``MAX_PRODUCTS``: (x+1)^1999
+  passes the term bound but would make 1.65 million products, while
+  (x+y+z+1)^20 makes 62,516;
 * a product ``a*b`` is expanded only if ``len(a.terms) * len(b.terms)`` is
   at most ``MAX_TERMS``, so (x+y+z+1)^20*(x+y+z+1)^20 is rejected;
 * a numeric literal has at most ``MAX_DIGITS`` digits, and so has every
   numerator and denominator that a power or product can produce, judged
   from a bound on the operands' coefficients (:func:`_height`): 2^20000
   and (1000*x + 1)^1999 are rejected.  Python's ``int`` refuses to convert
-  to or from a string of more than 4,300 digits by default.
+  to or from a string of more than 4,300 digits by default;
+* a sum or difference ``a + b`` is checked after it is made (adding
+  bounded coefficients is cheap): each coefficient it produces must have
+  a numerator and denominator of at most ``MAX_DIGITS`` digits, so a long
+  sum of moderate coefficients loads and six fractions with 1000-digit
+  denominators do not.
 """
 
 from __future__ import annotations
@@ -41,12 +51,33 @@ from .poly import Polynomial, VarSet
 MAX_NESTING = 100
 MAX_TERMS = 2000
 MAX_DIGITS = 1000
+MAX_PRODUCTS = 100_000
 
 # the least integer with more than MAX_DIGITS digits
 _TOO_LONG = 10 ** MAX_DIGITS
 _TOO_LONG_BITS = _TOO_LONG.bit_length()
 _MANY = f"would expand to more than {MAX_TERMS} terms"
 _LONG = f"could have a coefficient longer than {MAX_DIGITS} digits"
+
+
+def _power_products(v: int, n: int) -> int:
+    """A bound on the term products that ``Polynomial.__pow__`` makes for
+    the ``n``-th power of a ``v``-term polynomial: its square-and-multiply
+    loop, with each power ``k`` of the base counted as C(k+v-1, v-1) terms."""
+    def size(k):
+        return math.comb(k + v - 1, v - 1)
+
+    total = 0
+    result, base = 0, 1  # the exponents that result and base hold
+    while n:
+        if n & 1:
+            total += size(result) * size(base)
+            result += base
+        if n > 1:
+            total += size(base) ** 2
+            base *= 2
+        n >>= 1
+    return total
 
 
 def _height(p: Polynomial) -> int:
@@ -124,14 +155,17 @@ class _Parser:
             acc = self.term()
         while True:
             kind = self.toks.peek()[0]
-            if kind == "+":
-                self.toks.next()
-                acc = acc + self.term()
-            elif kind == "-":
-                self.toks.next()
-                acc = acc - self.term()
-            else:
+            if kind not in ("+", "-"):
                 return acc
+            off = self.toks.next()[2]
+            right = self.term()
+            acc = acc + right if kind == "+" else acc - right
+            for e in right.terms:
+                c = acc.terms.get(e)
+                if c is not None and (abs(c.numerator) >= _TOO_LONG
+                                      or c.denominator >= _TOO_LONG):
+                    raise ExprSyntaxError(
+                        f"sum has a coefficient longer than {MAX_DIGITS} digits", off)
 
     def term(self) -> Polynomial:
         acc = self.factor()
@@ -164,6 +198,9 @@ class _Parser:
         h = _height(base)
         if h > 1 and (n * (h.bit_length() - 1) >= _TOO_LONG_BITS or h ** n >= _TOO_LONG):
             raise ExprSyntaxError(f"power {_LONG}", off)
+        if v > 1 and _power_products(v, n) > MAX_PRODUCTS:
+            raise ExprSyntaxError(
+                f"power would make more than {MAX_PRODUCTS} term products", off)
         return base ** n
 
     def base(self) -> Polynomial:

@@ -12,8 +12,17 @@ One engine serves four needs:
 * submodule intersection, read off the syzygies of both generating sets
   together, and variable elimination via block orders.
 
-Working vectors are plain dicts mapping ``(component, exponent-tuple)`` to
-``Fraction``; ModuleElement is used only at the boundaries.
+The kernel runs fraction-free.  Its vectors are plain dicts mapping
+``(component, exponent-tuple)`` to ``int``, and its basis vectors are
+primitive: coefficients with gcd 1 and a positive lead coefficient.
+Reduction is pseudo-reduction (Becker-Weispfenning, *Groebner Bases*,
+1993): the working vector is scaled by an integer instead of dividing the
+reducer by its lead coefficient, so every step cancels the same term as
+over Q and the kernel makes the same reductions.  Fractions appear only at
+the boundary: :func:`_vec_of` clears denominators when a vector enters,
+and :func:`_elem_of` divides by a given integer (a lead coefficient, or in
+:func:`_divide` the denominator times the reduction's scale) when it
+leaves.
 
 Every step above runs through one normal-form routine,
 ``_Kernel.reduce_full``.  It compares terms by heap keys: flat int tuples,
@@ -50,9 +59,7 @@ from .poly import (
     exp_sub,
 )
 
-Vec = dict  # {(comp, exp): Fraction}
-
-ONE = Fraction(1)
+Vec = dict  # {(comp, exp): int}
 
 
 @dataclass
@@ -100,19 +107,34 @@ class Budget:
         }
 
 
-def _vec_of(elem: ModuleElement) -> Vec:
+def _vec_of(elem: ModuleElement) -> tuple[Vec, int]:
+    """``(den * elem, den)`` with ``den`` the lcm of elem's denominators, so
+    that the vector has integer coefficients."""
+    den = math.lcm(*(k.denominator for p in elem.entries for k in p.terms.values()))
     v: Vec = {}
     for c, p in enumerate(elem.entries):
         for e, k in p.terms.items():
-            v[(c, e)] = k
-    return v
+            v[(c, e)] = k.numerator * (den // k.denominator)
+    return v, den
 
 
-def _elem_of(ring: VarSet, rank: int, vec: Vec) -> ModuleElement:
+def _elem_of(ring: VarSet, rank: int, vec: Vec, den: int) -> ModuleElement:
+    """The element ``vec / den``."""
     polys = [dict() for _ in range(rank)]
     for (c, e), k in vec.items():
-        polys[c][e] = k
+        polys[c][e] = Fraction(k, den)
     return ModuleElement(ring, [Polynomial(ring, t) for t in polys])
+
+
+def _primitive(vec: Vec, lead) -> Vec:
+    """``vec`` divided by the gcd of its coefficients, signed so that the
+    coefficient at ``lead`` is positive."""
+    g = math.gcd(*vec.values())
+    if vec[lead] < 0:
+        g = -g
+    if g == 1:
+        return vec
+    return {t: k // g for t, k in vec.items()}
 
 
 def _support(e) -> int:
@@ -158,8 +180,10 @@ class _Kernel:
         return min(vec, key=self.key)
 
     def reduce_full(self, work: Vec, main_rank: int | None = None,
-                    skip: int | None = None) -> Vec:
-        """Complete normal form of ``work`` against the current basis.
+                    skip: int | None = None) -> tuple[Vec, int]:
+        """Complete pseudo-normal form of the integer vector ``work`` against
+        the current basis: ``(rem, scale)`` with ``rem / scale`` the normal
+        form of ``work`` over Q and ``scale`` a positive integer.
 
         With ``main_rank`` set, only terms in components < main_rank are
         reduction targets (the rest pass through to the remainder).  ``skip``
@@ -172,8 +196,15 @@ class _Kernel:
         returns and the steps are those of a full rescan for the maximum.
         Divisor candidates are pre-filtered by support masks: lead ``l``
         can divide ``e`` only if ``mask(l) & ~mask(e) == 0``.
+
+        A target ``a`` against a lead coefficient ``L`` with ``d = gcd(a, L)``
+        scales ``work`` by ``L/d`` (when that is not 1) and subtracts
+        ``a/d`` times the shifted reducer.  Terms already moved to the
+        remainder are brought up to the final scale once, at the end.
         """
         rem: Vec = {}
+        earlier: list = []  # (scale, remainder terms moved out at that scale)
+        scale = 1
         basis = self.basis
         leads = self.leads
         masks = self.masks
@@ -205,7 +236,18 @@ class _Kernel:
             lead_t = leads[hit]
             shift = exp_sub(e, lead_t[1])
             red = basis[hit]
-            q = coeff / red[lead_t]
+            q = coeff
+            lc = red[lead_t]
+            if lc != 1:
+                d = math.gcd(coeff, lc)
+                m = lc // d
+                if m != 1:
+                    if rem:
+                        earlier.append((scale, rem))
+                        rem = {}
+                    work = {u: k * m for u, k in work.items()}
+                    scale *= m
+                q = coeff // d
             zero_shift = not any(shift)
             for (c2, e2), k2 in red.items():
                 t2 = (c2, e2) if zero_shift else (c2, exp_add(e2, shift))
@@ -220,21 +262,17 @@ class _Kernel:
                         work[t2] = s
                     else:
                         del work[t2]
+        for s, part in earlier:
+            m = scale // s
+            rem.update((u, k * m) for u, k in part.items())
         rem.update(work)
-        return rem
-
-    def _monic(self, vec: Vec, lead) -> Vec:
-        lc = vec[lead]
-        if lc == 1:
-            return vec
-        return {t: k / lc for t, k in vec.items()}
+        return rem, scale
 
     def add(self, vec: Vec):
         """Insert a (nonzero) vector, updating the pair set a la Gebauer-Moeller."""
         t = len(self.basis)
         lead = self._lead(vec)
-        vec = self._monic(vec, lead)
-        self.basis.append(vec)
+        self.basis.append(_primitive(vec, lead))
         self.leads.append(lead)
         self.masks.append(_support(lead[1]))
         ct, et = lead
@@ -245,13 +283,18 @@ class _Kernel:
                     del self.pairs[(i, j)]
         cand = [i for i in range(t) if self.leads[i][0] == ct]
         lcms = {i: exp_lcm(self.leads[i][1], et) for i in cand}
-        # criterion M: keep only minimal lcms
-        keep = []
-        for i in cand:
+        # criterion M: keep only minimal lcms.  A proper divisor of an lcm
+        # has lower degree, and divisibility is transitive, so each lcm is
+        # tested only against the minimal lcms of lower degree.
+        minimal: list = []  # (degree, lcm) of the minimal lcms found so far
+        kept = set()
+        for i in sorted(cand, key=lambda i: sum(lcms[i])):
             Li = lcms[i]
-            if any(lcms[j] != Li and exp_divides(lcms[j], Li) for j in cand):
-                continue
-            keep.append(i)
+            deg = sum(Li)
+            if not any(dj < deg and exp_divides(Lj, Li) for dj, Lj in minimal):
+                kept.add(i)
+                minimal.append((deg, Li))
+        keep = [i for i in cand if i in kept]
         # criterion F: one representative per lcm
         seen: dict = {}
         for i in keep:
@@ -269,21 +312,31 @@ class _Kernel:
             heapq.heappush(self.heap, (rank, i, t))
 
     def spair(self, i: int, j: int) -> Vec:
+        """``(c_j/d) x^{s_i} g_i - (c_i/d) x^{s_j} g_j`` for lead coefficients
+        ``c_i``, ``c_j`` with ``d = gcd(c_i, c_j)``: a positive multiple of the
+        S-vector of the monic forms."""
         ci, ei = self.leads[i]
         cj, ej = self.leads[j]
+        gi = self.basis[i]
+        gj = self.basis[j]
+        ki = gi[self.leads[i]]
+        kj = gj[self.leads[j]]
+        d = math.gcd(ki, kj)
+        fi = kj // d
+        fj = ki // d
         L = exp_lcm(ei, ej)
         si = exp_sub(L, ei)
         sj = exp_sub(L, ej)
         out: Vec = {}
-        for (c, e), k in self.basis[i].items():
-            out[(c, exp_add(e, si))] = k
-        for (c, e), k in self.basis[j].items():
+        for (c, e), k in gi.items():
+            out[(c, exp_add(e, si))] = fi * k
+        for (c, e), k in gj.items():
             t = (c, exp_add(e, sj))
             s = out.get(t)
             if s is None:
-                out[t] = -k
+                out[t] = -fj * k
             else:
-                s = s - k
+                s = s - fj * k
                 if s:
                     out[t] = s
                 else:
@@ -294,7 +347,7 @@ class _Kernel:
         for v in vecs:
             if not v:
                 continue
-            r = self.reduce_full(dict(v))
+            r = self.reduce_full(dict(v))[0]
             if r:
                 self.add(r)
         while self.heap:
@@ -305,17 +358,18 @@ class _Kernel:
             over = self.budget.charge_spair(len(self.basis))
             if over:
                 self._timeout(over)
-            r = self.reduce_full(self.spair(i, j))
+            r = self.reduce_full(self.spair(i, j))[0]
             if r:
                 self.add(r)
             else:
                 self.budget.zero_reductions += 1
 
     def interreduce(self):
-        """Minimalize and tail-reduce; the result is the unique reduced basis.
+        """Minimalize and tail-reduce; the result is the unique reduced basis
+        up to a positive factor per element (each stays primitive).
 
         After minimalization no lead divides another, so each element keeps
-        its lead (still monic) when reduced against the others.  Whether a
+        its lead (still positive) when reduced against the others.  Whether a
         term is reducible depends only on the leads, which no longer change,
         so one sweep leaves every element reduced.
         """
@@ -332,7 +386,8 @@ class _Kernel:
         self.leads = [self.leads[i] for i in minimal]
         self.masks = [self.masks[i] for i in minimal]
         for i in range(len(self.basis)):
-            self.basis[i] = self.reduce_full(dict(self.basis[i]), skip=i)
+            rem = self.reduce_full(dict(self.basis[i]), skip=i)[0]
+            self.basis[i] = _primitive(rem, self.leads[i])
 
 
 def _embedded_key(morder: ModuleOrder, main_rank: int):
@@ -351,8 +406,9 @@ def _embedded_key(morder: ModuleOrder, main_rank: int):
 
 def _reduced_basis(key, vecs: Sequence[Vec], budget: Budget,
                    use_product: bool) -> list[tuple[Vec, tuple]]:
-    """The reduced basis of ``vecs`` as (vector, lead) pairs, least lead first
-    in the order whose heap key is ``key``."""
+    """The reduced basis of the integer vectors ``vecs`` as (primitive
+    vector, lead) pairs, least lead first in the order whose heap key is
+    ``key``."""
     kern = _Kernel(key, budget, use_product)
     kern.run(vecs)
     kern.interreduce()
@@ -364,9 +420,9 @@ def grevlex_basis(ring: VarSet, rank: int, elems: Sequence[ModuleElement],
                   budget: Budget) -> list[ModuleElement]:
     """The reduced grevlex (term over position) basis of the module that
     ``elems`` generate, least lead first, without tracking."""
-    pairs = _reduced_basis(GREVLEX.heap_key, [_vec_of(g) for g in elems], budget,
+    pairs = _reduced_basis(GREVLEX.heap_key, [_vec_of(g)[0] for g in elems], budget,
                            rank == 1)
-    return [_elem_of(ring, rank, vec) for vec, _ in pairs]
+    return [_elem_of(ring, rank, vec, vec[lead]) for vec, lead in pairs]
 
 
 def _reducer(key, pairs: Sequence[tuple[Vec, tuple]], budget: Budget) -> _Kernel:
@@ -384,8 +440,8 @@ class GroebnerBasis:
 
     ``syzygies`` generate all relations among the original generators.
     ``reducer`` holds each element with its representation in the original
-    generators in the trailing components, as (vector, lead) pairs of the
-    embedded order.
+    generators in the trailing components, as (primitive integer vector,
+    lead) pairs of the embedded order.
     """
 
     elements: tuple
@@ -400,8 +456,8 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
     key = _embedded_key(morder, rank)
     vecs = []
     for i, g in enumerate(gens):
-        v = _vec_of(g)
-        v[(rank + i, ring.zero_exp())] = ONE
+        v, den = _vec_of(g)
+        v[(rank + i, ring.zero_exp())] = den
         vecs.append(v)
     pairs = _reduced_basis(key, vecs, budget, False)
     reducer = tuple((vec, lead) for vec, lead in pairs if lead[0] < rank)
@@ -410,13 +466,14 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
     reps = []  # reps[i] expresses elements[i] in the original generators
     syzygies = []
     for vec, lead in pairs:
+        lc = vec[lead]  # the elements and syzygies are monic
         main = {(c, e): k for (c, e), k in vec.items() if c < rank}
         tailv = {(c - rank, e): k for (c, e), k in vec.items() if c >= rank}
         if main:
-            elements.append(_elem_of(ring, rank, main))
-            reps.append(tuple(_elem_of(ring, m, tailv).entries) if m else ())
+            elements.append(_elem_of(ring, rank, main, lc))
+            reps.append(tuple(_elem_of(ring, m, tailv, lc).entries) if m else ())
         else:
-            syzygies.append(_elem_of(ring, m, tailv))
+            syzygies.append(_elem_of(ring, m, tailv, lc))
 
     # self-check: every basis element re-expands from its representation,
     # every syzygy expands to zero, and every input generator reduces to
@@ -429,7 +486,7 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
             raise StructureError("internal: syzygy failed to expand to zero")
     check = _reducer(key, reducer, budget)
     for g in gens:
-        rem = check.reduce_full(_vec_of(g), main_rank=rank)
+        rem = check.reduce_full(_vec_of(g)[0], main_rank=rank)[0]
         if any(t[0] < rank for t in rem):
             raise StructureError("internal: generator does not reduce to zero")
 
@@ -469,15 +526,16 @@ def _divide(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
     gb = compute_gb(M, budget)
     m = len(M.generators)
     kern = _reducer(_embedded_key(M.order, M.rank), gb.reducer, budget)
-    work = _vec_of(v)
-    rem_all = kern.reduce_full(work, main_rank=M.rank)
+    work, den = _vec_of(v)
+    rem_all, scale = kern.reduce_full(work, main_rank=M.rank)
+    den *= scale
     remainder = _elem_of(M.ring, M.rank,
-                         {t: k for t, k in rem_all.items() if t[0] < M.rank})
+                         {t: k for t, k in rem_all.items() if t[0] < M.rank}, den)
     if not remainder.is_zero:
         return Membership(None, remainder)
     coeffs = _elem_of(M.ring, m if m else 1,
                       {(t[0] - M.rank, t[1]): -k for t, k in rem_all.items()
-                       if t[0] >= M.rank})
+                       if t[0] >= M.rank}, den)
     return Membership(tuple(coeffs.entries[:m]), remainder)
 
 
@@ -577,12 +635,13 @@ def eliminate(I: Submodule, names: Sequence[str],
     def permute(e):
         return tuple(e[i] for i in perm)
 
-    vecs = [{(0, permute(e)): k for e, k in g.entries[0].terms.items()}
+    vecs = [{(0, permute(e)): k for (_, e), k in _vec_of(g)[0].items()}
             for g in I.generators]
     out = []
-    for vec, _ in _reduced_basis(key, vecs, budget or Budget(), True):
+    for vec, lead in _reduced_basis(key, vecs, budget or Budget(), True):
         if all(not any(e[:nb]) for (_, e) in vec):
-            out.append(Polynomial(kept_ring, {e[nb:]: k for (_, e), k in vec.items()}))
+            kept = {(0, e[nb:]): k for (_, e), k in vec.items()}
+            out.append(_elem_of(kept_ring, 1, kept, vec[lead]).entries[0])
     return Submodule.ideal(kept_ring, out)
 
 
@@ -616,9 +675,9 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
         others = [h for h in kept if h is not g]
         if not others:
             continue
-        plain = _reduced_basis(key, [_vec_of(h) for h in others], budget,
+        plain = _reduced_basis(key, [_vec_of(h)[0] for h in others], budget,
                                M.rank == 1)
-        if not _reducer(key, plain, budget).reduce_full(_vec_of(g)):
+        if not _reducer(key, plain, budget).reduce_full(_vec_of(g)[0])[0]:
             kept = others
     out = Submodule(M.ring, M.rank, kept, M.order)
     for g in M.generators:

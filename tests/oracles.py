@@ -2,8 +2,10 @@
 
 Nothing here touches the Groebner kernel: membership and intersection are
 decided by degree-bounded exact linear algebra, derivatives by Newton
-forward differences of point evaluations, and normal forms by a plain
-rescan for the greatest term under the nested sort keys of the orders.
+forward differences of point evaluations, normal forms by a plain rescan
+for the greatest term under the nested sort keys of the orders, and
+reduced bases by Buchberger's algorithm over ``Fraction`` with every
+S-pair and no criteria.
 These deliberately slower paths stay independent of the code they check.
 """
 
@@ -295,3 +297,63 @@ def normal_form_maxscan(basis, leads, key, work, budget, main_rank=None,
                 work.pop(t2, None)
     rem.update(work)
     return rem
+
+
+class _Unbounded:
+    """A budget for ``normal_form_maxscan`` that never runs out."""
+
+    def charge_reduction(self):
+        return None
+
+
+def reduced_basis_reference(vecs, key):
+    """The monic reduced Groebner basis, as a set of frozensets of
+    ``((comp, exp), coeff)``, of the module that the vectors
+    ({(comp, exp): Fraction}) generate under the term order with sort key
+    ``key(comp, exp)`` (greater term, greater key): Buchberger's algorithm
+    over Q with every S-pair of equal lead components and no criteria,
+    normal forms by ``normal_form_maxscan``, then minimalization and tail
+    reduction."""
+    def lead(v):
+        return max(v, key=lambda t: key(*t))
+
+    def monic(v):
+        lc = v[lead(v)]
+        return {t: Fraction(k) / lc for t, k in v.items()}
+
+    def nf(v, basis):
+        return normal_form_maxscan(basis, [lead(b) for b in basis], key,
+                                   {t: Fraction(k) for t, k in v.items()},
+                                   _Unbounded())
+
+    basis = []
+    pairs = []
+    todo = list(vecs)
+    while todo or pairs:
+        if todo:
+            v = todo.pop(0)
+        else:
+            i, j = pairs.pop(0)
+            (ci, ei), (cj, ej) = lead(basis[i]), lead(basis[j])
+            if ci != cj:
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+            v = {}
+            for b, sign in ((basis[i], 1), (basis[j], -1)):
+                shift = tuple(x - y for x, y in zip(lcm, lead(b)[1]))
+                for (c, e), k in b.items():
+                    t = (c, tuple(x + y for x, y in zip(e, shift)))
+                    v[t] = v.get(t, Fraction(0)) + sign * k
+            v = {t: k for t, k in v.items() if k}
+        r = nf(v, basis)
+        if r:
+            pairs += [(i, len(basis)) for i in range(len(basis))]
+            basis.append(monic(r))
+    minimal = []
+    for b in sorted(basis, key=lambda b: key(*lead(b))):
+        c, e = lead(b)
+        if not any(lead(o)[0] == c and all(x <= y for x, y in zip(lead(o)[1], e))
+                   for o in minimal):
+            minimal.append(b)
+    return {frozenset(monic(nf(b, [o for o in minimal if o is not b])).items())
+            for b in minimal}

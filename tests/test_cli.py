@@ -228,12 +228,23 @@ def test_constant_power_field_data_error(tmp_path, capsys):
     ("(1000*x + 1)^1999 - 1", 12),  # passes the term bound; 45 s to expand
     ("(1/3*x)^3000", 7),
     ("10^600*x*10^600", 8),
-], ids=["binomial-power", "denominator-power", "product"])
+    # each denominator has 1000 digits; the first sum's has 1999
+    (" + ".join(f"1/{10**999 + k}*x" for k in (1, 3, 7, 9, 11, 13)), 1005),
+], ids=["binomial-power", "denominator-power", "product", "sum"])
 def test_coefficient_too_long_data_error(tmp_path, capsys, component, offset):
     bad = _map_manifest(tmp_path, component)
     code, _, err = run(capsys, "paper-suite", "-m", bad)
     assert code == 65
     assert f"longer than 1000 digits (at offset {offset})" in err
+    assert "Traceback" not in err
+
+
+def test_power_work_data_error(tmp_path, capsys):
+    # 2000 terms pass the term bound; squaring would take seconds
+    bad = _map_manifest(tmp_path, "y + (x+1)^1999")
+    code, _, err = run(capsys, "paper-suite", "-m", bad)
+    assert code == 65
+    assert "more than 100000 term products (at offset 9)" in err
     assert "Traceback" not in err
 
 

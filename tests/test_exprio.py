@@ -7,8 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germlift.errors import ExprSyntaxError, UnknownVariable
-from germlift.exprio import MAX_DIGITS, MAX_NESTING, MAX_TERMS, parse_poly, print_poly
-from germlift.poly import VarSet
+from germlift.exprio import (
+    MAX_DIGITS,
+    MAX_NESTING,
+    MAX_PRODUCTS,
+    MAX_TERMS,
+    _power_products,
+    parse_poly,
+    print_poly,
+)
+from germlift.poly import Polynomial, VarSet
 
 from oracles import random_poly
 
@@ -96,6 +104,28 @@ def test_power_term_count_is_bounded():
     assert parse_poly("(x*y)^100000", xyz).terms.keys() == {(100000, 100000, 0)}
 
 
+def test_power_work_is_bounded(monkeypatch):
+    xyz = VarSet(["x", "y", "z"])
+    # the count is exact for a dense base: every power has all its terms
+    made = []
+    mul = Polynomial.__mul__
+
+    def counting(a, b):
+        made.append(len(a.terms) * len(b.terms))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert len(parse_poly("(x + y + z + 1)^20", xyz).terms) == 1771
+    assert sum(made) == _power_products(4, 20) <= MAX_PRODUCTS
+    made.clear()
+    # 2000 terms pass the term bound, and 1.65 million products do not
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_poly("y + (x + 1)^1999", xyz)
+    assert e.value.offset == 11
+    assert f"more than {MAX_PRODUCTS} term products" in str(e.value)
+    assert not made
+
+
 def test_product_term_count_is_bounded():
     xyz = VarSet(["x", "y", "z"])
     # 45 * 45 = 2025 term products: over the bound, though the result has 231
@@ -126,11 +156,21 @@ def test_coefficient_length_is_bounded(xy):
     assert parse_poly("(1/2*x)^3321", xy).terms == {(3321, 0): Fraction(1, 2 ** 3321)}
     nines = "9" * (MAX_DIGITS // 2)
     assert parse_poly(f"{nines}*{nines}*y", xy).terms == {(0, 1): int(nines) ** 2}
+    # a sum is judged by the coefficients it makes, not by the total of all
+    # coefficients: many long coefficients on distinct terms load
+    longest = "9" * MAX_DIGITS
+    assert len(parse_poly(" + ".join(f"{longest}*x^{k}" for k in range(50)), xy).terms) == 50
+    assert parse_poly(f"{longest}*y - {longest}*y + 1/3*x + 2/3*x", xy) == parse_poly("x", xy)
+    small = f"1/{10 ** 999 + 1}*x"
     for text, offset in [("x + 2^3322", 5), ("(1/2*x)^3322", 7),
                          (f"{nines}*{nines}9*y", len(nines)),
                          # the term bound passes at n = 1999; 45 s to expand
                          ("(1000*x + 1)^1999", 12),
-                         ("x^100000*2^3321*2", 15)]:
+                         ("x^100000*2^3321*2", 15),
+                         (f"{small} + 1/{10 ** 999 + 3}*x", len(small) + 1),
+                         (f"{small} - 1/{10 ** 999 + 3}*x", len(small) + 1),
+                         (f"x + {longest}*y + {longest}*y", 7 + MAX_DIGITS),
+                         (f"-{longest}*y - {longest}*y", 4 + MAX_DIGITS)]:
         with pytest.raises(ExprSyntaxError) as e:
             parse_poly(text, xy)
         assert e.value.offset == offset

@@ -1,13 +1,16 @@
 """The reduction kernel against independent references.
 
-``_Kernel.reduce_full`` pops leading terms from a heap of flat heap keys and
-pre-filters divisors by support masks; ``normal_form_maxscan`` in
-``oracles`` rescans for the greatest term under the nested sort keys.  Both
-must give the same remainder and charge the same number of reductions.
-Reduced bases are checked for their defining property and, for ideals,
-against sympy.
+``_Kernel.reduce_full`` pseudo-reduces integer vectors against primitive
+ones, pops leading terms from a heap of flat heap keys and pre-filters
+divisors by support masks; ``normal_form_maxscan`` in ``oracles`` reduces
+over ``Fraction`` against monic vectors and rescans for the greatest term
+under the nested sort keys.  The kernel's remainder must be the reference
+times the kernel's scale, for the same number of reductions.  Reduced bases
+are checked for their defining property, against a Fraction Buchberger
+reference and, for ideals, against sympy.
 """
 
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -27,7 +30,12 @@ from germlift.modules import ModuleOrder, Submodule
 from germlift.poly import MonomialOrder, Polynomial, VarSet, exp_divides
 from germlift.suite import bundled_manifests
 
-from oracles import embedded_order_key, module_order_key, normal_form_maxscan
+from oracles import (
+    embedded_order_key,
+    module_order_key,
+    normal_form_maxscan,
+    reduced_basis_reference,
+)
 
 try:
     import sympy
@@ -87,6 +95,21 @@ def _monic_pairs(vecs, raw):
     return pairs
 
 
+def _integer(v):
+    """``v`` times the lcm of its denominators, with int coefficients."""
+    den = math.lcm(*(k.denominator for k in v.values()))
+    return {t: int(k * den) for t, k in v.items()}
+
+
+def _primitive(v, lead):
+    """The integer multiple of ``v`` with coprime coefficients and a
+    positive coefficient at ``lead``."""
+    v = _integer(v)
+    g = math.gcd(*v.values())
+    g = g if v[lead] > 0 else -g
+    return {t: k // g for t, k in v.items()}
+
+
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -102,17 +125,21 @@ def test_reduce_full_matches_maxscan_reference(case, data):
         for (c, e), v in vecs[i].items():
             t = (c, tuple(x + y for x, y in zip(e, shift)))
             work[t] = work.get(t, 0) + k * v
-    work = {t: v for t, v in work.items() if v}
+    work = _integer({t: v for t, v in work.items() if v})
     main_rank = data.draw(st.sampled_from(main_ranks))
     skip = data.draw(st.none() | st.integers(0, len(vecs) - 1))
     pairs = _monic_pairs(vecs, raw)
     got_budget = Budget()
-    got = _reducer(heap, pairs, got_budget).reduce_full(
-        dict(work), main_rank=main_rank, skip=skip)
+    got, scale = _reducer(heap, [(_primitive(v, lead), lead) for v, lead in pairs],
+                          got_budget).reduce_full(dict(work), main_rank=main_rank,
+                                                  skip=skip)
     ref_budget = Budget()
     ref = normal_form_maxscan([v for v, _ in pairs], [lead for _, lead in pairs],
-                              raw, work, ref_budget, main_rank, skip)
-    assert got == ref
+                              raw, {t: Fraction(k) for t, k in work.items()},
+                              ref_budget, main_rank, skip)
+    assert type(scale) is int and scale >= 1
+    assert all(type(k) is int for k in got.values())
+    assert got == {t: scale * k for t, k in ref.items()}
     assert got_budget.reductions == ref_budget.reductions
 
 
@@ -129,10 +156,19 @@ def test_heap_key_reverses_order_key(case, data):
     assert (raw(*a) == raw(*b)) == (ha == hb) == (a == b)
 
 
+def _monic(vec, lead):
+    return {t: Fraction(k, vec[lead]) for t, k in vec.items()}
+
+
 def _assert_reduced(pairs, heap):
     leads = [lead for _, lead in pairs]
     assert len(set(leads)) == len(leads)
     for vec, lead in pairs:
+        # primitive: coprime integer coefficients, positive lead
+        assert all(type(k) is int for k in vec.values())
+        assert math.gcd(*vec.values()) == 1
+        assert vec[lead] > 0
+        vec = _monic(vec, lead)
         assert vec[lead] == 1
         assert lead == min(vec, key=lambda t: heap(*t))
         for t in vec:
@@ -152,11 +188,12 @@ def test_reduced_basis_of_fixture_modules_is_reduced():
     count = 0
     for M in _fixture_modules():
         vecs = [_vec_of(g) for g in M.generators]
-        plain = _reduced_basis(M.order.heap_key, vecs, Budget(), M.rank == 1)
+        plain = _reduced_basis(M.order.heap_key, [v for v, _ in vecs], Budget(),
+                               M.rank == 1)
         _assert_reduced(plain, M.order.heap_key)
         embedded = _embedded_key(M.order, M.rank)
-        tracked = [{**v, (M.rank + i, M.ring.zero_exp()): Fraction(1)}
-                   for i, v in enumerate(vecs)]
+        tracked = [{**v, (M.rank + i, M.ring.zero_exp()): den}
+                   for i, (v, den) in enumerate(vecs)]
         _assert_reduced(_reduced_basis(embedded, tracked, Budget(), False),
                         embedded)
         count += 1
@@ -170,7 +207,20 @@ def test_reduced_basis_of_fixture_modules_is_reduced():
 def test_reduced_basis_of_random_modules_is_reduced(case, data):
     _, _, heap, ncomp, _ = case
     vecs = data.draw(st.lists(vectors(ncomp, 3, max_exp=2), min_size=1, max_size=3))
-    _assert_reduced(_reduced_basis(heap, vecs, Budget(), False), heap)
+    _assert_reduced(_reduced_basis(heap, [_integer(v) for v in vecs], Budget(), False),
+                    heap)
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_reduced_basis_matches_fraction_reference(case, data):
+    _, raw, heap, ncomp, _ = case
+    vecs = data.draw(st.lists(vectors(ncomp, 3, max_exp=2), min_size=1, max_size=3))
+    got = _reduced_basis(heap, [_integer(v) for v in vecs], Budget(), False)
+    assert ({frozenset(_monic(vec, lead).items()) for vec, lead in got}
+            == reduced_basis_reference(vecs, raw))
 
 
 def _sympy_basis(polys, ring, order):
