@@ -21,8 +21,8 @@ from .errors import (
     StructureError,
 )
 from .germs import MapGerm, Unfolding, VectorField, mapgerm_determinant
-from .groebner import Budget, eliminate, module_intersect, prune_module, syzygy_module
-from .modules import ModuleElement, Submodule, membership_module
+from .groebner import Budget, eliminate, prune_module, syzygy_module
+from .modules import GREVLEX, ModuleElement, Submodule, membership_module
 from .poly import Polynomial, VarSet, exact_divide, fresh_name, integer_normalize, rering
 
 
@@ -114,24 +114,31 @@ def euler_field(space: VarSet, weights=None) -> VectorField:
     )
 
 
-def poly_lcm(a: Polynomial, b: Polynomial, budget: Budget | None = None) -> Polynomial:
-    """Least common multiple via intersection of principal ideals."""
+def _cofactor(a: Polynomial, b: Polynomial, budget: Budget | None) -> Polynomial:
+    """The first entry ``s`` of the one generator ``(s, t)`` of the relations
+    ``s*a + t*b = 0``: ``s`` is ``b / gcd(a, b)`` up to a constant.  The
+    relation module is principal because Q[x] is a UFD, and
+    ``syzygy_module`` has expanded ``s*a + t*b`` to zero."""
     ring = a.ring
-    meet = module_intersect(
-        Submodule.ideal(ring, [a]), Submodule.ideal(ring, [b]), budget
-    )
-    gens = meet.ideal_generators()
-    if len(gens) != 1:
-        raise StructureError("intersection of principal ideals is not principal")
-    return integer_normalize(gens[0])
+    syz = syzygy_module([ModuleElement(ring, (a,)), ModuleElement(ring, (b,))],
+                        budget, GREVLEX)
+    if len(syz.generators) != 1:
+        raise StructureError("the relations of two polynomials are not principal")
+    return syz.generators[0].entries[0]
+
+
+def poly_lcm(a: Polynomial, b: Polynomial, budget: Budget | None = None) -> Polynomial:
+    """Least common multiple ``s*a``, with ``s`` from the one syzygy of (a, b)."""
+    return integer_normalize(_cofactor(a, b, budget) * a)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial, budget: Budget | None = None) -> Polynomial:
+    """Greatest common divisor ``b / s``, with ``s`` from the one syzygy of (a, b)."""
     if a.is_zero:
         return integer_normalize(b)
     if b.is_zero:
         return integer_normalize(a)
-    return integer_normalize(exact_divide(a * b, poly_lcm(a, b, budget)))
+    return integer_normalize(exact_divide(b, _cofactor(a, b, budget)))
 
 
 def squarefree_part(h: Polynomial, budget: Budget | None = None) -> Polynomial:

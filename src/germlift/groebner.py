@@ -1,6 +1,6 @@
 """Buchberger kernel for submodules of free modules over Q[x_1..x_n].
 
-One engine serves four needs:
+One engine serves five needs:
 
 * reduced Groebner bases (deterministic for a fixed module order),
 * normal forms and membership with coefficient extraction (``_divide``);
@@ -10,7 +10,9 @@ One engine serves four needs:
 * syzygy modules, computed by embedding the generators alongside unit
   vectors and eliminating the leading block,
 * submodule intersection, read off the syzygies of both generating sets
-  together, and variable elimination via block orders.
+  together, and variable elimination via block orders,
+* pruning a generating set (``prune_module``) with one incremental run
+  whose basis prefixes answer every drop test.
 
 The kernel runs fraction-free.  Its vectors are plain dicts mapping
 ``(component, exponent-tuple)`` to ``int``, and its basis vectors are
@@ -165,6 +167,18 @@ class _Kernel:
         self.masks: list[int] = []  # _support of each lead exponent
         self.pairs: dict = {}  # (i,j) -> lcm exp
         self.heap: list = []
+
+    def prefix(self, n: int) -> "_Kernel":
+        """A kernel holding the first ``n`` basis vectors, sharing this one's
+        heap-key memo and budget.  When ``n`` is the basis size at the end
+        of an earlier :meth:`run`, no pair was pending then, so the prefix
+        is a Groebner basis of the vectors taken in up to that point."""
+        out = _Kernel(self.order_key, self.budget, self.use_product)
+        out.memo = self.memo
+        out.basis = self.basis[:n]
+        out.leads = self.leads[:n]
+        out.masks = self.masks[:n]
+        return out
 
     def key(self, t):
         k = self.memo.get(t)
@@ -587,6 +601,10 @@ def module_intersect(M: Submodule, N: Submodule,
     elements sum(b_i * m_i) = -sum(c_j * n_j) over the syzygies (b, c) of
     M's and N's generators together.  Every output generator is checked for
     membership in both inputs before being returned.
+
+    No pipeline step calls it: the stable-unfolding pipeline reads its
+    intersection off one syzygy computation (``lifting.restrictable_part``),
+    and ``derlog.poly_lcm`` off the one syzygy of its two polynomials.
     """
     if M.ring != N.ring:
         raise AmbientError("modules over different rings")
@@ -656,30 +674,41 @@ def _element_sort_key(g: ModuleElement, morder: ModuleOrder):
 def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     """Drop generators lying in the submodule of the others; canonical sort.
 
-    Generators are sorted, and tried for dropping, by the ring's default
-    order, so the output is the same under every working order ``M.order``;
-    the drop tests and the final check only decide membership and run
-    under ``M.order`` (grevlex for a ``membership_module``), which is also
-    the working order of the returned module.  Module
-    equality with the input is verified by membership of every dropped and
-    kept generator in the pruned module.
+    Generators are sorted, and tried for dropping from the greatest down,
+    by the ring's default order, so the output is the same under every
+    working order ``M.order``; the drop tests and the final check only
+    decide membership and run under ``M.order`` (grevlex for a
+    ``membership_module``), which is also the working order of the
+    returned module.
+
+    One incremental Buchberger run takes the sorted generators one at a
+    time.  It only appends and never changes a stored vector, so the first
+    ``n_i`` basis vectors, those present before generator ``i`` went in,
+    are a (not reduced) Groebner basis of the generators below ``i``.  The
+    test of generator ``i`` extends a copy of that prefix by the
+    generators kept above ``i``, which together generate the module of the
+    others, and drops ``i`` when it reduces to zero.  Module equality with
+    the input is verified by membership of every dropped and kept
+    generator in the pruned module.
     """
     budget = budget or Budget()
-    key = M.order.heap_key
     sort_order = ModuleOrder(M.ring.default_order())
-
     gens = [g for g in M.generators if not g.is_zero]
     gens.sort(key=lambda g: _element_sort_key(g, sort_order))
-    kept = list(gens)
-    for g in sorted(kept, key=lambda g: _element_sort_key(g, sort_order), reverse=True):
-        others = [h for h in kept if h is not g]
-        if not others:
-            continue
-        plain = _reduced_basis(key, [_vec_of(h)[0] for h in others], budget,
-                               M.rank == 1)
-        if not _reducer(key, plain, budget).reduce_full(_vec_of(g)[0])[0]:
-            kept = others
-    out = Submodule(M.ring, M.rank, kept, M.order)
+    vecs = [_vec_of(g)[0] for g in gens]
+
+    kern = _Kernel(M.order.heap_key, budget, M.rank == 1)
+    sizes = []
+    for v in vecs:
+        sizes.append(len(kern.basis))
+        kern.run([v])
+    above: list[int] = []  # indices of the generators kept, greatest first
+    for i in reversed(range(len(vecs))):
+        test = kern.prefix(sizes[i])
+        test.run([vecs[j] for j in reversed(above)])
+        if test.reduce_full(dict(vecs[i]))[0]:
+            above.append(i)
+    out = Submodule(M.ring, M.rank, [gens[i] for i in reversed(above)], M.order)
     for g in M.generators:
         if not contains(out, g, budget):
             raise StructureError("internal: prune changed the module")

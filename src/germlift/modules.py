@@ -19,7 +19,7 @@ class ModuleElement:
         self.ring = ring
         self.entries = tuple(entries)
         for p in self.entries:
-            if p.ring != ring:
+            if p.ring is not ring and p.ring != ring:
                 raise AmbientError("module element entries must share one ring")
 
     @staticmethod

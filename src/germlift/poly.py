@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AmbientError, NotDivisible
@@ -25,11 +26,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 def exp_add(a: Exp, b: Exp) -> Exp:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a: Exp, b: Exp) -> Exp:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_lcm(a: Exp, b: Exp) -> Exp:
@@ -38,7 +39,7 @@ def exp_lcm(a: Exp, b: Exp) -> Exp:
 
 def exp_divides(a: Exp, b: Exp) -> bool:
     """True when the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 class VarSet:
@@ -194,7 +195,7 @@ class Polynomial:
         return self.terms.get(self.ring.zero_exp(), ZERO)
 
     def _check_same_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise AmbientError(
                 f"ambient mismatch: {self.ring!r} vs {other.ring!r}"
             )
@@ -243,7 +244,7 @@ class Polynomial:
         res: dict[Exp, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = exp_add(e1, e2)
+                e = tuple(map(add, e1, e2))
                 s = res.get(e, ZERO) + c1 * c2
                 if s:
                     res[e] = s
@@ -418,7 +419,8 @@ def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
     ``img^e = prod(images[i]^e_i)`` comes from ``cache`` (exponent ->
     image), which is valid for as long as the caller keeps the images
     fixed.  A missing image is the product of the powers
-    ``images[i]^e_i``, each cached under its own exponent and built from
+    ``images[i]^e_i``, each cached under its own exponent: a first power
+    is ``images[i]`` itself, a higher one is built from
     ``images[i]^(e_i - 1)`` when that is cached, else by repeated
     squaring, so no exponent costs more than its bit length in products
     and nothing recurses.  ``images[i]`` is read only if some term of
@@ -434,8 +436,11 @@ def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
                 unit = (0,) * i + (k,) + (0,) * (len(e) - i - 1)
                 power = cache.get(unit)
                 if power is None:
-                    below = cache.get(unit[:i] + (k - 1,) + unit[i + 1:])
-                    power = images[i] ** k if below is None else below * images[i]
+                    if k == 1:
+                        power = images[i]
+                    else:
+                        below = cache.get(unit[:i] + (k - 1,) + unit[i + 1:])
+                        power = images[i] ** k if below is None else below * images[i]
                     cache[unit] = power
                 img = power if img is None else img * power
             if img is None:

@@ -1,18 +1,22 @@
 """Independent oracles used to derive or cross-check expected test values.
 
-Nothing here touches the Groebner kernel: membership and intersection are
-decided by degree-bounded exact linear algebra, derivatives by Newton
-forward differences of point evaluations, normal forms by a plain rescan
-for the greatest term under the nested sort keys of the orders, and
-reduced bases by Buchberger's algorithm over ``Fraction`` with every
-S-pair and no criteria.
-These deliberately slower paths stay independent of the code they check.
+Membership and intersection are decided by degree-bounded exact linear
+algebra, derivatives by Newton forward differences of point evaluations,
+normal forms by a plain rescan for the greatest term under the nested sort
+keys of the orders, and reduced bases by Buchberger's algorithm over
+``Fraction`` with every S-pair and no criteria; none of these touches the
+Groebner kernel.  The one exception is ``prune_reference``, the direct
+prune (one reduced basis per tested generator) that ``prune_module``'s
+incremental run replaced; it checks the bookkeeping of that run, not the
+kernel.  These deliberately slower paths stay independent of the code they
+check.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from germlift.modules import ModuleElement
+from germlift.groebner import _element_sort_key, _reduced_basis, _reducer, _vec_of
+from germlift.modules import ModuleElement, ModuleOrder
 from germlift.poly import MonomialOrder, Polynomial, VarSet
 
 
@@ -357,3 +361,26 @@ def reduced_basis_reference(vecs, key):
             minimal.append(b)
     return {frozenset(monic(nf(b, [o for o in minimal if o is not b])).items())
             for b in minimal}
+
+
+def prune_reference(M, budget):
+    """The generators of the submodule ``M`` that ``prune_module`` keeps,
+    found directly: sort the nonzero generators by the ring's default
+    order, then, from the greatest down, build the reduced basis of the
+    generators still kept other than this one and drop it when it reduces
+    to zero against that basis.  Every basis is charged to ``budget``."""
+    key = M.order.heap_key
+    sort_order = ModuleOrder(M.ring.default_order())
+    gens = [g for g in M.generators if not g.is_zero]
+    gens.sort(key=lambda g: _element_sort_key(g, sort_order))
+    kept = list(range(len(gens)))
+    for i in sorted(kept, key=lambda i: _element_sort_key(gens[i], sort_order),
+                    reverse=True):
+        others = [j for j in kept if j != i]
+        if not others:
+            continue
+        plain = _reduced_basis(key, [_vec_of(gens[j])[0] for j in others], budget,
+                               M.rank == 1)
+        if not _reducer(key, plain, budget).reduce_full(_vec_of(gens[i])[0])[0]:
+            kept = others
+    return [gens[j] for j in kept]

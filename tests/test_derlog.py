@@ -138,6 +138,31 @@ def test_poly_lcm_and_gcd_match_sympy():
             _from_sympy(sympy.gcd(sa, sb), gens, ring))
 
 
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@pytest.mark.parametrize("a, b", [
+    ("x + y", "x - y"),                          # coprime
+    ("x^2*y + 3", "x*z - 1"),                    # coprime
+    ("x^2 - y^2", "x + y"),                      # b divides a
+    ("x + y*z", "(x + y*z)^2*z"),                # a divides b
+    ("3/2*x*y - 1/3", "3/2*x*y - 1/3"),          # equal
+    ("2/3*x^2 - 4/5*y", "-6*x^2 + 36/5*y"),      # equal up to a constant
+    ("7", "x + 1"),                              # a constant
+    ("5", "3/4"),                                # two constants
+    ("2/3*x*y - 4/7*x", "-5/2*y^2 + 15/7*y"),    # rational, non-monic
+    ("0", "2/3*x*y - 4/7*x"),                    # zero
+])
+def test_poly_lcm_and_gcd_edge_cases_match_sympy(a, b):
+    ring = VarSet(["x", "y", "z"])
+    gens = sympy.symbols(ring.names)
+    a, b = parse_poly(a, ring), parse_poly(b, ring)
+    sa, sb = _to_sympy(a, gens), _to_sympy(b, gens)
+    for got, want in ((poly_lcm(a, b), sympy.lcm(sa, sb)),
+                      (poly_lcm(b, a), sympy.lcm(sa, sb)),
+                      (poly_gcd(a, b), sympy.gcd(sa, sb)),
+                      (poly_gcd(b, a), sympy.gcd(sa, sb))):
+        assert got == integer_normalize(_from_sympy(want, gens, ring))
+
+
 QUARTIC_H = ("256*X^3 + 27*Y^4 + 144*X*Y^2*Z + 128*X^2*Z^2"
              " + 4*Y^2*Z^3 + 16*X*Z^4")
 

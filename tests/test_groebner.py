@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from germlift import groebner
 from germlift.errors import GroebnerTimeout, RankError
 from germlift.exprio import parse_poly
 from germlift.groebner import (
@@ -17,10 +19,15 @@ from germlift.groebner import (
     prune_module,
     syzygy_module,
 )
-from germlift.modules import ModuleElement, ModuleOrder, Submodule
+from germlift.modules import GREVLEX, ModuleElement, ModuleOrder, Submodule
 from germlift.poly import MonomialOrder, Polynomial, VarSet, integer_normalize
 
-from oracles import intersection_bounded, membership_bounded, random_element
+from oracles import (
+    intersection_bounded,
+    membership_bounded,
+    prune_reference,
+    random_element,
+)
 
 
 def _ideal(ring, *texts):
@@ -197,6 +204,25 @@ def test_prune(xy):
     assert module_equal(P2, Submodule(xy, 2, [g1, g2]))
 
 
+def test_prune_tests_against_the_generators_kept_above(xy):
+    # sorted: x < y^2 < x^2 + y.  x^2 + y stays, as y is not in <x, y^2>;
+    # y^2 goes only because x^2 + y, kept above it, is in the test module.
+    M = _ideal(xy, "x^2 + y", "y^2", "x")
+    kept = prune_module(M).generators
+    assert [str(g.entries[0]) for g in kept] == ["x", "x^2 + y"]
+    assert list(kept) == prune_reference(M, Budget())
+
+
+def test_prune_charges_its_kernel_run_to_the_budget(xy, monkeypatch):
+    # with the final membership check stubbed out, only prune's own
+    # incremental run does kernel work, so it alone can exhaust the budget
+    monkeypatch.setattr(groebner, "contains", lambda M, v, budget=None: True)
+    M = _ideal(xy, "x^2 - y", "x^3", "y^3 - x")
+    with pytest.raises(GroebnerTimeout) as ei:
+        prune_module(M, Budget(max_reductions=1))
+    assert ei.value.stats["reductions"] == 2
+
+
 def test_position_over_term_order(xy):
     # POT puts every term of an earlier component above later components
     gens = [ModuleElement(xy, [parse_poly("x", xy), parse_poly("y^5", xy)])]
@@ -289,3 +315,42 @@ def test_prune_and_membership_do_not_depend_on_the_working_order(seed):
         if witness is not None:
             assert contains(M, v)
     assert pruned[1:] == pruned[:1] * (len(orders) - 1)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_prune_matches_the_direct_reference(seed):
+    # The incremental run must keep exactly the generators that the direct
+    # prune keeps.  Rank 1 runs with the product criterion; equal copies,
+    # scalar multiples and combinations make generators that must go.
+    # Random non-homogeneous modules can grow very long coefficients, so
+    # both sides run on a reduction budget and are compared when both finish.
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 3)
+    rank = rng.randint(1, 3)
+    weights = (2, 3, 1)[:nvars] if rng.random() < 0.5 else None
+    ring = VarSet(["x", "y", "z"][:nvars], weights)
+    gens = _nonzero_elements(rng, ring, rank, rng.randint(1, 4))
+    for _ in range(rng.randint(0, 3)):
+        g = rng.choice(gens)
+        kind = rng.randrange(4)
+        if kind == 0:
+            extra = g
+        elif kind == 1:
+            extra = ModuleElement(ring, g.entries)
+        elif kind == 2:
+            extra = g.scale(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)))
+        else:
+            extra = ModuleElement.zero(ring, rank)
+            for h in gens:
+                extra = extra + h.scale(random_element(rng, ring, 1, max_deg=1).entries[0])
+        gens.insert(rng.randint(0, len(gens)), extra)
+    order = rng.choice([GREVLEX, ModuleOrder(ring.default_order()),
+                        ModuleOrder(MonomialOrder.lex())])
+    M = Submodule(ring, rank, gens, order)
+    try:
+        expected = prune_reference(M, Budget(max_reductions=20_000))
+        got = prune_module(M, Budget(max_reductions=20_000)).generators
+    except GroebnerTimeout:
+        assume(False)
+    assert list(got) == expected
