@@ -2,7 +2,8 @@
 
 Subcommands: lift-check, from-unfolding, derlog, augment, paper-suite.
 Exit codes: 0 all checks pass, 2 a check failed, 3 a resource budget ran
-out, 64 usage error (including unresolved names), 65 bad manifest data.
+out, 64 usage error (including unresolved names and an ``--only`` prefix
+that no task id starts with), 65 bad manifest data.
 """
 
 from __future__ import annotations
@@ -158,6 +159,8 @@ def main(argv=None) -> int:
         except ManifestError as e:
             print(f"germlift: manifest error: {e}", file=sys.stderr)
             return DATA_EXIT
+        if not reports:
+            parser.error(f"--only {args.only!r}: no task id starts with it")
         return _emit(reports, args)
 
     if args.command == "lift-check":

@@ -3,9 +3,12 @@
 For a reduced equation h, the strict module is the annihilator
 {eta : eta(h) = 0}; the tangent module is {eta : eta(h) in <h>}, computed as
 syzygies of the partials (with h adjoined), with the quotient eta(h)/h
-recovered and stored for every generator.  The augmentation machinery moves
-fields between the discriminant of a one-parameter stable unfolding and the
-discriminants of its augmentations by powers of the augmenting variable.
+read off the syzygy of every generator.  Both identities are verified once,
+where ``groebner.syzygy_module`` re-expands every syzygy it returns;
+``derlog_strict`` and ``derlog_tangent`` apply no field to h.  The
+augmentation machinery moves fields between the discriminant of a
+one-parameter stable unfolding and the discriminants of its augmentations
+by powers of the augmenting variable.
 """
 
 from __future__ import annotations
@@ -58,14 +61,11 @@ def tangency_quotient(eta: VectorField, h: Polynomial) -> Polynomial | None:
 
 
 def derlog_strict(D: Divisor, budget: Budget | None = None) -> Submodule:
-    """Fields annihilating h: the syzygies of the partial derivatives."""
+    """Fields annihilating h: the syzygies of the partial derivatives.
+    ``syzygy_module`` has expanded each ``sum eta_i * dh/dx_i`` to zero."""
     ring = D.ring
     partials = [ModuleElement(ring, (D.h.diff(v),)) for v in ring.names]
-    syz = syzygy_module(partials, budget)
-    for g in syz.generators:
-        if not VectorField(ring, g.entries).apply_to(D.h).is_zero:
-            raise StructureError("internal: strict derlog generator fails eta(h)=0")
-    return syz
+    return syzygy_module(partials, budget)
 
 
 @dataclass(frozen=True)
@@ -79,27 +79,23 @@ class TangentFields:
 def derlog_tangent(D: Divisor, budget: Budget | None = None) -> TangentFields:
     """Fields tangent to the divisor, with the quotient of each generator.
 
-    The module's working order is grevlex (``membership_module``); its
-    generators are sorted by the ring's default order.
+    Each generator ``eta`` is the head of a syzygy ``(eta, s)`` of
+    ``(dh/dx_1, ..., dh/dx_p, h)``, which ``syzygy_module`` has expanded:
+    ``eta(h) + s*h = 0``, so the quotient is ``-s``.  The module's working
+    order is grevlex (``membership_module``); its generators are sorted by
+    the ring's default order.
     """
     ring = D.ring
     p = len(ring)
     gens = [ModuleElement(ring, (D.h.diff(v),)) for v in ring.names]
     gens.append(ModuleElement(ring, (D.h,)))
-    syz = syzygy_module(gens, budget)
-    projected = [
-        ModuleElement(ring, s.entries[:p])
-        for s in syz.generators
-        if not all(q.is_zero for q in s.entries[:p])
-    ]
-    module = prune_module(membership_module(ring, p, projected), budget)
-    quotients = []
-    for g in module.generators:
-        alpha = tangency_quotient(VectorField(ring, g.entries), D.h)
-        if alpha is None:
-            raise StructureError("internal: tangent derlog generator fails eta(h) in <h>")
-        quotients.append(alpha)
-    return TangentFields(module, tuple(quotients))
+    quotient_of = {}  # eta -> eta(h)/h
+    for s in syzygy_module(gens, budget).generators:
+        eta = ModuleElement(ring, s.entries[:p])
+        if not eta.is_zero:
+            quotient_of[eta] = -s.entries[p]
+    module = prune_module(membership_module(ring, p, list(quotient_of)), budget)
+    return TangentFields(module, tuple(quotient_of[g] for g in module.generators))
 
 
 def euler_field(space: VarSet, weights=None) -> VectorField:

@@ -4,7 +4,7 @@ One engine serves five needs:
 
 * reduced Groebner bases (deterministic for a fixed module order),
 * normal forms and membership with coefficient extraction (``_divide``);
-  ``express`` re-verifies each returned identity by exact expansion, and
+  ``express`` re-verifies each returned identity, and
   ``lifting.is_liftable`` divides directly because its certificate
   re-expands the same identity,
 * syzygy modules, computed by embedding the generators alongside unit
@@ -25,6 +25,15 @@ the boundary: :func:`_vec_of` clears denominators when a vector enters,
 and :func:`_elem_of` divides by a given integer (a lead coefficient, or in
 :func:`_divide` the denominator times the reduction's scale) when it
 leaves.
+
+Each kernel identity is verified once, in the kernel's integers, by
+:func:`_recombines`: with the generators as ``main_i = den_i * gen_i`` and
+``D = lcm(den_i)``, the embedded vector ``(v, tail)`` must satisfy
+``D * v == sum_i tail_i * main_i * (D / den_i)``.  The tracked basis checks
+every basis vector so (an element against its representation, a syzygy
+against zero), and :func:`express` checks each membership it returns.  The
+callers of ``syzygy_module`` (``derlog``) rely on that check instead of
+expanding the syzygies again.
 
 Every step above runs through one normal-form routine,
 ``_Kernel.reduce_full``.  It compares terms by heap keys: flat int tuples,
@@ -47,6 +56,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import AmbientError, GroebnerTimeout, RankError, StructureError
@@ -448,63 +458,104 @@ def _reducer(key, pairs: Sequence[tuple[Vec, tuple]], budget: Budget) -> _Kernel
     return kern
 
 
+def _recombines(vec: Vec, rank: int, mains: Sequence[Vec],
+                dens: Sequence[int]) -> bool:
+    """Whether the embedded vector ``vec`` re-expands exactly: its part in
+    components below ``rank`` equals ``sum_i tail_i * gen_i``, where
+    ``tail_i`` is its component ``rank + i`` and each generator is given as
+    the integer vector ``mains[i] = dens[i] * gen_i`` (:func:`_vec_of`).
+
+    Both sides are multiplied by ``D = lcm(dens)``: every term product of
+    ``sum_i tail_i * mains[i] * (D / dens[i])`` is summed into one int dict,
+    less ``D`` times the main part, and the identity holds when nothing is
+    left.  No ``Fraction`` is built.
+    """
+    D = math.lcm(*dens)
+    acc: Vec = {}
+    get = acc.get
+    for t, k in vec.items():
+        c, e = t
+        if c < rank:
+            acc[t] = get(t, 0) - D * k
+            continue
+        i = c - rank
+        f = k * (D // dens[i])
+        zero_shift = not any(e)
+        for (c2, e2), k2 in mains[i].items():
+            t = (c2, e2) if zero_shift else (c2, exp_add(e, e2))
+            acc[t] = get(t, 0) + f * k2
+    return not any(acc.values())
+
+
 @dataclass
 class GroebnerBasis:
     """Reduced basis of a submodule plus tracking data.
 
-    ``syzygies`` generate all relations among the original generators.
-    ``reducer`` holds each element with its representation in the original
-    generators in the trailing components, as (primitive integer vector,
-    lead) pairs of the embedded order.
+    ``pairs`` is the reduced basis of the embedded order, least lead first,
+    as (primitive integer vector, lead) pairs: each vector carries its
+    representation in the original generators in the trailing components.
+    ``mains`` and ``dens`` are those generators as :func:`_vec_of` gives
+    them, ``mains[i] = dens[i] * gen_i``.  The Fraction forms below are
+    built on first read.
     """
 
-    elements: tuple
-    syzygies: tuple
-    reducer: tuple = field(repr=False, compare=False)
+    ring: VarSet
+    rank: int
+    pairs: tuple = field(repr=False)
+    mains: tuple = field(repr=False)
+    dens: tuple = field(repr=False)
+
+    @cached_property
+    def reducer(self) -> tuple:
+        """The pairs whose lead lies in the module itself, not in a tail."""
+        return tuple(p for p in self.pairs if p[1][0] < self.rank)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The monic basis elements, least lead first."""
+        rank = self.rank
+        return tuple(
+            _elem_of(self.ring, rank, {t: k for t, k in vec.items() if t[0] < rank},
+                     vec[lead])
+            for vec, lead in self.reducer)
+
+    @cached_property
+    def syzygies(self) -> tuple:
+        """Monic generators of all relations among the original generators."""
+        rank = self.rank
+        return tuple(
+            _elem_of(self.ring, len(self.mains),
+                     {(c - rank, e): k for (c, e), k in vec.items()}, vec[lead])
+            for vec, lead in self.pairs if lead[0] >= rank)
 
 
 def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
                 morder: ModuleOrder, budget: Budget | None) -> GroebnerBasis:
     budget = budget or Budget()
-    m = len(gens)
     key = _embedded_key(morder, rank)
-    vecs = []
-    for i, g in enumerate(gens):
-        v, den = _vec_of(g)
-        v[(rank + i, ring.zero_exp())] = den
-        vecs.append(v)
-    pairs = _reduced_basis(key, vecs, budget, False)
-    reducer = tuple((vec, lead) for vec, lead in pairs if lead[0] < rank)
+    zero = ring.zero_exp()
+    inputs = [_vec_of(g) for g in gens]
+    mains = tuple(v for v, _ in inputs)
+    dens = tuple(den for _, den in inputs)
+    vecs = [{**v, (rank + i, zero): den} for i, (v, den) in enumerate(inputs)]
+    gb = GroebnerBasis(ring, rank, tuple(_reduced_basis(key, vecs, budget, False)),
+                       mains, dens)
 
-    elements = []
-    reps = []  # reps[i] expresses elements[i] in the original generators
-    syzygies = []
-    for vec, lead in pairs:
-        lc = vec[lead]  # the elements and syzygies are monic
-        main = {(c, e): k for (c, e), k in vec.items() if c < rank}
-        tailv = {(c - rank, e): k for (c, e), k in vec.items() if c >= rank}
-        if main:
-            elements.append(_elem_of(ring, rank, main, lc))
-            reps.append(tuple(_elem_of(ring, m, tailv, lc).entries) if m else ())
-        else:
-            syzygies.append(_elem_of(ring, m, tailv, lc))
-
-    # self-check: every basis element re-expands from its representation,
-    # every syzygy expands to zero, and every input generator reduces to
-    # zero against the basis (mutual membership of the cached basis).
-    for elem, rep in zip(elements, reps):
-        if combine(ring, rank, rep, gens) != elem:
-            raise StructureError("internal: basis representation failed to re-expand")
-    for s in syzygies:
-        if not combine(ring, rank, s.entries, gens).is_zero:
+    # self-check: every basis vector re-expands from its tracking components
+    # (an element from its representation, a syzygy to zero), and every
+    # input generator reduces to zero against the basis (mutual membership
+    # of the cached basis).
+    for vec, lead in gb.pairs:
+        if not _recombines(vec, rank, mains, dens):
+            if lead[0] < rank:
+                raise StructureError("internal: basis representation failed to re-expand")
             raise StructureError("internal: syzygy failed to expand to zero")
-    check = _reducer(key, reducer, budget)
-    for g in gens:
-        rem = check.reduce_full(_vec_of(g)[0], main_rank=rank)[0]
+    check = _reducer(key, gb.reducer, budget)
+    for v in mains:
+        rem = check.reduce_full(dict(v), main_rank=rank)[0]
         if any(t[0] < rank for t in rem):
             raise StructureError("internal: generator does not reduce to zero")
-
-    return GroebnerBasis(tuple(elements), tuple(syzygies), reducer)
+    return gb
 
 
 def compute_gb(M: Submodule, budget: Budget | None = None) -> GroebnerBasis:
@@ -557,13 +608,16 @@ def express(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
     """Division with coefficient extraction against the original generators.
 
     On membership, returns coefficients c with sum(c_i * gen_i) == v, the
-    identity re-verified by exact expansion before returning.  Otherwise the
-    nonzero normal form is the certificate of polynomial non-membership.
+    identity re-verified by :func:`_recombines` on ``(v, c)`` as an integer
+    vector before returning.  Otherwise the nonzero normal form is the
+    certificate of polynomial non-membership.
     """
     membership = _divide(v, M, budget)
-    if membership.is_member and combine(M.ring, M.rank, membership.coefficients,
-                                        M.generators) != v:
-        raise StructureError("internal: expressed coefficients failed to re-expand")
+    if membership.is_member:
+        gb = M._gb  # cached by _divide
+        vec = _vec_of(ModuleElement(M.ring, v.entries + membership.coefficients))[0]
+        if not _recombines(vec, M.rank, gb.mains, gb.dens):
+            raise StructureError("internal: expressed coefficients failed to re-expand")
     return membership
 
 
@@ -580,7 +634,8 @@ def module_equal(M: Submodule, N: Submodule, budget: Budget | None = None) -> bo
 
 def syzygy_module(gens: Sequence[ModuleElement], budget: Budget | None = None,
                   order: ModuleOrder | None = None) -> Submodule:
-    """All relations sum(c_i * gens_i) = 0, each verified by exact expansion."""
+    """All relations sum(c_i * gens_i) = 0, each verified by exact expansion
+    (:func:`_recombines`) before it is returned."""
     if not gens:
         raise RankError("syzygy computation needs at least one generator")
     ring = gens[0].ring

@@ -457,8 +457,9 @@ def run_paper_suite(extra_manifests=(), only: str | None = None,
     reports = []
     for m in list(bundled_manifests()) + list(extra_manifests):
         reports.extend(run_manifest(m, only, budget_factory))
-    if only is None or "scale".startswith(only) or only.startswith("scale"):
-        reports.append(instance_note())
+    note = instance_note()
+    if not only or note.task_id.startswith(only):
+        reports.append(note)
     return reports
 
 

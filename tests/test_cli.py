@@ -318,6 +318,17 @@ def test_paper_suite_only_subset(capsys):
     assert len(lines) >= 6
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_paper_suite_only_without_a_match_usage_error(capsys, json_flag):
+    # a mistyped prefix must not read as a green run of zero tasks
+    with pytest.raises(SystemExit) as e:
+        main(["paper-suite", "--only", "hk9.nothing", *json_flag])
+    assert e.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "'hk9.nothing'" in err
+
+
 def test_json_reports_are_deterministic(capsys):
     code1, out1, _ = run(capsys, "paper-suite", "--only", "hk2.certify", "--json")
     code2, out2, _ = run(capsys, "paper-suite", "--only", "hk2.certify", "--json")

@@ -6,10 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germlift import groebner
-from germlift.errors import GroebnerTimeout, RankError
+from germlift.errors import GroebnerTimeout, RankError, StructureError
 from germlift.exprio import parse_poly
 from germlift.groebner import (
     Budget,
+    _embedded_key,
+    _reduced_basis,
+    _vec_of,
     compute_gb,
     contains,
     eliminate,
@@ -19,7 +22,7 @@ from germlift.groebner import (
     prune_module,
     syzygy_module,
 )
-from germlift.modules import GREVLEX, ModuleElement, ModuleOrder, Submodule
+from germlift.modules import GREVLEX, ModuleElement, ModuleOrder, Submodule, combine
 from germlift.poly import MonomialOrder, Polynomial, VarSet, integer_normalize
 
 from oracles import (
@@ -27,6 +30,7 @@ from oracles import (
     membership_bounded,
     prune_reference,
     random_element,
+    random_poly,
 )
 
 
@@ -253,6 +257,70 @@ def _nonzero_elements(rng, ring, rank, count):
         if not g.is_zero:
             out.append(g)
     return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), perturb=st.sampled_from(["none", "tail", "main"]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_integer_re_expansion_agrees_with_combine(seed, perturb):
+    # _recombines checks sum(c_i * gen_i) == v on the embedded integer
+    # vector (v, c); modules.combine multiplies it out over Fraction.  They
+    # must agree whether the identity holds or, after one coefficient or
+    # one entry of v gains a term, fails.
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 3)
+    rank = rng.randint(1, 3)
+    ring = VarSet(["x", "y", "z"][:nvars])
+    gens = [random_element(rng, ring, rank, max_deg=2, max_terms=3)
+            for _ in range(rng.randint(1, 4))]
+    coeffs = [random_poly(rng, ring, max_deg=2, max_terms=3) for _ in gens]
+    v = combine(ring, rank, coeffs, gens)
+    term = Polynomial(ring, {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                             Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))})
+    i = rng.randrange(len(gens))
+    if perturb == "tail":
+        coeffs[i] = coeffs[i] + term
+    elif perturb == "main":
+        entries = list(v.entries)
+        entries[i % rank] = entries[i % rank] + term
+        v = ModuleElement(ring, entries)
+    holds = combine(ring, rank, coeffs, gens) == v
+    assert holds == (perturb == "none" or (perturb == "tail" and gens[i].is_zero))
+    mains, dens = zip(*(_vec_of(g) for g in gens))
+    vec = _vec_of(ModuleElement(ring, v.entries + tuple(coeffs)))[0]
+    assert groebner._recombines(vec, rank, mains, dens) == holds
+
+
+def test_corrupted_basis_vector_is_refused(xy, monkeypatch):
+    # bump one tail term, then one main term, of each tracked basis vector
+    # in turn: both builders of a tracked basis must refuse every such basis
+    gens = [ModuleElement(xy, (parse_poly(t, xy),)) for t in ("x^2 - y", "x*y", "y^2 + x")]
+    key = _embedded_key(ModuleOrder(xy.default_order()), 1)
+    vecs = []
+    for i, g in enumerate(gens):
+        v, den = _vec_of(g)
+        vecs.append({**v, (1 + i, (0, 0)): den})
+    basis = _reduced_basis(key, vecs, Budget(), False)
+    mutants = 0
+    for n, (vec, _) in enumerate(basis):
+        for tail in (True, False):
+            terms = [t for t in vec if (t[0] >= 1) == tail]
+            if not terms:
+                continue
+
+            def bumped(key, vecs, budget, use_product, _n=n, _t=terms[0]):
+                pairs = _reduced_basis(key, vecs, budget, use_product)
+                vec, lead = pairs[_n]
+                pairs[_n] = ({**vec, _t: vec[_t] + 1}, lead)
+                return pairs
+
+            mutants += 1
+            monkeypatch.setattr(groebner, "_reduced_basis", bumped)
+            with pytest.raises(StructureError, match="expand"):
+                syzygy_module(gens)
+            with pytest.raises(StructureError, match="expand"):
+                compute_gb(Submodule(xy, 1, gens))
+            monkeypatch.undo()
+    assert mutants >= len(basis) + 2  # every vector has a tail, and some have mains
 
 
 @given(seed=st.integers(0, 2**32 - 1))
