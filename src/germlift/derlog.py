@@ -37,6 +37,8 @@ class Divisor:
     def __init__(self, ring: VarSet, h: Polynomial, weights=None):
         if h.ring != ring:
             raise AmbientError("equation must live over the ambient ring")
+        if h.is_zero:
+            raise StructureError("divisor equation is zero")
         if h.constant_term() != 0:
             raise StructureError("divisor must pass through the origin")
         self.ring = ring

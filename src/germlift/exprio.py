@@ -21,13 +21,15 @@ at the offset of the operator (or literal) at fault:
 * a power ``base^n`` of a ``v``-term base is expanded only if its
   multinomial term bound C(n+v-1, v-1) is at most ``MAX_TERMS``:
   (x+y+z+1)^20, with 1771 terms, is;
-* and only if the term products that ``Polynomial.__pow__``'s repeated
-  squaring makes, counted from that bound for each intermediate power
-  (:func:`_power_products`), number at most ``MAX_PRODUCTS``: (x+1)^1999
-  passes the term bound but would make 1.65 million products, while
-  (x+y+z+1)^20 makes 62,516;
 * a product ``a*b`` is expanded only if ``len(a.terms) * len(b.terms)`` is
   at most ``MAX_TERMS``, so (x+y+z+1)^20*(x+y+z+1)^20 is rejected;
+* the term products of a whole text number at most ``MAX_PRODUCTS``: each
+  ``a*b`` counts ``len(a.terms) * len(b.terms)``, and each power of a
+  base with more than one term counts the products that
+  ``Polynomial.__pow__``'s repeated squaring makes, from the term bound
+  of each intermediate power (:func:`_power_products`).  (x+1)^1999
+  passes the term bound but would make 1.65 million products, while
+  (x+y+z+1)^20 makes 62,516, so a text holds one such power and not two;
 * a numeric literal has at most ``MAX_DIGITS`` digits, and so has every
   numerator and denominator that a power or product can produce, judged
   from a bound on the operands' coefficients (:func:`_height`): 2^20000
@@ -139,6 +141,7 @@ class _Parser:
         self.toks = _Tokenizer(text)
         self.ring = ring
         self.depth = 0
+        self.products = 0  # term products made so far, for MAX_PRODUCTS
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -179,6 +182,7 @@ class _Parser:
                 raise ExprSyntaxError(f"product {_MANY}", off)
             if _height(acc) * _height(right) >= _TOO_LONG:
                 raise ExprSyntaxError(f"product {_LONG}", off)
+            self._charge(len(acc.terms) * len(right.terms), off)
             acc = acc * right
 
     def factor(self) -> Polynomial:
@@ -198,10 +202,17 @@ class _Parser:
         h = _height(base)
         if h > 1 and (n * (h.bit_length() - 1) >= _TOO_LONG_BITS or h ** n >= _TOO_LONG):
             raise ExprSyntaxError(f"power {_LONG}", off)
-        if v > 1 and _power_products(v, n) > MAX_PRODUCTS:
-            raise ExprSyntaxError(
-                f"power would make more than {MAX_PRODUCTS} term products", off)
+        if v > 1:
+            self._charge(_power_products(v, n), off)
         return base ** n
+
+    def _charge(self, products: int, off: int):
+        """Count the term products of the operator at ``off`` against the
+        text's ``MAX_PRODUCTS``."""
+        self.products += products
+        if self.products > MAX_PRODUCTS:
+            raise ExprSyntaxError(
+                f"text would make more than {MAX_PRODUCTS} term products", off)
 
     def base(self) -> Polynomial:
         kind, val, off = self.toks.next()

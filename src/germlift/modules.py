@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import AmbientError, RankError
-from .poly import Exp, MonomialOrder, Polynomial, VarSet
+from .poly import Exp, MonomialOrder, Polynomial, VarSet, add_products
 
 
 class ModuleElement:
@@ -137,11 +137,28 @@ GREVLEX = ModuleOrder(MonomialOrder.grevlex())
 
 def combine(ring: VarSet, rank: int, coeffs: Iterable,
             gens: Iterable[ModuleElement]) -> ModuleElement:
-    """sum(coeffs_i * gens_i), the zero vector of ``rank`` for no terms."""
-    acc = ModuleElement.zero(ring, rank)
+    """sum(coeffs_i * gens_i), the zero vector of ``rank`` for no terms.
+
+    Every term product is summed into one term dict per component, and
+    each component becomes a polynomial once, at the end.  A coefficient
+    is a Polynomial over ``ring``, a Fraction or an int.
+    """
+    acc: list[dict[Exp, Fraction]] = [{} for _ in range(rank)]
     for c, g in zip(coeffs, gens):
-        acc = acc + g.scale(c)
-    return acc
+        if g.ring is not ring and g.ring != ring:
+            raise AmbientError("module elements over different rings")
+        if g.rank != rank:
+            raise RankError(f"rank mismatch: {rank} vs {g.rank}")
+        if isinstance(c, (int, Fraction)):
+            c = {ring.zero_exp(): Fraction(c)} if c else {}
+        else:
+            if c.ring is not ring and c.ring != ring:
+                raise AmbientError(f"ambient mismatch: {ring!r} vs {c.ring!r}")
+            c = c.terms
+        for d, p in zip(acc, g.entries):
+            add_products(d, c, p.terms)
+    return ModuleElement(ring, [Polynomial._of(ring, {e: v for e, v in d.items() if v})
+                                for d in acc])
 
 
 class Submodule:

@@ -5,9 +5,12 @@ point anywhere in the package.  Monomials are dense exponent tuples whose
 length is fixed by the ambient :class:`VarSet`.
 
 Composition has one routine, :func:`compose`: it sums ``c_e * img^e`` into
-one term dict, taking each monomial image ``img^e`` from a cache that the
-caller supplies.  ``Polynomial.substitute`` passes a fresh cache, and
-``germs.pull_back`` the cache kept on the germ.
+one term dict.  When every image it reads is a single term or zero, it
+maps each term's exponent straight to its image term; otherwise it takes
+each monomial image ``img^e`` from a cache that the caller supplies.
+``Polynomial.substitute`` passes a fresh cache, and ``germs.pull_back``
+the cache kept on the germ.  Products with a one-term factor and powers of
+one term shift exponents instead of summing term products.
 """
 
 from __future__ import annotations
@@ -170,6 +173,14 @@ class Polynomial:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
+    def _of(ring: VarSet, terms: dict[Exp, Fraction]) -> "Polynomial":
+        """Wrap ``terms``, which must already map exponent tuples of ``ring``
+        to nonzero Fractions, without copying or checking them."""
+        out = Polynomial.__new__(Polynomial)
+        out.ring, out.terms = ring, terms
+        return out
+
+    @staticmethod
     def zero(ring: VarSet) -> "Polynomial":
         return Polynomial(ring)
 
@@ -212,18 +223,13 @@ class Polynomial:
                 res[e] = s
             elif e in res:
                 del res[e]
-        out = Polynomial.__new__(Polynomial)
-        out.ring, out.terms = self.ring, res
-        return out
+        return Polynomial._of(self.ring, res)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.ring = self.ring
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Polynomial._of(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self.__add__(self._coerce(other).__neg__())
@@ -232,34 +238,35 @@ class Polynomial:
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
+        """The product; by a one-term factor it is a shift of the other
+        factor's exponents, made without summing."""
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
                 return Polynomial.zero(self.ring)
-            out = Polynomial.__new__(Polynomial)
-            out.ring = self.ring
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            return Polynomial._of(self.ring, {e: k * c for e, k in self.terms.items()})
         self._check_same_ring(other)
+        a, b = self.terms, other.terms
+        if len(a) == 1 or len(b) == 1:
+            # distinct exponents stay distinct and no coefficient vanishes
+            return Polynomial._of(self.ring, {
+                tuple(map(add, e1, e2)): c1 * c2
+                for e1, c1 in a.items() for e2, c2 in b.items()})
         res: dict[Exp, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = res.get(e, ZERO) + c1 * c2
-                if s:
-                    res[e] = s
-                elif e in res:
-                    del res[e]
-        out = Polynomial.__new__(Polynomial)
-        out.ring, out.terms = self.ring, res
-        return out
+        add_products(res, a, b)
+        return Polynomial._of(self.ring, {e: c for e, c in res.items() if c})
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __pow__(self, n: int):
+        """The ``n``-th power: of one term, its coefficient to the ``n`` and
+        its exponents times ``n``; otherwise by repeated squaring."""
         if n < 0:
             raise ValueError("negative exponents are outside the polynomial model")
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return Polynomial._of(self.ring, {tuple(k * n for k in e): c ** n})
         result = Polynomial.const(self.ring, 1)
         base = self
         while n:
@@ -411,22 +418,73 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def add_products(acc: dict[Exp, Fraction], a: Mapping[Exp, Fraction],
+                 b: Mapping[Exp, Fraction]) -> None:
+    """Add the product of the term dicts ``a`` and ``b`` into ``acc``.
+
+    Sums that cancel stay in ``acc`` as zero coefficients; whoever wraps
+    ``acc`` as a polynomial drops them once, at the end.
+    """
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = acc.get(e)
+            acc[e] = c1 * c2 if s is None else s + c1 * c2
+
+
 def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
             cache: dict[Exp, Polynomial]) -> Polynomial:
     """``p(images[0], images[1], ...)`` over ``ring``: the sum of ``c_e * img^e``
     over the terms of ``p``, summed into one term dict.
 
-    ``img^e = prod(images[i]^e_i)`` comes from ``cache`` (exponent ->
-    image), which is valid for as long as the caller keeps the images
-    fixed.  A missing image is the product of the powers
+    ``images[i]`` is read only if some term of ``p`` contains variable
+    ``i``.  When every image read is a single term or zero (a renaming, an
+    embedding, a zero section, ``z -> z^k``), each term of ``p`` maps
+    straight to one term: its coefficient is ``c * prod(a_i^e_i)`` and its
+    exponent ``sum(e_i * m_i)`` for the images ``a_i * x^m_i``, and a term
+    that meets a zero image is dropped.  ``cache`` is then not used.
+
+    Otherwise ``img^e = prod(images[i]^e_i)`` comes from ``cache``
+    (exponent -> image), which is valid for as long as the caller keeps the
+    images fixed.  A missing image is the product of the powers
     ``images[i]^e_i``, each cached under its own exponent: a first power
     is ``images[i]`` itself, a higher one is built from
     ``images[i]^(e_i - 1)`` when that is cached, else by repeated
     squaring, so no exponent costs more than its bit length in products
-    and nothing recurses.  ``images[i]`` is read only if some term of
-    ``p`` contains variable ``i``.
+    and nothing recurses.
     """
     acc: dict[Exp, Fraction] = {}
+    general = [i for i, img in enumerate(images) if img is None or len(img.terms) > 1]
+    if not general or not any(e[i] for e in p.terms for i in general):
+        # per variable: None for a zero image (or one that p does not
+        # read), else the image's coefficient (None for 1) and the
+        # (index, exponent) pairs of its monomial with a nonzero exponent
+        parts: list = []
+        for img in images:
+            if img is None or len(img.terms) != 1:
+                parts.append(None)
+                continue
+            (m, a), = img.terms.items()
+            parts.append((None if a == 1 else a, [(j, k) for j, k in enumerate(m) if k]))
+        width = len(ring)
+        for e, c in p.terms.items():
+            out = [0] * width
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                part = parts[i]
+                if part is None:
+                    break
+                a, m = part
+                if a is not None:
+                    c = c * a ** k
+                for j, mj in m:
+                    out[j] += k * mj
+            else:
+                e2 = tuple(out)
+                s = acc.get(e2)
+                acc[e2] = c if s is None else s + c
+        return Polynomial._of(ring, {e: c for e, c in acc.items() if c})
     for e, c in p.terms.items():
         img = cache.get(e)
         if img is None:
@@ -449,7 +507,7 @@ def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
         for e2, k in img.terms.items():
             s = acc.get(e2)
             acc[e2] = c * k if s is None else s + c * k
-    return Polynomial(ring, acc)
+    return Polynomial._of(ring, {e: c for e, c in acc.items() if c})
 
 
 def rering(p: Polynomial, ring: VarSet) -> Polynomial:

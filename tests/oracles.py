@@ -8,8 +8,10 @@ keys of the orders, and reduced bases by Buchberger's algorithm over
 Groebner kernel.  The one exception is ``prune_reference``, the direct
 prune (one reduced basis per tested generator) that ``prune_module``'s
 incremental run replaced; it checks the bookkeeping of that run, not the
-kernel.  These deliberately slower paths stay independent of the code they
-check.
+kernel.  Products and compositions of polynomials are made term by term
+on plain dicts (``mul_terms``, ``compose_reference``), with no shortcut
+for one-term factors or monomial images.  These deliberately slower paths
+stay independent of the code they check.
 """
 
 from fractions import Fraction
@@ -384,3 +386,29 @@ def prune_reference(M, budget):
         if not _reducer(key, plain, budget).reduce_full(_vec_of(gens[i])[0])[0]:
             kept = others
     return [gens[j] for j in kept]
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    """The product of two term dicts, every term product summed and the
+    zero sums dropped at the end."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def compose_reference(p: Polynomial, images, ring: VarSet) -> Polynomial:
+    """``p(images...)`` over ``ring``: each term's image is its coefficient
+    times the product of ``e_i`` copies of ``images[i]``, multiplied one
+    factor at a time by ``mul_terms``."""
+    out = {}
+    for e, c in p.terms.items():
+        term = {(0,) * len(ring): c}
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = mul_terms(term, images[i].terms)
+        for e2, c2 in term.items():
+            out[e2] = out.get(e2, Fraction(0)) + c2
+    return Polynomial(ring, out)

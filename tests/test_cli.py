@@ -115,6 +115,21 @@ def test_malformed_augmentation_entry_data_error(tmp_path, capsys, entry, value,
     assert "Traceback" not in err
 
 
+def test_zero_divisor_equation_data_error(tmp_path, capsys):
+    # a zero equation defines no hypersurface; certifying its "derlog" is wrong
+    with open(AUG) as fh:
+        doc = json.load(fh)
+    doc["divisors"]["disc_f"]["equation"] = "0"
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "derlog", "-m", str(bad), "--divisor", "disc_f",
+                         "--mode", "delta")
+    assert code == 65
+    assert "manifest error: divisors.disc_f: divisor equation is zero" in err
+    assert "PASS" not in out
+    assert "Traceback" not in err
+
+
 NOTE_TASK = {"id": "note", "op": "note", "text": "ok"}
 
 
@@ -245,6 +260,16 @@ def test_power_work_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "paper-suite", "-m", bad)
     assert code == 65
     assert "more than 100000 term products (at offset 9)" in err
+    assert "Traceback" not in err
+
+
+def test_text_work_data_error(tmp_path, capsys):
+    # each power passes every bound; together they would take about a second
+    one = "(x+y+z+1)^20"
+    bad = _map_manifest(tmp_path, " + ".join([one] * 2))
+    code, _, err = run(capsys, "paper-suite", "-m", bad)
+    assert code == 65
+    assert f"more than 100000 term products (at offset {len(one) + 3 + one.index('^')})" in err
     assert "Traceback" not in err
 
 

@@ -126,6 +126,32 @@ def test_power_work_is_bounded(monkeypatch):
     assert not made
 
 
+def test_text_work_is_bounded_as_a_whole():
+    xyz = VarSet(["x", "y", "z"])
+    # each power makes 62,516 products and passes on its own; two do not
+    one = "(x + y + z + 1)^20"
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_poly(" + ".join([one] * 2), xyz)
+    assert e.value.offset == len(one) + 3 + one.index("^")
+    assert f"more than {MAX_PRODUCTS} term products" in str(e.value)
+    # products count too: the j-th `*` of (x + y)*(x + y)*... makes 2(j + 1)
+    # products, so 200 factors make 40,198 on their own, and after the
+    # power the 193rd `*` passes the bound (62,516 + 193 * 196)
+    chain = "*".join(["(x + y)"] * 200)
+    assert len(parse_poly(chain, xyz).terms) == 201
+    text = f"{one} + {chain}"
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_poly(text, xyz)
+    stars = [i for i, ch in enumerate(text) if ch == "*"]
+    assert e.value.offset == stars[192]
+    assert f"more than {MAX_PRODUCTS} term products" in str(e.value)
+    # the count is per text: a fresh text starts from zero
+    assert len(parse_poly(one, xyz).terms) == 1771
+    # a long sum of cheap monomials stays far below the bound
+    monomials = " + ".join(f"{k}*x^{k}*y*z^2" for k in range(1, 2001))
+    assert len(parse_poly(monomials, xyz).terms) == 2000
+
+
 def test_product_term_count_is_bounded():
     xyz = VarSet(["x", "y", "z"])
     # 45 * 45 = 2025 term products: over the bound, though the result has 231
