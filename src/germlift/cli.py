@@ -2,8 +2,9 @@
 
 Subcommands: lift-check, from-unfolding, derlog, augment, paper-suite.
 Exit codes: 0 all checks pass, 2 a check failed, 3 a resource budget ran
-out, 64 usage error (including unresolved names and an ``--only`` prefix
-that no task id starts with), 65 bad manifest data.
+out, 64 usage error (including an ``--only`` prefix that no task id starts
+with, and a task built from the arguments that ``manifest.check_task``
+rejects, as it rejects a manifest's tasks), 65 bad manifest data.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import math
 import os
 import sys
 
-from .errors import ManifestError
+from .errors import ManifestError, SchemaError
 from .groebner import Budget
-from .manifest import DERLOG_MODES, load_manifest
+from .manifest import TASKS, check_task, load_manifest
 from .suite import (
     Report,
     exit_code,
@@ -62,12 +63,14 @@ def build_parser() -> _Parser:
                 description="exact liftable-vector-field computations for map-germs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("lift-check", parents=[], help="certify liftability of fields")
+    # each subcommand builds one task: its "op" and "id" from the templates
+    # below, and every key of the op that an argument of the same name holds
+    sp = sub.add_parser("lift-check", help="certify liftability of fields")
     _add_common(sp)
-    sp.add_argument("--map", required=True, dest="map_name")
+    sp.add_argument("--map", required=True)
     sp.add_argument("--fields", required=True)
-    sp.add_argument("--expect", choices=["certified", "obstructed"],
-                    default="certified")
+    sp.add_argument("--expect", default="certified", help="certified or obstructed")
+    sp.set_defaults(op="lift_check", id="lift-check.{map}.{fields}")
 
     sp = sub.add_parser("from-unfolding", help="compute Lift(core) from an unfolding")
     _add_common(sp)
@@ -75,12 +78,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--fields", required=True,
                     help="generating set of the unfolding's liftable fields")
     sp.add_argument("--expect", default=None, help="expected generator table")
+    sp.set_defaults(op="pipeline", id="from-unfolding.{unfolding}")
 
     sp = sub.add_parser("derlog", help="logarithmic vector fields of a divisor")
     _add_common(sp)
     sp.add_argument("--divisor", required=True)
-    sp.add_argument("--mode", choices=DERLOG_MODES, default="delta")
+    sp.add_argument("--mode", default="delta", help="strict or delta")
     sp.add_argument("--expect", default=None)
+    sp.set_defaults(op="derlog", id="derlog.{divisor}.{mode}")
 
     sp = sub.add_parser("augment", help="augmentation checks")
     _add_common(sp)
@@ -88,6 +93,7 @@ def build_parser() -> _Parser:
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--check", choices=["tilde", "pi2", "descend"], required=True)
     sp.add_argument("--expect-ideal", nargs="*", default=None)
+    sp.set_defaults(op="augment_{check}", id="augment.{augmentation}.{check}.k{k}")
 
     sp = sub.add_parser("paper-suite", help="replay every bundled verification task")
     _add_common(sp, manifest_required=False)
@@ -111,15 +117,21 @@ def _budget_factory(args, parser):
     return make
 
 
-def _load_all(paths):
-    return [load_manifest(p) for p in paths]
+def _task(args) -> dict:
+    task = {"id": args.id.format_map(vars(args)), "op": args.op.format_map(vars(args))}
+    keys = [key.rstrip("?") for key in TASKS[task["op"]]]
+    task.update((k, getattr(args, k)) for k in keys if getattr(args, k, None) is not None)
+    return task
 
 
-def _resolve(manifests, registry_name, name, parser):
+def _resolve(manifests, task):
+    """The manifest that holds the name under the task's first key; the
+    first manifest if none does, so that the check reports it unresolved."""
+    key, ref = next(iter(TASKS[task["op"]].items()))
     for m in manifests:
-        if name in getattr(m, registry_name):
+        if task[key] in getattr(m, ref.registry):
             return m
-    parser.error(f"name {name!r} not found in the loaded manifests")
+    return manifests[0]
 
 
 def _emit(reports: list[Report], args) -> int:
@@ -144,7 +156,7 @@ def main(argv=None) -> int:
     make_budget = _budget_factory(args, parser)
 
     try:
-        manifests = _load_all(args.manifest)
+        manifests = [load_manifest(p) for p in args.manifest]
     except ManifestError as e:
         print(f"germlift: manifest error: {e}", file=sys.stderr)
         return DATA_EXIT
@@ -163,41 +175,12 @@ def main(argv=None) -> int:
             parser.error(f"--only {args.only!r}: no task id starts with it")
         return _emit(reports, args)
 
-    if args.command == "lift-check":
-        m = _resolve(manifests, "maps", args.map_name, parser)
-        if args.fields not in m.fields:
-            parser.error(f"fields {args.fields!r} not found")
-        task = {"id": f"lift-check.{args.map_name}.{args.fields}",
-                "op": "lift_check", "map": args.map_name,
-                "fields": args.fields, "expect": args.expect}
-    elif args.command == "from-unfolding":
-        m = _resolve(manifests, "unfoldings", args.unfolding, parser)
-        if args.fields not in m.fields:
-            parser.error(f"fields {args.fields!r} not found")
-        if args.expect is not None and args.expect not in m.fields:
-            parser.error(f"fields {args.expect!r} not found")
-        task = {"id": f"from-unfolding.{args.unfolding}",
-                "op": "pipeline", "unfolding": args.unfolding,
-                "fields": args.fields}
-        if args.expect is not None:
-            task["expect"] = args.expect
-    elif args.command == "derlog":
-        m = _resolve(manifests, "divisors", args.divisor, parser)
-        if args.expect is not None and args.expect not in m.fields:
-            parser.error(f"fields {args.expect!r} not found")
-        task = {"id": f"derlog.{args.divisor}.{args.mode}",
-                "op": "derlog", "divisor": args.divisor, "mode": args.mode}
-        if args.expect is not None:
-            task["expect"] = args.expect
-    else:  # augment
-        m = _resolve(manifests, "augmentations", args.augmentation, parser)
-        op = {"tilde": "augment_tilde", "pi2": "augment_pi2",
-              "descend": "augment_descend"}[args.check]
-        task = {"id": f"augment.{args.augmentation}.{args.check}.k{args.k}",
-                "op": op, "augmentation": args.augmentation, "k": args.k}
-        if args.check == "pi2":
-            task["expect_ideal"] = args.expect_ideal
-
+    task = _task(args)
+    m = _resolve(manifests, task)
+    try:
+        check_task(task, m, args.command)
+    except SchemaError as e:
+        parser.error(str(e))
     report = run_task(m, task, make_budget())
     return _emit([report], args)
 

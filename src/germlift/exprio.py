@@ -151,24 +151,34 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
+        """A sum is collected in one dict, so it costs its length once.
+        Each term that a ``+`` or ``-`` adds is charged to ``MAX_PRODUCTS``
+        at that operator, and each coefficient it touches is checked."""
         if self.toks.peek()[0] == "-":
             self.toks.next()
-            acc = -self.term()
+            first = -self.term()
         else:
-            acc = self.term()
-        while True:
-            kind = self.toks.peek()[0]
-            if kind not in ("+", "-"):
-                return acc
+            first = self.term()
+        kind = self.toks.peek()[0]
+        if kind not in ("+", "-"):
+            return first
+        acc = dict(first.terms)
+        while kind in ("+", "-"):
             off = self.toks.next()[2]
-            right = self.term()
-            acc = acc + right if kind == "+" else acc - right
-            for e in right.terms:
-                c = acc.terms.get(e)
-                if c is not None and (abs(c.numerator) >= _TOO_LONG
-                                      or c.denominator >= _TOO_LONG):
+            right = self.term() if kind == "+" else -self.term()
+            self._charge(len(right.terms), off)
+            for e, c in right.terms.items():
+                s = acc.get(e)
+                s = c if s is None else s + c
+                if not s:
+                    del acc[e]
+                elif abs(s.numerator) >= _TOO_LONG or s.denominator >= _TOO_LONG:
                     raise ExprSyntaxError(
                         f"sum has a coefficient longer than {MAX_DIGITS} digits", off)
+                else:
+                    acc[e] = s
+            kind = self.toks.peek()[0]
+        return Polynomial._of(self.ring, acc)
 
     def term(self) -> Polynomial:
         acc = self.factor()

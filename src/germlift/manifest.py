@@ -2,14 +2,17 @@
 augmentation bundles and a task list, in JSON with a fixed schema version.
 
 All fixture tables ship as manifest data; the engine itself hard-codes
-none of them.  Loading validates every declared object's invariants and that
-every name referenced by a task resolves.
+none of them.  Loading validates every declared object's invariants, and
+checks every task against ``TASKS``, the one description of each task op,
+with ``check_task``; the command line checks the tasks it builds with the
+same function.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .derlog import Divisor
 from .errors import (
@@ -25,27 +28,9 @@ from .poly import Polynomial, VarSet
 
 SCHEMA = "germlift-manifest/1"
 
-TASK_OPS = {
-    "lift_check": {"map", "fields", "expect"},
-    "transport_table": {"map", "inverse", "fields", "expect"},
-    "project_combinations": {"unfolding", "fields", "combinations", "expect"},
-    "pipeline": {"unfolding", "fields", "expect"},
-    "pipeline_vs_derlog": {"unfolding", "fields", "divisor"},
-    "discriminant": {"map", "expect_divisor"},
-    "derlog": {"divisor", "mode", "expect"},
-    "euler": {"divisor", "degree"},
-    "augment_tilde": {"augmentation", "k"},
-    "augment_pi2": {"augmentation", "k", "expect_ideal"},
-    "augment_descend": {"augmentation", "k"},
-    "augment_tau": {"augmentation", "k", "field"},
-    "tau_zero": {"fields"},
-    "note": {"text"},
-}
-
 
 @dataclass
 class FieldTable:
-    ring_name: str
     ring: VarSet
     fields: tuple
 
@@ -141,17 +126,26 @@ def _load_rings(raw, out):
             raise ValidationError(path, str(e)) from e
 
 
-def _ring_ref(rings, name, path) -> VarSet:
-    if name not in rings:
-        raise SchemaError(path, f"unknown ring {name!r}")
-    return rings[name]
+def _ref(obj: dict, key: str, registry: dict, path: str):
+    """The entry of ``registry`` that the name ``obj[key]`` resolves to."""
+    name = _need(obj, key, path, str)
+    if name not in registry:
+        raise SchemaError(f"{path}.{key}", f"unresolved name {name!r}")
+    return registry[name]
+
+
+def _over(entry, ring: VarSet, name: str, path: str, what: str):
+    """Raise unless the table or divisor ``entry``, named ``name``, lives
+    over ``ring``, the ring described by ``what``."""
+    if entry.ring != ring:
+        raise SchemaError(path, f"{name!r} is not over {what}")
 
 
 def _load_maps(raw, rings, out):
     for name, spec in raw.items():
         path = f"maps.{name}"
-        src = _ring_ref(rings, _need(spec, "source", path, str), f"{path}.source")
-        tgt = _ring_ref(rings, _need(spec, "target", path, str), f"{path}.target")
+        src = _ref(spec, "source", rings, path)
+        tgt = _ref(spec, "target", rings, path)
         comps_raw = _need(spec, "components", path, list)
         comps = [
             _parse(c, src, f"{path}.components[{i}]") for i, c in enumerate(comps_raw)
@@ -165,19 +159,11 @@ def _load_maps(raw, rings, out):
 def _load_unfoldings(raw, maps, out):
     for name, spec in raw.items():
         path = f"unfoldings.{name}"
-        total_name = _need(spec, "map", path, str)
-        core_name = _need(spec, "core", path, str)
-        if total_name not in maps:
-            raise SchemaError(f"{path}.map", f"unknown map {total_name!r}")
-        if core_name not in maps:
-            raise SchemaError(f"{path}.core", f"unknown map {core_name!r}")
+        total = _ref(spec, "map", maps, path)
+        core = _ref(spec, "core", maps, path)
         try:
-            out[name] = Unfolding(
-                maps[total_name],
-                _names(spec, "source_params", path),
-                _names(spec, "target_params", path),
-                maps[core_name],
-            )
+            out[name] = Unfolding(total, _names(spec, "source_params", path),
+                                  _names(spec, "target_params", path), core)
         except GermliftError as e:
             raise ValidationError(path, str(e)) from e
 
@@ -185,27 +171,26 @@ def _load_unfoldings(raw, maps, out):
 def _load_fields(raw, rings, out):
     for name, spec in raw.items():
         path = f"fields.{name}"
-        ring_name = _need(spec, "ring", path, str)
-        ring = _ring_ref(rings, ring_name, f"{path}.ring")
+        ring = _ref(spec, "ring", rings, path)
         elems = _need(spec, "elements", path, list)
         fields = []
         for i, vec in enumerate(elems):
             if not isinstance(vec, list) or len(vec) != len(ring):
                 raise ValidationError(
                     f"{path}.elements[{i}]",
-                    f"expected {len(ring)} entries over ring {ring_name}",
+                    f"expected {len(ring)} entries over ring {spec['ring']}",
                 )
             entries = [
                 _parse(t, ring, f"{path}.elements[{i}][{j}]") for j, t in enumerate(vec)
             ]
             fields.append(VectorField(ring, entries))
-        out[name] = FieldTable(ring_name, ring, tuple(fields))
+        out[name] = FieldTable(ring, tuple(fields))
 
 
 def _load_divisors(raw, rings, out):
     for name, spec in raw.items():
         path = f"divisors.{name}"
-        ring = _ring_ref(rings, _need(spec, "ring", path, str), f"{path}.ring")
+        ring = _ref(spec, "ring", rings, path)
         h = _parse(_need(spec, "equation", path, str), ring, f"{path}.equation")
         weights = _weights(spec, path)
         try:
@@ -217,19 +202,14 @@ def _load_divisors(raw, rings, out):
 def _load_augmentations(raw, m: Manifest, out):
     for name, spec in raw.items():
         path = f"augmentations.{name}"
-        unf_name = _need(spec, "unfolding", path, str)
-        if unf_name not in m.unfoldings:
-            raise SchemaError(f"{path}.unfolding", f"unknown unfolding {unf_name!r}")
-        unf = m.unfoldings[unf_name]
+        unf = _ref(spec, "unfolding", m.unfoldings, path)
         if unf.r != 1:
             raise ValidationError(path, "augmentation needs a 1-parameter unfolding")
-        div_name = _need(spec, "discriminant", path, str)
-        if div_name not in m.divisors:
-            raise SchemaError(f"{path}.discriminant", f"unknown divisor {div_name!r}")
-        lf_name = _need(spec, "lift_fields", path, str)
-        if lf_name not in m.fields:
-            raise SchemaError(f"{path}.lift_fields", f"unknown fields {lf_name!r}")
-        lift_fields = m.fields[lf_name]
+        disc = _ref(spec, "discriminant", m.divisors, path)
+        lift_fields = _ref(spec, "lift_fields", m.fields, path)
+        for key, entry in (("discriminant", disc), ("lift_fields", lift_fields)):
+            _over(entry, unf.total.target, spec[key], f"{path}.{key}",
+                  f"the total target of unfolding {spec['unfolding']!r}")
         instances = {}
         for kstr, inst in _need(spec, "instances", path, dict).items():
             ipath = f"{path}.instances.{kstr}"
@@ -237,13 +217,11 @@ def _load_augmentations(raw, m: Manifest, out):
                 k = int(kstr)
             except ValueError:
                 raise SchemaError(ipath, "instance keys must be integers") from None
-            ring = _ring_ref(m.rings, _need(inst, "ring", ipath, str), f"{ipath}.ring")
-            dname = _need(inst, "divisor", ipath, str)
-            if dname not in m.divisors:
-                raise SchemaError(f"{ipath}.divisor", f"unknown divisor {dname!r}")
-            fname = _need(inst, "tilde_fields", ipath, str)
-            if fname not in m.fields:
-                raise SchemaError(f"{ipath}.tilde_fields", f"unknown fields {fname!r}")
+            ring = _ref(inst, "ring", m.rings, ipath)
+            divisor = _ref(inst, "divisor", m.divisors, ipath)
+            tilde = _ref(inst, "tilde_fields", m.fields, ipath)
+            for key, entry in (("divisor", divisor), ("tilde_fields", tilde)):
+                _over(entry, ring, inst[key], f"{ipath}.{key}", f"ring {inst['ring']!r}")
             recipes = []
             for j, rec in enumerate(_need(inst, "recipes", ipath, list)):
                 rpath = f"{ipath}.recipes[{j}]"
@@ -256,38 +234,11 @@ def _load_augmentations(raw, m: Manifest, out):
                     coef, idx = _combo_pair(entry, len(lift_fields.fields), epath)
                     combo.append((_parse(coef, lift_fields.ring, epath), idx))
                 recipes.append((kind, tuple(combo)))
-            instances[k] = AugInstance(
-                k, ring, m.divisors[dname], m.fields[fname], tuple(recipes)
-            )
-        out[name] = Augmentation(
-            unf, m.divisors[div_name], lift_fields, instances
-        )
-
-
-# Which task keys are names, and into which registry they must resolve.
-TASK_REFS = {
-    "lift_check": {"map": "maps", "fields": "fields"},
-    "transport_table": {"map": "maps", "inverse": "maps", "fields": "fields",
-                        "expect": "fields"},
-    "project_combinations": {"unfolding": "unfoldings", "fields": "fields",
-                             "expect": "fields"},
-    "pipeline": {"unfolding": "unfoldings", "fields": "fields", "expect": "fields"},
-    "pipeline_vs_derlog": {"unfolding": "unfoldings", "fields": "fields",
-                           "divisor": "divisors"},
-    "discriminant": {"map": "maps", "expect_divisor": "divisors"},
-    "derlog": {"divisor": "divisors", "expect": "fields"},
-    "euler": {"divisor": "divisors", "expect": "fields"},
-    "augment_tilde": {"augmentation": "augmentations"},
-    "augment_pi2": {"augmentation": "augmentations"},
-    "augment_descend": {"augmentation": "augmentations"},
-    "augment_tau": {"augmentation": "augmentations", "field": "fields"},
-    "tau_zero": {"fields": "fields"},
-    "note": {},
-}
-
-
-DERLOG_MODES = ("strict", "delta")
-LIFT_EXPECTS = ("certified", "obstructed")
+            if len(recipes) != len(tilde.fields):
+                raise SchemaError(f"{ipath}.recipes",
+                                  "expected one recipe per field of tilde_fields")
+            instances[k] = AugInstance(k, ring, divisor, tilde, tuple(recipes))
+        out[name] = Augmentation(unf, disc, lift_fields, instances)
 
 
 def _combo_pair(entry, nfields: int, path: str) -> tuple:
@@ -304,77 +255,123 @@ def _combo_pair(entry, nfields: int, path: str) -> tuple:
     return coef, idx
 
 
-def _check_combinations(task: dict, m: Manifest, path: str):
-    """``combinations``: one list of [coefficient, index] pairs per field of
-    the ``expect`` table, each index into the ``fields`` table.  The
-    coefficients are parsed when the task runs."""
-    table = m.fields[task["fields"]]
-    combos = task["combinations"]
+class Ref:
+    """A task value that names an entry of the manifest registry
+    ``registry``.  ``over="key.attr"`` asks the entry to live over the ring
+    ``attr`` of the entry that the task's ``key`` names; ``one`` asks a field
+    table to hold exactly one field.  (A plain class: a dataclass would cost
+    a millisecond of every import.)"""
+
+    def __init__(self, registry: str, over: str | None = None, one: bool = False):
+        self.registry, self.over, self.one = registry, over, one
+
+    def resolve(self, task: dict, key: str, named: dict, m: Manifest, path: str):
+        entry = _ref(task, key, getattr(m, self.registry), path)
+        name, kpath = task[key], f"{path}.{key}"
+        if self.over:
+            other, _, attr = self.over.partition(".")
+            _over(entry, attrgetter(attr)(named[other]), name, kpath,
+                  f"the {attr.replace('.', ' ')} of {other} {task[other]!r}")
+        if self.one and len(entry.fields) != 1:
+            raise SchemaError(kpath, f"expected one field, {name!r} has {len(entry.fields)}")
+        return entry
+
+
+def _combinations(combos, named: dict, path: str):
+    """One list of [coefficient, index] pairs per field of the ``expect``
+    table, each index into the ``fields`` table.  The coefficients are
+    parsed when the task runs."""
     if not isinstance(combos, list):
-        raise SchemaError(f"{path}.combinations", "expected a list of combinations")
-    if len(combos) != len(m.fields[task["expect"]].fields):
-        raise SchemaError(f"{path}.combinations",
-                          "expected one combination per expected field")
+        raise SchemaError(path, "expected a list of combinations")
+    if len(combos) != len(named["expect"].fields):
+        raise SchemaError(path, "expected one combination per expected field")
     for i, combo in enumerate(combos):
-        cpath = f"{path}.combinations[{i}]"
+        cpath = f"{path}[{i}]"
         if not isinstance(combo, list):
             raise SchemaError(cpath, "expected a list of [coefficient, index] pairs")
         for j, entry in enumerate(combo):
-            _combo_pair(entry, len(table.fields), f"{cpath}[{j}]")
+            _combo_pair(entry, len(named["fields"].fields), f"{cpath}[{j}]")
 
 
-def _check_params(task: dict, op: str, m: Manifest, path: str):
-    """Type-check the values of ``task`` that are not registry names."""
-    keys = TASK_OPS[op]
-    for key in ("k", "degree"):
-        # bool is an int subclass, but true/false are not integers here
-        if key in keys and type(task[key]) is not int:
-            raise SchemaError(f"{path}.{key}", "expected an integer")
-    if op == "lift_check" and task["expect"] not in LIFT_EXPECTS:
-        raise SchemaError(f"{path}.expect",
-                          "expect must be 'certified' or 'obstructed'")
-    if "mode" in keys and task["mode"] not in DERLOG_MODES:
-        raise SchemaError(f"{path}.mode", "mode must be 'strict' or 'delta'")
-    if "text" in keys and not isinstance(task["text"], str):
-        raise SchemaError(f"{path}.text", "expected a string")
-    if "expect_ideal" in keys:
-        ideal = task["expect_ideal"]
-        if ideal is not None and not (
-                isinstance(ideal, list) and all(isinstance(t, str) for t in ideal)):
-            raise SchemaError(f"{path}.expect_ideal",
-                              "expected null or a list of expression strings")
-    if "combinations" in keys:
-        _check_combinations(task, m, path)
+def _instance(k, named: dict, path: str):
+    """The ``k`` of an instance of the named augmentation."""
+    # bool is an int subclass, but true/false are not integers here
+    if type(k) is not int:
+        raise SchemaError(path, "expected int")
+    if k not in named["augmentation"].instances:
+        raise SchemaError(path, f"the augmentation has no instance k={k}")
 
 
-def _check_tasks(tasks, m: Manifest):
-    registries = {
-        "maps": m.maps,
-        "fields": m.fields,
-        "unfoldings": m.unfoldings,
-        "divisors": m.divisors,
-        "augmentations": m.augmentations,
-    }
-    for i, task in enumerate(tasks):
-        path = f"tasks[{i}]"
-        if not isinstance(task, dict):
-            raise SchemaError(path, "task must be an object")
-        op = _need(task, "op", path, str)
-        if op not in TASK_OPS:
-            raise SchemaError(path, f"unknown operation {op!r}")
-        _need(task, "id", path, str)
-        for key in TASK_OPS[op]:
-            if key not in task:
-                raise SchemaError(path, f"operation {op!r} requires key {key!r}")
-        for key, registry in TASK_REFS[op].items():
-            if key not in task:
-                continue
-            if not isinstance(task[key], str):
-                raise SchemaError(f"{path}.{key}", "expected a name")
-            if task[key] not in registries[registry]:
-                raise SchemaError(f"{path}.{key}", f"unresolved name {task[key]!r}")
-        _check_params(task, op, m, path)
+def _expressions(ideal, named: dict, path: str):
+    if ideal is not None and not (
+            isinstance(ideal, list) and all(isinstance(t, str) for t in ideal)):
+        raise SchemaError(path, "expected null or a list of expression strings")
 
+
+_TOTAL = Ref("fields", over="unfolding.total.target")
+_CORE = Ref("fields", over="unfolding.core.target")
+_AUGMENTATION = {"augmentation": Ref("augmentations"), "k": _instance}
+
+# Every task op with the keys it reads, besides "id" and "op".  A key's kind
+# is a Ref into a registry, a tuple of allowed values, a type, or a function
+# (value, named entries, path) for a value of more structure.  A key ending
+# in "?" is optional.  Keys come after the keys their checks read, and the
+# first key names what the task is about, the name the CLI resolves.
+TASKS = {
+    "lift_check": {"map": Ref("maps"), "fields": Ref("fields", over="map.target"),
+                   "expect": ("certified", "obstructed")},
+    "transport_table": {"map": Ref("maps"), "inverse": Ref("maps"),
+                        "fields": Ref("fields", over="map.source"),
+                        "expect": Ref("fields", over="map.target")},
+    "project_combinations": {"unfolding": Ref("unfoldings"), "fields": _TOTAL,
+                             "expect": _CORE, "combinations": _combinations},
+    "pipeline": {"unfolding": Ref("unfoldings"), "fields": _TOTAL, "expect?": _CORE},
+    "pipeline_vs_derlog": {"unfolding": Ref("unfoldings"), "fields": _TOTAL,
+                           "divisor": Ref("divisors", over="unfolding.core.target")},
+    "discriminant": {"map": Ref("maps"),
+                     "expect_divisor": Ref("divisors", over="map.target")},
+    "derlog": {"divisor": Ref("divisors"), "mode": ("strict", "delta"),
+               "expect?": Ref("fields", over="divisor.ring")},
+    "euler": {"divisor": Ref("divisors"), "degree": int,
+              "expect?": Ref("fields", over="divisor.ring", one=True)},
+    "augment_tilde": _AUGMENTATION,
+    "augment_pi2": {**_AUGMENTATION, "expect_ideal?": _expressions},
+    "augment_descend": _AUGMENTATION,
+    "augment_tau": {**_AUGMENTATION, "field": Ref("fields", one=True)},
+    "tau_zero": {"fields": Ref("fields")},
+    "note": {"text": str},
+}
+
+
+def check_task(task, m: Manifest, path: str):
+    """Check ``task`` against ``TASKS`` and the names of ``m``: a known
+    ``op``, a string ``id``, every required key, and each value by its
+    kind.  Raises ``SchemaError`` at ``path`` on the first fault."""
+    if not isinstance(task, dict):
+        raise SchemaError(path, "task must be an object")
+    op = _need(task, "op", path, str)
+    if op not in TASKS:
+        raise SchemaError(path, f"unknown operation {op!r}")
+    _need(task, "id", path, str)
+    for key in TASKS[op]:
+        if not key.endswith("?") and key not in task:
+            raise SchemaError(path, f"operation {op!r} requires key {key!r}")
+    named = {}  # the entries that the names checked so far resolve to
+    for key, kind in TASKS[op].items():
+        key = key.rstrip("?")
+        if key not in task:
+            continue
+        value, kpath = task[key], f"{path}.{key}"
+        if isinstance(kind, Ref):
+            named[key] = kind.resolve(task, key, named, m, path)
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise SchemaError(kpath, "expected " + " or ".join(map(repr, kind)))
+        elif isinstance(kind, type):
+            if type(value) is not kind:
+                raise SchemaError(kpath, f"expected {kind.__name__}")
+        else:
+            kind(value, named, kpath)
 
 SECTIONS = ("rings", "maps", "unfoldings", "fields", "divisors", "augmentations")
 
@@ -410,7 +407,8 @@ def loads(text: str) -> Manifest:
     _load_fields(sec["fields"], m.rings, m.fields)
     _load_divisors(sec["divisors"], m.rings, m.divisors)
     _load_augmentations(sec["augmentations"], m, m.augmentations)
-    _check_tasks(m.tasks, m)
+    for i, task in enumerate(m.tasks):
+        check_task(task, m, f"tasks[{i}]")
     return m
 
 

@@ -45,6 +45,28 @@ def test_unknown_map_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["augment", "-m", AUG, "--augmentation", "quartic", "-k", "99", "--check", "tilde"],
+     "augment.k: the augmentation has no instance k=99"),
+    (["lift-check", "-m", HK, "--map", "H2", "--fields", "lift_F"],
+     "lift-check.fields: 'lift_F' is not over the target of map 'H2'"),
+    (["from-unfolding", "-m", HK, "--unfolding", "F2_unf", "--fields", "lift_H2"],
+     "from-unfolding.fields: 'lift_H2' is not over the total target of unfolding"),
+    (["derlog", "-m", AUG, "--divisor", "h_k2", "--expect", "etas"],
+     "derlog.expect: 'etas' is not over the ring of divisor 'h_k2'"),
+], ids=["augment-no-instance", "lift-check-fields-ring", "from-unfolding-fields-ring",
+        "derlog-expect-ring"])
+def test_task_check_usage_error(capsys, argv, message):
+    # the CLI checks the task it builds as a manifest's tasks are checked
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_missing_argument_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["lift-check", "-m", HK])
@@ -98,7 +120,15 @@ def test_malformed_section_data_error(tmp_path, capsys, section, path):
      "augmentations.quartic.instances.2.recipes[0].combo[0]"),
     (("instances", "2", "recipes", 0, "combo", 0), ["1", 9],
      "augmentations.quartic.instances.2.recipes[0].combo[0]"),
-], ids=["instance-number", "recipe-number", "combo-index-bool", "combo-index-range"])
+    (("instances", "2", "recipes"), [], "augmentations.quartic.instances.2.recipes"),
+    (("instances", "2", "divisor"), "H", "augmentations.quartic.instances.2.divisor"),
+    (("instances", "2", "tilde_fields"), "etas_tilde_k3",
+     "augmentations.quartic.instances.2.tilde_fields"),
+    (("discriminant",), "h_k2", "augmentations.quartic.discriminant"),
+    (("lift_fields",), "etas_tilde_k2", "augmentations.quartic.lift_fields"),
+], ids=["instance-number", "recipe-number", "combo-index-bool", "combo-index-range",
+        "recipes-fewer-than-fields", "instance-divisor-ring", "instance-tilde-ring",
+        "discriminant-ring", "lift-fields-ring"])
 def test_malformed_augmentation_entry_data_error(tmp_path, capsys, entry, value,
                                                  path):
     with open(AUG) as fh:
@@ -131,6 +161,7 @@ def test_zero_divisor_equation_data_error(tmp_path, capsys):
 
 
 NOTE_TASK = {"id": "note", "op": "note", "text": "ok"}
+EMPTY = "empty_table"
 
 
 @pytest.mark.parametrize("fixture, index, key, value", [
@@ -147,10 +178,30 @@ NOTE_TASK = {"id": "note", "op": "note", "text": "ok"}
     (AUG, None, "text", 5),
     (HK, 0, "expect", "certifed"),
     (HK, 1, "expect", 1),
+    (AUG, 8, "k", 99),
+    (HK, 0, "fields", "lift_F"),
+    (HK, 3, "fields", "lift_H2"),
+    (HK, 3, "expect", "lift_H2"),
+    (HK, 4, "expect", "lift_F"),
+    (HK, 6, "fields", "lift_H2"),
+    (HK, 6, "expect", "lift_F"),
+    (AUG, 15, "fields", "etas_tilde_k2"),
+    (AUG, 15, "divisor", "H"),
+    (AUG, 1, "expect_divisor", "H"),
+    (AUG, 5, "expect", "etas"),
+    (AUG, 7, "expect", "etas_tilde_k2"),
+    (AUG, 7, "expect", EMPTY),
+    (AUG, 16, "field", EMPTY),
 ], ids=["k-string", "k-bool", "degree-string", "mode-unknown", "combinations-string",
         "combinations-count", "combination-index-range", "combination-coefficient-number",
         "combination-triple", "expect-ideal-string", "text-number",
-        "lift-expect-typo", "lift-expect-number"])
+        "lift-expect-typo", "lift-expect-number", "k-no-instance",
+        "lift-fields-ring", "transport-fields-ring", "transport-expect-ring",
+        "combinations-expect-ring", "pipeline-fields-ring", "pipeline-expect-ring",
+        "pipeline-vs-derlog-fields-ring", "pipeline-vs-derlog-divisor-ring",
+        "discriminant-divisor-ring",
+        "derlog-expect-ring", "euler-expect-ring", "euler-expect-empty",
+        "tau-field-empty"])
 def test_malformed_task_parameter_data_error(tmp_path, capsys, fixture, index,
                                              key, value):
     with open(fixture) as fh:
@@ -158,6 +209,10 @@ def test_malformed_task_parameter_data_error(tmp_path, capsys, fixture, index,
     if index is None:
         index = len(doc["tasks"])
         doc["tasks"].append(dict(NOTE_TASK))
+    if value == EMPTY:
+        # no fields, over the ring of the table it replaces
+        ring = doc["fields"][doc["tasks"][index][key]]["ring"]
+        doc["fields"][EMPTY] = {"ring": ring, "elements": []}
     doc["tasks"][index][key] = value
     bad = tmp_path / "bad.manifest.json"
     bad.write_text(json.dumps(doc))

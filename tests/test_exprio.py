@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from germlift import exprio
 from germlift.errors import ExprSyntaxError, UnknownVariable
 from germlift.exprio import (
     MAX_DIGITS,
@@ -135,21 +136,35 @@ def test_text_work_is_bounded_as_a_whole():
     assert e.value.offset == len(one) + 3 + one.index("^")
     assert f"more than {MAX_PRODUCTS} term products" in str(e.value)
     # products count too: the j-th `*` of (x + y)*(x + y)*... makes 2(j + 1)
-    # products, so 200 factors make 40,198 on their own, and after the
-    # power the 193rd `*` passes the bound (62,516 + 193 * 196)
+    # products, so 200 factors make 40,198 on their own.  Each `+` counts the
+    # terms it adds, 3 in the power's base and 1 in each factor, so after
+    # the power the 192nd `*` passes the bound: 62,516 + 3 + 193 + 192 * 195
     chain = "*".join(["(x + y)"] * 200)
     assert len(parse_poly(chain, xyz).terms) == 201
     text = f"{one} + {chain}"
     with pytest.raises(ExprSyntaxError) as e:
         parse_poly(text, xyz)
     stars = [i for i, ch in enumerate(text) if ch == "*"]
-    assert e.value.offset == stars[192]
+    assert e.value.offset == stars[191]
     assert f"more than {MAX_PRODUCTS} term products" in str(e.value)
     # the count is per text: a fresh text starts from zero
     assert len(parse_poly(one, xyz).terms) == 1771
     # a long sum of cheap monomials stays far below the bound
     monomials = " + ".join(f"{k}*x^{k}*y*z^2" for k in range(1, 2001))
     assert len(parse_poly(monomials, xyz).terms) == 2000
+
+
+def test_sum_terms_are_charged(monkeypatch):
+    xyz = VarSet(["x", "y", "z"])
+    monkeypatch.setattr(exprio, "MAX_PRODUCTS", 5)
+    # each `+` or `-` charges the terms it adds, cancelled ones included;
+    # the first term adds to nothing and is not charged
+    assert parse_poly("x + y + z - x - y - z", xyz).is_zero
+    text = "x + y + z - x - y - z + 1"
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_poly(text, xyz)
+    assert e.value.offset == text.rindex("+")
+    assert "more than 5 term products" in str(e.value)
 
 
 def test_product_term_count_is_bounded():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from germlift import suite
 from germlift.errors import ManifestError, SchemaError, ValidationError
-from germlift.manifest import Manifest, load_manifest, loads
-from germlift.suite import BUNDLED_FIXTURES, bundled_manifests
+from germlift.groebner import Budget
+from germlift.manifest import TASKS, Manifest, load_manifest, loads
+from germlift.suite import BUNDLED_FIXTURES, bundled_manifests, run_task
 
 from conftest import fixture_path
 
@@ -162,6 +164,13 @@ def test_fixtures_match_published_json_schema():
         jsonschema.validate(m.raw, schema)
 
 
+def test_task_table_runners_and_schema_name_the_same_ops():
+    with open(os.path.join(ROOT, "docs", "manifest.schema.json")) as fh:
+        schema = json.load(fh)
+    ops = schema["properties"]["tasks"]["items"]["properties"]["op"]["enum"]
+    assert sorted(TASKS) == sorted(suite._RUNNERS) == sorted(ops)
+
+
 def test_fixtures_match_their_generator():
     # the suite reads these files; the benchmark builds its hk manifests
     # from the generator, so the two must not drift apart
@@ -190,9 +199,16 @@ def _node_paths(value, path=()):
 
 
 def _fuzz_doc(name):
+    """The document, the path to each of its nodes, and the values a
+    mutation may move into a task: the names the sections declare and
+    the names and numbers the tasks hold."""
     with open(fixture_path(name), encoding="utf-8") as fh:
         doc = json.load(fh)
-    return doc, list(_node_paths(doc))
+    values = {key for section in doc.values() if isinstance(section, dict)
+              for key in section}
+    values |= {v for task in doc["tasks"] for v in task.values()
+               if isinstance(v, (str, int))}
+    return doc, list(_node_paths(doc)), sorted(values, key=repr)
 
 
 FUZZ_DOCS = {name: _fuzz_doc(name)
@@ -209,9 +225,11 @@ json_values = st.recursive(
 @given(data=st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_mutated_fixture_loads_or_raises_manifest_error(data):
-    doc, paths = FUZZ_DOCS[data.draw(st.sampled_from(sorted(FUZZ_DOCS)))]
-    path = data.draw(st.sampled_from(paths))
-    value = data.draw(json_values)
+    doc, paths, values = FUZZ_DOCS[data.draw(st.sampled_from(sorted(FUZZ_DOCS)))]
+    # half the mutations replace the value of a task key, and may load
+    task_paths = [p for p in paths if p[:1] == ("tasks",) and len(p) == 3]
+    path = data.draw(st.sampled_from(paths) | st.sampled_from(task_paths))
+    value = data.draw(json_values | st.sampled_from(values))
     if path:
         doc = copy.deepcopy(doc)
         node = doc
@@ -225,3 +243,6 @@ def test_mutated_fixture_loads_or_raises_manifest_error(data):
     except ManifestError:
         return
     assert isinstance(m, Manifest)
+    # a task that loads runs to a report; no exception escapes run_task
+    for task in m.tasks:
+        run_task(m, task, Budget(max_reductions=300, max_basis=60))

@@ -99,6 +99,20 @@ def test_poly_arith_operators(xy, P):
     assert a * b == P("x^2 - y^2", xy)
 
 
+@pytest.mark.parametrize("fixture, task_id", [
+    ("hk.manifest.json", "hk2.pipeline"), ("augment.manifest.json", "aug.derlog_H")])
+def test_task_without_expect_loads_and_passes(fixture, task_id):
+    # the CLI's from-unfolding and derlog build such tasks; a manifest may too
+    doc = json.loads(Path(fixture_path(fixture)).read_text(encoding="utf-8"))
+    task = next(t for t in doc["tasks"] if t["id"] == task_id)
+    del task["expect"]
+    doc["tasks"] = [task]
+    m = loads(json.dumps(doc))
+    report = run_task(m, m.tasks[0])
+    assert report.verdict == PASS
+    assert "equality" not in report.details[0]
+
+
 def test_bad_inverse_reports_fail_not_crash():
     doc = {
         "schema": "germlift-manifest/1",
