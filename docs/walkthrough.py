@@ -8,13 +8,12 @@ what it prints.
 """
 
 from germlift import (
-    Divisor,
     MapGerm,
-    ModuleElement,
     Submodule,
     Unfolding,
     VarSet,
     VectorField,
+    apply_to,
     derlog_tangent,
     discriminant,
     is_liftable,
@@ -36,6 +35,8 @@ F = MapGerm(srcF, tgtF, [parse_poly("x^4 + y*x + z*x^2", srcF),
 U = Unfolding(F, ["z"], ["Z"], f)
 
 # 1. A field on the unfolded target, certified liftable with a witness.
+#    A vector field is a ModuleElement with one entry per coordinate;
+#    VectorField builds one and checks the count.
 eta = VectorField(tgtF, [parse_poly(s, tgtF) for s in ("4*X", "3*Y", "2*Z")])
 res = is_liftable(F, eta)
 assert res.certified
@@ -48,7 +49,7 @@ rows = [
     ("Y*Z", "-8*X - 2*Z^2", "6*Y"),
 ]
 lift_F = Submodule(tgtF, 3, [
-    ModuleElement(tgtF, [parse_poly(s, tgtF) for s in row]) for row in rows
+    VectorField(tgtF, [parse_poly(s, tgtF) for s in row]) for row in rows
 ])
 
 # 3. Push them through the pipeline: keep the fields whose parameter
@@ -68,8 +69,11 @@ T = derlog_tangent(D)
 assert module_equal(lift_f, T.module)
 print("pipeline output equals the tangency module of the discriminant.")
 
-# 5. The unfolding's own discriminant is the quartic swallowtail section.
+# 5. The unfolding's own discriminant is the quartic swallowtail section,
+#    quasihomogeneous, so the weighted Euler field of step 1 is tangent
+#    to it: eta(h) = (degree) * h.
 DF = discriminant(F)
-assert DF.h.is_weighted_homogeneous()
-print("discriminant of F is quasihomogeneous of degree",
-      DF.h.weighted_degrees()[0])
+degree = DF.h.weighted_degrees()[0]
+assert apply_to(eta, DF.h) == DF.h * degree
+print("discriminant of F is quasihomogeneous of degree", degree,
+      "and the Euler field is tangent to it")

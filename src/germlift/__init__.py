@@ -43,6 +43,7 @@ from .germs import (
     MapGerm,
     Unfolding,
     VectorField,
+    apply_to,
     jacobian,
     push_forward,
     tf_generators,

@@ -23,7 +23,7 @@ from .errors import (
     NotEquidimensional,
     StructureError,
 )
-from .germs import MapGerm, Unfolding, VectorField, mapgerm_determinant
+from .germs import MapGerm, Unfolding, VectorField, apply_to, check_field, mapgerm_determinant
 from .groebner import Budget, eliminate, prune_module, syzygy_module
 from .modules import GREVLEX, ModuleElement, Submodule, membership_module
 from .poly import Polynomial, VarSet, exact_divide, fresh_name, integer_normalize, rering
@@ -54,10 +54,10 @@ class Divisor:
         return f"Divisor({self.h})"
 
 
-def tangency_quotient(eta: VectorField, h: Polynomial) -> Polynomial | None:
+def tangency_quotient(eta: ModuleElement, h: Polynomial) -> Polynomial | None:
     """The quotient eta(h)/h when it exists exactly, else None."""
     try:
-        return exact_divide(eta.apply_to(h), h)
+        return exact_divide(apply_to(eta, h), h)
     except NotDivisible:
         return None
 
@@ -100,7 +100,7 @@ def derlog_tangent(D: Divisor, budget: Budget | None = None) -> TangentFields:
     return TangentFields(module, tuple(quotient_of[g] for g in module.generators))
 
 
-def euler_field(space: VarSet, weights=None) -> VectorField:
+def euler_field(space: VarSet, weights=None) -> ModuleElement:
     """sum w_i x_i d/dx_i for the given (or the ring's) weights."""
     w = tuple(weights) if weights is not None else space.weights
     if w is None:
@@ -218,6 +218,13 @@ def augment_map(spec: AugmentationSpec) -> MapGerm:
     return MapGerm(F.source, F.target, comps)
 
 
+def augmented_target(unfolding: Unfolding) -> VarSet:
+    """The target ring of :func:`augment_unfolding`, for every k: the
+    unfolding's target and a fresh coordinate for the new parameter."""
+    target = unfolding.total.target
+    return VarSet(target.names + (fresh_name(target, "Mu"),))
+
+
 def augment_unfolding(spec: AugmentationSpec) -> Unfolding:
     """The canonical one-parameter stable unfolding of the augmented germ,
     obtained by substituting z^k + mu for the unfolding parameter."""
@@ -226,9 +233,9 @@ def augment_unfolding(spec: AugmentationSpec) -> Unfolding:
     Lam = spec.unfolding.target_params[0]
     tgt_idx = spec.unfolding.target_param_indices()[0]
     mu = fresh_name(F.source, "mu")
-    MU = fresh_name(F.target, "Mu")
     src = VarSet(F.source.names + (mu,))
-    tgt = VarSet(F.target.names + (MU,))
+    tgt = augmented_target(spec.unfolding)
+    MU = tgt.names[-1]
     lam_poly = Polynomial.variable(src, lam)
     mu_poly = Polynomial.variable(src, mu)
     mapping = {
@@ -242,24 +249,21 @@ def augment_unfolding(spec: AugmentationSpec) -> Unfolding:
     return Unfolding(total, (mu,), (MU,), augment_map(spec))
 
 
-def _last_var(space: VarSet) -> str:
-    return space.names[-1]
-
-
-def _substitute_power(eta: VectorField, k: int, into: VarSet | None):
-    """The entries of eta with z^k for the last coordinate z, over ``into``,
-    and the derivative k*z^(k-1)."""
-    space = into if into is not None else eta.space
-    if space.names != eta.space.names:
+def _substitute_power(eta: ModuleElement, k: int, into: VarSet | None):
+    """The entries of the field eta with z^k for the last coordinate z, over
+    ``into``, and the derivative k*z^(k-1)."""
+    check_field(eta, eta.ring, "its ring")
+    space = into if into is not None else eta.ring
+    if space.names != eta.ring.names:
         raise AmbientError("target space must share coordinate names")
-    name = _last_var(eta.space)
+    name = space.names[-1]
     z = Polynomial.variable(space, name)
     zk = z ** k
     entries = [p.substitute({name: zk}, into=space) for p in eta.entries]
     return space, entries, z ** (k - 1) * k
 
 
-def augment_field(eta: VectorField, k: int, into: VarSet | None = None) -> VectorField:
+def augment_field(eta: ModuleElement, k: int, into: VarSet | None = None) -> ModuleElement:
     """Transform a field on the unfolding target to the augmentation target:
     substitute z^k for the last coordinate everywhere, and multiply every
     entry except the last by the derivative k*z^(k-1)."""
@@ -267,13 +271,12 @@ def augment_field(eta: VectorField, k: int, into: VarSet | None = None) -> Vecto
     return VectorField(space, [q * phi_prime for q in entries[:-1]] + entries[-1:])
 
 
-def augment_field_div(eta: VectorField, k: int, into: VarSet | None = None) -> VectorField:
+def augment_field_div(eta: ModuleElement, k: int, into: VarSet | None = None) -> ModuleElement:
     """The transform above divided exactly by k*z^(k-1); requires the last
     entry of eta to vanish on the zero section of the last coordinate."""
-    z = _last_var(eta.space)
-    if not eta.entries[-1].substitute({z: Polynomial.zero(eta.space)}).is_zero:
-        raise NotDivisible("last entry does not vanish at the zero section")
     space, entries, divisor = _substitute_power(eta, k, into)
+    if not eta.entries[-1].substitute({space.names[-1]: Polynomial.zero(eta.ring)}).is_zero:
+        raise NotDivisible("last entry does not vanish at the zero section")
     return VectorField(space, entries[:-1] + [exact_divide(entries[-1], divisor)])
 
 
@@ -301,12 +304,12 @@ def last_component_ideal(M: Submodule) -> Submodule:
 class DescentResult:
     """Outcome of descending a field from an augmented discriminant."""
 
-    field: VectorField          # tangent to the unfolding discriminant
-    discarded: VectorField      # eta_bar minus the re-transformed field
+    field: ModuleElement        # tangent to the unfolding discriminant
+    discarded: ModuleElement    # eta_bar minus the re-transformed field
     quotient: Polynomial        # field(H) / H
 
 
-def descend_field(eta_bar: VectorField, k: int, H_div: Divisor) -> DescentResult:
+def descend_field(eta_bar: ModuleElement, k: int, H_div: Divisor) -> DescentResult:
     """Descend a field tangent to the discriminant of the k-th augmentation
     to one tangent to the unfolding discriminant.
 
@@ -316,11 +319,12 @@ def descend_field(eta_bar: VectorField, k: int, H_div: Divisor) -> DescentResult
     descent cases).  The discarded part is returned and checked
     to be tangent to the augmented discriminant itself.
     """
-    space = eta_bar.space
+    space = eta_bar.ring
     H_ring = H_div.ring
+    check_field(eta_bar, space, "its ring")
     if space.names != H_ring.names:
         raise AmbientError("field and divisor must share coordinate names")
-    z = _last_var(space)
+    z = space.names[-1]
     zi = len(space) - 1
     h = H_div.h.substitute({z: Polynomial.variable(space, z) ** k}, into=space)
     alpha_bar = tangency_quotient(eta_bar, h)

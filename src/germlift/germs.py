@@ -1,6 +1,12 @@
 """Polynomial map-germs, unfoldings with arbitrarily placed parameters, and
 transport of vector fields along target diffeomorphisms.
 
+A vector field on a space is a :class:`~germlift.modules.ModuleElement`
+over that ring with one entry per coordinate; ``VectorField(space,
+entries)`` builds one and checks the count, and every function here that
+takes a field checks its ring and rank with :func:`check_field`.
+``apply_to(eta, h)`` is the derivative of ``h`` along ``eta``.
+
 Every composition with a germ f (``wf_apply``, ``MapGerm.compose``,
 ``push_forward``) runs through :func:`pull_back`, which hands
 ``poly.compose`` the germ's own cache of monomial images ``f^e``
@@ -91,64 +97,31 @@ class MapGerm:
         return f"MapGerm{self}"
 
 
-class VectorField:
-    """An element of theta_p: one polynomial entry per coordinate of a space."""
+def check_field(eta: ModuleElement, space: VarSet, where: str) -> None:
+    """Raise unless ``eta`` is a vector field on ``space``, described by
+    ``where``: a module element over that ring with one entry per
+    coordinate."""
+    if eta.ring != space:
+        raise AmbientError(f"field must live on {where}")
+    if eta.rank != len(space):
+        raise RankError("a vector field needs one entry per coordinate")
 
-    __slots__ = ("space", "entries")
 
-    def __init__(self, space: VarSet, entries: Sequence[Polynomial]):
-        self.space = space
-        self.entries = tuple(entries)
-        if len(self.entries) != len(space):
-            raise RankError("a vector field needs one entry per coordinate")
-        for p in self.entries:
-            if p.ring != space:
-                raise AmbientError("field entries must live over their space")
+def VectorField(space: VarSet, entries: Sequence[Polynomial]) -> ModuleElement:
+    """An element of theta_p: the module element over ``space`` with one
+    polynomial entry per coordinate."""
+    eta = ModuleElement(space, entries)
+    check_field(eta, space, "its space")
+    return eta
 
-    @property
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.entries)
 
-    def as_element(self) -> ModuleElement:
-        return ModuleElement(self.space, self.entries)
-
-    @staticmethod
-    def from_element(elem: ModuleElement) -> "VectorField":
-        return VectorField(elem.ring, elem.entries)
-
-    def apply_to(self, h: Polynomial) -> Polynomial:
-        """Directional derivative sum(entry_i * dh/dx_i)."""
-        if h.ring != self.space:
-            raise AmbientError("field and function over different rings")
-        out = Polynomial.zero(self.space)
-        for name, a in zip(self.space.names, self.entries):
-            out = out + a * h.diff(name)
-        return out
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField.from_element(self.as_element() + other.as_element())
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField.from_element(self.as_element() - other.as_element())
-
-    def scale(self, c) -> "VectorField":
-        return VectorField.from_element(self.as_element().scale(c))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VectorField)
-            and self.space == other.space
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.space, self.entries))
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(p) for p in self.entries) + ")"
-
-    def __repr__(self) -> str:
-        return f"VectorField{self}"
+def apply_to(eta: ModuleElement, h: Polynomial) -> Polynomial:
+    """Directional derivative eta(h) = sum(entry_i * dh/dx_i)."""
+    check_field(eta, h.ring, "the ring of the function")
+    out = Polynomial.zero(h.ring)
+    for name, a in zip(h.ring.names, eta.entries):
+        out = out + a * h.diff(name)
+    return out
 
 
 def jacobian(f: MapGerm) -> list[list[Polynomial]]:
@@ -174,22 +147,20 @@ def pull_back(p: Polynomial, f: MapGerm) -> Polynomial:
     return compose(p, f.components, f.source, f._images)
 
 
-def wf_apply(eta: VectorField, f: MapGerm) -> ModuleElement:
+def wf_apply(eta: ModuleElement, f: MapGerm) -> ModuleElement:
     """eta composed with f, a rank-p element over the source ring."""
-    if eta.space != f.target:
-        raise AmbientError("field must live on the target of the germ")
+    check_field(eta, f.target, "the target of the germ")
     return ModuleElement(f.source, [pull_back(p, f) for p in eta.entries])
 
 
-def push_forward(eta: VectorField, H: MapGerm, H_inv: MapGerm) -> VectorField:
+def push_forward(eta: ModuleElement, H: MapGerm, H_inv: MapGerm) -> ModuleElement:
     """Transport of a field through a diffeomorphism, dH o eta o H^{-1}.
 
     Both composites of H and H_inv are checked to be the identity, exactly,
     once per pair: ``H`` remembers the inverse it passed with.  An inverse
     that fails is never remembered, so every call with it raises.
     """
-    if eta.space != H.source:
-        raise AmbientError("field must live on the source of the diffeomorphism")
+    check_field(eta, H.source, "the source of the diffeomorphism")
     if H._inverse is not H_inv:
         if not H.compose(H_inv).is_identity() or not H_inv.compose(H).is_identity():
             raise InverseCheckFailed("supplied inverse does not invert the map")
@@ -202,7 +173,7 @@ def push_forward(eta: VectorField, H: MapGerm, H_inv: MapGerm) -> VectorField:
         for j in range(H.n):
             acc = acc + pull_back(J[i][j], H_inv) * entries_at_inv[j]
         out.append(acc)
-    return VectorField(H.target, out)
+    return ModuleElement(H.target, out)
 
 
 def mapgerm_determinant(f: MapGerm) -> Polynomial:

@@ -1,20 +1,23 @@
 """Liftability certificates and the stable-unfolding pipeline.
 
 A field eta on the target is liftable over f when df o xi = eta o f for some
-field xi on the source.  Certificates carry the witness xi and re-verify the
-defining identity by exact expansion; that is the one re-expansion behind a
-certified lift, as :func:`is_liftable` divides by the columns of df without
-``express``'s own check.  The pipeline recovers the liftable
-fields of a core germ from those of an unfolding by intersecting with the
-restrictable fields (whose parameter components vanish on the zero section
-of the parameters, a monomial module), restricting, and pruning, and returns
-the certificate of every output generator along with the module.
+field xi on the source; both are module elements with one entry per
+coordinate (see :mod:`germlift.germs`).  Certificates carry the witness xi
+and re-verify the defining identity by exact expansion; that is the one
+re-expansion behind a certified lift, as :func:`is_liftable` divides by the
+columns of df without ``express``'s own check.  The pipeline recovers the
+liftable fields of a core germ from those of an unfolding by intersecting
+with the restrictable fields (whose parameter components vanish on the zero
+section of the parameters, a monomial module), restricting, and pruning,
+and returns the certificate of every output generator along with the
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import (
     AmbientError,
@@ -22,7 +25,7 @@ from .errors import (
     OutputNotCertified,
     StructureError,
 )
-from .germs import MapGerm, Unfolding, VectorField, tf_generators, wf_apply
+from .germs import MapGerm, Unfolding, check_field, tf_generators, wf_apply
 from .groebner import Budget, _divide, grevlex_basis, prune_module, syzygy_module
 from .modules import GREVLEX, ModuleElement, Submodule, combine, membership_module
 from .poly import Polynomial
@@ -37,15 +40,13 @@ class LiftCertificate:
     """
 
     germ: MapGerm
-    eta: VectorField
-    xi: VectorField
+    eta: ModuleElement
+    xi: ModuleElement
 
     def __post_init__(self):
-        if self.eta.space != self.germ.target:
-            raise AmbientError("eta must live on the target of the germ")
-        if self.xi.space != self.germ.source:
-            raise AmbientError("xi must live on the source of the germ")
         germ = self.germ
+        check_field(self.eta, germ.target, "the target of the germ")
+        check_field(self.xi, germ.source, "the source of the germ")
         lhs = combine(germ.source, germ.p, self.xi.entries,
                       tf_generators(germ).generators)
         if lhs != wf_apply(self.eta, germ):
@@ -79,19 +80,18 @@ def _graded_setup(f: MapGerm, rhs: ModuleElement) -> bool:
     return all(p.is_zero or p.is_weighted_homogeneous() for p in rhs.entries)
 
 
-def is_liftable(f: MapGerm, eta: VectorField, budget: Budget | None = None) -> LiftResult:
+def is_liftable(f: MapGerm, eta: ModuleElement, budget: Budget | None = None) -> LiftResult:
     """Decide polynomial liftability of eta over f, producing a certificate.
 
     eta o f is divided by the columns of df once; a witness is returned only
     inside a :class:`LiftCertificate`, whose construction re-expands
-    df(xi) = eta o f exactly.
+    df(xi) = eta o f exactly.  ``wf_apply`` checks that eta is a field on
+    the target of f.
     """
-    if eta.space != f.target:
-        raise AmbientError("field must live on the target of the germ")
     rhs = wf_apply(eta, f)
     membership = _divide(rhs, tf_generators(f), budget)
     if membership.is_member:
-        xi = VectorField(f.source, membership.coefficients)
+        xi = ModuleElement(f.source, membership.coefficients)
         return LiftResult(LiftCertificate(f, eta, xi))
     return LiftResult(None, membership.remainder, _graded_setup(f, rhs))
 
@@ -106,16 +106,14 @@ def restrictable(eta: ModuleElement, U: Unfolding) -> bool:
     """Whether every parameter component of ``eta`` vanishes once the target
     parameters are set to 0: membership in the module generated by the core
     unit fields and (parameter) * d/d(parameter) in all combinations."""
-    if eta.ring != U.total.target or eta.rank != U.total.p:
-        raise AmbientError("field must live on the unfolded target")
+    check_field(eta, U.total.target, "the unfolded target")
     return all(p.is_zero for p in _zero_section_params(eta, U))
 
 
-def restrict_field(eta: VectorField, U: Unfolding) -> VectorField:
+def restrict_field(eta: ModuleElement, U: Unfolding) -> ModuleElement:
     """Set the parameters to zero and keep the non-parameter components,
     renamed onto the core's target ring."""
-    if eta.space != U.total.target:
-        raise AmbientError("field must live on the unfolded target")
+    check_field(eta, U.total.target, "the unfolded target")
     core_tgt = U.core.target
     keep = U.non_param_target_indices()
     zero = {v: Polynomial.zero(core_tgt) for v in U.target_params}
@@ -124,10 +122,8 @@ def restrict_field(eta: VectorField, U: Unfolding) -> VectorField:
         for i, new in zip(keep, core_tgt.names)
     }
     mapping = {**zero, **rename}
-    entries = [
-        eta.entries[i].substitute(mapping, into=core_tgt) for i in keep
-    ]
-    return VectorField(core_tgt, entries)
+    return ModuleElement(core_tgt, [eta.entries[i].substitute(mapping, into=core_tgt)
+                                    for i in keep])
 
 
 def restrictable_part(U: Unfolding, liftF: Submodule,
@@ -177,31 +173,28 @@ def lift_from_unfolding(U: Unfolding, liftF: Submodule,
     budget = budget or Budget()
     certs = []
     for idx, g in enumerate(liftF.generators):
-        res = is_liftable(U.total, VectorField.from_element(g), budget)
+        res = is_liftable(U.total, g, budget)
         if not res.certified:
             raise InputNotLiftable(idx, res.obstruction)
         certs.append(res.certificate)
     if U.r == 0:
         return liftF, tuple(certs)
-    candidates = [
-        restrict_field(VectorField.from_element(g), U).as_element()
-        for g in restrictable_part(U, liftF, budget)
-    ]
+    candidates = [restrict_field(g, U) for g in restrictable_part(U, liftF, budget)]
     candidates = [c for c in candidates if not c.is_zero]
     raw = membership_module(U.core.target, U.core.p, candidates)
     out = prune_module(raw, budget)
     certs = []
     for idx, g in enumerate(out.generators):
-        res = is_liftable(U.core, VectorField.from_element(g), budget)
+        res = is_liftable(U.core, g, budget)
         if not res.certified:
             raise OutputNotCertified(idx, res.obstruction)
         certs.append(res.certificate)
     return out, tuple(certs)
 
 
-def origin_span(M: Submodule) -> list[tuple[Fraction, ...]]:
-    """Basis of the span of generator evaluations at the origin (tau-tilde)."""
-    rows = [list(g.at_origin()) for g in M.generators]
+def origin_span(fields: Iterable[ModuleElement]) -> list[tuple[Fraction, ...]]:
+    """Basis of the span of the fields' values at the origin (tau-tilde)."""
+    rows = [list(g.at_origin()) for g in fields]
     basis: list[list[Fraction]] = []
     pivots: list[int] = []
     for row in rows:

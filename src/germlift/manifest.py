@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .derlog import Divisor
+from .derlog import Divisor, augmented_target
 from .errors import (
     ExprSyntaxError,
     GermliftError,
@@ -35,9 +35,7 @@ class FieldTable:
     fields: tuple
 
     def as_submodule(self) -> Submodule:
-        return membership_module(
-            self.ring, len(self.ring), [f.as_element() for f in self.fields]
-        )
+        return membership_module(self.ring, len(self.ring), self.fields)
 
 
 @dataclass
@@ -259,11 +257,13 @@ class Ref:
     """A task value that names an entry of the manifest registry
     ``registry``.  ``over="key.attr"`` asks the entry to live over the ring
     ``attr`` of the entry that the task's ``key`` names; ``one`` asks a field
-    table to hold exactly one field.  (A plain class: a dataclass would cost
-    a millisecond of every import.)"""
+    table to hold exactly one field; ``check(entry, named, path)`` raises on
+    any further fault.  (A plain class: a dataclass would cost a millisecond
+    of every import.)"""
 
-    def __init__(self, registry: str, over: str | None = None, one: bool = False):
-        self.registry, self.over, self.one = registry, over, one
+    def __init__(self, registry: str, over: str | None = None, one: bool = False,
+                 check=None):
+        self.registry, self.over, self.one, self.check = registry, over, one, check
 
     def resolve(self, task: dict, key: str, named: dict, m: Manifest, path: str):
         entry = _ref(task, key, getattr(m, self.registry), path)
@@ -274,13 +274,15 @@ class Ref:
                   f"the {attr.replace('.', ' ')} of {other} {task[other]!r}")
         if self.one and len(entry.fields) != 1:
             raise SchemaError(kpath, f"expected one field, {name!r} has {len(entry.fields)}")
+        if self.check:
+            self.check(entry, named, kpath)
         return entry
 
 
 def _combinations(combos, named: dict, path: str):
     """One list of [coefficient, index] pairs per field of the ``expect``
-    table, each index into the ``fields`` table.  The coefficients are
-    parsed when the task runs."""
+    table, each index into the ``fields`` table and each coefficient over
+    its ring."""
     if not isinstance(combos, list):
         raise SchemaError(path, "expected a list of combinations")
     if len(combos) != len(named["expect"].fields):
@@ -290,22 +292,46 @@ def _combinations(combos, named: dict, path: str):
         if not isinstance(combo, list):
             raise SchemaError(cpath, "expected a list of [coefficient, index] pairs")
         for j, entry in enumerate(combo):
-            _combo_pair(entry, len(named["fields"].fields), f"{cpath}[{j}]")
+            epath = f"{cpath}[{j}]"
+            coef, _ = _combo_pair(entry, len(named["fields"].fields), epath)
+            _parse(coef, named["fields"].ring, epath)
 
 
-def _instance(k, named: dict, path: str):
-    """The ``k`` of an instance of the named augmentation."""
+def _instance(k, named: dict, path: str) -> AugInstance:
+    """The instance ``k`` of the named augmentation."""
     # bool is an int subclass, but true/false are not integers here
     if type(k) is not int:
         raise SchemaError(path, "expected int")
     if k not in named["augmentation"].instances:
         raise SchemaError(path, f"the augmentation has no instance k={k}")
+    return named["augmentation"].instances[k]
 
 
 def _expressions(ideal, named: dict, path: str):
-    if ideal is not None and not (
-            isinstance(ideal, list) and all(isinstance(t, str) for t in ideal)):
+    """Null, or generators of an ideal over the ring of instance ``k`` less
+    its last variable, the ring of ``last_component_ideal``."""
+    if ideal is None:
+        return
+    if not isinstance(ideal, list):
         raise SchemaError(path, "expected null or a list of expression strings")
+    ring = VarSet(named["k"].ring.names[:-1])
+    for i, text in enumerate(ideal):
+        _parse(text, ring, f"{path}[{i}]")
+
+
+def _augmented_target(table, named: dict, path: str):
+    """Raise unless ``table`` has the variables of the target of the named
+    augmentation's unfolding once augmented."""
+    names = augmented_target(named["augmentation"].unfolding).names
+    if table.ring.names != names:
+        raise SchemaError(path, f"expected a table over the variables {list(names)}"
+                                " of the augmented unfolding's target")
+
+
+def _weighted(divisor, named: dict, path: str):
+    """Raise unless ``divisor`` has the weights of an Euler field."""
+    if divisor.effective_weights() is None:
+        raise SchemaError(path, "the divisor and its ring have no weights")
 
 
 _TOTAL = Ref("fields", over="unfolding.total.target")
@@ -314,9 +340,10 @@ _AUGMENTATION = {"augmentation": Ref("augmentations"), "k": _instance}
 
 # Every task op with the keys it reads, besides "id" and "op".  A key's kind
 # is a Ref into a registry, a tuple of allowed values, a type, or a function
-# (value, named entries, path) for a value of more structure.  A key ending
-# in "?" is optional.  Keys come after the keys their checks read, and the
-# first key names what the task is about, the name the CLI resolves.
+# (value, named entries, path) for a value of more structure, which returns
+# what the value names, if anything.  A key ending in "?" is optional.  Keys
+# come after the keys their checks read, and the first key names what the
+# task is about, the name the CLI resolves.
 TASKS = {
     "lift_check": {"map": Ref("maps"), "fields": Ref("fields", over="map.target"),
                    "expect": ("certified", "obstructed")},
@@ -332,12 +359,13 @@ TASKS = {
                      "expect_divisor": Ref("divisors", over="map.target")},
     "derlog": {"divisor": Ref("divisors"), "mode": ("strict", "delta"),
                "expect?": Ref("fields", over="divisor.ring")},
-    "euler": {"divisor": Ref("divisors"), "degree": int,
+    "euler": {"divisor": Ref("divisors", check=_weighted), "degree": int,
               "expect?": Ref("fields", over="divisor.ring", one=True)},
     "augment_tilde": _AUGMENTATION,
     "augment_pi2": {**_AUGMENTATION, "expect_ideal?": _expressions},
     "augment_descend": _AUGMENTATION,
-    "augment_tau": {**_AUGMENTATION, "field": Ref("fields", one=True)},
+    "augment_tau": {**_AUGMENTATION,
+                    "field": Ref("fields", one=True, check=_augmented_target)},
     "tau_zero": {"fields": Ref("fields")},
     "note": {"text": str},
 }
@@ -346,7 +374,8 @@ TASKS = {
 def check_task(task, m: Manifest, path: str):
     """Check ``task`` against ``TASKS`` and the names of ``m``: a known
     ``op``, a string ``id``, every required key, and each value by its
-    kind.  Raises ``SchemaError`` at ``path`` on the first fault."""
+    kind, parsing every expression it holds on the ring its runner reads it
+    on.  Raises ``SchemaError`` at ``path`` on the first fault."""
     if not isinstance(task, dict):
         raise SchemaError(path, "task must be an object")
     op = _need(task, "op", path, str)
@@ -371,7 +400,7 @@ def check_task(task, m: Manifest, path: str):
             if type(value) is not kind:
                 raise SchemaError(kpath, f"expected {kind.__name__}")
         else:
-            kind(value, named, kpath)
+            named[key] = kind(value, named, kpath)
 
 SECTIONS = ("rings", "maps", "unfoldings", "fields", "divisors", "augmentations")
 

@@ -26,7 +26,7 @@ from .derlog import (
 )
 from .errors import GermliftError, GroebnerTimeout, InputNotLiftable, OutputNotCertified
 from .exprio import parse_poly, print_poly
-from .germs import VectorField, push_forward
+from .germs import VectorField, apply_to, push_forward
 from .groebner import Budget, module_equal
 from .lifting import is_liftable, lift_from_unfolding, origin_span, restrict_field, restrictable
 from .manifest import Manifest, load_manifest
@@ -71,10 +71,6 @@ class Report:
         }
 
 
-def _field_str(f) -> str:
-    return "(" + ", ".join(print_poly(p) for p in f.entries) + ")"
-
-
 def _ideals_equal(I: Submodule, J: Submodule, budget) -> bool:
     """Equality of two ideals over the same variable names, weights aside."""
     plain = VarSet(I.ring.names)
@@ -94,10 +90,9 @@ def _run_lift_check(m: Manifest, task, budget) -> Report:
     for i, eta in enumerate(table.fields):
         res = is_liftable(germ, eta, budget)
         if res.certified:
-            certs.append({"field": _field_str(eta),
-                          "witness": _field_str(res.certificate.xi)})
+            certs.append({"field": str(eta), "witness": str(res.certificate.xi)})
         else:
-            certs.append({"field": _field_str(eta), "obstruction": str(res.obstruction)})
+            certs.append({"field": str(eta), "obstruction": str(res.obstruction)})
         if expect == "certified" and not res.certified:
             verdict = FAIL if res.conclusive or verdict == FAIL else UNDECIDED_LOCAL
             details.append(f"generator {i} not polynomially liftable")
@@ -139,14 +134,13 @@ def _run_project_combinations(m: Manifest, task, budget) -> Report:
     details = []
     for i, combo in enumerate(task["combinations"]):
         acc = combine(ring, len(ring), [parse_poly(c, ring) for c, _ in combo],
-                      [table.fields[idx].as_element() for _, idx in combo])
+                      [table.fields[idx] for _, idx in combo])
         if not restrictable(acc, U):
             return Report(
                 task["id"], FAIL,
                 [f"combination {i} has parameter components off the constraint module"],
             )
-        proj = restrict_field(VectorField.from_element(acc), U)
-        sc = proportional(proj.as_element(), exp.fields[i].as_element())
+        sc = proportional(restrict_field(acc, U), exp.fields[i])
         if sc is None or sc == 0:
             return Report(
                 task["id"], FAIL,
@@ -161,7 +155,7 @@ def _run_project_combinations(m: Manifest, task, budget) -> Report:
 def _witness_certs(module: Submodule, certificates) -> list:
     """Report entries for the certificates ``lift_from_unfolding`` returned."""
     return [
-        {"field": str(g), "witness": _field_str(c.xi)}
+        {"field": str(g), "witness": str(c.xi)}
         for g, c in zip(module.generators, certificates)
     ]
 
@@ -243,7 +237,7 @@ def _run_euler(m: Manifest, task, budget) -> Report:
     w = D.effective_weights()
     e = euler_field(D.ring, w)
     d = task["degree"]
-    if e.apply_to(D.h) != D.h * d:
+    if apply_to(e, D.h) != D.h * d:
         return Report(task["id"], FAIL, [f"e(h) != {d}*h"])
     details = [f"e(h) = {d}*h"]
     if "expect" in task:
@@ -260,11 +254,10 @@ def _augmentation_parts(m: Manifest, task):
     return aug, k, aug.instances[k]
 
 
-def _combo_field(aug, combo) -> VectorField:
+def _combo_field(aug, combo) -> ModuleElement:
     table = aug.lift_fields
-    return VectorField.from_element(combine(
-        table.ring, len(table.ring), [coef for coef, _ in combo],
-        [table.fields[idx].as_element() for _, idx in combo]))
+    return combine(table.ring, len(table.ring), [coef for coef, _ in combo],
+                   [table.fields[idx] for _, idx in combo])
 
 
 def _run_augment_tilde(m: Manifest, task, budget) -> Report:
@@ -282,7 +275,7 @@ def _run_augment_tilde(m: Manifest, task, budget) -> Report:
         q = tangency_quotient(want, inst.divisor.h)
         if q is None:
             return Report(task["id"], FAIL, [f"field {i} not tangent to the divisor"])
-        certs.append({"field": _field_str(want), "quotient": print_poly(q)})
+        certs.append({"field": str(want), "quotient": print_poly(q)})
     return Report(
         task["id"], PASS,
         [f"{len(inst.recipes)} transforms reproduce the table; all tangent"], certs,
@@ -333,9 +326,9 @@ def _run_augment_descend(m: Manifest, task, budget) -> Report:
             )
         certs.append(
             {
-                "field": _field_str(res.field),
+                "field": str(res.field),
                 "quotient": print_poly(res.quotient),
-                "discarded": _field_str(res.discarded),
+                "discarded": str(res.discarded),
             }
         )
     return Report(
@@ -348,17 +341,12 @@ def _run_augment_tau(m: Manifest, task, budget) -> Report:
     aug, k, inst = _augmentation_parts(m, task)
     spec = AugmentationSpec(aug.unfolding.core, aug.unfolding, k)
     AF = augment_unfolding(spec)
-    table = m.fields[task["field"]]
-    if table.ring.names != AF.total.target.names:
-        return Report(task["id"], FAIL, ["field ring does not match the unfolded target"])
-    eta = VectorField(
-        AF.total.target,
-        [rering(p, AF.total.target) for p in table.fields[0].entries],
-    )
+    eta = VectorField(AF.total.target, [rering(p, AF.total.target)
+                                        for p in m.fields[task["field"]].fields[0].entries])
     res = is_liftable(AF.total, eta, budget)
     if not res.certified:
         return Report(task["id"], FAIL, ["trivial direction not certified liftable"])
-    span = origin_span(Submodule(AF.total.target, AF.total.p, [eta.as_element()]))
+    span = origin_span([eta])
     z_idx = AF.total.target.index(aug.unfolding.target_params[0])
     unit = tuple(1 if i == z_idx else 0 for i in range(AF.total.p))
     if unit not in [tuple(row) for row in span]:
@@ -366,13 +354,12 @@ def _run_augment_tau(m: Manifest, task, budget) -> Report:
     return Report(
         task["id"], PASS,
         ["parameter direction is in the isosingular tangent space"],
-        [{"field": _field_str(eta), "witness": _field_str(res.certificate.xi)}],
+        [{"field": str(eta), "witness": str(res.certificate.xi)}],
     )
 
 
 def _run_tau_zero(m: Manifest, task, budget) -> Report:
-    table = m.fields[task["fields"]]
-    span = origin_span(table.as_submodule())
+    span = origin_span(m.fields[task["fields"]].fields)
     if span:
         return Report(task["id"], FAIL, [f"span has dimension {len(span)}"])
     return Report(task["id"], PASS, ["all generators vanish at the origin"])

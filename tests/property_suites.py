@@ -167,12 +167,11 @@ def suite_certificates(n=200) -> int:
     passes = 0
     for i in range(n):
         if i % 2 == 0:
-            eta = VectorField.from_element(
-                ModuleElement.zero(tgt, 3)
-                + gens[rng.randrange(len(gens))].as_element().scale(
-                    random_poly(rng, tgt, max_deg=1, max_terms=2))
-                + gens[rng.randrange(len(gens))].as_element().scale(
-                    random_poly(rng, tgt, max_deg=1, max_terms=2)))
+            eta = (ModuleElement.zero(tgt, 3)
+                   + gens[rng.randrange(len(gens))].scale(
+                       random_poly(rng, tgt, max_deg=1, max_terms=2))
+                   + gens[rng.randrange(len(gens))].scale(
+                       random_poly(rng, tgt, max_deg=1, max_terms=2)))
         else:
             eta = VectorField(tgt, [random_poly(rng, tgt, max_deg=2,
                                                 max_terms=2)

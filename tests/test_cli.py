@@ -54,8 +54,11 @@ def test_unknown_map_usage_error(capsys):
      "from-unfolding.fields: 'lift_H2' is not over the total target of unfolding"),
     (["derlog", "-m", AUG, "--divisor", "h_k2", "--expect", "etas"],
      "derlog.expect: 'etas' is not over the ring of divisor 'h_k2'"),
+    (["augment", "-m", AUG, "--augmentation", "quartic", "-k", "2", "--check", "pi2",
+      "--expect-ideal", "X+"],
+     "augment.expect_ideal[0]: "),
 ], ids=["augment-no-instance", "lift-check-fields-ring", "from-unfolding-fields-ring",
-        "derlog-expect-ring"])
+        "derlog-expect-ring", "augment-expect-ideal-syntax"])
 def test_task_check_usage_error(capsys, argv, message):
     # the CLI checks the task it builds as a manifest's tasks are checked
     with pytest.raises(SystemExit) as e:
@@ -162,6 +165,7 @@ def test_zero_divisor_equation_data_error(tmp_path, capsys):
 
 NOTE_TASK = {"id": "note", "op": "note", "text": "ok"}
 EMPTY = "empty_table"
+UNWEIGHTED = "unweighted"
 
 
 @pytest.mark.parametrize("fixture, index, key, value", [
@@ -192,6 +196,10 @@ EMPTY = "empty_table"
     (AUG, 7, "expect", "etas_tilde_k2"),
     (AUG, 7, "expect", EMPTY),
     (AUG, 16, "field", EMPTY),
+    (HK, 4, "combinations", [[["1+", 0]]] * 5),
+    (AUG, 10, "expect_ideal", ["X+"]),
+    (AUG, 16, "field", "euler_H"),
+    (AUG, 7, "divisor", UNWEIGHTED),
 ], ids=["k-string", "k-bool", "degree-string", "mode-unknown", "combinations-string",
         "combinations-count", "combination-index-range", "combination-coefficient-number",
         "combination-triple", "expect-ideal-string", "text-number",
@@ -201,7 +209,8 @@ EMPTY = "empty_table"
         "pipeline-vs-derlog-fields-ring", "pipeline-vs-derlog-divisor-ring",
         "discriminant-divisor-ring",
         "derlog-expect-ring", "euler-expect-ring", "euler-expect-empty",
-        "tau-field-empty"])
+        "tau-field-empty", "combination-coefficient-syntax", "expect-ideal-syntax",
+        "tau-field-ring", "euler-divisor-unweighted"])
 def test_malformed_task_parameter_data_error(tmp_path, capsys, fixture, index,
                                              key, value):
     with open(fixture) as fh:
@@ -213,6 +222,10 @@ def test_malformed_task_parameter_data_error(tmp_path, capsys, fixture, index,
         # no fields, over the ring of the table it replaces
         ring = doc["fields"][doc["tasks"][index][key]]["ring"]
         doc["fields"][EMPTY] = {"ring": ring, "elements": []}
+    if value == UNWEIGHTED:
+        # a divisor with no weights, over a ring with none
+        doc["rings"][UNWEIGHTED] = {"vars": ["X"]}
+        doc["divisors"][UNWEIGHTED] = {"ring": UNWEIGHTED, "equation": "X"}
     doc["tasks"][index][key] = value
     bad = tmp_path / "bad.manifest.json"
     bad.write_text(json.dumps(doc))

@@ -28,7 +28,7 @@ from germlift.derlog import (
     squarefree_part,
     tangency_quotient,
 )
-from germlift.germs import MapGerm, Unfolding, VectorField
+from germlift.germs import MapGerm, Unfolding, VectorField, apply_to
 from germlift.groebner import contains, module_equal
 from germlift.modules import ModuleElement, Submodule
 from germlift.poly import Polynomial, VarSet, exact_divide, integer_normalize
@@ -49,7 +49,7 @@ def test_derlog_strict_rotation():
     R = VarSet(["X", "Y"])
     D = Divisor(R, parse_poly("X^2 + Y^2", R))
     S = derlog_strict(D)
-    expected = Submodule(R, 2, [_field(R, "Y", "-X").as_element()])
+    expected = Submodule(R, 2, [_field(R, "Y", "-X")])
     assert module_equal(S, expected)
 
 
@@ -57,7 +57,7 @@ def test_derlog_strict_torus_direction():
     R = VarSet(["X", "Y"])
     D = Divisor(R, parse_poly("X*Y", R))
     S = derlog_strict(D)
-    assert contains(S, _field(R, "X", "-Y").as_element())
+    assert contains(S, _field(R, "X", "-Y"))
 
 
 def test_derlog_tangent_smooth_hypersurface():
@@ -65,13 +65,12 @@ def test_derlog_tangent_smooth_hypersurface():
     D = Divisor(R, parse_poly("X", R))
     T = derlog_tangent(D)
     expected = Submodule(R, 2, [
-        _field(R, "X", "0").as_element(),
-        _field(R, "0", "1").as_element(),
+        _field(R, "X", "0"),
+        _field(R, "0", "1"),
     ])
     assert module_equal(T.module, expected)
     for g, a in zip(T.module.generators, T.quotients):
-        eta = VectorField(R, g.entries)
-        assert eta.apply_to(D.h) == a * D.h
+        assert apply_to(g, D.h) == a * D.h
 
 
 def test_euler_field_weights():
@@ -266,7 +265,7 @@ def test_transform_quotient_divisible_by_derivative():
 
 def test_pi2_ideal_from_table():
     f, F, U, H = _quartic_setup()
-    M = Submodule(F.target, 3, [e.as_element() for e in _etas(F.target)])
+    M = Submodule(F.target, 3, _etas(F.target))
     I = last_component_ideal(M)
     short = I.ring
     expected = Submodule.ideal(short, [parse_poly("48*X", short),
@@ -301,7 +300,7 @@ def test_descend_recovers_annihilator_with_divisible_last_entry():
     xi = eta2.scale(parse_poly("2*Y", F.target)) - eta3.scale(
         parse_poly("16*X", F.target))
     res = descend_field(augment_field_div(xi, k, into=tgtA), k, H)
-    assert res.field == VectorField(F.target, xi.entries)
+    assert res.field == xi
     # strict annihilation: the recovered field kills H
     assert res.quotient.is_zero
     exact_divide(res.field.entries[-1], parse_poly("Z", F.target))
@@ -338,9 +337,9 @@ def test_strict_part_complements_euler():
     T = derlog_tangent(H)
     S = derlog_strict(H)
     e = euler_field(H.ring)
-    assert e.apply_to(H.h) == H.h * 12
+    assert apply_to(e, H.h) == H.h * 12
     combined = Submodule(H.ring, 3,
-                         list(S.generators) + [e.as_element()])
+                         list(S.generators) + [e])
     assert module_equal(combined, T.module)
 
 
@@ -353,7 +352,7 @@ def test_transform_quotients_on_computed_tangency_module():
         tgtA = VarSet(["X", "Y", "Z"], [4 * k, 3 * k, 2])
         h = H.h.substitute({"Z": parse_poly(f"Z^{k}", tgtA)}, into=tgtA)
         for g in computed.module.generators:
-            tilde = augment_field(VectorField(H.ring, g.entries), k, into=tgtA)
+            tilde = augment_field(g, k, into=tgtA)
             q = tangency_quotient(tilde, h)
             assert q is not None
             if not q.is_zero:
@@ -369,7 +368,7 @@ def test_euler_property_on_all_fixture_divisors():
         w = D.effective_weights()
         assert w is not None, name
         (d,) = D.h.weighted_degrees(w)
-        assert euler_field(D.ring, w).apply_to(D.h) == D.h * d
+        assert apply_to(euler_field(D.ring, w), D.h) == D.h * d
 
 
 def test_image_tangency_module_matches_certified_generators():

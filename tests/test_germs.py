@@ -5,18 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germlift.errors import AmbientError, InverseCheckFailed, StructureError
+from germlift.derlog import (
+    Divisor,
+    augment_field,
+    augment_field_div,
+    descend_field,
+    tangency_quotient,
+)
+from germlift.errors import AmbientError, InverseCheckFailed, RankError, StructureError
 from germlift.exprio import parse_poly
 from germlift.germs import (
     MapGerm,
     Unfolding,
     VectorField,
+    apply_to,
     jacobian,
     mapgerm_determinant,
     push_forward,
     tf_generators,
     wf_apply,
 )
+from germlift.lifting import LiftCertificate, is_liftable, restrict_field
 from germlift.modules import ModuleElement
 from germlift.poly import Polynomial, VarSet
 
@@ -150,13 +159,10 @@ def test_transport_bijective_and_linear():
         # round trip
         assert push_forward(push_forward(e1, G2, G2i), G2i, G2) == e1
         # module morphism with twisted coefficients
-        lhs = push_forward(VectorField.from_element(
-            e1.as_element().scale(a) + e2.as_element().scale(b)), G2, G2i)
-        rhs = (push_forward(e1, G2, G2i).as_element()
-               .scale(a.substitute(inv_map))
-               + push_forward(e2, G2, G2i).as_element()
-               .scale(b.substitute(inv_map)))
-        assert lhs.as_element() == rhs
+        lhs = push_forward(e1.scale(a) + e2.scale(b), G2, G2i)
+        rhs = (push_forward(e1, G2, G2i).scale(a.substitute(inv_map))
+               + push_forward(e2, G2, G2i).scale(b.substitute(inv_map)))
+        assert lhs == rhs
 
 
 def test_inverse_check_failed():
@@ -318,3 +324,43 @@ def test_field_space_mismatch():
     eta = VectorField(f.source, [parse_poly("x", f.source)])
     with pytest.raises(AmbientError):
         wf_apply(eta, f)
+
+
+def _rank_calls():
+    """Each function that takes a vector field, called with a module element
+    over the right ring but with one entry for two coordinates."""
+    R = VarSet(["X", "Y"])
+    f = _map(["x", "y"], ["X", "Y"], ["x", "y^2"])
+    ident = MapGerm(R, R, [parse_poly(n, R) for n in R.names])
+    good = VectorField(R, [parse_poly("X", R), parse_poly("0", R)])
+    xi = VectorField(f.source, [parse_poly("x", f.source), parse_poly("0", f.source)])
+    bad = ModuleElement(R, [parse_poly("Y", R)])
+    h = parse_poly("X*Y", R)
+    return {
+        "is_liftable": lambda: is_liftable(f, bad),
+        "certificate-eta": lambda: LiftCertificate(f, bad, xi),
+        "certificate-xi": lambda: LiftCertificate(
+            f, good, ModuleElement(f.source, [parse_poly("x", f.source)])),
+        "wf_apply": lambda: wf_apply(bad, f),
+        "push_forward": lambda: push_forward(bad, ident, ident),
+        "apply_to": lambda: apply_to(bad, h),
+        "restrict_field": lambda: restrict_field(bad, Unfolding(ident, [], [], ident)),
+        "tangency_quotient": lambda: tangency_quotient(bad, h),
+        "augment_field": lambda: augment_field(bad, 2),
+        "augment_field_div": lambda: augment_field_div(bad, 2),
+        "descend_field": lambda: descend_field(bad, 2, Divisor(R, h)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_rank_calls()))
+def test_field_of_wrong_rank_is_refused(name):
+    with pytest.raises((AmbientError, RankError)):
+        _rank_calls()[name]()
+
+
+def test_vector_field_is_a_checked_module_element():
+    R = VarSet(["X", "Y"])
+    eta = VectorField(R, [parse_poly("X", R), parse_poly("Y", R)])
+    assert type(eta) is ModuleElement
+    with pytest.raises(RankError):
+        VectorField(R, [parse_poly("X", R)])

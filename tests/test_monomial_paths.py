@@ -172,7 +172,7 @@ def test_restriction_matches_the_reference_substitution(seed, n, p, r):
         assert list(got.entries) == [compose_reference(eta.entries[i], to_core, core_tgt)
                                      for i in U.non_param_target_indices()]
         assert all(_clean(q) for q in got.entries)
-        assert restrictable(eta.as_element(), U) == all(
+        assert restrictable(eta, U) == all(
             compose_reference(eta.entries[j], to_zero, tgt).is_zero
             for j in U.target_param_indices())
 
