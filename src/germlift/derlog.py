@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 from .errors import (
     AmbientError,
@@ -139,10 +141,75 @@ def poly_gcd(a: Polynomial, b: Polynomial, budget: Budget | None = None) -> Poly
     return integer_normalize(exact_divide(b, _cofactor(a, b, budget)))
 
 
+# the point at which squarefree_part's certificate evaluates the other
+# variables: the j-th variable of the ring is set to _CERT_POINT_START + j
+_CERT_POINT_START = 2
+
+
+def _coprime_to_derivative(c: list[int]) -> bool:
+    """Whether ``sum c[k] v^k`` (degree >= 1, leading entry nonzero) has
+    no common factor with its derivative, by a primitive remainder sequence
+    over the integers."""
+    a, b = c, [k * ck for k, ck in enumerate(c)][1:]
+    while len(b) > 1:
+        r, lead = list(a), b[-1]
+        while len(r) >= len(b):
+            q, shift = r[-1], len(r) - len(b)
+            r = [x * lead for x in r]
+            for k, bk in enumerate(b):
+                r[shift + k] -= q * bk
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            return False
+        g = reduce(gcd, r)
+        a, b = b, [x // g for x in r]
+    return True
+
+
+def _certified_squarefree(h: Polynomial) -> bool:
+    """Whether h is certified squarefree without a Groebner run.
+
+    For a variable ``v`` whose only term of top ``v``-degree ``d >= 1`` is
+    ``c*v^d``, set the other variables to a fixed integer point, giving
+    ``h_a`` of degree ``d`` in ``v``.  If ``g^2`` divides ``h`` with ``g``
+    nonconstant, ``lc_v(g)`` divides ``c``, so ``deg_v g >= 1`` and
+    ``g_a^2`` divides ``h_a`` with ``deg g_a = deg_v g``: a ``h_a`` prime
+    to its derivative therefore proves ``h`` squarefree.
+    """
+    den = reduce(lambda m, c: m * c.denominator // gcd(m, c.denominator),
+                 h.terms.values(), 1)
+    terms = [(e, int(c * den)) for e, c in h.terms.items()]
+    for i in range(len(h.ring)):
+        d = max(e[i] for e, _ in terms)
+        top = [e for e, _ in terms if e[i] == d]
+        if d == 0 or len(top) > 1 or sum(top[0]) != d:
+            continue
+        coeffs = [0] * (d + 1)
+        for e, c in terms:
+            for j, x in enumerate(e):
+                if j != i:
+                    c *= (_CERT_POINT_START + j) ** x
+            coeffs[e[i]] += c
+        if _coprime_to_derivative(coeffs):
+            return True
+    return False
+
+
 def squarefree_part(h: Polynomial, budget: Budget | None = None) -> Polynomial:
-    """h with repeated factors removed, via gcd with the partials."""
+    """h with repeated factors removed, scaled to coprime integer
+    coefficients with positive leading term.
+
+    A squarefree h that :func:`_certified_squarefree` certifies is returned
+    without any Groebner run.  Otherwise ``g`` is the gcd of h with its
+    partials (one syzygy run each, :func:`poly_gcd`), and the result is
+    ``h / g``: that route is the general one, for an h with a repeated
+    factor or with no variable of constant leading coefficient.
+    """
     if h.is_zero or h.total_degree() == 0:
         return h
+    if _certified_squarefree(h):
+        return integer_normalize(h)
     g = h
     for v in h.ring.names:
         d = h.diff(v)
@@ -154,12 +221,29 @@ def squarefree_part(h: Polynomial, budget: Budget | None = None) -> Polynomial:
     return integer_normalize(exact_divide(h, g))
 
 
+def _bare_variable(p: Polynomial) -> str | None:
+    """The name of the variable that p is exactly, else None."""
+    if len(p.terms) != 1:
+        return None
+    ((e, c),) = p.terms.items()
+    if c != 1 or sum(e) != 1:
+        return None
+    return p.ring.names[e.index(1)]
+
+
 def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     """Reduced defining equation of the image of the non-submersive points.
 
     Restricted to equidimensional germs: eliminate the source variables from
     the graph ideal together with det(df), then take the squarefree part,
     normalized to coprime integer coefficients with positive leading term.
+
+    A component ``X_i = x_j`` that is one source variable, not taken by an
+    earlier component, leaves the graph ideal: ``X_i`` replaces ``x_j`` in
+    the other generators and ``x_j`` is not eliminated.  That ideal is the
+    image of the full one under ``x_j -> X_i``, which fixes the target
+    ring, so its elimination ideal, and the one reduced generator, are the
+    same.
     """
     if f.n != f.p:
         raise NotEquidimensional(f"need n = p, got {f.n} -> {f.p}")
@@ -168,19 +252,27 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
         raise StructureError("Jacobian determinant vanishes identically")
     if set(f.source.names) & set(f.target.names):
         raise AmbientError("source and target variable names must be disjoint")
-    big = VarSet(f.source.names + f.target.names)
-    lift_src = {n: Polynomial.variable(big, n) for n in f.source.names}
-    gens = [Polynomial.variable(big, name) - comp.substitute(lift_src, into=big)
-            for name, comp in zip(f.target.names, f.components)]
-    gens.append(det.substitute(lift_src, into=big))
-    elim = eliminate(Submodule.ideal(big, gens), list(f.source.names), budget)
+    bare = {}  # source variable -> the target coordinate equal to it
+    kept = []  # the other components with their target coordinates
+    for name, comp in zip(f.target.names, f.components):
+        x = _bare_variable(comp)
+        if x is not None and x not in bare:
+            bare[x] = name
+        else:
+            kept.append((name, comp))
+    rest = [n for n in f.source.names if n not in bare]
+    big = VarSet(rest + list(f.target.names))
+    image = {n: Polynomial.variable(big, bare.get(n, n)) for n in f.source.names}
+    gens = [Polynomial.variable(big, name) - comp.substitute(image, into=big)
+            for name, comp in kept]
+    gens.append(det.substitute(image, into=big))
+    elim = eliminate(Submodule.ideal(big, gens), rest, budget)
     polys = elim.ideal_generators()
     if len(polys) != 1:
         raise StructureError(
             f"eliminated ideal is not principal ({len(polys)} generators)"
         )
     h = squarefree_part(rering(polys[0], f.target), budget)
-    h = integer_normalize(h)
     weights = None
     if f.target.weights is not None and h.is_weighted_homogeneous(f.target.weights):
         weights = f.target.weights

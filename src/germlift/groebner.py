@@ -743,8 +743,9 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     test of generator ``i`` extends a copy of that prefix by the
     generators kept above ``i``, which together generate the module of the
     others, and drops ``i`` when it reduces to zero.  Module equality with
-    the input is verified by membership of every dropped and kept
-    generator in the pruned module.
+    the input is verified by membership of every dropped generator in the
+    pruned module; a kept one generates it, so when nothing is dropped no
+    basis of the pruned module is built.
     """
     budget = budget or Budget()
     sort_order = ModuleOrder(M.ring.default_order())
@@ -764,7 +765,8 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
         if test.reduce_full(dict(vecs[i]))[0]:
             above.append(i)
     out = Submodule(M.ring, M.rank, [gens[i] for i in reversed(above)], M.order)
-    for g in M.generators:
-        if not contains(out, g, budget):
+    kept = set(above)
+    for i, g in enumerate(gens):
+        if i not in kept and not contains(out, g, budget):
             raise StructureError("internal: prune changed the module")
     return out

@@ -328,6 +328,15 @@ def _augmented_target(table, named: dict, path: str):
                                 " of the augmented unfolding's target")
 
 
+def _one_per_field(table, named: dict, path: str):
+    """Raise unless ``table`` holds one field per field of the ``fields``
+    table."""
+    want, got = len(named["fields"].fields), len(table.fields)
+    if got != want:
+        raise SchemaError(path, f"expected {want} fields, one per field of the"
+                                f" fields table, got {got}")
+
+
 def _weighted(divisor, named: dict, path: str):
     """Raise unless ``divisor`` has the weights of an Euler field."""
     if divisor.effective_weights() is None:
@@ -349,7 +358,8 @@ TASKS = {
                    "expect": ("certified", "obstructed")},
     "transport_table": {"map": Ref("maps"), "inverse": Ref("maps"),
                         "fields": Ref("fields", over="map.source"),
-                        "expect": Ref("fields", over="map.target")},
+                        "expect": Ref("fields", over="map.target",
+                                      check=_one_per_field)},
     "project_combinations": {"unfolding": Ref("unfoldings"), "fields": _TOTAL,
                              "expect": _CORE, "combinations": _combinations},
     "pipeline": {"unfolding": Ref("unfoldings"), "fields": _TOTAL, "expect?": _CORE},

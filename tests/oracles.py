@@ -5,21 +5,39 @@ algebra, derivatives by Newton forward differences of point evaluations,
 normal forms by a plain rescan for the greatest term under the nested sort
 keys of the orders, and reduced bases by Buchberger's algorithm over
 ``Fraction`` with every S-pair and no criteria; none of these touches the
-Groebner kernel.  The one exception is ``prune_reference``, the direct
-prune (one reduced basis per tested generator) that ``prune_module``'s
-incremental run replaced; it checks the bookkeeping of that run, not the
-kernel.  Products and compositions of polynomials are made term by term
-on plain dicts (``mul_terms``, ``compose_reference``), with no shortcut
-for one-term factors or monomial images.  These deliberately slower paths
-stay independent of the code they check.
+Groebner kernel.  The two exceptions check bookkeeping around the
+kernel, not the kernel: ``prune_reference``, the direct prune (one reduced
+basis per tested generator) that ``prune_module``'s incremental run
+replaced, and ``discriminant_reference``, the discriminant by elimination
+of every source variable and the gcd loop, the construction that
+``derlog.discriminant`` shortens.  Products and compositions of
+polynomials are made term by term on plain dicts (``mul_terms``,
+``compose_reference``), with no shortcut for one-term factors or monomial
+images.  These deliberately slower paths stay independent of the code
+they check.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from germlift.groebner import _element_sort_key, _reduced_basis, _reducer, _vec_of
-from germlift.modules import ModuleElement, ModuleOrder
-from germlift.poly import MonomialOrder, Polynomial, VarSet
+from germlift.derlog import poly_gcd
+from germlift.germs import mapgerm_determinant
+from germlift.groebner import (
+    _element_sort_key,
+    _reduced_basis,
+    _reducer,
+    _vec_of,
+    eliminate,
+)
+from germlift.modules import ModuleElement, ModuleOrder, Submodule
+from germlift.poly import (
+    MonomialOrder,
+    Polynomial,
+    VarSet,
+    exact_divide,
+    integer_normalize,
+    rering,
+)
 
 
 def monomials_up_to(n_vars, max_deg):
@@ -386,6 +404,28 @@ def prune_reference(M, budget):
         if not _reducer(key, plain, budget).reduce_full(_vec_of(gens[i])[0])[0]:
             kept = others
     return [gens[j] for j in kept]
+
+
+def discriminant_reference(f, budget=None) -> Polynomial:
+    """The equation ``h`` that ``derlog.discriminant(f)`` returns, found
+    from the whole graph ideal: eliminate every source variable from
+    ``X_i - f_i`` and ``det(df)``, then divide the one generator by its gcd
+    with all its partials (``poly_gcd``) and scale to coprime integers.
+    Raises ``ValueError`` when the eliminated ideal is not principal."""
+    big = VarSet(f.source.names + f.target.names)
+    lift_src = {n: Polynomial.variable(big, n) for n in f.source.names}
+    gens = [Polynomial.variable(big, name) - comp.substitute(lift_src, into=big)
+            for name, comp in zip(f.target.names, f.components)]
+    gens.append(mapgerm_determinant(f).substitute(lift_src, into=big))
+    polys = eliminate(Submodule.ideal(big, gens), f.source.names,
+                      budget).ideal_generators()
+    if len(polys) != 1:
+        raise ValueError(f"eliminated ideal has {len(polys)} generators")
+    h = g = rering(polys[0], f.target)
+    for v in h.ring.names:
+        if not h.diff(v).is_zero:
+            g = poly_gcd(g, h.diff(v), budget)
+    return integer_normalize(exact_divide(h, g))
 
 
 def mul_terms(a: dict, b: dict) -> dict:

@@ -165,6 +165,7 @@ def test_zero_divisor_equation_data_error(tmp_path, capsys):
 
 NOTE_TASK = {"id": "note", "op": "note", "text": "ok"}
 EMPTY = "empty_table"
+SHORT = "short_table"
 UNWEIGHTED = "unweighted"
 
 
@@ -200,6 +201,7 @@ UNWEIGHTED = "unweighted"
     (AUG, 10, "expect_ideal", ["X+"]),
     (AUG, 16, "field", "euler_H"),
     (AUG, 7, "divisor", UNWEIGHTED),
+    (HK, 3, "expect", SHORT),
 ], ids=["k-string", "k-bool", "degree-string", "mode-unknown", "combinations-string",
         "combinations-count", "combination-index-range", "combination-coefficient-number",
         "combination-triple", "expect-ideal-string", "text-number",
@@ -210,7 +212,7 @@ UNWEIGHTED = "unweighted"
         "discriminant-divisor-ring",
         "derlog-expect-ring", "euler-expect-ring", "euler-expect-empty",
         "tau-field-empty", "combination-coefficient-syntax", "expect-ideal-syntax",
-        "tau-field-ring", "euler-divisor-unweighted"])
+        "tau-field-ring", "euler-divisor-unweighted", "transport-expect-length"])
 def test_malformed_task_parameter_data_error(tmp_path, capsys, fixture, index,
                                              key, value):
     with open(fixture) as fh:
@@ -222,6 +224,10 @@ def test_malformed_task_parameter_data_error(tmp_path, capsys, fixture, index,
         # no fields, over the ring of the table it replaces
         ring = doc["fields"][doc["tasks"][index][key]]["ring"]
         doc["fields"][EMPTY] = {"ring": ring, "elements": []}
+    if value == SHORT:
+        # the table it replaces less its last field
+        table = doc["fields"][doc["tasks"][index][key]]
+        doc["fields"][SHORT] = {"ring": table["ring"], "elements": table["elements"][:-1]}
     if value == UNWEIGHTED:
         # a divisor with no weights, over a ring with none
         doc["rings"][UNWEIGHTED] = {"vars": ["X"]}

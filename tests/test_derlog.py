@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germlift.errors import (
     DescentResidueError,
+    GroebnerTimeout,
     NotDivisible,
     NotEquidimensional,
     StructureError,
@@ -29,11 +32,11 @@ from germlift.derlog import (
     tangency_quotient,
 )
 from germlift.germs import MapGerm, Unfolding, VectorField, apply_to
-from germlift.groebner import contains, module_equal
+from germlift.groebner import Budget, contains, module_equal
 from germlift.modules import ModuleElement, Submodule
 from germlift.poly import Polynomial, VarSet, exact_divide, integer_normalize
 
-from oracles import random_poly
+from oracles import discriminant_reference, random_poly
 
 try:
     import sympy
@@ -104,6 +107,46 @@ def test_poly_gcd_and_squarefree(xy):
     h = parse_poly("x + y", xy) ** 2 * parse_poly("x - y", xy)
     sf = squarefree_part(h)
     assert sf == integer_normalize(parse_poly("x + y", xy) * parse_poly("x - y", xy))
+
+
+def test_certified_squarefree_part_charges_no_reduction(xy):
+    # constant leading coefficient in x, and h(x, 3) = x^3 + 3x - 9 is
+    # prime to its derivative: certified squarefree with no Groebner run
+    h = parse_poly("2/3*x^3 + 1/3*x*y^2 - 2*y^2", xy)
+    budget = Budget()
+    assert squarefree_part(h, budget) == integer_normalize(h)
+    assert budget.stats()["reductions"] == 0
+
+
+def test_repeated_factor_with_constant_leading_coefficient_takes_the_gcd_loop(xy):
+    # the leading coefficient in x is 1, but h(x, 3) = (x + 3)^2 (x - 1)
+    # shares x + 3 with its derivative, so no certificate is found
+    h = parse_poly("(x + y)^2*(x - 1)", xy)
+    budget = Budget()
+    assert squarefree_part(h, budget) == integer_normalize(
+        parse_poly("(x + y)*(x - 1)", xy))
+    assert budget.stats()["reductions"] > 0
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
+       no_constant_lead=st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_squarefree_part_matches_sympy(seed, m, no_constant_lead):
+    # h = g^m * k; the factor x*y + x*z + 1 has a nonconstant leading
+    # coefficient in every variable, so h then has none and no certificate
+    rng = random.Random(seed)
+    ring = VarSet(["x", "y", "z"])
+    gens = sympy.symbols(ring.names)
+    g = random_poly(rng, ring, max_deg=2, max_terms=3, allow_zero=False)
+    k = random_poly(rng, ring, max_deg=2, max_terms=3, allow_zero=False)
+    if no_constant_lead:
+        k = k * parse_poly("x*y + x*z + 1", ring)
+    h = g ** m * k
+    if h.is_zero or h.total_degree() == 0:
+        return
+    want = sympy.Poly(_to_sympy(h, gens), *gens).sqf_part().as_expr()
+    assert squarefree_part(h) == integer_normalize(_from_sympy(want, gens, ring))
 
 
 def _to_sympy(p, gens):
@@ -464,3 +507,58 @@ def test_derlog_generators_satisfy_their_identities(label):
     assert len(tangent.quotients) == len(tangent.module.generators) > 0
     for g, q in zip(tangent.module.generators, tangent.quotients):
         assert _eta_h(g, D.h) == q * D.h, (label, str(g), str(q))
+
+
+@pytest.mark.parametrize("label", ["A3", "A4"] + [f"aug{k}" for k in range(2, 8)])
+def test_discriminant_matches_the_full_graph_ideal(label):
+    # every component but the first is a bare variable in these germs
+    f = _versal(int(label[1:])) if label[0] == "A" else _augmented_quartic(int(label[3:]))
+    assert discriminant(f).h == discriminant_reference(f)
+
+
+def _random_germ(rng, n, n_bare):
+    """An n -> n germ, singular at 0, whose components at n_bare random
+    places are distinct source variables; every other component is ``u^a``
+    plus one or two terms of degree 2 to ``a``, for a source variable
+    ``u`` that no component is."""
+    src = VarSet(["x", "y", "z"][:n])
+    tgt = VarSet(["X", "Y", "Z"][:n])
+    names = list(src.names)
+    rng.shuffle(names)
+    places = rng.sample(range(n), n_bare)
+    comps = []
+    for i in range(n):
+        u = Polynomial.variable(src, names.pop())
+        if i in places:
+            comps.append(u)
+            continue
+        a = rng.randint(2, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            e = [0] * n
+            for _ in range(rng.randint(2, a)):
+                e[rng.randrange(n)] += 1
+            terms[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        comps.append(u ** a + Polynomial(src, terms))
+    return MapGerm(src, tgt, comps)
+
+
+@pytest.mark.parametrize("n, n_bare", [(2, 0), (2, 1), (3, 1), (3, 2)])
+def test_discriminant_of_random_germs_matches_the_full_graph_ideal(n, n_bare):
+    rng = random.Random(1500 + 10 * n + n_bare)
+    compared = 0
+    for _ in range(8):
+        f = _random_germ(rng, n, n_bare)
+        try:
+            want = discriminant_reference(f, Budget(max_reductions=2000))
+        except GroebnerTimeout:  # too costly for a unit test
+            continue
+        except ValueError:
+            # the image of the critical set is not a hypersurface: the same
+            # elimination ideal makes discriminant raise
+            with pytest.raises(StructureError, match="not principal"):
+                discriminant(f)
+            continue
+        assert discriminant(f).h == want, [str(c) for c in f.components]
+        compared += 1
+    assert compared >= 4

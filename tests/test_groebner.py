@@ -208,6 +208,15 @@ def test_prune(xy):
     assert module_equal(P2, Submodule(xy, 2, [g1, g2]))
 
 
+def test_prune_with_nothing_dropped_builds_no_basis_of_its_output(xy):
+    # a kept generator lies in the pruned module by construction; only a
+    # dropped one needs the membership check, which would build out._gb
+    M = _ideal(xy, "x^2 + y", "y^2 - x")
+    out = prune_module(M)
+    assert set(out.generators) == set(M.generators)
+    assert out._gb is None
+
+
 def test_prune_tests_against_the_generators_kept_above(xy):
     # sorted: x < y^2 < x^2 + y.  x^2 + y stays, as y is not in <x, y^2>;
     # y^2 goes only because x^2 + y, kept above it, is in the test module.
