@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     task = _task(args)
     m = _resolve(manifests, task)
     try:
-        check_task(task, m, args.command)
+        task = check_task(task, m, args.command)
     except SchemaError as e:
         parser.error(str(e))
     report = run_task(m, task, make_budget())

@@ -4,8 +4,8 @@ augmentation bundles and a task list, in JSON with a fixed schema version.
 All fixture tables ship as manifest data; the engine itself hard-codes
 none of them.  Loading validates every declared object's invariants, and
 checks every task against ``TASKS``, the one description of each task op,
-with ``check_task``; the command line checks the tasks it builds with the
-same function.
+with ``check_task``, into the ``Task`` its runner reads; the command line
+checks the tasks it builds with the same function.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ class Manifest:
     divisors: dict
     augmentations: dict
     tasks: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return self.raw
 
     def dumps(self) -> str:
         return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
@@ -226,12 +223,8 @@ def _load_augmentations(raw, m: Manifest, out):
                 kind = _need(rec, "kind", rpath, str)
                 if kind not in ("map", "div"):
                     raise SchemaError(rpath, "recipe kind must be 'map' or 'div'")
-                combo = []
-                for c, entry in enumerate(_need(rec, "combo", rpath, list)):
-                    epath = f"{rpath}.combo[{c}]"
-                    coef, idx = _combo_pair(entry, len(lift_fields.fields), epath)
-                    combo.append((_parse(coef, lift_fields.ring, epath), idx))
-                recipes.append((kind, tuple(combo)))
+                recipes.append((kind, _combo(_need(rec, "combo", rpath),
+                                             lift_fields, f"{rpath}.combo")))
             if len(recipes) != len(tilde.fields):
                 raise SchemaError(f"{ipath}.recipes",
                                   "expected one recipe per field of tilde_fields")
@@ -239,18 +232,23 @@ def _load_augmentations(raw, m: Manifest, out):
         out[name] = Augmentation(unf, disc, lift_fields, instances)
 
 
-def _combo_pair(entry, nfields: int, path: str) -> tuple:
-    """A [coefficient string, index] pair whose index points into a table of
-    ``nfields`` fields."""
-    if not isinstance(entry, list) or len(entry) != 2:
-        raise SchemaError(path, "expected [coefficient, index]")
-    coef, idx = entry
-    if not isinstance(coef, str):
-        raise SchemaError(path, "expected an expression string")
-    # bool is an int subclass, but true/false are not indices here
-    if type(idx) is not int or not 0 <= idx < nfields:
-        raise SchemaError(path, f"field index {idx!r} out of range")
-    return coef, idx
+def _combo(combo, table: FieldTable, path: str) -> tuple:
+    """A list of [coefficient, index] pairs as (polynomial, index) pairs,
+    each coefficient over the ring of ``table``, each index into its fields."""
+    if not isinstance(combo, list):
+        raise SchemaError(path, "expected a list of [coefficient, index] pairs")
+    pairs = []
+    for j, entry in enumerate(combo):
+        epath = f"{path}[{j}]"
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise SchemaError(epath, "expected [coefficient, index]")
+        coef, idx = entry
+        poly = _parse(coef, table.ring, epath)
+        # bool is an int subclass, but true/false are not indices here
+        if type(idx) is not int or not 0 <= idx < len(table.fields):
+            raise SchemaError(epath, f"field index {idx!r} out of range")
+        pairs.append((poly, idx))
+    return tuple(pairs)
 
 
 class Ref:
@@ -279,7 +277,7 @@ class Ref:
         return entry
 
 
-def _combinations(combos, named: dict, path: str):
+def _combinations(combos, named: dict, path: str) -> list:
     """One list of [coefficient, index] pairs per field of the ``expect``
     table, each index into the ``fields`` table and each coefficient over
     its ring."""
@@ -287,14 +285,7 @@ def _combinations(combos, named: dict, path: str):
         raise SchemaError(path, "expected a list of combinations")
     if len(combos) != len(named["expect"].fields):
         raise SchemaError(path, "expected one combination per expected field")
-    for i, combo in enumerate(combos):
-        cpath = f"{path}[{i}]"
-        if not isinstance(combo, list):
-            raise SchemaError(cpath, "expected a list of [coefficient, index] pairs")
-        for j, entry in enumerate(combo):
-            epath = f"{cpath}[{j}]"
-            coef, _ = _combo_pair(entry, len(named["fields"].fields), epath)
-            _parse(coef, named["fields"].ring, epath)
+    return [_combo(combo, named["fields"], f"{path}[{i}]") for i, combo in enumerate(combos)]
 
 
 def _instance(k, named: dict, path: str) -> AugInstance:
@@ -307,16 +298,16 @@ def _instance(k, named: dict, path: str) -> AugInstance:
     return named["augmentation"].instances[k]
 
 
-def _expressions(ideal, named: dict, path: str):
+def _expressions(ideal, named: dict, path: str) -> list | None:
     """Null, or generators of an ideal over the ring of instance ``k`` less
-    its last variable, the ring of ``last_component_ideal``."""
+    its last variable, the ring of ``last_component_ideal``; ``[]`` is the
+    zero ideal."""
     if ideal is None:
-        return
+        return None
     if not isinstance(ideal, list):
         raise SchemaError(path, "expected null or a list of expression strings")
     ring = VarSet(named["k"].ring.names[:-1])
-    for i, text in enumerate(ideal):
-        _parse(text, ring, f"{path}[{i}]")
+    return [_parse(text, ring, f"{path}[{i}]") for i, text in enumerate(ideal)]
 
 
 def _augmented_target(table, named: dict, path: str):
@@ -349,10 +340,10 @@ _AUGMENTATION = {"augmentation": Ref("augmentations"), "k": _instance}
 
 # Every task op with the keys it reads, besides "id" and "op".  A key's kind
 # is a Ref into a registry, a tuple of allowed values, a type, or a function
-# (value, named entries, path) for a value of more structure, which returns
-# what the value names, if anything.  A key ending in "?" is optional.  Keys
-# come after the keys their checks read, and the first key names what the
-# task is about, the name the CLI resolves.
+# (value, the task checked so far, path) for a value of more structure,
+# which returns what the runner reads for it.  A key ending in "?" is
+# optional.  Keys come after the keys their checks read, and the first key
+# names what the task is about, the name the CLI resolves.
 TASKS = {
     "lift_check": {"map": Ref("maps"), "fields": Ref("fields", over="map.target"),
                    "expect": ("certified", "obstructed")},
@@ -381,11 +372,24 @@ TASKS = {
 }
 
 
-def check_task(task, m: Manifest, path: str):
+class Task(dict):
+    """A task as ``check_task`` checked it.  A ``Ref`` key maps to its
+    registry entry, ``combinations`` to (polynomial, index) pairs,
+    ``expect_ideal`` to polynomials and ``k`` to its ``AugInstance``; every
+    other key keeps its raw value.  ``maps`` are the maps of the manifest it
+    was checked against, whose caches ``suite.run_task`` drops."""
+
+    def __init__(self, raw: dict, maps: dict):
+        super().__init__(raw)
+        self.maps = maps
+
+
+def check_task(task, m: Manifest, path: str) -> Task:
     """Check ``task`` against ``TASKS`` and the names of ``m``: a known
     ``op``, a string ``id``, every required key, and each value by its
     kind, parsing every expression it holds on the ring its runner reads it
-    on.  Raises ``SchemaError`` at ``path`` on the first fault."""
+    on.  Returns the checked ``Task``; raises ``SchemaError`` at ``path``
+    on the first fault."""
     if not isinstance(task, dict):
         raise SchemaError(path, "task must be an object")
     op = _need(task, "op", path, str)
@@ -395,14 +399,14 @@ def check_task(task, m: Manifest, path: str):
     for key in TASKS[op]:
         if not key.endswith("?") and key not in task:
             raise SchemaError(path, f"operation {op!r} requires key {key!r}")
-    named = {}  # the entries that the names checked so far resolve to
+    checked = Task(task, m.maps)
     for key, kind in TASKS[op].items():
         key = key.rstrip("?")
         if key not in task:
             continue
         value, kpath = task[key], f"{path}.{key}"
         if isinstance(kind, Ref):
-            named[key] = kind.resolve(task, key, named, m, path)
+            checked[key] = kind.resolve(task, key, checked, m, path)
         elif isinstance(kind, tuple):
             if value not in kind:
                 raise SchemaError(kpath, "expected " + " or ".join(map(repr, kind)))
@@ -410,7 +414,8 @@ def check_task(task, m: Manifest, path: str):
             if type(value) is not kind:
                 raise SchemaError(kpath, f"expected {kind.__name__}")
         else:
-            named[key] = kind(value, named, kpath)
+            checked[key] = kind(value, checked, kpath)
+    return checked
 
 SECTIONS = ("rings", "maps", "unfoldings", "fields", "divisors", "augmentations")
 
@@ -429,7 +434,7 @@ def _section(raw: dict, name: str) -> dict:
 def loads(text: str) -> Manifest:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise SchemaError("$", f"invalid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise SchemaError("$", "manifest must be a JSON object")
@@ -439,21 +444,29 @@ def loads(text: str) -> Manifest:
     tasks = raw.get("tasks", [])
     if not isinstance(tasks, list):
         raise SchemaError("tasks", "expected a list")
-    m = Manifest(raw, {}, {}, {}, {}, {}, {}, list(tasks))
+    m = Manifest(raw, {}, {}, {}, {}, {}, {})
     _load_rings(sec["rings"], m.rings)
     _load_maps(sec["maps"], m.rings, m.maps)
     _load_unfoldings(sec["unfoldings"], m.maps, m.unfoldings)
     _load_fields(sec["fields"], m.rings, m.fields)
     _load_divisors(sec["divisors"], m.rings, m.divisors)
     _load_augmentations(sec["augmentations"], m, m.augmentations)
-    for i, task in enumerate(m.tasks):
-        check_task(task, m, f"tasks[{i}]")
+    ids = set()
+    for i, task in enumerate(tasks):
+        m.tasks.append(check_task(task, m, f"tasks[{i}]"))
+        if task["id"] in ids:
+            raise SchemaError(f"tasks[{i}].id", f"duplicate task id {task['id']!r}")
+        ids.add(task["id"])
     return m
 
 
 def load_manifest(path) -> Manifest:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise SchemaError("$", f"not UTF-8 text: {e}") from e
+    return loads(text)
 
 
 def save_manifest(m: Manifest, path):

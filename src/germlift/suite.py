@@ -1,5 +1,8 @@
 """Task runner: executes manifest tasks and collects verdict reports.
 
+Each runner reads a ``manifest.Task``, whose names and expressions were
+resolved and parsed once, when the task was checked.
+
 Used both by the command line front-end and by the acceptance test suite, so
 that `germlift paper-suite` and `pytest tests/test_acceptance.py` exercise
 exactly the same checks.
@@ -25,11 +28,11 @@ from .derlog import (
     tangency_quotient,
 )
 from .errors import GermliftError, GroebnerTimeout, InputNotLiftable, OutputNotCertified
-from .exprio import parse_poly, print_poly
+from .exprio import print_poly
 from .germs import VectorField, apply_to, push_forward
 from .groebner import Budget, module_equal
 from .lifting import is_liftable, lift_from_unfolding, origin_span, restrict_field, restrictable
-from .manifest import Manifest, load_manifest
+from .manifest import Manifest, Task, check_task, load_manifest
 from .modules import ModuleElement, Submodule, combine, proportional
 from .poly import Polynomial, VarSet, rering
 
@@ -81,10 +84,8 @@ def _ideals_equal(I: Submodule, J: Submodule, budget) -> bool:
     return module_equal(moved(I), moved(J), budget)
 
 
-def _run_lift_check(m: Manifest, task, budget) -> Report:
-    germ = m.maps[task["map"]]
-    table = m.fields[task["fields"]]
-    expect = task["expect"]
+def _run_lift_check(task, budget) -> Report:
+    germ, table, expect = task["map"], task["fields"], task["expect"]
     details, certs = [], []
     verdict = PASS
     for i, eta in enumerate(table.fields):
@@ -106,11 +107,8 @@ def _run_lift_check(m: Manifest, task, budget) -> Report:
     return Report(task["id"], verdict, details, certs)
 
 
-def _run_transport(m: Manifest, task, budget) -> Report:
-    H = m.maps[task["map"]]
-    H_inv = m.maps[task["inverse"]]
-    src = m.fields[task["fields"]]
-    exp = m.fields[task["expect"]]
+def _run_transport(task, budget) -> Report:
+    H, H_inv, src, exp = task["map"], task["inverse"], task["fields"], task["expect"]
     bad = []
     for i, (eta, want) in enumerate(zip(src.fields, exp.fields)):
         got = push_forward(eta, H, H_inv)
@@ -123,16 +121,12 @@ def _run_transport(m: Manifest, task, budget) -> Report:
     )
 
 
-def _run_project_combinations(m: Manifest, task, budget) -> Report:
-    U = m.unfoldings[task["unfolding"]]
-    table = m.fields[task["fields"]]
-    exp = m.fields[task["expect"]]
-    ring = table.ring
+def _run_project_combinations(task, budget) -> Report:
+    U, table, exp = task["unfolding"], task["fields"], task["expect"]
     scalars = []
     details = []
     for i, combo in enumerate(task["combinations"]):
-        acc = combine(ring, len(ring), [parse_poly(c, ring) for c, _ in combo],
-                      [table.fields[idx] for _, idx in combo])
+        acc = _combo_field(table, combo)
         if not restrictable(acc, U):
             return Report(
                 task["id"], FAIL,
@@ -158,13 +152,12 @@ def _witness_certs(module: Submodule, certificates) -> list:
     ]
 
 
-def _run_pipeline(m: Manifest, task, budget) -> Report:
-    U = m.unfoldings[task["unfolding"]]
-    lift_total = m.fields[task["fields"]].as_submodule()
-    out, lifts = lift_from_unfolding(U, lift_total, budget)
+def _run_pipeline(task, budget) -> Report:
+    out, lifts = lift_from_unfolding(task["unfolding"], task["fields"].as_submodule(),
+                                     budget)
     certs = _witness_certs(out, lifts)
     if "expect" in task:
-        exp = m.fields[task["expect"]].as_submodule()
+        exp = task["expect"].as_submodule()
         if not module_equal(out, exp, budget):
             return Report(task["id"], FAIL, ["module differs from expected table"], certs)
         return Report(
@@ -174,13 +167,11 @@ def _run_pipeline(m: Manifest, task, budget) -> Report:
     return Report(task["id"], PASS, [f"{len(out.generators)} generators"], certs)
 
 
-def _run_pipeline_vs_derlog(m: Manifest, task, budget) -> Report:
-    U = m.unfoldings[task["unfolding"]]
-    lift_total = m.fields[task["fields"]].as_submodule()
-    out, lifts = lift_from_unfolding(U, lift_total, budget)
+def _run_pipeline_vs_derlog(task, budget) -> Report:
+    out, lifts = lift_from_unfolding(task["unfolding"], task["fields"].as_submodule(),
+                                     budget)
     certs = _witness_certs(out, lifts)
-    D = m.divisors[task["divisor"]]
-    expected = derlog_tangent(D, budget).module
+    expected = derlog_tangent(task["divisor"], budget).module
     if not module_equal(out, expected, budget):
         return Report(task["id"], FAIL, ["pipeline and derlog modules differ"], certs)
     return Report(
@@ -195,10 +186,9 @@ def _poly_proportional(a: Polynomial, b: Polynomial):
     )
 
 
-def _run_discriminant(m: Manifest, task, budget) -> Report:
-    germ = m.maps[task["map"]]
-    D = discriminant(germ, budget)
-    want = m.divisors[task["expect_divisor"]]
+def _run_discriminant(task, budget) -> Report:
+    D = discriminant(task["map"], budget)
+    want = task["expect_divisor"]
     sc = _poly_proportional(rering(D.h, want.ring), want.h)
     if sc is None:
         return Report(task["id"], FAIL, ["defining equation differs"],
@@ -207,8 +197,8 @@ def _run_discriminant(m: Manifest, task, budget) -> Report:
                   [{"computed": print_poly(D.h)}])
 
 
-def _run_derlog(m: Manifest, task, budget) -> Report:
-    D = m.divisors[task["divisor"]]
+def _run_derlog(task, budget) -> Report:
+    D = task["divisor"]
     if task["mode"] == "strict":
         module = derlog_strict(D, budget)
         certs = [{"field": str(g), "quotient": "0"} for g in module.generators]
@@ -219,9 +209,9 @@ def _run_derlog(m: Manifest, task, budget) -> Report:
             {"field": str(g), "quotient": print_poly(a)}
             for g, a in zip(module.generators, tf.quotients)
         ]
-    if task.get("expect") is None:
+    if "expect" not in task:
         return Report(task["id"], PASS, [f"{len(module.generators)} generators"], certs)
-    exp = m.fields[task["expect"]].as_submodule()
+    exp = task["expect"].as_submodule()
     if not module_equal(module, exp, budget):
         return Report(task["id"], FAIL, ["module differs from expected table"], certs)
     return Report(
@@ -230,8 +220,8 @@ def _run_derlog(m: Manifest, task, budget) -> Report:
     )
 
 
-def _run_euler(m: Manifest, task, budget) -> Report:
-    D = m.divisors[task["divisor"]]
+def _run_euler(task, budget) -> Report:
+    D = task["divisor"]
     w = D.effective_weights()
     e = euler_field(D.ring, w)
     d = task["degree"]
@@ -239,34 +229,29 @@ def _run_euler(m: Manifest, task, budget) -> Report:
         return Report(task["id"], FAIL, [f"e(h) != {d}*h"])
     details = [f"e(h) = {d}*h"]
     if "expect" in task:
-        want = m.fields[task["expect"]].fields[0]
+        want = task["expect"].fields[0]
         if e != want:
             return Report(task["id"], FAIL, ["Euler field differs from table"])
         details.append("field matches table")
     return Report(task["id"], PASS, details)
 
 
-def _augmentation_parts(m: Manifest, task):
-    aug = m.augmentations[task["augmentation"]]
-    k = task["k"]
-    return aug, k, aug.instances[k]
-
-
-def _combo_field(aug, combo) -> ModuleElement:
-    table = aug.lift_fields
+def _combo_field(table, combo) -> ModuleElement:
+    """The field sum(coefficient * table.fields[index]) of a checked
+    combination of (coefficient, index) pairs."""
     return combine(table.ring, len(table.ring), [coef for coef, _ in combo],
                    [table.fields[idx] for _, idx in combo])
 
 
-def _run_augment_tilde(m: Manifest, task, budget) -> Report:
-    aug, k, inst = _augmentation_parts(m, task)
+def _run_augment_tilde(task, budget) -> Report:
+    aug, inst = task["augmentation"], task["k"]
     certs = []
     for i, (kind, combo) in enumerate(inst.recipes):
-        base = _combo_field(aug, combo)
+        base = _combo_field(aug.lift_fields, combo)
         if kind == "map":
-            got = augment_field(base, k, into=inst.ring)
+            got = augment_field(base, inst.k, into=inst.ring)
         else:
-            got = augment_field_div(base, k, into=inst.ring)
+            got = augment_field_div(base, inst.k, into=inst.ring)
         want = inst.tilde_fields.fields[i]
         if got != want:
             return Report(task["id"], FAIL, [f"transform {i} differs from table"])
@@ -280,8 +265,8 @@ def _run_augment_tilde(m: Manifest, task, budget) -> Report:
     )
 
 
-def _run_augment_pi2(m: Manifest, task, budget) -> Report:
-    aug, k, inst = _augmentation_parts(m, task)
+def _run_augment_pi2(task, budget) -> Report:
+    aug, inst = task["augmentation"], task["k"]
     lift_aug = derlog_tangent(inst.divisor, budget).module
     lift_unf = derlog_tangent(aug.discriminant, budget).module
     I_aug = last_component_ideal(lift_aug)
@@ -296,11 +281,8 @@ def _run_augment_pi2(m: Manifest, task, budget) -> Report:
     ):
         return Report(task["id"], FAIL,
                       ["computed and table-derived ideals differ"])
-    if task.get("expect_ideal"):
-        plain = VarSet(I_aug.ring.names)
-        expect = Submodule.ideal(
-            plain, [parse_poly(t, plain) for t in task["expect_ideal"]]
-        )
+    if task.get("expect_ideal") is not None:
+        expect = Submodule.ideal(VarSet(I_aug.ring.names), task["expect_ideal"])
         if not _ideals_equal(I_aug, expect, budget):
             return Report(task["id"], FAIL, ["ideal differs from the expected one"])
     gens = sorted(print_poly(g.entries[0]) for g in I_aug.generators)
@@ -311,13 +293,13 @@ def _run_augment_pi2(m: Manifest, task, budget) -> Report:
     )
 
 
-def _run_augment_descend(m: Manifest, task, budget) -> Report:
-    aug, k, inst = _augmentation_parts(m, task)
+def _run_augment_descend(task, budget) -> Report:
+    aug, inst = task["augmentation"], task["k"]
     certs = []
     for i, (kind, combo) in enumerate(inst.recipes):
         eta_bar = inst.tilde_fields.fields[i]
-        res = descend_field(eta_bar, k, aug.discriminant)
-        want = _combo_field(aug, combo)
+        res = descend_field(eta_bar, inst.k, aug.discriminant)
+        want = _combo_field(aug.lift_fields, combo)
         if res.field != want:
             return Report(
                 task["id"], FAIL, [f"descent {i} does not recover its preimage"]
@@ -335,12 +317,12 @@ def _run_augment_descend(m: Manifest, task, budget) -> Report:
     )
 
 
-def _run_augment_tau(m: Manifest, task, budget) -> Report:
-    aug, k, inst = _augmentation_parts(m, task)
-    spec = AugmentationSpec(aug.unfolding.core, aug.unfolding, k)
+def _run_augment_tau(task, budget) -> Report:
+    aug = task["augmentation"]
+    spec = AugmentationSpec(aug.unfolding.core, aug.unfolding, task["k"].k)
     AF = augment_unfolding(spec)
     eta = VectorField(AF.total.target, [rering(p, AF.total.target)
-                                        for p in m.fields[task["field"]].fields[0].entries])
+                                        for p in task["field"].fields[0].entries])
     res = is_liftable(AF.total, eta, budget)
     if not res.certified:
         return Report(task["id"], FAIL, ["trivial direction not certified liftable"])
@@ -356,14 +338,14 @@ def _run_augment_tau(m: Manifest, task, budget) -> Report:
     )
 
 
-def _run_tau_zero(m: Manifest, task, budget) -> Report:
-    span = origin_span(m.fields[task["fields"]].fields)
+def _run_tau_zero(task, budget) -> Report:
+    span = origin_span(task["fields"].fields)
     if span:
         return Report(task["id"], FAIL, [f"span has dimension {len(span)}"])
     return Report(task["id"], PASS, ["all generators vanish at the origin"])
 
 
-def _run_note(m: Manifest, task, budget) -> Report:
+def _run_note(task, budget) -> Report:
     return Report(task["id"], PASS, [task["text"]])
 
 
@@ -386,13 +368,17 @@ _RUNNERS = {
 
 
 def run_task(m: Manifest, task: dict, budget: Budget | None = None) -> Report:
-    """Run one task with fresh germ caches, so its counters depend on the
+    """Run one task: an element of ``m.tasks``, or a raw task that is first
+    checked against ``m`` (``SchemaError`` if it fails).  The germs of the
+    task's manifest start with fresh caches, so its counters depend on the
     task alone and not on which tasks of the manifest ran before it."""
+    if not isinstance(task, Task):
+        task = check_task(task, m, "task")
     budget = budget if budget is not None else Budget()
-    for germ in m.maps.values():
+    for germ in task.maps.values():
         germ.drop_caches()
     try:
-        report = _RUNNERS[task["op"]](m, task, budget)
+        report = _RUNNERS[task["op"]](task, budget)
     except GroebnerTimeout as e:
         return Report(task["id"], TIMEOUT, [str(e)], counters=e.stats)
     except (InputNotLiftable, OutputNotCertified) as e:

@@ -93,6 +93,19 @@ def test_corrupt_manifest_data_error(tmp_path, capsys):
     assert "manifest error" in err
 
 
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe" + '{"schema": "germlift-manifest/1"}'.encode("utf-16-le"),
+    b"[" * 200_000 + b"]" * 200_000,
+], ids=["not-utf8", "nested-200000-deep"])
+def test_undecodable_manifest_data_error(tmp_path, capsys, data):
+    bad = tmp_path / "bad.manifest.json"
+    bad.write_bytes(data)
+    code, _, err = run(capsys, "paper-suite", "-m", str(bad))
+    assert code == 65
+    assert "manifest error: $: " in err
+    assert "Traceback" not in err
+
+
 RING_X = '"rings": {"r": {"vars": ["x"]}}, '
 
 
@@ -202,6 +215,7 @@ UNWEIGHTED = "unweighted"
     (AUG, 16, "field", "euler_H"),
     (AUG, 7, "divisor", UNWEIGHTED),
     (HK, 3, "expect", SHORT),
+    (HK, 1, "id", "hk2.certify"),
 ], ids=["k-string", "k-bool", "degree-string", "mode-unknown", "combinations-string",
         "combinations-count", "combination-index-range", "combination-coefficient-number",
         "combination-triple", "expect-ideal-string", "text-number",
@@ -212,7 +226,8 @@ UNWEIGHTED = "unweighted"
         "discriminant-divisor-ring",
         "derlog-expect-ring", "euler-expect-ring", "euler-expect-empty",
         "tau-field-empty", "combination-coefficient-syntax", "expect-ideal-syntax",
-        "tau-field-ring", "euler-divisor-unweighted", "transport-expect-length"])
+        "tau-field-ring", "euler-divisor-unweighted", "transport-expect-length",
+        "id-duplicate"])
 def test_malformed_task_parameter_data_error(tmp_path, capsys, fixture, index,
                                              key, value):
     with open(fixture) as fh:
@@ -407,6 +422,14 @@ def test_augment_subcommands(capsys):
                            "--augmentation", "quartic", "-k", "2",
                            "--check", check)
         assert code == 0, (check, out)
+
+
+def test_empty_expected_ideal_is_the_zero_ideal(capsys):
+    # --expect-ideal with no expressions expects (0), which (X, Y) is not
+    code, out, _ = run(capsys, "augment", "-m", AUG, "--augmentation", "quartic",
+                       "-k", "2", "--check", "pi2", "--expect-ideal")
+    assert code == 2
+    assert "ideal differs from the expected one" in out
 
 
 def test_paper_suite_only_subset(capsys):

@@ -1,9 +1,12 @@
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from germlift import exprio
+from germlift.errors import SchemaError
 from germlift.groebner import Budget
 from germlift.manifest import load_manifest, loads
 from germlift.suite import (
@@ -113,6 +116,15 @@ def test_task_without_expect_loads_and_passes(fixture, task_id):
     assert "equality" not in report.details[0]
 
 
+def test_raw_task_with_an_unresolved_name_is_schema_error():
+    # run_task checks a task that did not come from m.tasks against m first
+    m = _fold_manifest()
+    task = {"id": "t", "op": "lift_check", "map": "nope", "fields": "updir",
+            "expect": "certified"}
+    with pytest.raises(SchemaError, match="unresolved name 'nope'"):
+        run_task(m, task)
+
+
 def test_bad_inverse_reports_fail_not_crash():
     doc = {
         "schema": "germlift-manifest/1",
@@ -155,6 +167,25 @@ def test_every_reduction_is_charged_to_the_task_budget(monkeypatch):
             assert len(calls) == report.counters["reductions"], task["id"]
             tasks += 1
     assert tasks == 46
+
+
+def test_running_loaded_tasks_parses_no_expression(monkeypatch):
+    # loading parses every expression once; the runners read what was parsed
+    manifests = bundled_manifests()
+    calls = []
+    parse = exprio.parse_poly
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return parse(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("germlift") and getattr(module, "parse_poly", None) is parse:
+            monkeypatch.setattr(module, "parse_poly", counting)
+    for m in manifests:
+        for task in m.tasks:
+            run_task(m, task)
+    assert len(calls) == 0
 
 
 # The counters of every task in the paper-suite report.  Each task runs with
