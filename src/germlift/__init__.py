@@ -79,6 +79,6 @@ from .derlog import (
     tangency_quotient,
 )
 from .exprio import parse_poly, print_poly
-from .manifest import Manifest, load_manifest, save_manifest
+from .manifest import Manifest, load_manifest
 
 __version__ = "0.1.0"

@@ -233,13 +233,6 @@ class Unfolding:
     def r(self) -> int:
         return len(self.source_params)
 
-    @property
-    def p(self) -> int:
-        return self.total.p - self.r
-
-    def source_param_indices(self) -> list[int]:
-        return [self.total.source.index(v) for v in self.source_params]
-
     def target_param_indices(self) -> list[int]:
         return [self.total.target.index(v) for v in self.target_params]
 

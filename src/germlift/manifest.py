@@ -2,15 +2,18 @@
 augmentation bundles and a task list, in JSON with a fixed schema version.
 
 All fixture tables ship as manifest data; the engine itself hard-codes
-none of them.  Loading validates every declared object's invariants, and
-checks every task against ``TASKS``, the one description of each task op,
-with ``check_task``, into the ``Task`` its runner reads; the command line
-checks the tasks it builds with the same function.
+none of them.  One checker, ``_check``, reads both halves of a manifest:
+every entry of a section against ``SECTIONS`` into the object it
+declares, whose invariants its class validates, and every task against
+``TASKS``, the one description of each task op, with ``check_task``, into
+the ``Task`` its runner reads; the command line checks the tasks it
+builds with the same function.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -57,7 +60,6 @@ class Augmentation:
 
 @dataclass
 class Manifest:
-    raw: dict
     rings: dict
     maps: dict
     unfoldings: dict
@@ -65,40 +67,6 @@ class Manifest:
     divisors: dict
     augmentations: dict
     tasks: list = field(default_factory=list)
-
-    def dumps(self) -> str:
-        return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
-
-
-def _need(obj: dict, key: str, path: str, kind=None):
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    if key not in obj:
-        raise SchemaError(path, f"missing required key {key!r}")
-    val = obj[key]
-    if kind is not None and not isinstance(val, kind):
-        raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}")
-    return val
-
-
-def _names(obj: dict, key: str, path: str) -> list:
-    names = _need(obj, key, path, list)
-    if not all(isinstance(n, str) for n in names):
-        raise SchemaError(f"{path}.{key}", "expected a list of names")
-    return names
-
-
-def _weights(spec: dict, path: str) -> list | None:
-    weights = spec.get("weights")
-    if weights is None:
-        return None
-    # bool is an int subclass, but true/false are not weights
-    if not isinstance(weights, list) or not all(
-            type(w) is int for w in weights):
-        raise SchemaError(f"{path}.weights", "weights must be a list of integers")
-    if any(w <= 0 for w in weights):
-        raise SchemaError(f"{path}.weights", "weights must be positive")
-    return weights
 
 
 def _parse(text, ring: VarSet, path: str) -> Polynomial:
@@ -110,126 +78,116 @@ def _parse(text, ring: VarSet, path: str) -> Polynomial:
         raise SchemaError(path, str(e)) from e
 
 
-def _load_rings(raw, out):
-    for name, spec in raw.items():
-        path = f"rings.{name}"
-        names = _names(spec, "vars", path)
-        weights = _weights(spec, path)
-        try:
-            out[name] = VarSet(names, weights)
-        except GermliftError as e:
-            raise ValidationError(path, str(e)) from e
+class Ref:
+    """A value that names an entry of the manifest registry ``registry``.
+    ``over="key.attr"`` asks the entry to live over the ring ``attr`` of
+    the entry that the object's ``key`` names, and a bare ``over="key"``
+    over the ring that ``key`` names; ``one`` asks a field table to hold
+    exactly one field; ``check(entry, named, path)`` raises on any further
+    fault.  (A plain class: a dataclass would cost a millisecond of every
+    import.)"""
+
+    def __init__(self, registry: str, over: str | None = None, one: bool = False,
+                 check=None):
+        self.registry, self.over, self.one, self.check = registry, over, one, check
+        if over:
+            self.other, _, attr = over.partition(".")
+            self.ring_of = attrgetter(attr) if attr else (lambda ring: ring)
+            self.what = f"the {attr.replace('.', ' ')} of {self.other}" if attr else self.other
+
+    def resolve(self, obj: dict, key: str, named: dict, m: Manifest, path: str):
+        name, kpath = obj[key], f"{path}.{key}"
+        registry = getattr(m, self.registry)
+        if not isinstance(name, str):
+            raise SchemaError(kpath, "expected str")
+        if name not in registry:
+            raise SchemaError(kpath, f"unresolved name {name!r}")
+        entry = registry[name]
+        if self.over and entry.ring != self.ring_of(named[self.other]):
+            raise SchemaError(kpath, f"{name!r} is not over {self.what} {obj[self.other]!r}")
+        if self.one and len(entry.fields) != 1:
+            raise SchemaError(kpath, f"expected one field, {name!r} has {len(entry.fields)}")
+        if self.check:
+            self.check(entry, named, kpath)
+        return entry
 
 
-def _ref(obj: dict, key: str, registry: dict, path: str):
-    """The entry of ``registry`` that the name ``obj[key]`` resolves to."""
-    name = _need(obj, key, path, str)
-    if name not in registry:
-        raise SchemaError(f"{path}.{key}", f"unresolved name {name!r}")
-    return registry[name]
+def _check(obj, kinds: dict, m: Manifest, path: str, checked=None):
+    """Check the object ``obj`` against the table ``kinds`` and the names
+    of ``m``: every required key, and each value by its kind, parsing every
+    expression it holds on the ring it is read on.  Returns ``checked``
+    (a new dict by default) with each checked value under its key; raises
+    ``SchemaError`` or ``ValidationError`` at ``path`` on the first fault."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected an object")
+    for key in kinds:
+        if key not in obj and not key.endswith("?"):
+            raise SchemaError(path, f"missing required key {key!r}")
+    if checked is None:
+        checked = {}
+    for key, kind in kinds.items():
+        key = key.rstrip("?")
+        if key not in obj:
+            continue
+        value, kpath = obj[key], f"{path}.{key}"
+        if isinstance(kind, Ref):
+            value = kind.resolve(obj, key, checked, m, path)
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise SchemaError(kpath, "expected " + " or ".join(map(repr, kind)))
+        elif isinstance(kind, type):
+            if type(value) is not kind:
+                raise SchemaError(kpath, f"expected {kind.__name__}")
+        else:
+            value = kind(value, checked, m, kpath)
+        checked[key] = value
+    return checked
 
 
-def _over(entry, ring: VarSet, name: str, path: str, what: str):
-    """Raise unless the table or divisor ``entry``, named ``name``, lives
-    over ``ring``, the ring described by ``what``."""
-    if entry.ring != ring:
-        raise SchemaError(path, f"{name!r} is not over {what}")
+def _values(checked: dict, kinds: dict) -> list:
+    """The checked value of each key of ``kinds`` in order, None for an
+    optional key that is absent."""
+    return [checked.get(key.rstrip("?")) for key in kinds]
 
 
-def _load_maps(raw, rings, out):
-    for name, spec in raw.items():
-        path = f"maps.{name}"
-        src = _ref(spec, "source", rings, path)
-        tgt = _ref(spec, "target", rings, path)
-        comps_raw = _need(spec, "components", path, list)
-        comps = [
-            _parse(c, src, f"{path}.components[{i}]") for i, c in enumerate(comps_raw)
-        ]
-        try:
-            out[name] = MapGerm(src, tgt, comps)
-        except GermliftError as e:
-            raise ValidationError(path, str(e)) from e
+def _names(names, named: dict, m: Manifest, path: str) -> list:
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise SchemaError(path, "expected a list of names")
+    return names
 
 
-def _load_unfoldings(raw, maps, out):
-    for name, spec in raw.items():
-        path = f"unfoldings.{name}"
-        total = _ref(spec, "map", maps, path)
-        core = _ref(spec, "core", maps, path)
-        try:
-            out[name] = Unfolding(total, _names(spec, "source_params", path),
-                                  _names(spec, "target_params", path), core)
-        except GermliftError as e:
-            raise ValidationError(path, str(e)) from e
+def _weights(weights, named: dict, m: Manifest, path: str) -> list | None:
+    if weights is None:
+        return None
+    # bool is an int subclass, but true/false are not weights
+    if not isinstance(weights, list) or not all(type(w) is int for w in weights):
+        raise SchemaError(path, "weights must be a list of integers")
+    if any(w <= 0 for w in weights):
+        raise SchemaError(path, "weights must be positive")
+    return weights
 
 
-def _load_fields(raw, rings, out):
-    for name, spec in raw.items():
-        path = f"fields.{name}"
-        ring = _ref(spec, "ring", rings, path)
-        elems = _need(spec, "elements", path, list)
-        fields = []
-        for i, vec in enumerate(elems):
-            if not isinstance(vec, list) or len(vec) != len(ring):
-                raise ValidationError(
-                    f"{path}.elements[{i}]",
-                    f"expected {len(ring)} entries over ring {spec['ring']}",
-                )
-            entries = [
-                _parse(t, ring, f"{path}.elements[{i}][{j}]") for j, t in enumerate(vec)
-            ]
-            fields.append(VectorField(ring, entries))
-        out[name] = FieldTable(ring, tuple(fields))
+def _expression(ring: str):
+    """The kind of an expression over the ring that the key ``ring`` names."""
+    return lambda text, named, m, path: _parse(text, named[ring], path)
 
 
-def _load_divisors(raw, rings, out):
-    for name, spec in raw.items():
-        path = f"divisors.{name}"
-        ring = _ref(spec, "ring", rings, path)
-        h = _parse(_need(spec, "equation", path, str), ring, f"{path}.equation")
-        weights = _weights(spec, path)
-        try:
-            out[name] = Divisor(ring, h, weights)
-        except GermliftError as e:
-            raise ValidationError(path, str(e)) from e
+def _each(kind):
+    """The kind of a list whose every item has the kind ``kind``."""
+    def check(values, named: dict, m: Manifest, path: str) -> tuple:
+        if not isinstance(values, list):
+            raise SchemaError(path, "expected list")
+        return tuple([kind(v, named, m, f"{path}[{i}]") for i, v in enumerate(values)])
+    return check
 
 
-def _load_augmentations(raw, m: Manifest, out):
-    for name, spec in raw.items():
-        path = f"augmentations.{name}"
-        unf = _ref(spec, "unfolding", m.unfoldings, path)
-        if unf.r != 1:
-            raise ValidationError(path, "augmentation needs a 1-parameter unfolding")
-        disc = _ref(spec, "discriminant", m.divisors, path)
-        lift_fields = _ref(spec, "lift_fields", m.fields, path)
-        for key, entry in (("discriminant", disc), ("lift_fields", lift_fields)):
-            _over(entry, unf.total.target, spec[key], f"{path}.{key}",
-                  f"the total target of unfolding {spec['unfolding']!r}")
-        instances = {}
-        for kstr, inst in _need(spec, "instances", path, dict).items():
-            ipath = f"{path}.instances.{kstr}"
-            try:
-                k = int(kstr)
-            except ValueError:
-                raise SchemaError(ipath, "instance keys must be integers") from None
-            ring = _ref(inst, "ring", m.rings, ipath)
-            divisor = _ref(inst, "divisor", m.divisors, ipath)
-            tilde = _ref(inst, "tilde_fields", m.fields, ipath)
-            for key, entry in (("divisor", divisor), ("tilde_fields", tilde)):
-                _over(entry, ring, inst[key], f"{ipath}.{key}", f"ring {inst['ring']!r}")
-            recipes = []
-            for j, rec in enumerate(_need(inst, "recipes", ipath, list)):
-                rpath = f"{ipath}.recipes[{j}]"
-                kind = _need(rec, "kind", rpath, str)
-                if kind not in ("map", "div"):
-                    raise SchemaError(rpath, "recipe kind must be 'map' or 'div'")
-                recipes.append((kind, _combo(_need(rec, "combo", rpath),
-                                             lift_fields, f"{rpath}.combo")))
-            if len(recipes) != len(tilde.fields):
-                raise SchemaError(f"{ipath}.recipes",
-                                  "expected one recipe per field of tilde_fields")
-            instances[k] = AugInstance(k, ring, divisor, tilde, tuple(recipes))
-        out[name] = Augmentation(unf, disc, lift_fields, instances)
+def _field(vec, named: dict, m: Manifest, path: str) -> VectorField:
+    """One entry per variable of the table's ring, each an expression."""
+    ring = named["ring"]
+    if not isinstance(vec, list) or len(vec) != len(ring):
+        raise ValidationError(path, f"expected {len(ring)} entries, one per"
+                                    " variable of the table's ring")
+    return VectorField(ring, [_parse(t, ring, f"{path}[{j}]") for j, t in enumerate(vec)])
 
 
 def _combo(combo, table: FieldTable, path: str) -> tuple:
@@ -251,33 +209,55 @@ def _combo(combo, table: FieldTable, path: str) -> tuple:
     return tuple(pairs)
 
 
-class Ref:
-    """A task value that names an entry of the manifest registry
-    ``registry``.  ``over="key.attr"`` asks the entry to live over the ring
-    ``attr`` of the entry that the task's ``key`` names; ``one`` asks a field
-    table to hold exactly one field; ``check(entry, named, path)`` raises on
-    any further fault.  (A plain class: a dataclass would cost a millisecond
-    of every import.)"""
-
-    def __init__(self, registry: str, over: str | None = None, one: bool = False,
-                 check=None):
-        self.registry, self.over, self.one, self.check = registry, over, one, check
-
-    def resolve(self, task: dict, key: str, named: dict, m: Manifest, path: str):
-        entry = _ref(task, key, getattr(m, self.registry), path)
-        name, kpath = task[key], f"{path}.{key}"
-        if self.over:
-            other, _, attr = self.over.partition(".")
-            _over(entry, attrgetter(attr)(named[other]), name, kpath,
-                  f"the {attr.replace('.', ' ')} of {other} {task[other]!r}")
-        if self.one and len(entry.fields) != 1:
-            raise SchemaError(kpath, f"expected one field, {name!r} has {len(entry.fields)}")
-        if self.check:
-            self.check(entry, named, kpath)
-        return entry
+_RECIPE = {"kind": ("map", "div"),
+           "combo": lambda combo, named, m, path: _combo(combo, named["lift_fields"], path)}
 
 
-def _combinations(combos, named: dict, path: str) -> list:
+def _recipes(recipes, named: dict, m: Manifest, path: str) -> tuple:
+    """One (kind, combination of the lift fields) pair per field of the
+    instance's ``tilde_fields``."""
+    if not isinstance(recipes, list):
+        raise SchemaError(path, "expected list")
+    if len(recipes) != len(named["tilde_fields"].fields):
+        raise SchemaError(path, "expected one recipe per field of tilde_fields")
+    return tuple(
+        tuple(_values(_check(rec, _RECIPE, m, f"{path}[{j}]",
+                             {"lift_fields": named["lift_fields"]}), _RECIPE))
+        for j, rec in enumerate(recipes))
+
+
+_INSTANCE = {"ring": Ref("rings"), "divisor": Ref("divisors", over="ring"),
+             "tilde_fields": Ref("fields", over="ring"), "recipes": _recipes}
+_INSTANCE_KEY = re.compile("[1-9][0-9]*")
+
+
+def _instances(instances, named: dict, m: Manifest, path: str) -> dict:
+    """The augmentation's ``AugInstance`` by ``k``, each checked against
+    ``_INSTANCE`` with the augmentation's ``lift_fields`` in scope.  A key
+    is ``k`` in decimal: positive, with no sign, space or leading zero."""
+    if not isinstance(instances, dict):
+        raise SchemaError(path, "expected an object")
+    out = {}
+    for key, inst in instances.items():
+        ipath = f"{path}.{key}"
+        if not _INSTANCE_KEY.fullmatch(key):
+            raise SchemaError(ipath, "an instance key is a positive decimal integer"
+                                     " with no sign, space or leading zero")
+        try:
+            k = int(key)
+        except ValueError:  # more digits than int() converts
+            raise SchemaError(ipath, f"an instance key of {len(key)} digits") from None
+        checked = _check(inst, _INSTANCE, m, ipath, {"lift_fields": named["lift_fields"]})
+        out[k] = AugInstance(k, *_values(checked, _INSTANCE))
+    return out
+
+
+def _one_parameter(unfolding, named: dict, path: str):
+    if unfolding.r != 1:
+        raise ValidationError(path, "augmentation needs a 1-parameter unfolding")
+
+
+def _combinations(combos, named: dict, m: Manifest, path: str) -> list:
     """One list of [coefficient, index] pairs per field of the ``expect``
     table, each index into the ``fields`` table and each coefficient over
     its ring."""
@@ -288,7 +268,7 @@ def _combinations(combos, named: dict, path: str) -> list:
     return [_combo(combo, named["fields"], f"{path}[{i}]") for i, combo in enumerate(combos)]
 
 
-def _instance(k, named: dict, path: str) -> AugInstance:
+def _instance(k, named: dict, m: Manifest, path: str) -> AugInstance:
     """The instance ``k`` of the named augmentation."""
     # bool is an int subclass, but true/false are not integers here
     if type(k) is not int:
@@ -298,7 +278,7 @@ def _instance(k, named: dict, path: str) -> AugInstance:
     return named["augmentation"].instances[k]
 
 
-def _expressions(ideal, named: dict, path: str) -> list | None:
+def _expressions(ideal, named: dict, m: Manifest, path: str) -> list | None:
     """Null, or generators of an ideal over the ring of instance ``k`` less
     its last variable, the ring of ``last_component_ideal``; ``[]`` is the
     zero ideal."""
@@ -338,12 +318,33 @@ _TOTAL = Ref("fields", over="unfolding.total.target")
 _CORE = Ref("fields", over="unfolding.core.target")
 _AUGMENTATION = {"augmentation": Ref("augmentations"), "k": _instance}
 
-# Every task op with the keys it reads, besides "id" and "op".  A key's kind
-# is a Ref into a registry, a tuple of allowed values, a type, or a function
-# (value, the task checked so far, path) for a value of more structure,
-# which returns what the runner reads for it.  A key ending in "?" is
-# optional.  Keys come after the keys their checks read, and the first key
-# names what the task is about, the name the CLI resolves.
+# A key's kind is a Ref into a registry, a tuple of allowed values, a type,
+# or a function (value, the object checked so far, the manifest, path) for
+# a value of more structure, which returns what is read for it.  A key
+# ending in "?" is optional.  Keys come after the keys their checks read.
+
+# Every section with the class of its entries and the keys of an entry;
+# the checked values, in the order of the keys, are the class's arguments.
+# Sections come after the sections their Refs name.
+SECTIONS = {
+    "rings": (VarSet, {"vars": _names, "weights?": _weights}),
+    "maps": (MapGerm, {"source": Ref("rings"), "target": Ref("rings"),
+                       "components": _each(_expression("source"))}),
+    "unfoldings": (Unfolding, {"map": Ref("maps"), "source_params": _names,
+                               "target_params": _names, "core": Ref("maps")}),
+    "fields": (FieldTable, {"ring": Ref("rings"), "elements": _each(_field)}),
+    "divisors": (Divisor, {"ring": Ref("rings"), "equation": _expression("ring"),
+                           "weights?": _weights}),
+    "augmentations": (Augmentation, {
+        "unfolding": Ref("unfoldings", check=_one_parameter),
+        "discriminant": Ref("divisors", over="unfolding.total.target"),
+        "lift_fields": _TOTAL, "instances": _instances}),
+}
+
+_TASK = {"id": str, "op": str}
+
+# Every task op with the keys it reads, besides those of _TASK.  The first
+# key names what the task is about, the name the CLI resolves.
 TASKS = {
     "lift_check": {"map": Ref("maps"), "fields": Ref("fields", over="map.target"),
                    "expect": ("certified", "obstructed")},
@@ -385,50 +386,13 @@ class Task(dict):
 
 
 def check_task(task, m: Manifest, path: str) -> Task:
-    """Check ``task`` against ``TASKS`` and the names of ``m``: a known
-    ``op``, a string ``id``, every required key, and each value by its
-    kind, parsing every expression it holds on the ring its runner reads it
-    on.  Returns the checked ``Task``; raises ``SchemaError`` at ``path``
-    on the first fault."""
-    if not isinstance(task, dict):
-        raise SchemaError(path, "task must be an object")
-    op = _need(task, "op", path, str)
+    """Check ``task`` against ``TASKS`` and the names of ``m``: a string
+    ``id``, a known ``op``, and the keys of its op.  Returns the checked
+    ``Task``; raises ``SchemaError`` at ``path`` on the first fault."""
+    op = _check(task, _TASK, m, path)["op"]
     if op not in TASKS:
         raise SchemaError(path, f"unknown operation {op!r}")
-    _need(task, "id", path, str)
-    for key in TASKS[op]:
-        if not key.endswith("?") and key not in task:
-            raise SchemaError(path, f"operation {op!r} requires key {key!r}")
-    checked = Task(task, m.maps)
-    for key, kind in TASKS[op].items():
-        key = key.rstrip("?")
-        if key not in task:
-            continue
-        value, kpath = task[key], f"{path}.{key}"
-        if isinstance(kind, Ref):
-            checked[key] = kind.resolve(task, key, checked, m, path)
-        elif isinstance(kind, tuple):
-            if value not in kind:
-                raise SchemaError(kpath, "expected " + " or ".join(map(repr, kind)))
-        elif isinstance(kind, type):
-            if type(value) is not kind:
-                raise SchemaError(kpath, f"expected {kind.__name__}")
-        else:
-            checked[key] = kind(value, checked, kpath)
-    return checked
-
-SECTIONS = ("rings", "maps", "unfoldings", "fields", "divisors", "augmentations")
-
-
-def _section(raw: dict, name: str) -> dict:
-    """A top-level section: an object whose every entry is an object."""
-    sec = raw.get(name, {})
-    if not isinstance(sec, dict):
-        raise SchemaError(name, "expected an object")
-    for key, spec in sec.items():
-        if not isinstance(spec, dict):
-            raise SchemaError(f"{name}.{key}", "expected an object")
-    return sec
+    return _check(task, TASKS[op], m, path, Task(task, m.maps))
 
 
 def loads(text: str) -> Manifest:
@@ -440,17 +404,22 @@ def loads(text: str) -> Manifest:
         raise SchemaError("$", "manifest must be a JSON object")
     if raw.get("schema") != SCHEMA:
         raise SchemaError("schema", f"expected {SCHEMA!r}, got {raw.get('schema')!r}")
-    sec = {name: _section(raw, name) for name in SECTIONS}
     tasks = raw.get("tasks", [])
     if not isinstance(tasks, list):
         raise SchemaError("tasks", "expected a list")
-    m = Manifest(raw, {}, {}, {}, {}, {}, {})
-    _load_rings(sec["rings"], m.rings)
-    _load_maps(sec["maps"], m.rings, m.maps)
-    _load_unfoldings(sec["unfoldings"], m.maps, m.unfoldings)
-    _load_fields(sec["fields"], m.rings, m.fields)
-    _load_divisors(sec["divisors"], m.rings, m.divisors)
-    _load_augmentations(sec["augmentations"], m, m.augmentations)
+    m = Manifest({}, {}, {}, {}, {}, {})
+    for name, (cls, kinds) in SECTIONS.items():
+        section = raw.get(name, {})
+        if not isinstance(section, dict):
+            raise SchemaError(name, "expected an object")
+        entries = getattr(m, name)
+        for key, spec in section.items():
+            path = f"{name}.{key}"
+            args = _values(_check(spec, kinds, m, path), kinds)
+            try:
+                entries[key] = cls(*args)
+            except GermliftError as e:
+                raise ValidationError(path, str(e)) from e
     ids = set()
     for i, task in enumerate(tasks):
         m.tasks.append(check_task(task, m, f"tasks[{i}]"))
@@ -467,8 +436,3 @@ def load_manifest(path) -> Manifest:
         except UnicodeDecodeError as e:
             raise SchemaError("$", f"not UTF-8 text: {e}") from e
     return loads(text)
-
-
-def save_manifest(m: Manifest, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(m.dumps())

@@ -152,19 +152,21 @@ def _witness_certs(module: Submodule, certificates) -> list:
     ]
 
 
+def _compare_expected(task, module, certs, budget) -> Report:
+    """The report on ``module``: compared with the task's ``expect`` table
+    if it has one."""
+    n = len(module.generators)
+    if "expect" not in task:
+        return Report(task["id"], PASS, [f"{n} generators"], certs)
+    if not module_equal(module, task["expect"].as_submodule(), budget):
+        return Report(task["id"], FAIL, ["module differs from expected table"], certs)
+    return Report(task["id"], PASS, [f"{n} generators; equality both directions"], certs)
+
+
 def _run_pipeline(task, budget) -> Report:
     out, lifts = lift_from_unfolding(task["unfolding"], task["fields"].as_submodule(),
                                      budget)
-    certs = _witness_certs(out, lifts)
-    if "expect" in task:
-        exp = task["expect"].as_submodule()
-        if not module_equal(out, exp, budget):
-            return Report(task["id"], FAIL, ["module differs from expected table"], certs)
-        return Report(
-            task["id"], PASS,
-            [f"{len(out.generators)} generators; equality both directions"], certs,
-        )
-    return Report(task["id"], PASS, [f"{len(out.generators)} generators"], certs)
+    return _compare_expected(task, out, _witness_certs(out, lifts), budget)
 
 
 def _run_pipeline_vs_derlog(task, budget) -> Report:
@@ -209,15 +211,7 @@ def _run_derlog(task, budget) -> Report:
             {"field": str(g), "quotient": print_poly(a)}
             for g, a in zip(module.generators, tf.quotients)
         ]
-    if "expect" not in task:
-        return Report(task["id"], PASS, [f"{len(module.generators)} generators"], certs)
-    exp = task["expect"].as_submodule()
-    if not module_equal(module, exp, budget):
-        return Report(task["id"], FAIL, ["module differs from expected table"], certs)
-    return Report(
-        task["id"], PASS,
-        [f"{len(module.generators)} generators; equality both directions"], certs,
-    )
+    return _compare_expected(task, module, certs, budget)
 
 
 def _run_euler(task, budget) -> Report:

@@ -128,6 +128,11 @@ def test_malformed_section_data_error(tmp_path, capsys, section, path):
     assert f"manifest error: {path}:" in err
 
 
+INSTANCE_2 = "instance_2"
+INSTANCE_KEYS = {"minus-one": "-1", "zero": "0", "leading-zero": "01",
+                 "underscore": "1_0", "space": " 2", "5000-digits": "9" * 5000}
+
+
 @pytest.mark.parametrize("entry, value, path", [
     (("instances", "2"), 7, "augmentations.quartic.instances.2"),
     (("instances", "2", "recipes", 0), 5,
@@ -142,14 +147,20 @@ def test_malformed_section_data_error(tmp_path, capsys, section, path):
      "augmentations.quartic.instances.2.tilde_fields"),
     (("discriminant",), "h_k2", "augmentations.quartic.discriminant"),
     (("lift_fields",), "etas_tilde_k2", "augmentations.quartic.lift_fields"),
+    *[(("instances", key), INSTANCE_2, f"augmentations.quartic.instances.{key}")
+      for key in INSTANCE_KEYS.values()],
 ], ids=["instance-number", "recipe-number", "combo-index-bool", "combo-index-range",
         "recipes-fewer-than-fields", "instance-divisor-ring", "instance-tilde-ring",
-        "discriminant-ring", "lift-fields-ring"])
+        "discriminant-ring", "lift-fields-ring",
+        *[f"instance-key-{name}" for name in INSTANCE_KEYS]])
 def test_malformed_augmentation_entry_data_error(tmp_path, capsys, entry, value,
                                                  path):
     with open(AUG) as fh:
         doc = json.load(fh)
     node = doc["augmentations"]["quartic"]
+    if value == INSTANCE_2:
+        # a well-formed instance, under a key that is not a positive decimal
+        value = node["instances"]["2"]
     for key in entry[:-1]:
         node = node[key]
     node[entry[-1]] = value

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from germlift import suite
 from germlift.errors import ManifestError, SchemaError, ValidationError
 from germlift.groebner import Budget
-from germlift.manifest import TASKS, Manifest, load_manifest, loads
+from germlift.manifest import (_INSTANCE, SECTIONS, TASKS, Manifest, load_manifest,
+                               loads)
 from germlift.suite import BUNDLED_FIXTURES, bundled_manifests, run_task
 
 from conftest import fixture_path
@@ -36,14 +37,6 @@ def test_augment_manifest_contents():
     m = load_manifest(fixture_path("augment.manifest.json"))
     assert set(m.augmentations["quartic"].instances) == {1, 2, 3}
     assert len(m.fields["etas"].fields) == 3
-
-
-def test_roundtrip_structural():
-    for name in BUNDLED_FIXTURES:
-        m = load_manifest(fixture_path(name))
-        again = loads(m.dumps())
-        assert again.raw == m.raw
-        assert again.dumps() == m.dumps()
 
 
 def _minimal(**overrides):
@@ -83,6 +76,17 @@ def test_unfolding_law_violation_is_validation_error():
     doc["maps"]["F"]["components"] = ["x^2", "lam^2"]
     with pytest.raises(ValidationError):
         loads(json.dumps(doc))
+
+
+def test_augmentation_needs_a_one_parameter_unfolding():
+    doc = _minimal()
+    doc["unfoldings"]["U0"] = {"map": "f", "source_params": [],
+                               "target_params": [], "core": "f"}
+    doc["augmentations"] = {"a": {"unfolding": "U0", "discriminant": "d",
+                                  "lift_fields": "t", "instances": {}}}
+    with pytest.raises(ValidationError, match="1-parameter") as e:
+        loads(json.dumps(doc))
+    assert e.value.path == "augmentations.a.unfolding"
 
 
 def test_bad_schema_version():
@@ -160,8 +164,8 @@ def test_fixtures_match_published_json_schema():
     with open(schema_path) as fh:
         schema = json.load(fh)
     for name in BUNDLED_FIXTURES:
-        m = load_manifest(fixture_path(name))
-        jsonschema.validate(m.raw, schema)
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            jsonschema.validate(json.load(fh), schema)
 
 
 def test_task_table_runners_and_schema_name_the_same_ops():
@@ -169,6 +173,18 @@ def test_task_table_runners_and_schema_name_the_same_ops():
         schema = json.load(fh)
     ops = schema["properties"]["tasks"]["items"]["properties"]["op"]["enum"]
     assert sorted(TASKS) == sorted(suite._RUNNERS) == sorted(ops)
+    # each section's entry, and an augmentation's instance, has the keys
+    # the schema publishes, the same ones required
+    entries = {name: (kinds, schema["properties"][name]["additionalProperties"])
+               for name, (_, kinds) in SECTIONS.items()}
+    instance = entries["augmentations"][1]["properties"]["instances"]
+    entries["instance"] = (_INSTANCE, instance["additionalProperties"])
+    assert entries.keys() == schema["properties"].keys() - {"schema", "tasks"} | {"instance"}
+    for name, (kinds, published) in entries.items():
+        keys = [key.rstrip("?") for key in kinds]
+        required = [key for key in kinds if not key.endswith("?")]
+        assert sorted(required) == sorted(published["required"]), name
+        assert sorted(keys) == sorted(published["properties"]), name
 
 
 def test_fixtures_match_their_generator():

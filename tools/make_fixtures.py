@@ -7,34 +7,23 @@ how to produce them for a given family index k.  Run from the repo root:
     python tools/make_fixtures.py
 """
 
+import functools
 import json
 import os
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "germlift", "fixtures")
 
 
-def W1(n):
+def power(var, n):
+    """The expression var^n: "1" for n <= 0, var itself for n = 1."""
     if n <= 0:
         return "1"
     if n == 1:
-        return "W1"
-    return f"W1^{n}"
+        return var
+    return f"{var}^{n}"
 
 
-def Y(n):
-    if n <= 0:
-        return "1"
-    if n == 1:
-        return "Y"
-    return f"Y^{n}"
-
-
-def Z(n):
-    if n <= 0:
-        return "1"
-    if n == 1:
-        return "Z"
-    return f"Z^{n}"
+W1, Y, Z = (functools.partial(power, var) for var in ("W1", "Y", "Z"))
 
 
 def lift_F_table():
