@@ -31,7 +31,6 @@ from .groebner import (
     Budget,
     GroebnerBasis,
     Membership,
-    contains,
     eliminate,
     express,
     module_equal,
@@ -59,7 +58,6 @@ from .lifting import (
     restrictable,
 )
 from .derlog import (
-    AugmentationSpec,
     DescentResult,
     Divisor,
     TangentFields,
@@ -78,7 +76,7 @@ from .derlog import (
     squarefree_part,
     tangency_quotient,
 )
-from .exprio import parse_poly, print_poly
+from .exprio import parse_poly
 from .manifest import Manifest, load_manifest
 
 __version__ = "0.1.0"

@@ -28,7 +28,15 @@ from .errors import (
 from .germs import MapGerm, Unfolding, VectorField, apply_to, check_field, mapgerm_determinant
 from .groebner import Budget, eliminate, prune_module, syzygy_module
 from .modules import GREVLEX, ModuleElement, Submodule, membership_module
-from .poly import Polynomial, VarSet, exact_divide, fresh_name, integer_normalize, rering
+from .poly import (
+    Polynomial,
+    VarSet,
+    exact_divide,
+    fresh_name,
+    integer_normalize,
+    rering,
+    zero_section,
+)
 
 
 class Divisor:
@@ -279,32 +287,19 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     return Divisor(f.target, h, weights)
 
 
-@dataclass(frozen=True)
-class AugmentationSpec:
-    """An augmentation of ``core`` by a one-parameter stable unfolding and
-    the power function z -> z^k in the unfolding parameter."""
-
-    core: MapGerm
-    unfolding: Unfolding
-    k: int
-
-    def __post_init__(self):
-        if self.unfolding.r != 1:
-            raise StructureError("augmentation needs a one-parameter unfolding")
-        if self.unfolding.core != self.core:
-            raise StructureError("unfolding does not unfold the stated core")
-        if self.k < 1:
-            raise StructureError("k must be a positive integer")
-
-
-def augment_map(spec: AugmentationSpec) -> MapGerm:
-    """The augmented germ: substitute z^k for the unfolding parameter and
+def augment_map(unfolding: Unfolding, k: int) -> MapGerm:
+    """The augmentation of ``unfolding``'s core by the one-parameter
+    unfolding and z -> z^k: substitute z^k for the unfolding parameter and
     keep the parameter slot as the new source variable z."""
-    F = spec.unfolding.total
-    lam = spec.unfolding.source_params[0]
-    tgt_idx = spec.unfolding.target_param_indices()[0]
+    if unfolding.r != 1:
+        raise StructureError("augmentation needs a one-parameter unfolding")
+    if k < 1:
+        raise StructureError("k must be a positive integer")
+    F = unfolding.total
+    lam = unfolding.source_params[0]
+    tgt_idx = unfolding.target_param_indices()[0]
     lam_poly = Polynomial.variable(F.source, lam)
-    mapping = {lam: lam_poly**spec.k}
+    mapping = {lam: lam_poly**k}
     comps = [lam_poly if i == tgt_idx else c.substitute(mapping)
              for i, c in enumerate(F.components)]
     return MapGerm(F.source, F.target, comps)
@@ -317,28 +312,28 @@ def augmented_target(unfolding: Unfolding) -> VarSet:
     return VarSet(target.names + (fresh_name(target, "Mu"),))
 
 
-def augment_unfolding(spec: AugmentationSpec) -> Unfolding:
+def augment_unfolding(unfolding: Unfolding, k: int) -> Unfolding:
     """The canonical one-parameter stable unfolding of the augmented germ,
     obtained by substituting z^k + mu for the unfolding parameter."""
-    F = spec.unfolding.total
-    lam = spec.unfolding.source_params[0]
-    Lam = spec.unfolding.target_params[0]
-    tgt_idx = spec.unfolding.target_param_indices()[0]
+    core = augment_map(unfolding, k)
+    F = unfolding.total
+    lam = unfolding.source_params[0]
+    tgt_idx = unfolding.target_param_indices()[0]
     mu = fresh_name(F.source, "mu")
     src = VarSet(F.source.names + (mu,))
-    tgt = augmented_target(spec.unfolding)
+    tgt = augmented_target(unfolding)
     MU = tgt.names[-1]
     lam_poly = Polynomial.variable(src, lam)
     mu_poly = Polynomial.variable(src, mu)
     mapping = {
-        lam: lam_poly**spec.k + mu_poly,
+        lam: lam_poly**k + mu_poly,
         **{n: Polynomial.variable(src, n) for n in F.source.names if n != lam},
     }
     comps = [lam_poly if i == tgt_idx else c.substitute(mapping, into=src)
              for i, c in enumerate(F.components)]
     comps.append(mu_poly)
     total = MapGerm(src, tgt, comps)
-    return Unfolding(total, (mu,), (MU,), augment_map(spec))
+    return Unfolding(total, (mu,), (MU,), core)
 
 
 def _substitute_power(eta: ModuleElement, k: int, into: VarSet | None):
@@ -382,14 +377,8 @@ def last_component_ideal(M: Submodule) -> Submodule:
         ring.names[:-1],
         ring.weights[:-1] if ring.weights is not None else None,
     )
-    last_idx = len(ring) - 1
-    out = []
-    for g in M.generators:
-        q = Polynomial(short, {e[:-1]: c for e, c in g.entries[-1].terms.items()
-                               if e[last_idx] == 0})
-        if not q.is_zero:
-            out.append(q)
-    return Submodule.ideal(short, out)
+    out = [zero_section(g.entries[-1], ring.names[-1:], short) for g in M.generators]
+    return Submodule.ideal(short, [q for q in out if not q.is_zero])
 
 
 @dataclass(frozen=True)

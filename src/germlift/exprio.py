@@ -1,4 +1,7 @@
-"""Expression parser and canonical printer for polynomials.
+"""Expression parser for polynomials.
+
+The printer is ``Polynomial.__str__``: terms descend in the ring's default
+order, and integer coefficients print without a denominator.
 
 Grammar (explicit multiplication, no juxtaposition; a leading minus is the
 only unary form, matching what the printer emits):
@@ -11,7 +14,8 @@ only unary form, matching what the printer emits):
 The parser evaluates while it parses: each rule returns the polynomial its
 text denotes, so a text with several faults reports the first one in text
 order.  Identifiers must be declared variables of the ring.
-``parse(print(p)) == p`` for every polynomial.
+``parse_poly(str(p), p.ring) == p`` for every polynomial: the printed
+text round-trips.
 
 Every expansion is bounded before it is made, with an ``ExprSyntaxError``
 at the offset of the operator (or literal) at fault:
@@ -259,10 +263,3 @@ def parse_poly(text: str, ring: VarSet) -> Polynomial:
     raises ExprSyntaxError (UnknownVariable for an undeclared name) at the
     first fault in the text."""
     return _Parser(text, ring).parse()
-
-
-def print_poly(p: Polynomial) -> str:
-    """Canonical text: terms descending in the ring's default order;
-    integer coefficients printed without a denominator.  Round-trips
-    through parse_poly."""
-    return str(p)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import AmbientError, InverseCheckFailed, RankError, StructureError
 from .modules import ModuleElement, Submodule
-from .poly import Exp, Polynomial, VarSet, compose
+from .poly import Exp, Polynomial, VarSet, compose, zero_section
 
 
 class MapGerm:
@@ -247,21 +247,12 @@ class Unfolding:
         source ring, so the result is directly comparable with the core.
         """
         total = self.total
-        sp = set(self.source_params)
-        keep_src = [n for n in total.source.names if n not in sp]
-        if len(keep_src) != len(self.core.source):
+        src = self.core.source
+        if len(total.source) - len(set(self.source_params)) != len(src):
             raise StructureError("core source dimension mismatch")
-        zero = {v: Polynomial.zero(self.core.source) for v in self.source_params}
-        rename = {
-            old: Polynomial.variable(self.core.source, new)
-            for old, new in zip(keep_src, self.core.source.names)
-        }
-        mapping = {**zero, **rename}
-        comps = [
-            total.components[i].substitute(mapping, into=self.core.source)
-            for i in self.non_param_target_indices()
-        ]
-        return MapGerm(self.core.source, self.core.target, comps)
+        comps = [zero_section(total.components[i], self.source_params, src)
+                 for i in self.non_param_target_indices()]
+        return MapGerm(src, self.core.target, comps)
 
     def __repr__(self) -> str:
         return (

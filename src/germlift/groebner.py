@@ -47,6 +47,11 @@ cannot divide it, so most divisibility tests are one integer operation
 (Bachmann-Schoenemann, 1998).  Interreduction needs one sweep: once the
 basis is minimal its leads no longer change, and reducibility depends on
 the leads alone.
+
+A tracked basis builds its reducer, the kernel that only reduces against
+it, once: its self-check runs on it, and so does every later division by
+the module.  Each call charges the budget it is given, and the reducer's
+heap-key memo carries over from one division to the next.
 """
 
 from __future__ import annotations
@@ -165,25 +170,28 @@ class _Kernel:
 
     ``key(c, e)`` is the order's heap key (``ModuleOrder.heap_key`` or
     :func:`_embedded_key`): a flat int tuple, least for the greatest term.
+    ``basis``, (primitive vector, lead) pairs of a finished basis, makes a
+    kernel that only reduces.  The work of each call is charged to the
+    ``Budget`` the call is given, so one kernel can serve many callers.
     """
 
-    def __init__(self, key: Callable, budget: Budget, use_product: bool):
+    def __init__(self, key: Callable, use_product: bool,
+                 basis: Sequence[tuple[Vec, tuple]] = ()):
         self.memo: dict = {}
         self.order_key = key
-        self.budget = budget
         self.use_product = use_product
-        self.basis: list[Vec] = []
-        self.leads: list[tuple] = []  # (comp, exp)
-        self.masks: list[int] = []  # _support of each lead exponent
+        self.basis: list[Vec] = [vec for vec, _ in basis]
+        self.leads: list[tuple] = [lead for _, lead in basis]  # (comp, exp)
+        self.masks: list[int] = [_support(e) for _, e in self.leads]
         self.pairs: dict = {}  # (i,j) -> lcm exp
         self.heap: list = []
 
     def prefix(self, n: int) -> "_Kernel":
         """A kernel holding the first ``n`` basis vectors, sharing this one's
-        heap-key memo and budget.  When ``n`` is the basis size at the end
-        of an earlier :meth:`run`, no pair was pending then, so the prefix
-        is a Groebner basis of the vectors taken in up to that point."""
-        out = _Kernel(self.order_key, self.budget, self.use_product)
+        heap-key memo.  When ``n`` is the basis size at the end of an
+        earlier :meth:`run`, no pair was pending then, so the prefix is a
+        Groebner basis of the vectors taken in up to that point."""
+        out = _Kernel(self.order_key, self.use_product)
         out.memo = self.memo
         out.basis = self.basis[:n]
         out.leads = self.leads[:n]
@@ -197,13 +205,10 @@ class _Kernel:
             self.memo[t] = k
         return k
 
-    def _timeout(self, reason: str):
-        raise GroebnerTimeout(reason, stats=self.budget.stats())
-
     def _lead(self, vec: Vec):
         return min(vec, key=self.key)
 
-    def reduce_full(self, work: Vec, main_rank: int | None = None,
+    def reduce_full(self, work: Vec, budget: Budget, main_rank: int | None = None,
                     skip: int | None = None) -> tuple[Vec, int]:
         """Complete pseudo-normal form of the integer vector ``work`` against
         the current basis: ``(rem, scale)`` with ``rem / scale`` the normal
@@ -254,9 +259,9 @@ class _Kernel:
                 rem[t] = coeff
                 del work[t]
                 continue
-            over = self.budget.charge_reduction()
+            over = budget.charge_reduction()
             if over:
-                self._timeout(over)
+                raise GroebnerTimeout(over, stats=budget.stats())
             lead_t = leads[hit]
             shift = exp_sub(e, lead_t[1])
             red = basis[hit]
@@ -367,11 +372,11 @@ class _Kernel:
                     del out[t]
         return out
 
-    def run(self, vecs: Sequence[Vec]):
+    def run(self, vecs: Sequence[Vec], budget: Budget):
         for v in vecs:
             if not v:
                 continue
-            r = self.reduce_full(dict(v))[0]
+            r = self.reduce_full(dict(v), budget)[0]
             if r:
                 self.add(r)
         while self.heap:
@@ -379,16 +384,16 @@ class _Kernel:
             if (i, j) not in self.pairs:
                 continue
             del self.pairs[(i, j)]
-            over = self.budget.charge_spair(len(self.basis))
+            over = budget.charge_spair(len(self.basis))
             if over:
-                self._timeout(over)
-            r = self.reduce_full(self.spair(i, j))[0]
+                raise GroebnerTimeout(over, stats=budget.stats())
+            r = self.reduce_full(self.spair(i, j), budget)[0]
             if r:
                 self.add(r)
             else:
-                self.budget.zero_reductions += 1
+                budget.zero_reductions += 1
 
-    def interreduce(self):
+    def interreduce(self, budget: Budget):
         """Minimalize and tail-reduce; the result is the unique reduced basis
         up to a positive factor per element (each stays primitive).
 
@@ -410,7 +415,7 @@ class _Kernel:
         self.leads = [self.leads[i] for i in minimal]
         self.masks = [self.masks[i] for i in minimal]
         for i in range(len(self.basis)):
-            rem = self.reduce_full(dict(self.basis[i]), skip=i)[0]
+            rem = self.reduce_full(dict(self.basis[i]), budget, skip=i)[0]
             self.basis[i] = _primitive(rem, self.leads[i])
 
 
@@ -433,9 +438,9 @@ def _reduced_basis(key, vecs: Sequence[Vec], budget: Budget,
     """The reduced basis of the integer vectors ``vecs`` as (primitive
     vector, lead) pairs, least lead first in the order whose heap key is
     ``key``."""
-    kern = _Kernel(key, budget, use_product)
-    kern.run(vecs)
-    kern.interreduce()
+    kern = _Kernel(key, use_product)
+    kern.run(vecs, budget)
+    kern.interreduce(budget)
     return sorted(zip(kern.basis, kern.leads), key=lambda p: kern.key(p[1]),
                   reverse=True)
 
@@ -447,15 +452,6 @@ def grevlex_basis(ring: VarSet, rank: int, elems: Sequence[ModuleElement],
     pairs = _reduced_basis(GREVLEX.heap_key, [_vec_of(g)[0] for g in elems], budget,
                            rank == 1)
     return [_elem_of(ring, rank, vec, vec[lead]) for vec, lead in pairs]
-
-
-def _reducer(key, pairs: Sequence[tuple[Vec, tuple]], budget: Budget) -> _Kernel:
-    """A kernel that only reduces, against the finished basis ``pairs``."""
-    kern = _Kernel(key, budget, use_product=False)
-    kern.basis = [vec for vec, _ in pairs]
-    kern.leads = [lead for _, lead in pairs]
-    kern.masks = [_support(lead[1]) for lead in kern.leads]
-    return kern
 
 
 def _recombines(vec: Vec, rank: int, mains: Sequence[Vec],
@@ -495,8 +491,10 @@ class GroebnerBasis:
     as (primitive integer vector, lead) pairs: each vector carries its
     representation in the original generators in the trailing components.
     ``mains`` and ``dens`` are those generators as :func:`_vec_of` gives
-    them, ``mains[i] = dens[i] * gen_i``.  The Fraction forms below are
-    built on first read.
+    them, ``mains[i] = dens[i] * gen_i``.  ``reducer`` is the kernel that
+    reduces against the pairs whose lead lies in the module itself, not in
+    a tail; it is built once, with the basis, and every division by the
+    module runs on it.  The Fraction forms below are built on first read.
     """
 
     ring: VarSet
@@ -504,11 +502,7 @@ class GroebnerBasis:
     pairs: tuple = field(repr=False)
     mains: tuple = field(repr=False)
     dens: tuple = field(repr=False)
-
-    @cached_property
-    def reducer(self) -> tuple:
-        """The pairs whose lead lies in the module itself, not in a tail."""
-        return tuple(p for p in self.pairs if p[1][0] < self.rank)
+    reducer: _Kernel = field(repr=False)
 
     @cached_property
     def elements(self) -> tuple:
@@ -517,7 +511,7 @@ class GroebnerBasis:
         return tuple(
             _elem_of(self.ring, rank, {t: k for t, k in vec.items() if t[0] < rank},
                      vec[lead])
-            for vec, lead in self.reducer)
+            for vec, lead in zip(self.reducer.basis, self.reducer.leads))
 
     @cached_property
     def syzygies(self) -> tuple:
@@ -538,8 +532,9 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
     mains = tuple(v for v, _ in inputs)
     dens = tuple(den for _, den in inputs)
     vecs = [{**v, (rank + i, zero): den} for i, (v, den) in enumerate(inputs)]
-    gb = GroebnerBasis(ring, rank, tuple(_reduced_basis(key, vecs, budget, False)),
-                       mains, dens)
+    pairs = tuple(_reduced_basis(key, vecs, budget, False))
+    gb = GroebnerBasis(ring, rank, pairs, mains, dens,
+                       _Kernel(key, False, [p for p in pairs if p[1][0] < rank]))
 
     # self-check: every basis vector re-expands from its tracking components
     # (an element from its representation, a syzygy to zero), and every
@@ -550,9 +545,8 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
             if lead[0] < rank:
                 raise StructureError("internal: basis representation failed to re-expand")
             raise StructureError("internal: syzygy failed to expand to zero")
-    check = _reducer(key, gb.reducer, budget)
     for v in mains:
-        rem = check.reduce_full(dict(v), main_rank=rank)[0]
+        rem = gb.reducer.reduce_full(dict(v), budget, main_rank=rank)[0]
         if any(t[0] < rank for t in rem):
             raise StructureError("internal: generator does not reduce to zero")
     return gb
@@ -590,9 +584,8 @@ def _divide(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
     budget = budget or Budget()
     gb = compute_gb(M, budget)
     m = len(M.generators)
-    kern = _reducer(_embedded_key(M.order, M.rank), gb.reducer, budget)
     work, den = _vec_of(v)
-    rem_all, scale = kern.reduce_full(work, main_rank=M.rank)
+    rem_all, scale = gb.reducer.reduce_full(work, budget, main_rank=M.rank)
     den *= scale
     remainder = _elem_of(M.ring, M.rank,
                          {t: k for t, k in rem_all.items() if t[0] < M.rank}, den)
@@ -621,14 +614,10 @@ def express(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
     return membership
 
 
-def contains(M: Submodule, v: ModuleElement, budget: Budget | None = None) -> bool:
-    return express(v, M, budget).is_member
-
-
 def module_equal(M: Submodule, N: Submodule, budget: Budget | None = None) -> bool:
     """Two-sided membership of generators."""
-    return all(contains(N, g, budget) for g in M.generators) and all(
-        contains(M, g, budget) for g in N.generators
+    return all(express(g, N, budget).is_member for g in M.generators) and all(
+        express(g, M, budget).is_member for g in N.generators
     )
 
 
@@ -677,7 +666,7 @@ def module_intersect(M: Submodule, N: Submodule,
         [combine(ring, rank, s.entries[:m], M.generators) for s in syz.generators],
         budget)
     for g in gens_out:
-        if not contains(M, g, budget) or not contains(N, g, budget):
+        if not express(g, M, budget).is_member or not express(g, N, budget).is_member:
             raise StructureError("internal: intersection output failed membership")
     return Submodule(ring, rank, gens_out, M.order)
 
@@ -691,9 +680,6 @@ def eliminate(I: Submodule, names: Sequence[str],
     if I.rank != 1:
         raise RankError("elimination expects a rank-1 module (an ideal)")
     ring = I.ring
-    names = list(names)
-    for n in names:
-        ring.index(n)
     elim_idx = [ring.index(n) for n in names]
     keep_idx = [i for i in range(len(ring)) if i not in elim_idx]
     perm = elim_idx + keep_idx
@@ -753,20 +739,20 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     gens.sort(key=lambda g: _element_sort_key(g, sort_order))
     vecs = [_vec_of(g)[0] for g in gens]
 
-    kern = _Kernel(M.order.heap_key, budget, M.rank == 1)
+    kern = _Kernel(M.order.heap_key, M.rank == 1)
     sizes = []
     for v in vecs:
         sizes.append(len(kern.basis))
-        kern.run([v])
+        kern.run([v], budget)
     above: list[int] = []  # indices of the generators kept, greatest first
     for i in reversed(range(len(vecs))):
         test = kern.prefix(sizes[i])
-        test.run([vecs[j] for j in reversed(above)])
-        if test.reduce_full(dict(vecs[i]))[0]:
+        test.run([vecs[j] for j in reversed(above)], budget)
+        if test.reduce_full(dict(vecs[i]), budget)[0]:
             above.append(i)
     out = Submodule(M.ring, M.rank, [gens[i] for i in reversed(above)], M.order)
     kept = set(above)
     for i, g in enumerate(gens):
-        if i not in kept and not contains(out, g, budget):
+        if i not in kept and not express(g, out, budget).is_member:
             raise StructureError("internal: prune changed the module")
     return out

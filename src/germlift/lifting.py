@@ -28,7 +28,7 @@ from .errors import (
 from .germs import MapGerm, Unfolding, check_field, tf_generators, wf_apply
 from .groebner import Budget, _divide, grevlex_basis, prune_module, syzygy_module
 from .modules import GREVLEX, ModuleElement, Submodule, combine, membership_module
-from .poly import Polynomial
+from .poly import Polynomial, zero_section
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,8 @@ def restrict_field(eta: ModuleElement, U: Unfolding) -> ModuleElement:
     renamed onto the core's target ring."""
     check_field(eta, U.total.target, "the unfolded target")
     core_tgt = U.core.target
-    keep = U.non_param_target_indices()
-    zero = {v: Polynomial.zero(core_tgt) for v in U.target_params}
-    rename = {
-        U.total.target.names[i]: Polynomial.variable(core_tgt, new)
-        for i, new in zip(keep, core_tgt.names)
-    }
-    mapping = {**zero, **rename}
-    return ModuleElement(core_tgt, [eta.entries[i].substitute(mapping, into=core_tgt)
-                                    for i in keep])
+    return ModuleElement(core_tgt, [zero_section(eta.entries[i], U.target_params, core_tgt)
+                                    for i in U.non_param_target_indices()])
 
 
 def restrictable_part(U: Unfolding, liftF: Submodule,

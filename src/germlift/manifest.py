@@ -156,6 +156,12 @@ def _names(names, named: dict, m: Manifest, path: str) -> list:
     return names
 
 
+def _vars(names, named: dict, m: Manifest, path: str) -> list:
+    if not _names(names, named, m, path):
+        raise SchemaError(path, "expected at least one variable")
+    return names
+
+
 def _weights(weights, named: dict, m: Manifest, path: str) -> list | None:
     if weights is None:
         return None
@@ -327,7 +333,7 @@ _AUGMENTATION = {"augmentation": Ref("augmentations"), "k": _instance}
 # the checked values, in the order of the keys, are the class's arguments.
 # Sections come after the sections their Refs name.
 SECTIONS = {
-    "rings": (VarSet, {"vars": _names, "weights?": _weights}),
+    "rings": (VarSet, {"vars": _vars, "weights?": _weights}),
     "maps": (MapGerm, {"source": Ref("rings"), "target": Ref("rings"),
                        "components": _each(_expression("source"))}),
     "unfoldings": (Unfolding, {"map": Ref("maps"), "source_params": _names,

@@ -10,16 +10,19 @@ maps each term's exponent straight to its image term; otherwise it takes
 each monomial image ``img^e`` from a cache that the caller supplies.
 ``Polynomial.substitute`` passes a fresh cache, and ``germs.pull_back``
 the cache kept on the germ.  Products with a one-term factor and powers of
-one term shift exponents instead of summing term products.
+one term shift exponents instead of summing term products.  A zero
+section, some variables set to 0 and the others renamed in order onto
+another ring, is an exponent projection (:func:`zero_section`).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add, le, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import AmbientError, NotDivisible
 
@@ -45,6 +48,10 @@ def exp_divides(a: Exp, b: Exp) -> bool:
     return all(map(le, a, b))
 
 
+# the pattern of "ident" in the published manifest schema
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 class VarSet:
     """An ordered set of variable names with optional positive integer weights."""
 
@@ -55,7 +62,7 @@ class VarSet:
         if len(set(self.names)) != len(self.names):
             raise AmbientError(f"variable names are not distinct: {self.names}")
         for n in self.names:
-            if not n or not (n[0].isalpha() or n[0] == "_"):
+            if not _IDENT.fullmatch(n):
                 raise AmbientError(f"invalid variable name {n!r}")
         if weights is None:
             self.weights = None
@@ -515,6 +522,19 @@ def rering(p: Polynomial, ring: VarSet) -> Polynomial:
     if p.ring.names != ring.names:
         raise AmbientError("cannot move polynomial between unrelated rings")
     return Polynomial(ring, p.terms)
+
+
+def zero_section(p: Polynomial, zeroed: Collection[str], into: VarSet) -> Polynomial:
+    """``p`` with the variables ``zeroed`` set to 0 and the others mapped, in
+    order, onto the variables of ``into``: the terms that contain no zeroed
+    variable, each with the exponents of the others."""
+    ring = p.ring
+    zero = [ring.index(n) for n in zeroed]
+    keep = [i for i in range(len(ring)) if i not in zero]
+    if len(keep) != len(into):
+        raise AmbientError(f"{len(keep)} variables remain for the {len(into)} of {into}")
+    return Polynomial._of(into, {tuple(e[i] for i in keep): c for e, c in p.terms.items()
+                                 if not any(e[i] for i in zero)})
 
 
 def fresh_name(ring: VarSet, stem: str) -> str:

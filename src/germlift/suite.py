@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .derlog import (
-    AugmentationSpec,
     augment_field,
     augment_field_div,
     augment_unfolding,
@@ -28,7 +27,6 @@ from .derlog import (
     tangency_quotient,
 )
 from .errors import GermliftError, GroebnerTimeout, InputNotLiftable, OutputNotCertified
-from .exprio import print_poly
 from .germs import VectorField, apply_to, push_forward
 from .groebner import Budget, module_equal
 from .lifting import is_liftable, lift_from_unfolding, origin_span, restrict_field, restrictable
@@ -194,9 +192,9 @@ def _run_discriminant(task, budget) -> Report:
     sc = _poly_proportional(rering(D.h, want.ring), want.h)
     if sc is None:
         return Report(task["id"], FAIL, ["defining equation differs"],
-                      [{"computed": print_poly(D.h)}])
+                      [{"computed": str(D.h)}])
     return Report(task["id"], PASS, [f"equation matches (scalar {sc})"],
-                  [{"computed": print_poly(D.h)}])
+                  [{"computed": str(D.h)}])
 
 
 def _run_derlog(task, budget) -> Report:
@@ -208,7 +206,7 @@ def _run_derlog(task, budget) -> Report:
         tf = derlog_tangent(D, budget)
         module = tf.module
         certs = [
-            {"field": str(g), "quotient": print_poly(a)}
+            {"field": str(g), "quotient": str(a)}
             for g, a in zip(module.generators, tf.quotients)
         ]
     return _compare_expected(task, module, certs, budget)
@@ -252,7 +250,7 @@ def _run_augment_tilde(task, budget) -> Report:
         q = tangency_quotient(want, inst.divisor.h)
         if q is None:
             return Report(task["id"], FAIL, [f"field {i} not tangent to the divisor"])
-        certs.append({"field": str(want), "quotient": print_poly(q)})
+        certs.append({"field": str(want), "quotient": str(q)})
     return Report(
         task["id"], PASS,
         [f"{len(inst.recipes)} transforms reproduce the table; all tangent"], certs,
@@ -279,7 +277,7 @@ def _run_augment_pi2(task, budget) -> Report:
         expect = Submodule.ideal(VarSet(I_aug.ring.names), task["expect_ideal"])
         if not _ideals_equal(I_aug, expect, budget):
             return Report(task["id"], FAIL, ["ideal differs from the expected one"])
-    gens = sorted(print_poly(g.entries[0]) for g in I_aug.generators)
+    gens = sorted(str(g.entries[0]) for g in I_aug.generators)
     return Report(
         task["id"], PASS,
         ["ideals equal, both computed from tangency modules"],
@@ -301,7 +299,7 @@ def _run_augment_descend(task, budget) -> Report:
         certs.append(
             {
                 "field": str(res.field),
-                "quotient": print_poly(res.quotient),
+                "quotient": str(res.quotient),
                 "discarded": str(res.discarded),
             }
         )
@@ -313,8 +311,7 @@ def _run_augment_descend(task, budget) -> Report:
 
 def _run_augment_tau(task, budget) -> Report:
     aug = task["augmentation"]
-    spec = AugmentationSpec(aug.unfolding.core, aug.unfolding, task["k"].k)
-    AF = augment_unfolding(spec)
+    AF = augment_unfolding(aug.unfolding, task["k"].k)
     eta = VectorField(AF.total.target, [rering(p, AF.total.target)
                                         for p in task["field"].fields[0].entries])
     res = is_liftable(AF.total, eta, budget)

@@ -24,8 +24,8 @@ from germlift.derlog import poly_gcd
 from germlift.germs import mapgerm_determinant
 from germlift.groebner import (
     _element_sort_key,
+    _Kernel,
     _reduced_basis,
-    _reducer,
     _vec_of,
     eliminate,
 )
@@ -401,7 +401,7 @@ def prune_reference(M, budget):
             continue
         plain = _reduced_basis(key, [_vec_of(gens[j])[0] for j in others], budget,
                                M.rank == 1)
-        if not _reducer(key, plain, budget).reduce_full(_vec_of(gens[i])[0])[0]:
+        if not _Kernel(key, False, plain).reduce_full(_vec_of(gens[i])[0], budget)[0]:
             kept = others
     return [gens[j] for j in kept]
 

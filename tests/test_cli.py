@@ -118,14 +118,20 @@ RING_X = '"rings": {"r": {"vars": ["x"]}}, '
     ('"rings": {"r": {"vars": ["x", 1]}}', "rings.r.vars"),
     (RING_X + '"divisors": {"d": {"ring": "r", "equation": "x", "weights": 3}}',
      "divisors.d.weights"),
+    ('"rings": {"r": {"vars": ["x y"]}}', "rings.r"),
+    ('"rings": {"r": {"vars": ["x-1"]}}', "rings.r"),
+    ('"rings": {"r": {"vars": ["\\u00e9"]}}', "rings.r"),
+    ('"rings": {"r": {"vars": []}}', "rings.r.vars"),
 ], ids=["rings-list", "map-entry-number", "tasks-object", "ring-weights-number",
-        "ring-weights-bool", "ring-var-number", "divisor-weights-number"])
+        "ring-weights-bool", "ring-var-number", "divisor-weights-number",
+        "ring-var-space", "ring-var-minus", "ring-var-non-ascii", "ring-vars-empty"])
 def test_malformed_section_data_error(tmp_path, capsys, section, path):
     bad = tmp_path / "bad.manifest.json"
     bad.write_text('{"schema": "germlift-manifest/1", ' + section + '}')
     code, _, err = run(capsys, "paper-suite", "-m", str(bad))
     assert code == 65
     assert f"manifest error: {path}:" in err
+    assert "Traceback" not in err
 
 
 INSTANCE_2 = "instance_2"

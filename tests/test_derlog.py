@@ -14,7 +14,6 @@ from germlift.errors import (
 )
 from germlift.exprio import parse_poly
 from germlift.derlog import (
-    AugmentationSpec,
     Divisor,
     augment_field,
     augment_field_div,
@@ -32,7 +31,7 @@ from germlift.derlog import (
     tangency_quotient,
 )
 from germlift.germs import MapGerm, Unfolding, VectorField, apply_to
-from germlift.groebner import Budget, contains, module_equal
+from germlift.groebner import Budget, express, module_equal
 from germlift.modules import ModuleElement, Submodule
 from germlift.poly import Polynomial, VarSet, exact_divide, integer_normalize
 
@@ -60,7 +59,7 @@ def test_derlog_strict_torus_direction():
     R = VarSet(["X", "Y"])
     D = Divisor(R, parse_poly("X*Y", R))
     S = derlog_strict(D)
-    assert contains(S, _field(R, "X", "-Y"))
+    assert express(_field(R, "X", "-Y"), S).is_member
 
 
 def test_derlog_tangent_smooth_hypersurface():
@@ -232,12 +231,10 @@ def _etas(tgtF):
 
 def test_augment_map_and_unfolding():
     f, F, U, H = _quartic_setup()
-    spec2 = AugmentationSpec(f, U, 2)
-    A2 = augment_map(spec2)
+    A2 = augment_map(U, 2)
     assert A2.components[0] == parse_poly("x^4 + y*x + z^2*x^2", F.source)
-    spec1 = AugmentationSpec(f, U, 1)
-    assert augment_map(spec1) == F
-    AF = augment_unfolding(spec2)
+    assert augment_map(U, 1) == F
+    AF = augment_unfolding(U, 2)
     assert AF.restrict() == A2
     assert AF.total.components[0] == parse_poly(
         "x^4 + y*x + z^2*x^2 + mu*x^2", AF.total.source
@@ -245,9 +242,16 @@ def test_augment_map_and_unfolding():
 
 
 def test_augmentation_spec_validated():
+    # k must be positive, and the unfolding must have one parameter
     f, F, U, H = _quartic_setup()
-    with pytest.raises(StructureError):
-        AugmentationSpec(f, U, 0)
+    src, tgt = VarSet(["x", "a", "b"]), VarSet(["X", "A", "B"])
+    core = MapGerm(VarSet(["x"]), VarSet(["X"]), [parse_poly("x^3", VarSet(["x"]))])
+    total = MapGerm(src, tgt, [parse_poly(t, src) for t in ("x^3 + a*x + b*x^2", "a", "b")])
+    U2 = Unfolding(total, ["a", "b"], ["A", "B"], core)
+    for unfolding, k in [(U, 0), (U2, 2)]:
+        for augment in (augment_map, augment_unfolding):
+            with pytest.raises(StructureError):
+                augment(unfolding, k)
 
 
 def test_tilde_reproduces_table_k2():

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from germlift.groebner import (
     Budget,
+    _Kernel,
     _embedded_key,
     _reduced_basis,
-    _reducer,
     _vec_of,
     compute_gb,
 )
@@ -130,9 +130,8 @@ def test_reduce_full_matches_maxscan_reference(case, data):
     skip = data.draw(st.none() | st.integers(0, len(vecs) - 1))
     pairs = _monic_pairs(vecs, raw)
     got_budget = Budget()
-    got, scale = _reducer(heap, [(_primitive(v, lead), lead) for v, lead in pairs],
-                          got_budget).reduce_full(dict(work), main_rank=main_rank,
-                                                  skip=skip)
+    got, scale = _Kernel(heap, False, [(_primitive(v, lead), lead) for v, lead in pairs]
+                         ).reduce_full(dict(work), got_budget, main_rank=main_rank, skip=skip)
     ref_budget = Budget()
     ref = normal_form_maxscan([v for v, _ in pairs], [lead for _, lead in pairs],
                               raw, {t: Fraction(k) for t, k in work.items()},

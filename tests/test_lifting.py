@@ -12,7 +12,6 @@ from germlift.germs import MapGerm, Unfolding, VectorField, tf_generators, wf_ap
 from germlift.groebner import (
     Membership,
     compute_gb,
-    contains,
     express,
     module_equal,
     module_intersect,
@@ -330,4 +329,4 @@ def test_restrictable_part_is_the_intersection(seed):
     assert all(restrictable(g, U) for g in got)
     meet = Submodule(ring, P, got)
     for elem in intersection_bounded(gens, list(N.generators), 2):
-        assert contains(meet, elem)
+        assert express(elem, meet).is_member

@@ -11,6 +11,7 @@ from germlift.poly import (
     VarSet,
     exact_divide,
     integer_normalize,
+    zero_section,
 )
 
 from oracles import newton_derivative_at, random_poly
@@ -23,7 +24,22 @@ def test_varset_invariants():
         VarSet(["x"], [0])
     with pytest.raises(AmbientError):
         VarSet(["x", "y"], [1])
+    for bad in ("", "x y", "x-1", "1x", "\u00e9"):
+        with pytest.raises(AmbientError):
+            VarSet([bad])
     VarSet(["x", "y"], [4, 1])
+    VarSet(["_x1", "Mu_"])
+    VarSet([])
+
+
+def test_zero_section_drops_the_zeroed_variables_and_renames_the_rest():
+    src, short = VarSet(["x", "a", "y"]), VarSet(["u", "v"], [2, 3])
+    p = parse_poly("x^2*y + 3*a*x - 1/2*y^4 + a^2", src)
+    assert zero_section(p, ["a"], short) == parse_poly("u^2*v - 1/2*v^4", short)
+    # setting every variable to zero leaves the constant term
+    assert zero_section(p + 5, ["x", "a", "y"], VarSet([])).terms == {(): 5}
+    with pytest.raises(AmbientError):
+        zero_section(p, ["a"], VarSet(["u"]))
 
 
 def test_cancellation(xy, P):
