@@ -1,5 +1,12 @@
 """Discriminants, logarithmic vector fields, and augmentation transforms.
 
+A discriminant of a corank-1 germ, every component but one a bare source
+variable and the last one ``g`` with a constant leading coefficient in the
+remaining variable, is the squarefree part of a norm: the determinant of
+multiplication by det(df) on the free module ``Q[X][y]/(g - X_i)``, checked
+by dividing ``h o f`` by det(df).  Every other germ's discriminant is a
+Groebner elimination of its graph ideal.
+
 For a reduced equation h, the strict module is the annihilator
 {eta : eta(h) = 0}; the tangent module is {eta : eta(h) in <h>}, computed as
 syzygies of the partials (with h adjoined), with the quotient eta(h)/h
@@ -25,16 +32,26 @@ from .errors import (
     NotEquidimensional,
     StructureError,
 )
-from .germs import MapGerm, Unfolding, VectorField, apply_to, check_field, mapgerm_determinant
+from .germs import (
+    MapGerm,
+    Unfolding,
+    VectorField,
+    apply_to,
+    check_field,
+    mapgerm_determinant,
+    pull_back,
+)
 from .groebner import Budget, eliminate, prune_module, syzygy_module
 from .modules import GREVLEX, ModuleElement, Submodule, membership_module
 from .poly import (
     Polynomial,
     VarSet,
+    determinant,
     exact_divide,
     fresh_name,
     integer_normalize,
     rering,
+    set_zero,
     zero_section,
 )
 
@@ -239,19 +256,92 @@ def _bare_variable(p: Polynomial) -> str | None:
     return p.ring.names[e.index(1)]
 
 
+def _norm(f: MapGerm, det: Polynomial, bare: dict, kept: tuple[str, Polynomial],
+          budget: Budget | None) -> Polynomial | None:
+    """det(M_d) for ``d = det`` when f has the corank-1 shape, else None.
+
+    ``bare`` maps all source variables but one, ``y``, to the target
+    coordinates equal to them, and ``kept`` is the other component ``X_i =
+    g``.  When ``g = c*y^m + sum_{k<m} g_k y^k`` with ``c`` a nonzero
+    constant, ``A = Q[X][y]/(g - X_i)`` is free over ``Q[X]`` with basis
+    ``1, y, ..., y^(m-1)``, and ``y^m = (X_i - sum_{k<m} g_k y^k)/c`` in
+    ``A``.  ``M_d`` is the matrix of multiplication by ``d`` on ``A``: its
+    column ``j`` holds the coefficients of ``d*y^j``, each column ``y``
+    times the one before.  ``det(M_d)``, the norm of ``d``, generates the
+    0th Fitting ideal of ``f_*O`` (D. Mond and R. Pellikaan, LNM 1414,
+    1989), which has the discriminant as its zero set.
+    """
+    (y,) = [n for n in f.source.names if n not in bare]
+    yi = f.source.index(y)
+    target = f.target
+    moves = [(f.source.index(x), target.index(X)) for x, X in bare.items()]
+
+    def in_y(p: Polynomial) -> list[Polynomial]:
+        """The coefficients over ``target`` of the powers of ``y`` in p."""
+        by_power: dict[int, dict] = {}
+        for e, c in p.terms.items():
+            out = [0] * len(target)
+            for i, j in moves:
+                out[j] = e[i]
+            by_power.setdefault(e[yi], {})[tuple(out)] = c
+        return [Polynomial._of(target, by_power.get(k, {}))
+                for k in range(max(by_power, default=0) + 1)]
+
+    name, g = kept
+    gs = in_y(g)  # m >= 1, as det(df) = +-dg/dy is not zero
+    m = len(gs) - 1
+    if list(gs[m].terms) != [target.zero_exp()]:
+        return None
+    # y^m in A, as coefficients of 1, ..., y^(m-1)
+    inv = 1 / gs[m].terms[target.zero_exp()]
+    top = [gk * -inv for gk in gs[:m]]
+    top[0] = top[0] + Polynomial.variable(target, name) * inv
+
+    def times_y(v: list[Polynomial]) -> list[Polynomial]:
+        out = [Polynomial.zero(target)] + v[:-1]
+        return out if v[-1].is_zero else [a + v[-1] * t for a, t in zip(out, top)]
+
+    column = [Polynomial.zero(target)] * m
+    for dk in reversed(in_y(det)):
+        column = times_y(column)
+        column[0] = column[0] + dk
+    columns = [column]
+    for _ in range(m - 1):
+        columns.append(times_y(columns[-1]))
+    return determinant(columns, budget)
+
+
+def _certify_discriminant(f: MapGerm, h: Polynomial, det: Polynomial) -> None:
+    """Raise :class:`StructureError` unless ``h o f = q * det(df)`` for a
+    polynomial ``q``, checked by exact division: h vanishes on the image of
+    the critical set."""
+    try:
+        exact_divide(pull_back(h, f), det)
+    except NotDivisible:
+        raise StructureError("discriminant certificate failed: "
+                             "det(df) does not divide h o f") from None
+
+
 def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     """Reduced defining equation of the image of the non-submersive points.
 
-    Restricted to equidimensional germs: eliminate the source variables from
-    the graph ideal together with det(df), then take the squarefree part,
-    normalized to coprime integer coefficients with positive leading term.
+    Restricted to equidimensional germs; the result is normalized to coprime
+    integer coefficients with positive leading term.
 
     A component ``X_i = x_j`` that is one source variable, not taken by an
-    earlier component, leaves the graph ideal: ``X_i`` replaces ``x_j`` in
-    the other generators and ``x_j`` is not eliminated.  That ideal is the
-    image of the full one under ``x_j -> X_i``, which fixes the target
-    ring, so its elimination ideal, and the one reduced generator, are the
-    same.
+    earlier component, is bare.  When every component but one is bare and
+    the last one has a nonzero constant leading coefficient in the remaining
+    source variable, ``h`` is the squarefree part of the norm of det(df)
+    (:func:`_norm`), and ``h o f`` is checked to be a multiple of det(df).
+    No Groebner run is made unless ``squarefree_part`` needs one.
+
+    Otherwise the source variables are eliminated from the graph ideal
+    together with det(df), and ``h`` is the squarefree part of the one
+    generator.  A bare component leaves that ideal: ``X_i`` replaces
+    ``x_j`` in the other generators and ``x_j`` is not eliminated.  That
+    ideal is the image of the full one under ``x_j -> X_i``, which fixes the
+    target ring, so its elimination ideal, and the one reduced generator,
+    are the same.
     """
     if f.n != f.p:
         raise NotEquidimensional(f"need n = p, got {f.n} -> {f.p}")
@@ -268,19 +358,24 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
             bare[x] = name
         else:
             kept.append((name, comp))
-    rest = [n for n in f.source.names if n not in bare]
-    big = VarSet(rest + list(f.target.names))
-    image = {n: Polynomial.variable(big, bare.get(n, n)) for n in f.source.names}
-    gens = [Polynomial.variable(big, name) - comp.substitute(image, into=big)
-            for name, comp in kept]
-    gens.append(det.substitute(image, into=big))
-    elim = eliminate(Submodule.ideal(big, gens), rest, budget)
-    polys = elim.ideal_generators()
-    if len(polys) != 1:
-        raise StructureError(
-            f"eliminated ideal is not principal ({len(polys)} generators)"
-        )
-    h = squarefree_part(rering(polys[0], f.target), budget)
+    norm = _norm(f, det, bare, kept[0], budget) if len(kept) == 1 else None
+    if norm is not None:
+        h = squarefree_part(norm, budget)
+        _certify_discriminant(f, h, det)
+    else:
+        rest = [n for n in f.source.names if n not in bare]
+        big = VarSet(rest + list(f.target.names))
+        image = {n: Polynomial.variable(big, bare.get(n, n)) for n in f.source.names}
+        gens = [Polynomial.variable(big, name) - comp.substitute(image, into=big)
+                for name, comp in kept]
+        gens.append(det.substitute(image, into=big))
+        elim = eliminate(Submodule.ideal(big, gens), rest, budget)
+        polys = elim.ideal_generators()
+        if len(polys) != 1:
+            raise StructureError(
+                f"eliminated ideal is not principal ({len(polys)} generators)"
+            )
+        h = squarefree_part(rering(polys[0], f.target), budget)
     weights = None
     if f.target.weights is not None and h.is_weighted_homogeneous(f.target.weights):
         weights = f.target.weights
@@ -362,7 +457,7 @@ def augment_field_div(eta: ModuleElement, k: int, into: VarSet | None = None) ->
     """The transform above divided exactly by k*z^(k-1); requires the last
     entry of eta to vanish on the zero section of the last coordinate."""
     space, entries, divisor = _substitute_power(eta, k, into)
-    if not eta.entries[-1].substitute({space.names[-1]: Polynomial.zero(eta.ring)}).is_zero:
+    if not set_zero(eta.entries[-1], space.names[-1:]).is_zero:
         raise NotDivisible("last entry does not vanish at the zero section")
     return VectorField(space, entries[:-1] + [exact_divide(entries[-1], divisor)])
 
@@ -412,7 +507,7 @@ def descend_field(eta_bar: ModuleElement, k: int, H_div: Divisor) -> DescentResu
     if alpha_bar is None:
         raise DescentResidueError("input field is not tangent to the augmented divisor")
     p = len(space) - 1
-    beta_zero = eta_bar.entries[-1].substitute({z: Polynomial.zero(space)}).is_zero
+    beta_zero = set_zero(eta_bar.entries[-1], (z,)).is_zero
 
     def extract(poly: Polynomial, residue: int, post_add: int,
                 scale: Fraction) -> Polynomial:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import AmbientError, InverseCheckFailed, RankError, StructureError
 from .modules import ModuleElement, Submodule
-from .poly import Exp, Polynomial, VarSet, compose, zero_section
+from .poly import Exp, Polynomial, VarSet, compose, determinant, zero_section
 
 
 class MapGerm:
@@ -177,25 +177,10 @@ def push_forward(eta: ModuleElement, H: MapGerm, H_inv: MapGerm) -> ModuleElemen
 
 
 def mapgerm_determinant(f: MapGerm) -> Polynomial:
-    """det(df) for an equidimensional germ, by cofactor expansion."""
+    """det(df) for an equidimensional germ (:func:`poly.determinant`)."""
     if f.n != f.p:
         raise StructureError("determinant requires n = p")
-    J = jacobian(f)
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return J[rows[0]][cols[0]]
-        acc = Polynomial.zero(f.source)
-        r = rows[0]
-        rest = rows[1:]
-        for k, c in enumerate(cols):
-            minor = det(rest, cols[:k] + cols[k + 1 :])
-            term = J[r][c] * minor
-            acc = acc + term if k % 2 == 0 else acc - term
-        return acc
-
-    idx = list(range(f.n))
-    return det(idx, idx)
+    return determinant(jacobian(f))
 
 
 class Unfolding:

@@ -28,7 +28,7 @@ from .errors import (
 from .germs import MapGerm, Unfolding, check_field, tf_generators, wf_apply
 from .groebner import Budget, _divide, grevlex_basis, prune_module, syzygy_module
 from .modules import GREVLEX, ModuleElement, Submodule, combine, membership_module
-from .poly import Polynomial, zero_section
+from .poly import Polynomial, set_zero, zero_section
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ def is_liftable(f: MapGerm, eta: ModuleElement, budget: Budget | None = None) ->
 
 def _zero_section_params(eta: ModuleElement, U: Unfolding) -> list[Polynomial]:
     """The parameter components of ``eta`` with the target parameters set to 0."""
-    zero = {v: Polynomial.zero(U.total.target) for v in U.target_params}
-    return [eta.entries[j].substitute(zero) for j in U.target_param_indices()]
+    return [set_zero(eta.entries[j], U.target_params) for j in U.target_param_indices()]
 
 
 def restrictable(eta: ModuleElement, U: Unfolding) -> bool:

@@ -10,21 +10,28 @@ maps each term's exponent straight to its image term; otherwise it takes
 each monomial image ``img^e`` from a cache that the caller supplies.
 ``Polynomial.substitute`` passes a fresh cache, and ``germs.pull_back``
 the cache kept on the germ.  Products with a one-term factor and powers of
-one term shift exponents instead of summing term products.  A zero
-section, some variables set to 0 and the others renamed in order onto
-another ring, is an exponent projection (:func:`zero_section`).
+one term shift exponents instead of summing term products.  Setting
+variables to 0 is an exponent filter: over the same ring
+(:func:`set_zero`), or with the other variables renamed in order onto
+another ring (:func:`zero_section`).  Exact division pops the remainder's
+terms from a heap (:func:`exact_divide`), and a determinant of a matrix of
+polynomials is one fraction-free elimination (:func:`determinant`).
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add, le, sub
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
-from .errors import AmbientError, NotDivisible
+from .errors import AmbientError, GroebnerTimeout, NotDivisible
+
+if TYPE_CHECKING:
+    from .groebner import Budget
 
 Exp = tuple[int, ...]
 
@@ -524,6 +531,14 @@ def rering(p: Polynomial, ring: VarSet) -> Polynomial:
     return Polynomial(ring, p.terms)
 
 
+def set_zero(p: Polynomial, zeroed: Collection[str]) -> Polynomial:
+    """``p`` with the variables ``zeroed`` set to 0, over ``p``'s own ring:
+    the terms that contain no zeroed variable."""
+    zero = [p.ring.index(n) for n in zeroed]
+    return Polynomial._of(p.ring, {e: c for e, c in p.terms.items()
+                                   if not any(e[i] for i in zero)})
+
+
 def zero_section(p: Polynomial, zeroed: Collection[str], into: VarSet) -> Polynomial:
     """``p`` with the variables ``zeroed`` set to 0 and the others mapped, in
     order, onto the variables of ``into``: the terms that contain no zeroed
@@ -546,24 +561,90 @@ def fresh_name(ring: VarSet, stem: str) -> str:
 
 
 def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Return ``q`` with ``a == q*b``; raise :class:`NotDivisible` otherwise."""
+    """Return ``q`` with ``a == q*b``; raise :class:`NotDivisible` otherwise.
+
+    Long division by the leading term of ``b`` in the ring's default order.
+    The remainder is a term dict whose terms sit in a heap of heap keys,
+    each pushed when it enters the remainder, so each step pops the greatest
+    remaining term without a rescan; a popped term that has since cancelled
+    is skipped.  A step only adds terms below the one it removes, so the
+    steps are those of a rescan for the leading term, and the division
+    fails at the first leading term that the lead of ``b`` does not divide.
+    """
     a._check_same_ring(b)
     if b.is_zero:
         if a.is_zero:
             return a
         raise NotDivisible("division by zero polynomial")
-    order = a.ring.default_order()
-    eb, cb = b.leading(order)
+    key = a.ring.default_order().heap_key
+    eb, cb = b.leading()
+    tail = [(e, c) for e, c in b.terms.items() if e != eb]
+    rem = dict(a.terms)
+    heap = [(key(e), e) for e in rem]
+    heapq.heapify(heap)
     quot: dict[Exp, Fraction] = {}
-    rem = a
-    while not rem.is_zero:
-        ea, ca = rem.leading(order)
-        if not exp_divides(eb, ea):
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = rem.pop(e, None)
+        if c is None:
+            continue
+        if not exp_divides(eb, e):
             raise NotDivisible(f"{b} does not divide {a}")
-        q = Polynomial.monomial(a.ring, exp_sub(ea, eb), ca / cb)
-        quot[exp_sub(ea, eb)] = ca / cb
-        rem = rem - q * b
-    return Polynomial(a.ring, quot)
+        shift = exp_sub(e, eb)
+        q = quot[shift] = c / cb
+        for et, ct in tail:
+            t = tuple(map(add, shift, et))
+            old = rem.get(t)
+            if old is None:
+                rem[t] = -q * ct
+                heapq.heappush(heap, (key(t), t))
+            else:
+                new = old - q * ct
+                if new:
+                    rem[t] = new
+                else:
+                    del rem[t]
+    return Polynomial._of(a.ring, quot)
+
+
+def determinant(rows: Sequence[Sequence[Polynomial]],
+                budget: Budget | None = None) -> Polynomial:
+    """The determinant of a nonempty square matrix of polynomials over one
+    ring, by fraction-free elimination (E. H. Bareiss, Math. Comp. 22,
+    1968).
+
+    Step ``k`` replaces each entry below and right of the pivot ``a[k][k]``
+    by ``(a[k][k]*a[i][j] - a[i][k]*a[k][j]) / p``, with ``p`` the previous
+    pivot.  Every such entry is then a minor of the matrix, so each division
+    is exact, and the last entry is the determinant.  A zero pivot is
+    swapped with the first lower row that is nonzero in its column, which
+    flips the sign; with none, the determinant is 0.  With a ``budget``,
+    its clock is read once per pivot, and a deadline that has passed raises
+    :class:`GroebnerTimeout` as the Groebner kernel does.
+    """
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("determinant needs a nonempty square matrix")
+    a = [list(r) for r in rows]
+    negate = False
+    prev = None
+    for k in range(n - 1):
+        if budget is not None and budget._over_time():
+            raise GroebnerTimeout(f"time limit {budget.seconds}s exceeded",
+                                  stats=budget.stats())
+        if a[k][k].is_zero:
+            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+            if swap is None:
+                return Polynomial.zero(a[k][k].ring)
+            a[k], a[swap] = a[swap], a[k]
+            negate = not negate
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                t = pivot * a[i][j] - a[i][k] * a[k][j]
+                a[i][j] = t if prev is None else exact_divide(t, prev)
+        prev = pivot
+    return -a[-1][-1] if negate else a[-1][-1]
 
 
 def integer_normalize(p: Polynomial) -> Polynomial:

@@ -10,18 +10,19 @@ kernel, not the kernel: ``prune_reference``, the direct prune (one reduced
 basis per tested generator) that ``prune_module``'s incremental run
 replaced, and ``discriminant_reference``, the discriminant by elimination
 of every source variable and the gcd loop, the construction that
-``derlog.discriminant`` shortens.  Products and compositions of
-polynomials are made term by term on plain dicts (``mul_terms``,
-``compose_reference``), with no shortcut for one-term factors or monomial
-images.  These deliberately slower paths stay independent of the code
-they check.
+``derlog.discriminant`` shortens or, for corank-1 germs, replaces by a
+determinant.  Products and compositions of polynomials are made term by
+term on plain dicts (``mul_terms``, ``compose_reference``), with no
+shortcut for one-term factors or monomial images, and determinants by
+cofactor expansion (``cofactor_determinant``), with no division.  These
+deliberately slower paths stay independent of the code they check.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from germlift.derlog import poly_gcd
-from germlift.germs import mapgerm_determinant
+from germlift.germs import jacobian
 from germlift.groebner import (
     _element_sort_key,
     _Kernel,
@@ -406,6 +407,18 @@ def prune_reference(M, budget):
     return [gens[j] for j in kept]
 
 
+def cofactor_determinant(rows) -> Polynomial:
+    """The determinant of a nonempty square matrix of polynomials, by
+    cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = Polynomial.zero(rows[0][0].ring)
+    for k, entry in enumerate(rows[0]):
+        minor = cofactor_determinant([r[:k] + r[k + 1:] for r in rows[1:]])
+        acc = acc + entry * minor if k % 2 == 0 else acc - entry * minor
+    return acc
+
+
 def discriminant_reference(f, budget=None) -> Polynomial:
     """The equation ``h`` that ``derlog.discriminant(f)`` returns, found
     from the whole graph ideal: eliminate every source variable from
@@ -416,7 +429,7 @@ def discriminant_reference(f, budget=None) -> Polynomial:
     lift_src = {n: Polynomial.variable(big, n) for n in f.source.names}
     gens = [Polynomial.variable(big, name) - comp.substitute(lift_src, into=big)
             for name, comp in zip(f.target.names, f.components)]
-    gens.append(mapgerm_determinant(f).substitute(lift_src, into=big))
+    gens.append(cofactor_determinant(jacobian(f)).substitute(lift_src, into=big))
     polys = eliminate(Submodule.ideal(big, gens), f.source.names,
                       budget).ideal_generators()
     if len(polys) != 1:

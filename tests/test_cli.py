@@ -391,6 +391,13 @@ def test_timeout_budget_zero(capsys):
     assert "TIMEOUT" in out
 
 
+def test_timeout_budget_zero_stops_a_determinant(capsys):
+    # aug.disc_k3's discriminant is a determinant, with no Groebner run
+    code, out, _ = run(capsys, "paper-suite", "--only", "aug.disc_k3", "--timeout", "0")
+    assert code == 3
+    assert "TIMEOUT" in out and "aug.disc_k3" in out
+
+
 @pytest.mark.parametrize("value", ["abc", "nan", "-1", ""])
 def test_bad_timeout_flag_usage_error(capsys, value):
     with pytest.raises(SystemExit) as e:

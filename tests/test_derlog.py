@@ -12,9 +12,11 @@ from germlift.errors import (
     NotEquidimensional,
     StructureError,
 )
+from germlift import derlog
 from germlift.exprio import parse_poly
 from germlift.derlog import (
     Divisor,
+    _certify_discriminant,
     augment_field,
     augment_field_div,
     augment_map,
@@ -30,8 +32,8 @@ from germlift.derlog import (
     squarefree_part,
     tangency_quotient,
 )
-from germlift.germs import MapGerm, Unfolding, VectorField, apply_to
-from germlift.groebner import Budget, express, module_equal
+from germlift.germs import MapGerm, Unfolding, VectorField, apply_to, mapgerm_determinant
+from germlift.groebner import Budget, eliminate, express, module_equal
 from germlift.modules import ModuleElement, Submodule
 from germlift.poly import Polynomial, VarSet, exact_divide, integer_normalize
 
@@ -513,11 +515,119 @@ def test_derlog_generators_satisfy_their_identities(label):
         assert _eta_h(g, D.h) == q * D.h, (label, str(g), str(q))
 
 
+def _no_elimination(*args, **kwargs):
+    raise AssertionError("discriminant eliminated")
+
+
 @pytest.mark.parametrize("label", ["A3", "A4"] + [f"aug{k}" for k in range(2, 8)])
-def test_discriminant_matches_the_full_graph_ideal(label):
-    # every component but the first is a bare variable in these germs
+def test_discriminant_matches_the_full_graph_ideal(label, monkeypatch):
+    # every component but the first is a bare variable in these germs, and
+    # the first is monic in x: the norm route, with no Groebner run
     f = _versal(int(label[1:])) if label[0] == "A" else _augmented_quartic(int(label[3:]))
-    assert discriminant(f).h == discriminant_reference(f)
+    want = discriminant_reference(f)
+    monkeypatch.setattr(derlog, "eliminate", _no_elimination)
+    budget = Budget()
+    assert discriminant(f, budget).h == want
+    assert budget.stats() == {"reductions": 0, "s_pairs": 0, "zero_reductions": 0}
+
+
+@pytest.mark.parametrize("name", ["F", "f", "A2f", "A3f"])
+def test_bundled_discriminants_need_no_elimination(name, monkeypatch):
+    # the maps of the aug.disc_* tasks
+    from germlift.manifest import load_manifest
+    from conftest import fixture_path
+
+    f = load_manifest(fixture_path("augment.manifest.json")).maps[name]
+    want = discriminant_reference(f)
+    monkeypatch.setattr(derlog, "eliminate", _no_elimination)
+    budget = Budget()
+    assert discriminant(f, budget).h == want
+    assert budget.reductions == 0
+
+
+def test_norm_route_reads_the_clock_once_per_pivot():
+    with pytest.raises(GroebnerTimeout, match="time limit"):
+        discriminant(_versal(4), Budget(seconds=0))
+
+
+@pytest.mark.parametrize("texts", [
+    # the leading coefficient in y is x, or 1 + x, not a constant
+    ("x", "x*y^3 + y^2"),
+    ("x", "y^3 + x*y^3 + y^2"),
+    ("x", "y^2 + x*z^3 + z^2", "y"),
+    # two kept components
+    ("x^2", "y^2"),
+    ("x^2 + y^3", "y^2 + x*y"),
+])
+def test_discriminant_off_the_norm_route_eliminates(texts, monkeypatch):
+    src = VarSet(["x", "y", "z"][:len(texts)])
+    tgt = VarSet(["X", "Y", "Z"][:len(texts)])
+    f = MapGerm(src, tgt, [parse_poly(t, src) for t in texts])
+    want = discriminant_reference(f)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(derlog, "eliminate", counted)
+    assert discriminant(f).h == want
+    assert len(calls) == 1
+
+
+def test_discriminant_certificate_refuses_a_wrong_equation():
+    f = _versal(3)
+    det = mapgerm_determinant(f)
+    h = discriminant(f).h
+    _certify_discriminant(f, h, det)
+    X, A1, A2 = (Polynomial.variable(f.target, v) for v in f.target.names)
+    for wrong in (h + X, h * A1 + A2 ** 3):
+        with pytest.raises(StructureError, match="certificate"):
+            _certify_discriminant(f, wrong, det)
+
+
+def _random_corank1_germ(rng, n):
+    """An n -> n germ with n - 1 bare components at random places and the
+    other ``c*y^m + sum_{k<m} g_k y^k`` for a random source variable y, a
+    constant c, m = 2..4 and small g_k in the other source variables; g_0
+    and g_1 have no constant term, so the germ fixes 0 and is singular
+    there."""
+    src = VarSet(["x", "y", "z"][:n])
+    tgt = VarSet(["X", "Y", "Z"][:n])
+    names = list(src.names)
+    rng.shuffle(names)
+    y, others = names[0], names[1:]
+    y_poly = Polynomial.variable(src, y)
+    m = rng.randint(2, 4)
+    g = y_poly ** m * rng.choice([1, -1, 2, Fraction(1, 2)])
+    for k in range(m):
+        for _ in range(rng.randint(0, 2)):
+            e = [0] * n
+            for _ in range(rng.randint(0 if k > 1 else 1, 2)):
+                e[src.index(rng.choice(others))] += 1
+            g = g + Polynomial.monomial(src, e, rng.choice([-3, -1, 1, 2])) * y_poly ** k
+    place = rng.randrange(n)
+    bare = iter(others)
+    comps = [g if i == place else Polynomial.variable(src, next(bare)) for i in range(n)]
+    return MapGerm(src, tgt, comps)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_discriminant_of_random_corank1_germs_takes_the_norm_route(n, monkeypatch):
+    rng = random.Random(1900 + n)
+    germs = [_random_corank1_germ(rng, n) for _ in range(10)]
+    wants = []
+    for f in germs:
+        try:
+            wants.append(discriminant_reference(f, Budget(max_reductions=3000)))
+        except GroebnerTimeout:  # too costly for a unit test
+            wants.append(None)
+    assert sum(w is not None for w in wants) >= 6
+    monkeypatch.setattr(derlog, "eliminate", _no_elimination)
+    for f, want in zip(germs, wants):
+        h = discriminant(f).h
+        if want is not None:
+            assert h == want, [str(c) for c in f.components]
 
 
 def _random_germ(rng, n, n_bare):

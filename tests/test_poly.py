@@ -9,12 +9,14 @@ from germlift.poly import (
     MonomialOrder,
     Polynomial,
     VarSet,
+    determinant,
     exact_divide,
     integer_normalize,
+    set_zero,
     zero_section,
 )
 
-from oracles import newton_derivative_at, random_poly
+from oracles import cofactor_determinant, newton_derivative_at, random_poly
 
 
 def test_varset_invariants():
@@ -38,6 +40,17 @@ def test_zero_section_drops_the_zeroed_variables_and_renames_the_rest():
     assert zero_section(p, ["a"], short) == parse_poly("u^2*v - 1/2*v^4", short)
     # setting every variable to zero leaves the constant term
     assert zero_section(p + 5, ["x", "a", "y"], VarSet([])).terms == {(): 5}
+
+
+def test_set_zero_keeps_the_ring_and_the_terms_free_of_the_zeroed_variables():
+    src = VarSet(["x", "a", "y"])
+    p = parse_poly("x^2*y + 3*a*x - 1/2*y^4 + a^2 + 7", src)
+    assert set_zero(p, ["a"]) == parse_poly("x^2*y - 1/2*y^4 + 7", src)
+    assert set_zero(p, ["a", "y"]) == p.substitute(
+        {"a": Polynomial.zero(src), "y": Polynomial.zero(src)})
+    assert set_zero(p, []) == p
+    with pytest.raises(AmbientError):
+        set_zero(p, ["b"])
     with pytest.raises(AmbientError):
         zero_section(p, ["a"], VarSet(["u"]))
 
@@ -227,6 +240,58 @@ def test_exact_divide():
     assert exact_divide(a, b) == parse_poly("x - y", R)
     with pytest.raises(NotDivisible):
         exact_divide(parse_poly("x^2 + 1", R), b)
+
+
+def test_exact_divide_random():
+    # the quotient of a product comes back, and a product plus a monomial
+    # of lower degree than the divisor is not a multiple of it
+    rng = random.Random(1902)
+    R = VarSet(["x", "y", "z"])
+    for _ in range(150):
+        b = random_poly(rng, R, max_deg=3, max_terms=5)
+        if b.total_degree() == 0:
+            continue
+        q = random_poly(rng, R, max_deg=4, max_terms=7)
+        a = q * b
+        assert exact_divide(a, b) == q
+        e = tuple(rng.randint(0, 1) for _ in R.names)
+        while sum(e) >= b.total_degree():
+            e = tuple(x - 1 if x else 0 for x in e)
+        bumped = a + Polynomial.monomial(R, e, Fraction(rng.choice([-2, 1, 3]), 2))
+        with pytest.raises(NotDivisible):
+            exact_divide(bumped, b)
+
+
+def _random_matrix(rng, ring, n):
+    return [[random_poly(rng, ring, max_deg=2, max_terms=3) for _ in range(n)]
+            for _ in range(n)]
+
+
+def test_determinant_matches_cofactor_expansion():
+    rng = random.Random(1901)
+    R = VarSet(["x", "y"])
+    zero = Polynomial.zero(R)
+    for n in (1, 2, 3, 4):
+        for case in range(12):
+            M = _random_matrix(rng, R, n)
+            if case % 4 == 1 and n > 1:
+                # a zero first pivot: rows are swapped at the first step
+                M[0][0] = zero
+            elif case % 4 == 2 and n > 2:
+                # a vanishing leading 2 x 2 minor: a swap at the second step
+                c = random_poly(rng, R, max_deg=1, max_terms=2)
+                M[1][0], M[1][1] = c * M[0][0], c * M[0][1]
+            elif case % 4 == 3 and n > 1:
+                # singular: the last row is a combination of the others
+                cs = [random_poly(rng, R, max_deg=1) for _ in range(n - 1)]
+                M[-1] = [sum((c * row[j] for c, row in zip(cs, M)), zero)
+                         for j in range(n)]
+                assert cofactor_determinant(M).is_zero
+            assert determinant(M) == cofactor_determinant(M), (n, case)
+    # a zero column below and at a pivot
+    assert determinant([[zero, parse_poly("x", R)], [zero, parse_poly("y", R)]]).is_zero
+    with pytest.raises(ValueError):
+        determinant([[zero, zero]])
 
 
 def test_integer_normalize():

@@ -223,10 +223,10 @@ PINNED_COUNTERS = {
     "hk5.combinations": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "hk5.tau": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "hk5.pipeline": {"reductions": 651, "s_pairs": 113, "zero_reductions": 69},
-    "aug.disc_F": {"reductions": 22, "s_pairs": 18, "zero_reductions": 9},
-    "aug.disc_f": {"reductions": 3, "s_pairs": 7, "zero_reductions": 3},
-    "aug.disc_k2": {"reductions": 34, "s_pairs": 23, "zero_reductions": 12},
-    "aug.disc_k3": {"reductions": 33, "s_pairs": 24, "zero_reductions": 12},
+    "aug.disc_F": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
+    "aug.disc_f": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
+    "aug.disc_k2": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
+    "aug.disc_k3": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "aug.derlog_H": {"reductions": 52, "s_pairs": 30, "zero_reductions": 4},
     "aug.derlog_k2": {"reductions": 93, "s_pairs": 37, "zero_reductions": 11},
     "aug.derlog_k3": {"reductions": 100, "s_pairs": 39, "zero_reductions": 12},
