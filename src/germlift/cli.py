@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seconds(text: str) -> float:
-    """A time limit in seconds: a number >= 0, ``inf`` for none.  NaN is
+    """A limit in seconds: a number >= 0, ``inf`` for none.  NaN is
     rejected too: no deadline comparison would ever catch it."""
     try:
         value = float(text)
@@ -101,20 +101,17 @@ def build_parser() -> _Parser:
     return p
 
 
-def _budget_factory(args, parser):
-    timeout = args.timeout
-    if timeout is None:
-        env = os.environ.get("GERMLIFT_TIMEOUT")
-        if env:
-            try:
-                timeout = _seconds(env)
-            except argparse.ArgumentTypeError as e:
-                parser.error(f"GERMLIFT_TIMEOUT: {e}")
-
-    def make():
-        return Budget(seconds=timeout)
-
-    return make
+def _timeout(args, parser) -> float | None:
+    """``--timeout``, else ``GERMLIFT_TIMEOUT``, else no limit."""
+    if args.timeout is not None:
+        return args.timeout
+    env = os.environ.get("GERMLIFT_TIMEOUT")
+    if not env:
+        return None
+    try:
+        return _seconds(env)
+    except argparse.ArgumentTypeError as e:
+        parser.error(f"GERMLIFT_TIMEOUT: {e}")
 
 
 def _task(args) -> dict:
@@ -153,7 +150,7 @@ def _emit(reports: list[Report], args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    make_budget = _budget_factory(args, parser)
+    seconds = _timeout(args, parser)
 
     try:
         manifests = [load_manifest(p) for p in args.manifest]
@@ -166,8 +163,7 @@ def main(argv=None) -> int:
 
     if args.command == "paper-suite":
         try:
-            reports = run_paper_suite(manifests, only=args.only,
-                                      budget_factory=make_budget)
+            reports = run_paper_suite(manifests, only=args.only, seconds=seconds)
         except ManifestError as e:
             print(f"germlift: manifest error: {e}", file=sys.stderr)
             return DATA_EXIT
@@ -181,7 +177,7 @@ def main(argv=None) -> int:
         task = check_task(task, m, args.command)
     except SchemaError as e:
         parser.error(str(e))
-    report = run_task(m, task, make_budget())
+    report = run_task(m, task, Budget(seconds=seconds))
     return _emit([report], args)
 
 

@@ -38,7 +38,7 @@ from .germs import (
     VectorField,
     apply_to,
     check_field,
-    mapgerm_determinant,
+    jacobian,
     pull_back,
 )
 from .groebner import Budget, eliminate, prune_module, syzygy_module
@@ -345,7 +345,7 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     """
     if f.n != f.p:
         raise NotEquidimensional(f"need n = p, got {f.n} -> {f.p}")
-    det = mapgerm_determinant(f)
+    det = determinant(jacobian(f))
     if det.is_zero:
         raise StructureError("Jacobian determinant vanishes identically")
     if set(f.source.names) & set(f.target.names):

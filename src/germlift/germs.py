@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import AmbientError, InverseCheckFailed, RankError, StructureError
 from .modules import ModuleElement, Submodule
-from .poly import Exp, Polynomial, VarSet, compose, determinant, zero_section
+from .poly import Exp, Polynomial, VarSet, compose, zero_section
 
 
 class MapGerm:
@@ -174,13 +174,6 @@ def push_forward(eta: ModuleElement, H: MapGerm, H_inv: MapGerm) -> ModuleElemen
             acc = acc + pull_back(J[i][j], H_inv) * entries_at_inv[j]
         out.append(acc)
     return ModuleElement(H.target, out)
-
-
-def mapgerm_determinant(f: MapGerm) -> Polynomial:
-    """det(df) for an equidimensional germ (:func:`poly.determinant`)."""
-    if f.n != f.p:
-        raise StructureError("determinant requires n = p")
-    return determinant(jacobian(f))
 
 
 class Unfolding:

@@ -52,6 +52,10 @@ A tracked basis builds its reducer, the kernel that only reduces against
 it, once: its self-check runs on it, and so does every later division by
 the module.  Each call charges the budget it is given, and the reducer's
 heap-key memo carries over from one division to the next.
+
+:class:`Budget` alone decides every limit: the kernel charges it each
+reduction and each S-pair, and the charge raises :class:`GroebnerTimeout`
+itself once a cap or the budget's deadline is passed.
 """
 
 from __future__ import annotations
@@ -81,7 +85,15 @@ Vec = dict  # {(comp, exp): int}
 
 @dataclass
 class Budget:
-    """Caps on the kernel's work; exhausted budgets raise GroebnerTimeout."""
+    """Caps on kernel work, and the one place that enforces them.
+
+    ``seconds`` limits wall-clock time; its clock starts when the budget is
+    made, and ``None`` or ``inf`` sets no limit.  Each charge checks its
+    cap and :meth:`check_clock` checks the deadline; a limit that is passed
+    raises :class:`GroebnerTimeout` with :meth:`stats` attached.  The clock
+    is read per S-pair, every 512 reductions, and wherever other work calls
+    :meth:`check_clock` (``poly.determinant``, once per pivot).
+    """
 
     max_reductions: int | None = 4_000_000
     max_basis: int | None = 4000
@@ -89,32 +101,31 @@ class Budget:
     reductions: int = 0
     spairs: int = 0
     zero_reductions: int = 0
-    _deadline: float | None = field(default=None, repr=False)
+    _deadline: float = field(init=False, repr=False)
 
-    def _over_time(self) -> bool:
-        if self.seconds is None:
-            return False
-        if self.seconds <= 0:
-            return True
-        if self._deadline is None:
-            self._deadline = time.monotonic() + self.seconds
-        return time.monotonic() >= self._deadline
+    def __post_init__(self):
+        self._deadline = (math.inf if self.seconds is None
+                          else time.monotonic() + self.seconds)
 
-    def charge_reduction(self) -> str | None:
+    def _exhausted(self, limit: str):
+        raise GroebnerTimeout(f"{limit} exceeded", stats=self.stats())
+
+    def check_clock(self) -> None:
+        if time.monotonic() >= self._deadline:
+            self._exhausted(f"time limit {self.seconds}s")
+
+    def charge_reduction(self) -> None:
         self.reductions += 1
         if self.max_reductions is not None and self.reductions > self.max_reductions:
-            return f"reduction limit {self.max_reductions} exceeded"
-        if self.reductions % 512 == 0 and self._over_time():
-            return f"time limit {self.seconds}s exceeded"
-        return None
+            self._exhausted(f"reduction limit {self.max_reductions}")
+        if self.reductions % 512 == 0:
+            self.check_clock()
 
-    def charge_spair(self, basis_size: int) -> str | None:
+    def charge_spair(self, basis_size: int) -> None:
         self.spairs += 1
         if self.max_basis is not None and basis_size > self.max_basis:
-            return f"basis size limit {self.max_basis} exceeded"
-        if self._over_time():
-            return f"time limit {self.seconds}s exceeded"
-        return None
+            self._exhausted(f"basis size limit {self.max_basis}")
+        self.check_clock()
 
     def stats(self) -> dict:
         return {
@@ -259,9 +270,7 @@ class _Kernel:
                 rem[t] = coeff
                 del work[t]
                 continue
-            over = budget.charge_reduction()
-            if over:
-                raise GroebnerTimeout(over, stats=budget.stats())
+            budget.charge_reduction()
             lead_t = leads[hit]
             shift = exp_sub(e, lead_t[1])
             red = basis[hit]
@@ -384,9 +393,7 @@ class _Kernel:
             if (i, j) not in self.pairs:
                 continue
             del self.pairs[(i, j)]
-            over = budget.charge_spair(len(self.basis))
-            if over:
-                raise GroebnerTimeout(over, stats=budget.stats())
+            budget.charge_spair(len(self.basis))
             r = self.reduce_full(self.spair(i, j), budget)[0]
             if r:
                 self.add(r)

@@ -28,7 +28,7 @@ from math import gcd
 from operator import add, le, sub
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
-from .errors import AmbientError, GroebnerTimeout, NotDivisible
+from .errors import AmbientError, NotDivisible
 
 if TYPE_CHECKING:
     from .groebner import Budget
@@ -619,8 +619,7 @@ def determinant(rows: Sequence[Sequence[Polynomial]],
     is exact, and the last entry is the determinant.  A zero pivot is
     swapped with the first lower row that is nonzero in its column, which
     flips the sign; with none, the determinant is 0.  With a ``budget``,
-    its clock is read once per pivot, and a deadline that has passed raises
-    :class:`GroebnerTimeout` as the Groebner kernel does.
+    :meth:`Budget.check_clock` runs once per pivot.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
@@ -629,9 +628,8 @@ def determinant(rows: Sequence[Sequence[Polynomial]],
     negate = False
     prev = None
     for k in range(n - 1):
-        if budget is not None and budget._over_time():
-            raise GroebnerTimeout(f"time limit {budget.seconds}s exceeded",
-                                  stats=budget.stats())
+        if budget is not None:
+            budget.check_clock()
         if a[k][k].is_zero:
             swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
             if swap is None:

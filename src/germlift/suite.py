@@ -371,25 +371,21 @@ def run_task(m: Manifest, task: dict, budget: Budget | None = None) -> Report:
     try:
         report = _RUNNERS[task["op"]](task, budget)
     except GroebnerTimeout as e:
-        return Report(task["id"], TIMEOUT, [str(e)], counters=e.stats)
+        report = Report(task["id"], TIMEOUT, [str(e)])
     except (InputNotLiftable, OutputNotCertified) as e:
-        return Report(task["id"], FAIL, [str(e)], counters=budget.stats())
+        report = Report(task["id"], FAIL, [str(e)])
     except GermliftError as e:
-        return Report(task["id"], FAIL, [f"{type(e).__name__}: {e}"],
-                      counters=budget.stats())
+        report = Report(task["id"], FAIL, [f"{type(e).__name__}: {e}"])
     report.counters = budget.stats()
     return report
 
 
 def run_manifest(m: Manifest, only: str | None = None,
-                 budget_factory=None) -> list[Report]:
-    reports = []
-    for task in m.tasks:
-        if only and not task["id"].startswith(only):
-            continue
-        budget = budget_factory() if budget_factory else None
-        reports.append(run_task(m, task, budget))
-    return reports
+                 seconds: float | None = None) -> list[Report]:
+    """Run the tasks whose id starts with ``only``, each under a fresh
+    :class:`Budget` limited to ``seconds``."""
+    return [run_task(m, task, Budget(seconds=seconds)) for task in m.tasks
+            if not only or task["id"].startswith(only)]
 
 
 def bundled_manifests() -> list[Manifest]:
@@ -413,10 +409,10 @@ def instance_note() -> Report:
 
 
 def run_paper_suite(extra_manifests=(), only: str | None = None,
-                    budget_factory=None) -> list[Report]:
+                    seconds: float | None = None) -> list[Report]:
     reports = []
     for m in list(bundled_manifests()) + list(extra_manifests):
-        reports.extend(run_manifest(m, only, budget_factory))
+        reports.extend(run_manifest(m, only, seconds))
     note = instance_note()
     if not only or note.task_id.startswith(only):
         reports.append(note)

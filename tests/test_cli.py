@@ -426,6 +426,18 @@ def test_infinite_timeout_means_no_limit(monkeypatch, capsys):
     assert code == 0
 
 
+def test_timeout_flag_wins_over_environment(monkeypatch, capsys):
+    monkeypatch.setenv("GERMLIFT_TIMEOUT", "0")
+    code, _, _ = run(capsys, "derlog", "-m", AUG, "--divisor", "H",
+                     "--timeout", "inf")
+    assert code == 0
+    monkeypatch.setenv("GERMLIFT_TIMEOUT", "inf")
+    code, out, _ = run(capsys, "derlog", "-m", AUG, "--divisor", "H",
+                       "--timeout", "0")
+    assert code == 3
+    assert "time limit" in out
+
+
 def test_from_unfolding_with_expect(capsys):
     code, out, _ = run(capsys, "from-unfolding", "-m", HK,
                        "--unfolding", "F2_unf", "--fields", "lift_F2",

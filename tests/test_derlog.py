@@ -32,10 +32,10 @@ from germlift.derlog import (
     squarefree_part,
     tangency_quotient,
 )
-from germlift.germs import MapGerm, Unfolding, VectorField, apply_to, mapgerm_determinant
+from germlift.germs import MapGerm, Unfolding, VectorField, apply_to, jacobian
 from germlift.groebner import Budget, eliminate, express, module_equal
 from germlift.modules import ModuleElement, Submodule
-from germlift.poly import Polynomial, VarSet, exact_divide, integer_normalize
+from germlift.poly import Polynomial, VarSet, determinant, exact_divide, integer_normalize
 
 from oracles import discriminant_reference, random_poly
 
@@ -577,7 +577,7 @@ def test_discriminant_off_the_norm_route_eliminates(texts, monkeypatch):
 
 def test_discriminant_certificate_refuses_a_wrong_equation():
     f = _versal(3)
-    det = mapgerm_determinant(f)
+    det = determinant(jacobian(f))
     h = discriminant(f).h
     _certify_discriminant(f, h, det)
     X, A1, A2 = (Polynomial.variable(f.target, v) for v in f.target.names)

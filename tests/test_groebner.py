@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,14 @@ def test_budget_zero_seconds(xy):
     I = _ideal(xy, "x^2 - y", "x^3")
     with pytest.raises(GroebnerTimeout):
         compute_gb(I, Budget(seconds=0))
+
+
+def test_budget_clock_starts_when_the_budget_is_made(xy):
+    # time spent before the first clock read counts toward the limit
+    budget = Budget(seconds=0.05)
+    time.sleep(0.06)
+    with pytest.raises(GroebnerTimeout, match="time limit"):
+        compute_gb(_ideal(xy, "x^2 - y", "x^3"), budget)
 
 
 def test_rank_mismatch(xy):

@@ -296,4 +296,14 @@ def test_timeout_overshoot_is_bounded(fixture):
     report = run_task(m, task, Budget(seconds=0.02))
     elapsed = time.perf_counter() - start
     assert report.verdict == TIMEOUT
+    assert report.details[0].startswith("time limit")
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("only", ["aug.disc_k3", "hk2.pipeline"])
+def test_paper_suite_seconds_limit_each_task(only):
+    # one stops in poly.determinant, the other in the Groebner kernel
+    reports = run_paper_suite(only=only, seconds=0)
+    assert [(r.task_id, r.verdict) for r in reports] == [(only, TIMEOUT)]
+    assert reports[0].details == ["time limit 0s exceeded"]
+    assert set(reports[0].counters) == {"reductions", "s_pairs", "zero_reductions"}
