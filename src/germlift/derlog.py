@@ -311,12 +311,13 @@ def _norm(f: MapGerm, det: Polynomial, bare: dict, kept: tuple[str, Polynomial],
     return determinant(columns, budget)
 
 
-def _certify_discriminant(f: MapGerm, h: Polynomial, det: Polynomial) -> None:
+def _certify_discriminant(f: MapGerm, h: Polynomial, det: Polynomial,
+                          budget: Budget | None = None) -> None:
     """Raise :class:`StructureError` unless ``h o f = q * det(df)`` for a
     polynomial ``q``, checked by exact division: h vanishes on the image of
     the critical set."""
     try:
-        exact_divide(pull_back(h, f), det)
+        exact_divide(pull_back(h, f, budget), det)
     except NotDivisible:
         raise StructureError("discriminant certificate failed: "
                              "det(df) does not divide h o f") from None
@@ -361,7 +362,7 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     norm = _norm(f, det, bare, kept[0], budget) if len(kept) == 1 else None
     if norm is not None:
         h = squarefree_part(norm, budget)
-        _certify_discriminant(f, h, det)
+        _certify_discriminant(f, h, det, budget)
     else:
         rest = [n for n in f.source.names if n not in bare]
         big = VarSet(rest + list(f.target.names))

@@ -16,11 +16,14 @@ an earlier field needed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import AmbientError, InverseCheckFailed, RankError, StructureError
 from .modules import ModuleElement, Submodule
 from .poly import Exp, Polynomial, VarSet, compose, zero_section
+
+if TYPE_CHECKING:
+    from .groebner import Budget
 
 
 class MapGerm:
@@ -141,16 +144,17 @@ def tf_generators(f: MapGerm) -> Submodule:
     return f._tf
 
 
-def pull_back(p: Polynomial, f: MapGerm) -> Polynomial:
+def pull_back(p: Polynomial, f: MapGerm, budget: Budget | None = None) -> Polynomial:
     """p o f: ``p`` over f's target (matched by position) composed with f,
-    through the germ's cache of monomial images."""
-    return compose(p, f.components, f.source, f._images)
+    through the germ's cache of monomial images.  A ``budget``'s clock is
+    read before each product that builds an image."""
+    return compose(p, f.components, f.source, f._images, budget)
 
 
-def wf_apply(eta: ModuleElement, f: MapGerm) -> ModuleElement:
+def wf_apply(eta: ModuleElement, f: MapGerm, budget: Budget | None = None) -> ModuleElement:
     """eta composed with f, a rank-p element over the source ring."""
     check_field(eta, f.target, "the target of the germ")
-    return ModuleElement(f.source, [pull_back(p, f) for p in eta.entries])
+    return ModuleElement(f.source, [pull_back(p, f, budget) for p in eta.entries])
 
 
 def push_forward(eta: ModuleElement, H: MapGerm, H_inv: MapGerm) -> ModuleElement:

@@ -14,17 +14,38 @@ One engine serves five needs:
 * pruning a generating set (``prune_module``) with one incremental run
   whose basis prefixes answer every drop test.
 
-The kernel runs fraction-free.  Its vectors are plain dicts mapping
-``(component, exponent-tuple)`` to ``int``, and its basis vectors are
-primitive: coefficients with gcd 1 and a positive lead coefficient.
-Reduction is pseudo-reduction (Becker-Weispfenning, *Groebner Bases*,
-1993): the working vector is scaled by an integer instead of dividing the
-reducer by its lead coefficient, so every step cancels the same term as
-over Q and the kernel makes the same reductions.  Fractions appear only at
-the boundary: :func:`_vec_of` clears denominators when a vector enters,
-and :func:`_elem_of` divides by a given integer (a lead coefficient, or in
+The kernel runs fraction-free.  Its vectors are plain dicts mapping a
+packed term (below) to an ``int``, and its basis vectors are primitive:
+coefficients with gcd 1 and a positive lead coefficient.  Reduction is
+pseudo-reduction (Becker-Weispfenning, *Groebner Bases*, 1993): the working
+vector is scaled by an integer instead of dividing the reducer by its lead
+coefficient, so every step cancels the same term as over Q and the kernel
+makes the same reductions.  Fractions appear only at the boundary:
+:func:`_vec_of` clears denominators when a vector enters, and
+:func:`_elem_of` divides by a given integer (a lead coefficient, or in
 :func:`_divide` the denominator times the reduction's scale) when it
 leaves.
+
+A term ``(c, e)`` is packed into one non-negative int (Monagan-Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007) by a :class:`_Packer`.  From the most significant end
+the int holds the fields of the order's heap key (``ModuleOrder.heap_key``
+or :func:`_embedded_key`, least for the greatest term), each offset to be
+non-negative, then the component, then the raw exponents, each under a
+guard bit.  The packer reads this layout off the heap key by probing unit
+exponents: every key in use is affine in the exponent within a class of
+components (one class for a module order; the embedded order has a second
+one, the tracking tails, unless its base is grevlex).  So the int of the
+greatest term is the least, multiplying a term by ``x^s`` adds one
+constant per class, and a lead divides a term when subtracting its
+exponent fields from the term's, with the guard bits set, leaves every
+guard bit set.  The fields are sized from the inputs' largest exponent
+with room to grow.  A result that would outgrow them raises
+``_Overflow`` before it is used, and :func:`_widening` runs the whole
+computation again on wider fields, with the budget's counters put back,
+so the width changes neither an answer nor a counter.  Terms are
+packed and unpacked only at the kernel's boundary; the leads are also kept
+decoded, for the pair criteria.
 
 Each kernel identity is verified once, in the kernel's integers, by
 :func:`_recombines`: with the generators as ``main_i = den_i * gen_i`` and
@@ -36,22 +57,18 @@ callers of ``syzygy_module`` (``derlog``) rely on that check instead of
 expanding the syzygies again.
 
 Every step above runs through one normal-form routine,
-``_Kernel.reduce_full``.  It compares terms by heap keys: flat int tuples,
-computed straight from the order (``ModuleOrder.heap_key``,
-:func:`_embedded_key`) and memoized once per kernel, in which the greatest
-term has the least key.  The terms still to be reduced sit in a heap of
-those keys (Monagan-Pearce, 2007), so each leading term is popped instead
-of found by rescanning the vector.  Each lead exponent carries a bitmask of
-the variables it contains; a lead whose mask is not within the term's mask
-cannot divide it, so most divisibility tests are one integer operation
-(Bachmann-Schoenemann, 1998).  Interreduction needs one sweep: once the
-basis is minimal its leads no longer change, and reducibility depends on
-the leads alone.
+``_Kernel.reduce_full``.  The terms still to be reduced sit in a heap of
+packed ints (Monagan-Pearce), so each leading term is popped instead of
+found by rescanning the vector.  Each lead carries a bitmask of the
+variables it contains, on the guard bits; a lead whose mask is not within
+the term's mask cannot divide it, so most divisibility tests end after one
+integer operation (Bachmann-Schoenemann, 1998).  Interreduction needs one
+sweep: once the basis is minimal its leads no longer change, and
+reducibility depends on the leads alone.
 
 A tracked basis builds its reducer, the kernel that only reduces against
 it, once: its self-check runs on it, and so does every later division by
-the module.  Each call charges the budget it is given, and the reducer's
-heap-key memo carries over from one division to the next.
+the module.  Each call charges the budget it is given.
 
 :class:`Budget` alone decides every limit: the kernel charges it each
 reduction and each S-pair, and the charge raises :class:`GroebnerTimeout`
@@ -65,7 +82,9 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain
+from operator import add, lshift, mul, or_, sub
 from typing import Callable, Sequence
 
 from .errors import AmbientError, GroebnerTimeout, RankError, StructureError
@@ -80,7 +99,7 @@ from .poly import (
     exp_sub,
 )
 
-Vec = dict  # {(comp, exp): int}
+Vec = dict  # {packed term: int}
 
 
 @dataclass
@@ -92,7 +111,8 @@ class Budget:
     cap and :meth:`check_clock` checks the deadline; a limit that is passed
     raises :class:`GroebnerTimeout` with :meth:`stats` attached.  The clock
     is read per S-pair, every 512 reductions, and wherever other work calls
-    :meth:`check_clock` (``poly.determinant``, once per pivot).
+    :meth:`check_clock` (``poly.determinant``, once per pivot, and
+    ``poly.compose``, before each product for a monomial image).
     """
 
     max_reductions: int | None = 4_000_000
@@ -135,22 +155,158 @@ class Budget:
         }
 
 
-def _vec_of(elem: ModuleElement) -> tuple[Vec, int]:
-    """``(den * elem, den)`` with ``den`` the lcm of elem's denominators, so
-    that the vector has integer coefficients."""
+class _Overflow(Exception):
+    """A term would outgrow the packer's exponent fields; ``bits`` is a
+    field width that holds it."""
+
+    def __init__(self, bits: int):
+        super().__init__(bits)
+        self.bits = bits
+
+
+class _Packer:
+    """Packs terms ``(c, e)`` over ``ncomp`` components and ``nvars``
+    variables into ints ordered like ``key(c, e)``, for exponents of at most
+    ``cap = 2**bits - 1``.
+
+    ``key`` must be affine in ``e`` on each class of components; a class is
+    read off the key as the components whose unit exponents move it
+    alike.  Then ``pack(c, e) = base[c] + sum(e_i * units[cls[c]][i])``, and
+    each field of the key is offset and sized by its least and greatest
+    value over all exponents up to ``cap``.
+    """
+
+    def __init__(self, key: Callable, ncomp: int, nvars: int, bits: int):
+        self.key = key
+        self.ncomp = ncomp
+        self.nvars = nvars
+        self.bits = bits
+        self.cap = cap = (1 << bits) - 1
+        probes = [(0,) * nvars] + [tuple(int(i == j) for j in range(nvars))
+                                   for i in range(nvars)]
+        # each key has one length on a component; shorter ones get zero fields
+        keys = [[key(c, e) for e in probes] for c in range(ncomp)]
+        width = max(len(row[0]) for row in keys)
+        keys = [row if len(row[0]) == width else [k + (0,) * (width - len(k)) for k in row]
+                for row in keys]
+        consts = [row[0] for row in keys]
+        # per class: field j's change per unit of variable i, at i * width + j
+        slopes: list = []
+        self.cls: list[int] = []
+        for k0, *ks in keys:
+            s = tuple(map(sub, chain.from_iterable(ks), k0 * nvars))
+            if s not in slopes:
+                slopes.append(s)
+            self.cls.append(slopes.index(s))
+        # each field's least and greatest value over exponents up to cap
+        down = [[cap * sum(filter((0).__gt__, s[j::width])) for j in range(width)]
+                for s in slopes]
+        up = [[cap * sum(filter((0).__lt__, s[j::width])) for j in range(width)]
+              for s in slopes]
+        lo = [min(col) for col in zip(*[map(add, k0, down[k])
+                                        for k0, k in zip(consts, self.cls)])]
+        hi = [max(col) for col in zip(*[map(add, k0, up[k])
+                                        for k0, k in zip(consts, self.cls)])]
+        self.raw_pos = [i * (bits + 1) for i in range(nvars)]
+        self.guard = sum(1 << (p + bits) for p in self.raw_pos)
+        self.low = sum(cap << p for p in self.raw_pos)
+        self.comp_pos = pos = nvars * (bits + 1)
+        self.rawmask = (1 << pos) - 1
+        self.comp_mask = (1 << (ncomp - 1).bit_length()) - 1
+        pos += (ncomp - 1).bit_length()
+        place = [0] * width
+        for j in reversed(range(width)):
+            place[j] = pos
+            pos += (hi[j] - lo[j]).bit_length()
+        offset = -sum(map(lshift, lo, place))
+        self.base = [sum(map(lshift, k0, place)) + offset + (c << self.comp_pos)
+                     for c, k0 in enumerate(consts)]
+        self.units = [[sum(map(lshift, s[i * width:(i + 1) * width], place)) + (1 << r)
+                       for i, r in enumerate(self.raw_pos)] for s in slopes]
+
+    def widened(self, bits: int) -> "_Packer":
+        """A packer for the same order with fields at least ``bits`` wide,
+        and at least twice as wide as these."""
+        return _Packer(self.key, self.ncomp, self.nvars, max(2 * self.bits, bits))
+
+    def pack(self, c: int, e) -> int:
+        return self.base[c] + sum(map(mul, e, self.units[self.cls[c]]))
+
+    def shift(self, cls: int, s) -> int:
+        """What multiplying a term of class ``cls`` by ``x^s`` adds."""
+        return sum(map(mul, s, self.units[cls]))
+
+    def comp(self, t: int) -> int:
+        return (t >> self.comp_pos) & self.comp_mask
+
+    def exps(self, t: int) -> tuple:
+        """The raw exponent fields of ``t``."""
+        cap = self.cap
+        return tuple([(t >> p) & cap for p in self.raw_pos])
+
+    def unpack(self, t: int) -> tuple:
+        return self.comp(t), self.exps(t)
+
+    def raw(self, e) -> int:
+        """The exponent fields alone of an exponent tuple."""
+        return sum(x << p for x, p in zip(e, self.raw_pos))
+
+    def support(self, t: int) -> int:
+        """The guard bits of the nonzero exponent fields of ``t``."""
+        return ((t & self.rawmask) + self.low) & self.guard
+
+
+def _packer(key: Callable, ncomp: int, ring: VarSet,
+            elems: Sequence[ModuleElement]) -> _Packer:
+    """A packer for ``key`` on ``ring`` whose fields hold four times the
+    largest exponent in ``elems``, and at least 63."""
+    top = max((x for g in elems for p in g.entries for e in p.terms for x in e), default=0)
+    return _Packer(key, ncomp, len(ring), max(top, 15).bit_length() + 2)
+
+
+def _widening(budget: Budget, packer: _Packer, attempt: Callable):
+    """``attempt(packer)``, run again on wider fields for as long as it
+    raises :class:`_Overflow`.  The budget's counters are put back before
+    each new attempt: the steps up to the overflow are the same again, so
+    they are counted once."""
+    while True:
+        saved = budget.reductions, budget.spairs, budget.zero_reductions
+        try:
+            return attempt(packer)
+        except _Overflow as over:
+            budget.reductions, budget.spairs, budget.zero_reductions = saved
+            packer = packer.widened(over.bits)
+
+
+def _vec_of(elem: ModuleElement, packer: _Packer) -> tuple[Vec, int]:
+    """``(den * elem, den)`` packed, with ``den`` the lcm of elem's
+    denominators, so that the vector has integer coefficients."""
     den = math.lcm(*(k.denominator for p in elem.entries for k in p.terms.values()))
     v: Vec = {}
     for c, p in enumerate(elem.entries):
+        if not p.terms:
+            continue
+        top = max(map(max, p.terms)) if packer.nvars else 0
+        if top > packer.cap:
+            raise _Overflow(top.bit_length() + 2)
+        base = packer.base[c]
+        units = packer.units[packer.cls[c]]
         for e, k in p.terms.items():
-            v[(c, e)] = k.numerator * (den // k.denominator)
+            v[base + sum(map(mul, e, units))] = k.numerator * (den // k.denominator)
     return v, den
 
 
-def _elem_of(ring: VarSet, rank: int, vec: Vec, den: int) -> ModuleElement:
-    """The element ``vec / den``."""
+def _elem_of(ring: VarSet, rank: int, vec: Vec, den: int, packer: _Packer,
+             first: int = 0) -> ModuleElement:
+    """The element ``vec / den`` of components ``first`` to
+    ``first + rank - 1``; terms of other components are left out."""
     polys = [dict() for _ in range(rank)]
-    for (c, e), k in vec.items():
-        polys[c][e] = Fraction(k, den)
+    comp = packer.comp
+    exps = packer.exps
+    for t, k in vec.items():
+        c = comp(t) - first
+        if 0 <= c < rank:
+            polys[c][exps(t)] = Fraction(k, den)
     return ModuleElement(ring, [Polynomial(ring, t) for t in polys])
 
 
@@ -165,105 +321,149 @@ def _primitive(vec: Vec, lead) -> Vec:
     return {t: k // g for t, k in vec.items()}
 
 
-def _support(e) -> int:
-    """Bitmask of the variables that occur in the exponent tuple ``e``."""
-    mask = 0
-    bit = 1
-    for x in e:
-        if x:
-            mask |= bit
-        bit <<= 1
-    return mask
-
-
 class _Kernel:
-    """One Buchberger run over a fixed heap-key function.
+    """One Buchberger run over packed terms.
 
-    ``key(c, e)`` is the order's heap key (``ModuleOrder.heap_key`` or
-    :func:`_embedded_key`): a flat int tuple, least for the greatest term.
-    ``basis``, (primitive vector, lead) pairs of a finished basis, makes a
-    kernel that only reduces.  The work of each call is charged to the
-    ``Budget`` the call is given, so one kernel can serve many callers.
+    ``basis``, (primitive vector, packed lead) pairs of a finished basis,
+    makes a kernel that only reduces.  With ``main_rank`` set, only terms
+    in components below it are reduction targets; the rest pass through to
+    the remainder.  The work of each call is charged to the ``Budget`` the
+    call is given, so one kernel can serve many callers.
+
+    Each basis vector is kept with its terms split once, when it is added,
+    into groups by shift class and by whether they are targets, and with
+    ``top``, the bitwise or of its terms' exponent fields: at least its
+    greatest exponent in each variable, so a shift whose fields added to
+    ``top`` set no guard bit overflows no field of any term.  The leads are
+    kept packed (``keys``), for the heaps, and decoded (``leads``), for the
+    pair criteria.
     """
 
-    def __init__(self, key: Callable, use_product: bool,
-                 basis: Sequence[tuple[Vec, tuple]] = ()):
-        self.memo: dict = {}
-        self.order_key = key
+    def __init__(self, packer: _Packer, use_product: bool,
+                 basis: Sequence[tuple[Vec, int]] = (), main_rank: int | None = None):
+        self.packer = packer
         self.use_product = use_product
-        self.basis: list[Vec] = [vec for vec, _ in basis]
-        self.leads: list[tuple] = [lead for _, lead in basis]  # (comp, exp)
-        self.masks: list[int] = [_support(e) for _, e in self.leads]
+        self.main_rank = main_rank
+        self.basis: list[Vec] = []
+        self.keys: list[int] = []  # packed leads
+        self.leads: list[tuple] = []  # decoded leads (comp, exp)
+        self.terms: list[tuple] = []  # (groups, top) per basis vector
+        self.slots: dict = {}  # comp -> [(index, support mask, lead fields)]
         self.pairs: dict = {}  # (i,j) -> lcm exp
         self.heap: list = []
+        # per component: its shift class, and whether its terms are targets
+        self.kinds = [(cls, main_rank is None or c < main_rank)
+                      for c, cls in enumerate(packer.cls)]
+        self.uniform = len(set(self.kinds)) == 1
+        for vec, lead in basis:
+            self._append(vec, lead)
+
+    def _split(self, vec: Vec) -> tuple:
+        kinds = self.kinds
+        if self.uniform:
+            groups = {kinds[0]: list(vec.items())}
+        else:
+            comp_pos = self.packer.comp_pos
+            comp_mask = self.packer.comp_mask
+            groups = {}
+            for t, k in vec.items():
+                groups.setdefault(kinds[(t >> comp_pos) & comp_mask], []).append((t, k))
+        # the or of the exponent fields is at least their greatest value
+        top = reduce(or_, vec) & self.packer.rawmask
+        return [(cls, target, items) for (cls, target), items in groups.items()], top
+
+    def _slot(self, i: int) -> tuple:
+        lead = self.keys[i]
+        return i, self.packer.support(lead), lead & self.packer.rawmask
+
+    def _slots(self, n: int) -> dict:
+        slots: dict = {}
+        for i in range(n):
+            slots.setdefault(self.leads[i][0], []).append(self._slot(i))
+        return slots
+
+    def _append(self, vec: Vec, lead: int):
+        c, e = self.packer.unpack(lead)
+        self.basis.append(vec)
+        self.keys.append(lead)
+        self.leads.append((c, e))
+        self.terms.append(self._split(vec))
+        self.slots.setdefault(c, []).append(self._slot(len(self.keys) - 1))
 
     def prefix(self, n: int) -> "_Kernel":
-        """A kernel holding the first ``n`` basis vectors, sharing this one's
-        heap-key memo.  When ``n`` is the basis size at the end of an
-        earlier :meth:`run`, no pair was pending then, so the prefix is a
-        Groebner basis of the vectors taken in up to that point."""
-        out = _Kernel(self.order_key, self.use_product)
-        out.memo = self.memo
+        """A kernel holding the first ``n`` basis vectors.  When ``n`` is the
+        basis size at the end of an earlier :meth:`run`, no pair was pending
+        then, so the prefix is a Groebner basis of the vectors taken in up
+        to that point."""
+        out = _Kernel(self.packer, self.use_product, main_rank=self.main_rank)
         out.basis = self.basis[:n]
+        out.keys = self.keys[:n]
         out.leads = self.leads[:n]
-        out.masks = self.masks[:n]
+        out.terms = self.terms[:n]
+        out.slots = self._slots(n)
         return out
 
-    def key(self, t):
-        k = self.memo.get(t)
-        if k is None:
-            k = self.order_key(t[0], t[1])
-            self.memo[t] = k
-        return k
-
-    def _lead(self, vec: Vec):
-        return min(vec, key=self.key)
-
-    def reduce_full(self, work: Vec, budget: Budget, main_rank: int | None = None,
+    def reduce_full(self, work: Vec, budget: Budget,
                     skip: int | None = None) -> tuple[Vec, int]:
         """Complete pseudo-normal form of the integer vector ``work`` against
         the current basis: ``(rem, scale)`` with ``rem / scale`` the normal
-        form of ``work`` over Q and ``scale`` a positive integer.
-
-        With ``main_rank`` set, only terms in components < main_rank are
-        reduction targets (the rest pass through to the remainder).  ``skip``
+        form of ``work`` over Q and ``scale`` a positive integer.  ``skip``
         excludes one basis index (used during interreduction).
 
-        Targets sit in a heap of heap keys, so each step pops the greatest
-        remaining target.  A term is pushed when it enters ``work``; a
-        popped term that has since cancelled is skipped.  A reduction step
-        only adds terms below the term it removes, so a popped term never
-        returns and the steps are those of a full rescan for the maximum.
-        Divisor candidates are pre-filtered by support masks: lead ``l``
-        can divide ``e`` only if ``mask(l) & ~mask(e) == 0``.
+        Targets sit in a heap of packed terms, so each step pops the
+        greatest remaining target.  A term is pushed when it enters
+        ``work``; a popped term that has since cancelled is skipped.  A
+        reduction step only adds terms below the term it removes, so a
+        popped term never returns and the steps are those of a full rescan
+        for the maximum.  Divisor candidates are the leads of the term's
+        component, pre-filtered by support masks: lead ``l`` can divide
+        ``t`` only if ``mask(l) & ~mask(t) == 0``; the guard-bit
+        subtraction then decides.  Multiplying the reducer by the quotient
+        monomial adds ``t - lead`` to each term of the lead's class, and the
+        shift of the same exponent to each term of another class.
 
         A target ``a`` against a lead coefficient ``L`` with ``d = gcd(a, L)``
         scales ``work`` by ``L/d`` (when that is not 1) and subtracts
         ``a/d`` times the shifted reducer.  Terms already moved to the
         remainder are brought up to the final scale once, at the end.
         """
+        pk = self.packer
+        guard = pk.guard
+        rawmask = pk.rawmask
+        low = pk.low
+        comp_pos = pk.comp_pos
+        comp_mask = pk.comp_mask
+        cls_of = pk.cls
+        basis = self.basis
+        keys = self.keys
+        terms = self.terms
+        slots = self.slots
+        if skip is not None:
+            slots = {c: [s for s in row if s[0] != skip] for c, row in slots.items()}
         rem: Vec = {}
         earlier: list = []  # (scale, remainder terms moved out at that scale)
         scale = 1
-        basis = self.basis
-        leads = self.leads
-        masks = self.masks
-        key = self.key
-        limit = math.inf if main_rank is None else main_rank
-        heap = [(key(t), t) for t in work if t[0] < limit]
+        if self.main_rank is None:
+            heap = list(work)
+        else:
+            heap = [t for t in work if (t >> comp_pos) & comp_mask < self.main_rank]
         heapq.heapify(heap)
+        pop = heapq.heappop
+        push = heapq.heappush
         while heap:
-            t = heapq.heappop(heap)[1]
+            t = pop(heap)
             coeff = work.get(t)
             if coeff is None:
                 continue
-            c, e = t
-            outside = ~_support(e)
+            c = (t >> comp_pos) & comp_mask
             hit = -1
-            for i, m in enumerate(masks):
-                if not m & outside and i != skip:
-                    lc_, le_ = leads[i]
-                    if lc_ == c and exp_divides(le_, e):
+            row = slots.get(c)
+            if row:
+                raw = t & rawmask
+                outside = guard ^ ((raw + low) & guard)
+                above = raw | guard
+                for i, m, lead_raw in row:
+                    if not m & outside and (above - lead_raw) & guard == guard:
                         hit = i
                         break
             if hit < 0:
@@ -271,11 +471,14 @@ class _Kernel:
                 del work[t]
                 continue
             budget.charge_reduction()
-            lead_t = leads[hit]
-            shift = exp_sub(e, lead_t[1])
+            groups, top = terms[hit]
+            raw_shift = raw - lead_raw
+            if (top + raw_shift) & guard:
+                raise _Overflow(pk.bits + 1)
+            lead = keys[hit]
             red = basis[hit]
-            q = coeff
-            lc = red[lead_t]
+            q = -coeff  # the negated quotient, so the loop below adds
+            lc = red[lead]
             if lc != 1:
                 d = math.gcd(coeff, lc)
                 m = lc // d
@@ -285,21 +488,29 @@ class _Kernel:
                         rem = {}
                     work = {u: k * m for u, k in work.items()}
                     scale *= m
-                q = coeff // d
-            zero_shift = not any(shift)
-            for (c2, e2), k2 in red.items():
-                t2 = (c2, e2) if zero_shift else (c2, exp_add(e2, shift))
-                s = work.get(t2)
-                if s is None:
-                    work[t2] = -q * k2
-                    if c2 < limit:
-                        heapq.heappush(heap, (key(t2), t2))
+                q = -(coeff // d)
+            own = cls_of[c]
+            quotient = None  # the quotient monomial's exponents, if needed
+            for cls, target, items in groups:
+                if cls == own:
+                    sh = t - lead
                 else:
-                    s = s - q * k2
-                    if s:
-                        work[t2] = s
+                    if quotient is None:
+                        quotient = pk.exps(raw_shift)
+                    sh = pk.shift(cls, quotient)
+                for u, k in items:
+                    u += sh
+                    v = work.get(u)
+                    if v is None:
+                        work[u] = q * k
+                        if target:
+                            push(heap, u)
                     else:
-                        del work[t2]
+                        v += q * k
+                        if v:
+                            work[u] = v
+                        else:
+                            del work[u]
         for s, part in earlier:
             m = scale // s
             rem.update((u, k * m) for u, k in part.items())
@@ -309,11 +520,9 @@ class _Kernel:
     def add(self, vec: Vec):
         """Insert a (nonzero) vector, updating the pair set a la Gebauer-Moeller."""
         t = len(self.basis)
-        lead = self._lead(vec)
-        self.basis.append(_primitive(vec, lead))
-        self.leads.append(lead)
-        self.masks.append(_support(lead[1]))
-        ct, et = lead
+        lead = min(vec)
+        self._append(_primitive(vec, lead), lead)
+        ct, et = self.leads[t]
         # criterion B: prune old pairs strictly covered by the new lead
         for (i, j), L in list(self.pairs.items()):
             if self.leads[i][0] == ct and exp_divides(et, L):
@@ -344,41 +553,39 @@ class _Kernel:
             if self.use_product and L == exp_add(self.leads[i][1], et):
                 continue
             self.pairs[(i, t)] = L
-            # normal strategy: least lcm first.  Negating a flat heap key
-            # reverses its order, as all keys of one component have one length.
-            rank = tuple(-x for x in self.order_key(ct, L))
-            heapq.heappush(self.heap, (rank, i, t))
+            # normal strategy: least lcm first, so the greatest packed lcm.
+            # The lcm's exponents are those of leads, so its fields hold it.
+            heapq.heappush(self.heap, (-self.packer.pack(ct, L), i, t))
 
     def spair(self, i: int, j: int) -> Vec:
         """``(c_j/d) x^{s_i} g_i - (c_i/d) x^{s_j} g_j`` for lead coefficients
         ``c_i``, ``c_j`` with ``d = gcd(c_i, c_j)``: a positive multiple of the
         S-vector of the monic forms."""
-        ci, ei = self.leads[i]
-        cj, ej = self.leads[j]
-        gi = self.basis[i]
-        gj = self.basis[j]
-        ki = gi[self.leads[i]]
-        kj = gj[self.leads[j]]
+        pk = self.packer
+        ei = self.leads[i][1]
+        ej = self.leads[j][1]
+        ki = self.basis[i][self.keys[i]]
+        kj = self.basis[j][self.keys[j]]
         d = math.gcd(ki, kj)
-        fi = kj // d
-        fj = ki // d
         L = exp_lcm(ei, ej)
-        si = exp_sub(L, ei)
-        sj = exp_sub(L, ej)
         out: Vec = {}
-        for (c, e), k in gi.items():
-            out[(c, exp_add(e, si))] = fi * k
-        for (c, e), k in gj.items():
-            t = (c, exp_add(e, sj))
-            s = out.get(t)
-            if s is None:
-                out[t] = -fj * k
-            else:
-                s = s - fj * k
-                if s:
-                    out[t] = s
-                else:
-                    del out[t]
+        for n, s, f in ((i, exp_sub(L, ei), kj // d), (j, exp_sub(L, ej), -(ki // d))):
+            groups, top = self.terms[n]
+            if (top + pk.raw(s)) & pk.guard:
+                raise _Overflow(pk.bits + 1)
+            for cls, _, items in groups:
+                sh = pk.shift(cls, s)
+                for u, k in items:
+                    u += sh
+                    v = out.get(u)
+                    if v is None:
+                        out[u] = f * k
+                    else:
+                        v += f * k
+                        if v:
+                            out[u] = v
+                        else:
+                            del out[u]
         return out
 
     def run(self, vecs: Sequence[Vec], budget: Budget):
@@ -409,8 +616,7 @@ class _Kernel:
         term is reducible depends only on the leads, which no longer change,
         so one sweep leaves every element reduced.
         """
-        order = sorted(range(len(self.basis)), key=lambda i: self.key(self.leads[i]),
-                       reverse=True)
+        order = sorted(range(len(self.basis)), key=self.keys.__getitem__, reverse=True)
         minimal: list[int] = []
         for i in order:
             ci, ei = self.leads[i]
@@ -419,11 +625,14 @@ class _Kernel:
                 continue
             minimal.append(i)
         self.basis = [self.basis[i] for i in minimal]
+        self.keys = [self.keys[i] for i in minimal]
         self.leads = [self.leads[i] for i in minimal]
-        self.masks = [self.masks[i] for i in minimal]
+        self.terms = [self.terms[i] for i in minimal]
+        self.slots = self._slots(len(minimal))
         for i in range(len(self.basis)):
             rem = self.reduce_full(dict(self.basis[i]), budget, skip=i)[0]
-            self.basis[i] = _primitive(rem, self.leads[i])
+            self.basis[i] = vec = _primitive(rem, self.keys[i])
+            self.terms[i] = self._split(vec)
 
 
 def _embedded_key(morder: ModuleOrder, main_rank: int):
@@ -440,29 +649,30 @@ def _embedded_key(morder: ModuleOrder, main_rank: int):
     return key
 
 
-def _reduced_basis(key, vecs: Sequence[Vec], budget: Budget,
-                   use_product: bool) -> list[tuple[Vec, tuple]]:
-    """The reduced basis of the integer vectors ``vecs`` as (primitive
-    vector, lead) pairs, least lead first in the order whose heap key is
-    ``key``."""
-    kern = _Kernel(key, use_product)
+def _reduced_basis(packer: _Packer, vecs: Sequence[Vec], budget: Budget,
+                   use_product: bool) -> list[tuple[Vec, int]]:
+    """The reduced basis of the packed integer vectors ``vecs`` as (primitive
+    vector, packed lead) pairs, least lead first."""
+    kern = _Kernel(packer, use_product)
     kern.run(vecs, budget)
     kern.interreduce(budget)
-    return sorted(zip(kern.basis, kern.leads), key=lambda p: kern.key(p[1]),
-                  reverse=True)
+    return sorted(zip(kern.basis, kern.keys), key=lambda p: p[1], reverse=True)
 
 
 def grevlex_basis(ring: VarSet, rank: int, elems: Sequence[ModuleElement],
                   budget: Budget) -> list[ModuleElement]:
     """The reduced grevlex (term over position) basis of the module that
     ``elems`` generate, least lead first, without tracking."""
-    pairs = _reduced_basis(GREVLEX.heap_key, [_vec_of(g)[0] for g in elems], budget,
-                           rank == 1)
-    return [_elem_of(ring, rank, vec, vec[lead]) for vec, lead in pairs]
+    def attempt(packer):
+        pairs = _reduced_basis(packer, [_vec_of(g, packer)[0] for g in elems], budget,
+                               rank == 1)
+        return [_elem_of(ring, rank, vec, vec[lead], packer) for vec, lead in pairs]
+
+    return _widening(budget, _packer(GREVLEX.heap_key, rank, ring, elems), attempt)
 
 
-def _recombines(vec: Vec, rank: int, mains: Sequence[Vec],
-                dens: Sequence[int]) -> bool:
+def _recombines(vec: Vec, rank: int, mains: Sequence[Vec], dens: Sequence[int],
+                packer: _Packer) -> bool:
     """Whether the embedded vector ``vec`` re-expands exactly: its part in
     components below ``rank`` equals ``sum_i tail_i * gen_i``, where
     ``tail_i`` is its component ``rank + i`` and each generator is given as
@@ -471,22 +681,30 @@ def _recombines(vec: Vec, rank: int, mains: Sequence[Vec],
     Both sides are multiplied by ``D = lcm(dens)``: every term product of
     ``sum_i tail_i * mains[i] * (D / dens[i])`` is summed into one int dict,
     less ``D`` times the main part, and the identity holds when nothing is
-    left.  No ``Fraction`` is built.
+    left.  No ``Fraction`` is built.  The components below ``rank`` share
+    one shift class, as a module order's key moves with the exponent alike
+    in every component.  A product that outgrows the exponent fields sets
+    a guard bit, which no packed term has, and raises :class:`_Overflow`.
     """
     D = math.lcm(*dens)
+    main = packer.cls[0]
     acc: Vec = {}
     get = acc.get
+    comp = packer.comp
     for t, k in vec.items():
-        c, e = t
+        c = comp(t)
         if c < rank:
             acc[t] = get(t, 0) - D * k
             continue
         i = c - rank
         f = k * (D // dens[i])
-        zero_shift = not any(e)
-        for (c2, e2), k2 in mains[i].items():
-            t = (c2, e2) if zero_shift else (c2, exp_add(e, e2))
-            acc[t] = get(t, 0) + f * k2
+        sh = packer.shift(main, packer.exps(t))
+        for u, k2 in mains[i].items():
+            u += sh
+            acc[u] = get(u, 0) + f * k2
+    guard = packer.guard
+    if any(t & guard for t in acc):
+        raise _Overflow(packer.bits + 1)
     return not any(acc.values())
 
 
@@ -495,68 +713,92 @@ class GroebnerBasis:
     """Reduced basis of a submodule plus tracking data.
 
     ``pairs`` is the reduced basis of the embedded order, least lead first,
-    as (primitive integer vector, lead) pairs: each vector carries its
-    representation in the original generators in the trailing components.
-    ``mains`` and ``dens`` are those generators as :func:`_vec_of` gives
-    them, ``mains[i] = dens[i] * gen_i``.  ``reducer`` is the kernel that
-    reduces against the pairs whose lead lies in the module itself, not in
-    a tail; it is built once, with the basis, and every division by the
-    module runs on it.  The Fraction forms below are built on first read.
+    as (primitive integer vector, lead) pairs of terms packed by
+    ``packer``: each vector carries its representation in the original
+    generators in the trailing components.  ``mains`` and ``dens`` are
+    those generators as :func:`_vec_of` gives them,
+    ``mains[i] = dens[i] * gen_i``.  ``reducer`` is the kernel that reduces
+    against the pairs whose lead lies in the module itself, not in a tail;
+    it is built with the basis, and every division by the module runs on
+    it.  A division whose terms outgrow the packer's fields moves all
+    three to a wider packer (:meth:`use`).  The Fraction forms below are
+    built on first read.
     """
 
     ring: VarSet
     rank: int
+    packer: _Packer = field(repr=False)
     pairs: tuple = field(repr=False)
     mains: tuple = field(repr=False)
     dens: tuple = field(repr=False)
-    reducer: _Kernel = field(repr=False)
+    reducer: _Kernel = field(init=False, repr=False)
+
+    def __post_init__(self):
+        packer = self.packer
+        self.reducer = _Kernel(packer, False,
+                               [p for p in self.pairs if packer.comp(p[1]) < self.rank],
+                               main_rank=self.rank)
+
+    def use(self, packer: _Packer) -> None:
+        """Repack the pairs, the generators and the reducer by ``packer``."""
+        old = self.packer
+        if packer is old:
+            return
+
+        def repack(vec):
+            return {packer.pack(*old.unpack(t)): k for t, k in vec.items()}
+
+        self.pairs = tuple((repack(vec), packer.pack(*old.unpack(lead)))
+                           for vec, lead in self.pairs)
+        self.mains = tuple(repack(vec) for vec in self.mains)
+        self.packer = packer
+        self.__post_init__()
 
     @cached_property
     def elements(self) -> tuple:
         """The monic basis elements, least lead first."""
-        rank = self.rank
-        return tuple(
-            _elem_of(self.ring, rank, {t: k for t, k in vec.items() if t[0] < rank},
-                     vec[lead])
-            for vec, lead in zip(self.reducer.basis, self.reducer.leads))
+        return tuple(_elem_of(self.ring, self.rank, vec, vec[lead], self.packer)
+                     for vec, lead in zip(self.reducer.basis, self.reducer.keys))
 
     @cached_property
     def syzygies(self) -> tuple:
         """Monic generators of all relations among the original generators."""
         rank = self.rank
         return tuple(
-            _elem_of(self.ring, len(self.mains),
-                     {(c - rank, e): k for (c, e), k in vec.items()}, vec[lead])
-            for vec, lead in self.pairs if lead[0] >= rank)
+            _elem_of(self.ring, len(self.mains), vec, vec[lead], self.packer, rank)
+            for vec, lead in self.pairs if self.packer.comp(lead) >= rank)
 
 
 def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
                 morder: ModuleOrder, budget: Budget | None) -> GroebnerBasis:
     budget = budget or Budget()
-    key = _embedded_key(morder, rank)
     zero = ring.zero_exp()
-    inputs = [_vec_of(g) for g in gens]
-    mains = tuple(v for v, _ in inputs)
-    dens = tuple(den for _, den in inputs)
-    vecs = [{**v, (rank + i, zero): den} for i, (v, den) in enumerate(inputs)]
-    pairs = tuple(_reduced_basis(key, vecs, budget, False))
-    gb = GroebnerBasis(ring, rank, pairs, mains, dens,
-                       _Kernel(key, False, [p for p in pairs if p[1][0] < rank]))
 
-    # self-check: every basis vector re-expands from its tracking components
-    # (an element from its representation, a syzygy to zero), and every
-    # input generator reduces to zero against the basis (mutual membership
-    # of the cached basis).
-    for vec, lead in gb.pairs:
-        if not _recombines(vec, rank, mains, dens):
-            if lead[0] < rank:
-                raise StructureError("internal: basis representation failed to re-expand")
-            raise StructureError("internal: syzygy failed to expand to zero")
-    for v in mains:
-        rem = gb.reducer.reduce_full(dict(v), budget, main_rank=rank)[0]
-        if any(t[0] < rank for t in rem):
-            raise StructureError("internal: generator does not reduce to zero")
-    return gb
+    def attempt(packer):
+        inputs = [_vec_of(g, packer) for g in gens]
+        mains = tuple(v for v, _ in inputs)
+        dens = tuple(den for _, den in inputs)
+        vecs = [{**v, packer.pack(rank + i, zero): den} for i, (v, den) in enumerate(inputs)]
+        gb = GroebnerBasis(ring, rank, packer,
+                           tuple(_reduced_basis(packer, vecs, budget, False)), mains, dens)
+
+        # self-check: every basis vector re-expands from its tracking
+        # components (an element from its representation, a syzygy to
+        # zero), and every input generator reduces to zero against the
+        # basis (mutual membership of the cached basis).
+        for vec, lead in gb.pairs:
+            if not _recombines(vec, rank, mains, dens, packer):
+                if packer.comp(lead) < rank:
+                    raise StructureError("internal: basis representation failed to re-expand")
+                raise StructureError("internal: syzygy failed to expand to zero")
+        for v in mains:
+            rem = gb.reducer.reduce_full(dict(v), budget)[0]
+            if any(packer.comp(t) < rank for t in rem):
+                raise StructureError("internal: generator does not reduce to zero")
+        return gb
+
+    return _widening(budget, _packer(_embedded_key(morder, rank), rank + len(gens), ring,
+                                     gens), attempt)
 
 
 def compute_gb(M: Submodule, budget: Budget | None = None) -> GroebnerBasis:
@@ -591,16 +833,19 @@ def _divide(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
     budget = budget or Budget()
     gb = compute_gb(M, budget)
     m = len(M.generators)
-    work, den = _vec_of(v)
-    rem_all, scale = gb.reducer.reduce_full(work, budget, main_rank=M.rank)
+
+    def attempt(packer):
+        gb.use(packer)
+        work, den = _vec_of(v, packer)
+        return gb.reducer.reduce_full(work, budget), den
+
+    (rem_all, scale), den = _widening(budget, gb.packer, attempt)
     den *= scale
-    remainder = _elem_of(M.ring, M.rank,
-                         {t: k for t, k in rem_all.items() if t[0] < M.rank}, den)
+    remainder = _elem_of(M.ring, M.rank, rem_all, den, gb.packer)
     if not remainder.is_zero:
         return Membership(None, remainder)
-    coeffs = _elem_of(M.ring, m if m else 1,
-                      {(t[0] - M.rank, t[1]): -k for t, k in rem_all.items()
-                       if t[0] >= M.rank}, den)
+    coeffs = _elem_of(M.ring, m if m else 1, {t: -k for t, k in rem_all.items()}, den,
+                      gb.packer, M.rank)
     return Membership(tuple(coeffs.entries[:m]), remainder)
 
 
@@ -612,11 +857,17 @@ def express(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
     vector before returning.  Otherwise the nonzero normal form is the
     certificate of polynomial non-membership.
     """
+    budget = budget or Budget()
     membership = _divide(v, M, budget)
     if membership.is_member:
         gb = M._gb  # cached by _divide
-        vec = _vec_of(ModuleElement(M.ring, v.entries + membership.coefficients))[0]
-        if not _recombines(vec, M.rank, gb.mains, gb.dens):
+        whole = ModuleElement(M.ring, v.entries + membership.coefficients)
+
+        def attempt(packer):
+            gb.use(packer)
+            return _recombines(_vec_of(whole, packer)[0], M.rank, gb.mains, gb.dens, packer)
+
+        if not _widening(budget, gb.packer, attempt):
             raise StructureError("internal: expressed coefficients failed to re-expand")
     return membership
 
@@ -695,20 +946,24 @@ def eliminate(I: Submodule, names: Sequence[str],
         kept_weights = [ring.weights[i] for i in keep_idx]
     kept_ring = VarSet([ring.names[i] for i in keep_idx], kept_weights)
     nb = len(elim_idx)
-    base = MonomialOrder.elimination(nb)
-    key = ModuleOrder(base).heap_key
-
-    def permute(e):
-        return tuple(e[i] for i in perm)
-
-    vecs = [{(0, permute(e)): k for (_, e), k in _vec_of(g)[0].items()}
+    key = ModuleOrder(MonomialOrder.elimination(nb)).heap_key
+    # the generators over the ring with the eliminated variables first
+    permuted = VarSet([ring.names[i] for i in perm])
+    gens = [ModuleElement(permuted, [Polynomial(permuted, {tuple(e[i] for i in perm): k
+                                                           for e, k in g.entries[0].terms.items()})])
             for g in I.generators]
-    out = []
-    for vec, lead in _reduced_basis(key, vecs, budget or Budget(), True):
-        if all(not any(e[:nb]) for (_, e) in vec):
-            kept = {(0, e[nb:]): k for (_, e), k in vec.items()}
-            out.append(_elem_of(kept_ring, 1, kept, vec[lead]).entries[0])
-    return Submodule.ideal(kept_ring, out)
+    budget = budget or Budget()
+
+    def attempt(packer):
+        out = []
+        for vec, lead in _reduced_basis(packer, [_vec_of(g, packer)[0] for g in gens],
+                                        budget, True):
+            p = _elem_of(permuted, 1, vec, vec[lead], packer).entries[0]
+            if all(not any(e[:nb]) for e in p.terms):
+                out.append(Polynomial(kept_ring, {e[nb:]: k for e, k in p.terms.items()}))
+        return out
+
+    return Submodule.ideal(kept_ring, _widening(budget, _packer(key, 1, ring, gens), attempt))
 
 
 def _element_sort_key(g: ModuleElement, morder: ModuleOrder):
@@ -744,19 +999,23 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     sort_order = ModuleOrder(M.ring.default_order())
     gens = [g for g in M.generators if not g.is_zero]
     gens.sort(key=lambda g: _element_sort_key(g, sort_order))
-    vecs = [_vec_of(g)[0] for g in gens]
 
-    kern = _Kernel(M.order.heap_key, M.rank == 1)
-    sizes = []
-    for v in vecs:
-        sizes.append(len(kern.basis))
-        kern.run([v], budget)
-    above: list[int] = []  # indices of the generators kept, greatest first
-    for i in reversed(range(len(vecs))):
-        test = kern.prefix(sizes[i])
-        test.run([vecs[j] for j in reversed(above)], budget)
-        if test.reduce_full(dict(vecs[i]), budget)[0]:
-            above.append(i)
+    def attempt(packer):
+        vecs = [_vec_of(g, packer)[0] for g in gens]
+        kern = _Kernel(packer, M.rank == 1)
+        sizes = []
+        for v in vecs:
+            sizes.append(len(kern.basis))
+            kern.run([v], budget)
+        above: list[int] = []  # indices of the generators kept, greatest first
+        for i in reversed(range(len(vecs))):
+            test = kern.prefix(sizes[i])
+            test.run([vecs[j] for j in reversed(above)], budget)
+            if test.reduce_full(dict(vecs[i]), budget)[0]:
+                above.append(i)
+        return above
+
+    above = _widening(budget, _packer(M.order.heap_key, M.rank, M.ring, gens), attempt)
     out = Submodule(M.ring, M.rank, [gens[i] for i in reversed(above)], M.order)
     kept = set(above)
     for i, g in enumerate(gens):

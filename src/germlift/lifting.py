@@ -86,9 +86,9 @@ def is_liftable(f: MapGerm, eta: ModuleElement, budget: Budget | None = None) ->
     eta o f is divided by the columns of df once; a witness is returned only
     inside a :class:`LiftCertificate`, whose construction re-expands
     df(xi) = eta o f exactly.  ``wf_apply`` checks that eta is a field on
-    the target of f.
+    the target of f, and reads the budget's clock while it composes.
     """
-    rhs = wf_apply(eta, f)
+    rhs = wf_apply(eta, f, budget)
     membership = _divide(rhs, tf_generators(f), budget)
     if membership.is_member:
         xi = ModuleElement(f.source, membership.coefficients)

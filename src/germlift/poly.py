@@ -274,8 +274,12 @@ class Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, n: int):
+        return self.power(n)
+
+    def power(self, n: int, budget: Budget | None = None) -> "Polynomial":
         """The ``n``-th power: of one term, its coefficient to the ``n`` and
-        its exponents times ``n``; otherwise by repeated squaring."""
+        its exponents times ``n``; otherwise by repeated squaring.  With a
+        ``budget``, :meth:`Budget.check_clock` runs before each product."""
         if n < 0:
             raise ValueError("negative exponents are outside the polynomial model")
         if len(self.terms) == 1:
@@ -285,8 +289,13 @@ class Polynomial:
         base = self
         while n:
             if n & 1:
+                if budget is not None:
+                    budget.check_clock()
                 result = result * base
-            base = base * base if n > 1 else base
+            if n > 1:
+                if budget is not None:
+                    budget.check_clock()
+                base = base * base
             n >>= 1
         return result
 
@@ -447,7 +456,7 @@ def add_products(acc: dict[Exp, Fraction], a: Mapping[Exp, Fraction],
 
 
 def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
-            cache: dict[Exp, Polynomial]) -> Polynomial:
+            cache: dict[Exp, Polynomial], budget: Budget | None = None) -> Polynomial:
     """``p(images[0], images[1], ...)`` over ``ring``: the sum of ``c_e * img^e``
     over the terms of ``p``, summed into one term dict.
 
@@ -465,7 +474,8 @@ def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
     is ``images[i]`` itself, a higher one is built from
     ``images[i]^(e_i - 1)`` when that is cached, else by repeated
     squaring, so no exponent costs more than its bit length in products
-    and nothing recurses.
+    and nothing recurses.  With a ``budget``, :meth:`Budget.check_clock`
+    runs before each of those products, each squaring included.
     """
     acc: dict[Exp, Fraction] = {}
     general = [i for i, img in enumerate(images) if img is None or len(img.terms) > 1]
@@ -512,9 +522,19 @@ def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
                         power = images[i]
                     else:
                         below = cache.get(unit[:i] + (k - 1,) + unit[i + 1:])
-                        power = images[i] ** k if below is None else below * images[i]
+                        if below is None:
+                            power = images[i].power(k, budget)
+                        else:
+                            if budget is not None:
+                                budget.check_clock()
+                            power = below * images[i]
                     cache[unit] = power
-                img = power if img is None else img * power
+                if img is None:
+                    img = power
+                else:
+                    if budget is not None:
+                        budget.check_clock()
+                    img = img * power
             if img is None:
                 img = Polynomial.const(ring, 1)
             cache[e] = img

@@ -26,6 +26,7 @@ from germlift.germs import jacobian
 from germlift.groebner import (
     _element_sort_key,
     _Kernel,
+    _packer,
     _reduced_basis,
     _vec_of,
     eliminate,
@@ -390,19 +391,20 @@ def prune_reference(M, budget):
     order, then, from the greatest down, build the reduced basis of the
     generators still kept other than this one and drop it when it reduces
     to zero against that basis.  Every basis is charged to ``budget``."""
-    key = M.order.heap_key
     sort_order = ModuleOrder(M.ring.default_order())
     gens = [g for g in M.generators if not g.is_zero]
     gens.sort(key=lambda g: _element_sort_key(g, sort_order))
+    packer = _packer(M.order.heap_key, M.rank, M.ring, gens)
     kept = list(range(len(gens)))
     for i in sorted(kept, key=lambda i: _element_sort_key(gens[i], sort_order),
                     reverse=True):
         others = [j for j in kept if j != i]
         if not others:
             continue
-        plain = _reduced_basis(key, [_vec_of(gens[j])[0] for j in others], budget,
-                               M.rank == 1)
-        if not _Kernel(key, False, plain).reduce_full(_vec_of(gens[i])[0], budget)[0]:
+        plain = _reduced_basis(packer, [_vec_of(gens[j], packer)[0] for j in others],
+                               budget, M.rank == 1)
+        if not _Kernel(packer, False, plain).reduce_full(_vec_of(gens[i], packer)[0],
+                                                         budget)[0]:
             kept = others
     return [gens[j] for j in kept]
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from germlift.cli import main
+from germlift.poly import Polynomial
 
 from conftest import fixture_path
 
@@ -396,6 +397,78 @@ def test_timeout_budget_zero_stops_a_determinant(capsys):
     code, out, _ = run(capsys, "paper-suite", "--only", "aug.disc_k3", "--timeout", "0")
     assert code == 3
     assert "TIMEOUT" in out and "aug.disc_k3" in out
+
+
+def _germ_manifest(tmp_path, weights, fields):
+    """The germ (x, y^3, y^5 + x*y) with the given source weights and
+    fields on its target."""
+    src = {"vars": ["x", "y"]}
+    if weights is not None:
+        src["weights"] = weights
+    path = tmp_path / "germ.manifest.json"
+    path.write_text(json.dumps({
+        "schema": "germlift-manifest/1",
+        "rings": {"src": src, "tgt": {"vars": ["X", "Y", "Z"]}},
+        "maps": {"H": {"source": "src", "target": "tgt",
+                       "components": ["x", "y^3", "y^5 + x*y"]}},
+        "fields": {name: {"ring": "tgt", "elements": [entries]}
+                   for name, entries in fields.items()},
+    }))
+    return str(path)
+
+
+def test_timeout_budget_zero_stops_a_pull_back(tmp_path, capsys, monkeypatch):
+    # composing Z^3000 with y^5 + x*y squares a growing polynomial about
+    # twelve times; under --timeout 0 no such product is made
+    path = _germ_manifest(tmp_path, None, {"z": ["0", "0", "Z^3000"]})
+    products = []
+    real = Polynomial.__mul__
+
+    def counted(a, b):
+        if isinstance(b, Polynomial) and len(a.terms) > 1 and len(b.terms) > 1:
+            products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    code, out, _ = run(capsys, "lift-check", "-m", path, "--map", "H", "--fields", "z",
+                       "--timeout", "0", "--json")
+    assert code == 3
+    result, = json.loads(out)["results"]
+    assert result["verdict"] == "TIMEOUT"
+    assert result["details"][0].startswith("time limit")
+    assert products == []
+
+
+BIG = 10**29
+
+
+@pytest.mark.parametrize("weights", [None, [1, 10**20]], ids=["plain", "weighted"])
+@pytest.mark.parametrize("field, obstruction, reductions", [
+    ("X^100000", "(x^100000, 0, 0)", 4),
+    ("X^70000*Y", "(0, 3/5*x^70000*y^2, 1/5*x^70001)", 5),
+    (f"X^{BIG}", f"(x^{BIG}, 0, 0)", 4),
+], ids=["1e5", "7e4", "1e29"])
+def test_wide_exponents_and_weights_give_the_exact_obstruction(tmp_path, capsys, weights,
+                                                               field, obstruction,
+                                                               reductions):
+    # the whole report, counters included: exponents and weights too wide
+    # for fixed fields must still give the exact obstruction
+    path = _germ_manifest(tmp_path, weights, {"f": [field, "0", "0"]})
+    code, out, _ = run(capsys, "lift-check", "-m", path, "--map", "H", "--fields", "f",
+                       "--json")
+    assert code == 2
+    expected = {
+        "results": [{
+            "certificates": [{"field": f"({field}, 0, 0)", "obstruction": obstruction}],
+            "counters": {"reductions": reductions, "s_pairs": 0, "zero_reductions": 0},
+            "details": ["generator 0 not polynomially liftable"],
+            "id": "lift-check.H.f",
+            "verdict": "UNDECIDED_LOCAL",
+        }],
+        "schema": "germlift-report/1",
+        "summary": {"fail": 0, "pass": 0, "timeout": 0, "total": 1, "undecided_local": 1},
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "nan", "-1", ""])

@@ -11,7 +11,9 @@ from germlift.errors import GroebnerTimeout, RankError, StructureError
 from germlift.exprio import parse_poly
 from germlift.groebner import (
     Budget,
+    _Packer,
     _embedded_key,
+    _packer,
     _reduced_basis,
     _vec_of,
     compute_gb,
@@ -321,32 +323,54 @@ def test_integer_re_expansion_agrees_with_combine(seed, perturb):
         v = ModuleElement(ring, entries)
     holds = combine(ring, rank, coeffs, gens) == v
     assert holds == (perturb == "none" or (perturb == "tail" and gens[i].is_zero))
-    mains, dens = zip(*(_vec_of(g) for g in gens))
-    vec = _vec_of(ModuleElement(ring, v.entries + tuple(coeffs)))[0]
-    assert groebner._recombines(vec, rank, mains, dens) == holds
+    # every exponent, and every product's, is at most 4
+    packer = _Packer(_embedded_key(ModuleOrder(ring.default_order()), rank),
+                     rank + len(gens), nvars, 3)
+    mains, dens = zip(*(_vec_of(g, packer) for g in gens))
+    vec = _vec_of(ModuleElement(ring, v.entries + tuple(coeffs)), packer)[0]
+    assert groebner._recombines(vec, rank, mains, dens, packer) == holds
+
+
+def test_re_expansion_outgrowing_the_fields_is_redone_on_wider_ones(xy):
+    # every input exponent is at most 3, which two-bit fields hold; the
+    # products x^3 * x^3 that cancel in the identity are not
+    x3 = parse_poly("x^3", xy)
+    gens = [ModuleElement(xy, [x3]), ModuleElement(xy, [x3 - parse_poly("y", xy)])]
+    whole = ModuleElement(xy, [parse_poly("x^3*y", xy), x3, -x3])
+    packer = _Packer(_embedded_key(ModuleOrder(xy.default_order()), 1), 3, 2, 2)
+
+    def attempt(packer):
+        mains, dens = zip(*(_vec_of(g, packer) for g in gens))
+        return groebner._recombines(_vec_of(whole, packer)[0], 1, mains, dens, packer)
+
+    with pytest.raises(groebner._Overflow):
+        attempt(packer)
+    assert groebner._widening(Budget(), packer, attempt)
 
 
 def test_corrupted_basis_vector_is_refused(xy, monkeypatch):
     # bump one tail term, then one main term, of each tracked basis vector
     # in turn: both builders of a tracked basis must refuse every such basis
     gens = [ModuleElement(xy, (parse_poly(t, xy),)) for t in ("x^2 - y", "x*y", "y^2 + x")]
-    key = _embedded_key(ModuleOrder(xy.default_order()), 1)
+    packer = _packer(_embedded_key(ModuleOrder(xy.default_order()), 1), 1 + len(gens),
+                     xy, gens)
     vecs = []
     for i, g in enumerate(gens):
-        v, den = _vec_of(g)
-        vecs.append({**v, (1 + i, (0, 0)): den})
-    basis = _reduced_basis(key, vecs, Budget(), False)
+        v, den = _vec_of(g, packer)
+        vecs.append({**v, packer.pack(1 + i, (0, 0)): den})
+    basis = _reduced_basis(packer, vecs, Budget(), False)
     mutants = 0
     for n, (vec, _) in enumerate(basis):
         for tail in (True, False):
-            terms = [t for t in vec if (t[0] >= 1) == tail]
+            terms = [packer.unpack(t) for t in vec if (packer.comp(t) >= 1) == tail]
             if not terms:
                 continue
 
-            def bumped(key, vecs, budget, use_product, _n=n, _t=terms[0]):
-                pairs = _reduced_basis(key, vecs, budget, use_product)
+            def bumped(packer, vecs, budget, use_product, _n=n, _t=terms[0]):
+                pairs = _reduced_basis(packer, vecs, budget, use_product)
                 vec, lead = pairs[_n]
-                pairs[_n] = ({**vec, _t: vec[_t] + 1}, lead)
+                t = packer.pack(*_t)
+                pairs[_n] = ({**vec, t: vec[t] + 1}, lead)
                 return pairs
 
             mutants += 1
@@ -458,3 +482,50 @@ def test_prune_matches_the_direct_reference(seed):
     except GroebnerTimeout:
         assume(False)
     assert list(got) == expected
+
+
+def _kernel_results(seed):
+    """Bases, syzygies, memberships, prunes and an elimination of seeded
+    random modules, each with the counters of its budget."""
+    rng = random.Random(seed)
+    ring = VarSet(["x", "y", "z"])
+    out = []
+    for order in (MonomialOrder.grevlex(), MonomialOrder.lex(),
+                  MonomialOrder.wgrevlex((2, 3, 1))):
+        rank = rng.randint(1, 2)
+        gens = _nonzero_elements(rng, ring, rank, 3)
+        M = Submodule(ring, rank, gens, ModuleOrder(order))
+        budget = Budget()
+        v = combine(ring, rank, [random_poly(rng, ring, max_deg=2) for _ in gens], gens)
+        out.append((compute_gb(M, budget).elements,
+                    syzygy_module(gens, budget, ModuleOrder(order)).generators,
+                    express(v, M, budget).coefficients,
+                    prune_module(Submodule(ring, rank, gens + [v]), budget).generators,
+                    budget.stats()))
+    I = Submodule.ideal(ring, [g.entries[0] for g in _nonzero_elements(rng, ring, 1, 2)])
+    budget = Budget()
+    out.append((eliminate(I, ["x"], budget).generators, budget.stats()))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_narrow_fields_change_no_answer_and_no_counter(seed, monkeypatch):
+    # with fields just wide enough for the inputs, the runs outgrow them and
+    # start again on wider ones; the results and the counters stay the same
+    expected = _kernel_results(seed)
+    widened = []
+
+    def narrow(key, ncomp, ring, elems):
+        top = max((x for g in elems for p in g.entries for e in p.terms for x in e),
+                  default=0)
+        return _Packer(key, ncomp, len(ring), max(top.bit_length(), 1))
+
+    def counted(packer, bits):
+        widened.append(bits)
+        return real(packer, bits)
+
+    real = _Packer.widened
+    monkeypatch.setattr(groebner, "_packer", narrow)
+    monkeypatch.setattr(_Packer, "widened", counted)
+    assert _kernel_results(seed) == expected
+    assert widened

@@ -1,13 +1,17 @@
 """The reduction kernel against independent references.
 
 ``_Kernel.reduce_full`` pseudo-reduces integer vectors against primitive
-ones, pops leading terms from a heap of flat heap keys and pre-filters
-divisors by support masks; ``normal_form_maxscan`` in ``oracles`` reduces
-over ``Fraction`` against monic vectors and rescans for the greatest term
-under the nested sort keys.  The kernel's remainder must be the reference
-times the kernel's scale, for the same number of reductions.  Reduced bases
-are checked for their defining property, against a Fraction Buchberger
-reference and, for ideals, against sympy.
+ones, pops leading terms from a heap of packed terms (one int each, ordered
+like the heap key) and pre-filters divisors by support masks;
+``normal_form_maxscan`` in ``oracles`` reduces over ``Fraction`` against
+monic vectors and rescans for the greatest term under the nested sort keys.
+Vectors enter the kernel through ``_vec_of`` and leave it unpacked.  The
+kernel's remainder must be the reference times the kernel's scale, for the
+same number of reductions.  The packing must agree with the heap key it is
+read from.  Reduced bases are checked for their defining property, against
+a Fraction Buchberger reference (also with exponents above 2**64, and from
+fields just wide enough for the inputs, which a run may outgrow) and, for
+ideals, against sympy.
 """
 
 import math
@@ -21,13 +25,16 @@ from hypothesis import strategies as st
 from germlift.groebner import (
     Budget,
     _Kernel,
+    _Packer,
     _embedded_key,
+    _packer,
     _reduced_basis,
     _vec_of,
+    _widening,
     compute_gb,
 )
-from germlift.modules import ModuleOrder, Submodule
-from germlift.poly import MonomialOrder, Polynomial, VarSet, exp_divides
+from germlift.modules import ModuleElement, ModuleOrder, Submodule
+from germlift.poly import MonomialOrder, Polynomial, VarSet, exp_add, exp_divides
 from germlift.suite import bundled_manifests
 
 from oracles import (
@@ -43,8 +50,10 @@ except ImportError:
     sympy = None
 
 N_VARS = 3
+RING = VarSet(["x", "y", "z"])
 RANK = 2
 TAIL = 2  # trailing components of the embedded order
+BITS = 16  # exponent fields that hold every random case below
 
 BASES = {
     "grevlex": MonomialOrder.grevlex(),
@@ -110,6 +119,33 @@ def _primitive(v, lead):
     return {t: k // g for t, k in v.items()}
 
 
+def _packed(packer, v, ncomp):
+    """The integer vector ``v`` ({(comp, exp): int}) as the kernel takes
+    it, through ``_vec_of``."""
+    polys = [{} for _ in range(ncomp)]
+    for (c, e), k in v.items():
+        polys[c][e] = Fraction(k)
+    vec, den = _vec_of(ModuleElement(RING, [Polynomial(RING, p) for p in polys]), packer)
+    assert den == 1
+    return vec
+
+
+def _unpacked(packer, vec):
+    return {packer.unpack(t): k for t, k in vec.items()}
+
+
+def _reduced(key, ncomp, vecs, budget, bits=BITS):
+    """``_reduced_basis`` of the integer vectors ``vecs`` ({(comp, exp): int})
+    as unpacked (vector, lead) pairs, from fields ``bits`` wide, widened as
+    often as the run needs."""
+    def attempt(packer):
+        pairs = _reduced_basis(packer, [_packed(packer, v, ncomp) for v in vecs], budget,
+                               False)
+        return [(_unpacked(packer, vec), packer.unpack(lead)) for vec, lead in pairs]
+
+    return _widening(budget, _Packer(key, ncomp, N_VARS, bits), attempt)
+
+
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -129,9 +165,13 @@ def test_reduce_full_matches_maxscan_reference(case, data):
     main_rank = data.draw(st.sampled_from(main_ranks))
     skip = data.draw(st.none() | st.integers(0, len(vecs) - 1))
     pairs = _monic_pairs(vecs, raw)
+    packer = _Packer(heap, ncomp, N_VARS, BITS)
+    kernel = _Kernel(packer, False, [(_packed(packer, _primitive(v, lead), ncomp),
+                                      packer.pack(*lead)) for v, lead in pairs],
+                     main_rank=main_rank)
     got_budget = Budget()
-    got, scale = _Kernel(heap, False, [(_primitive(v, lead), lead) for v, lead in pairs]
-                         ).reduce_full(dict(work), got_budget, main_rank=main_rank, skip=skip)
+    got, scale = kernel.reduce_full(_packed(packer, work, ncomp), got_budget, skip=skip)
+    got = _unpacked(packer, got)
     ref_budget = Budget()
     ref = normal_form_maxscan([v for v, _ in pairs], [lead for _, lead in pairs],
                               raw, {t: Fraction(k) for t, k in work.items()},
@@ -153,6 +193,30 @@ def test_heap_key_reverses_order_key(case, data):
     assert all(type(x) is int for x in ha)
     assert (raw(*a) > raw(*b)) == (ha < hb)
     assert (raw(*a) == raw(*b)) == (ha == hb) == (a == b)
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("bits", [1, 4, 70])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_packing_agrees_with_heap_key(case, bits, data):
+    _, _, heap, ncomp, _ = case
+    packer = _Packer(heap, ncomp, N_VARS, bits)
+    cap = packer.cap
+    exps = st.tuples(*[st.integers(0, cap)] * N_VARS)
+    a = (data.draw(st.integers(0, ncomp - 1)), data.draw(exps))
+    b = (data.draw(st.integers(0, ncomp - 1)), data.draw(exps))
+    pa, pb = packer.pack(*a), packer.pack(*b)
+    assert type(pa) is int and pa >= 0
+    # comparing packed ints compares heap keys
+    assert (pa < pb) == (heap(*a) < heap(*b))
+    assert (pa == pb) == (a == b)
+    # multiplying by x^s adds the shift of s of the term's class
+    c, e = a
+    s = tuple(data.draw(st.integers(0, cap - x)) for x in e)
+    assert packer.pack(c, exp_add(e, s)) == pa + packer.shift(packer.cls[c], s)
+    # unpacking inverts packing
+    assert packer.unpack(pa) == a
 
 
 def _monic(vec, lead):
@@ -186,14 +250,19 @@ def _fixture_modules():
 def test_reduced_basis_of_fixture_modules_is_reduced():
     count = 0
     for M in _fixture_modules():
-        vecs = [_vec_of(g) for g in M.generators]
-        plain = _reduced_basis(M.order.heap_key, [v for v, _ in vecs], Budget(),
-                               M.rank == 1)
-        _assert_reduced(plain, M.order.heap_key)
+        packer = _packer(M.order.heap_key, M.rank, M.ring, M.generators)
+        plain = _reduced_basis(packer, [_vec_of(g, packer)[0] for g in M.generators],
+                               Budget(), M.rank == 1)
+        _assert_reduced([(_unpacked(packer, v), packer.unpack(lead)) for v, lead in plain],
+                        M.order.heap_key)
         embedded = _embedded_key(M.order, M.rank)
-        tracked = [{**v, (M.rank + i, M.ring.zero_exp()): den}
-                   for i, (v, den) in enumerate(vecs)]
-        _assert_reduced(_reduced_basis(embedded, tracked, Budget(), False),
+        packer = _packer(embedded, M.rank + len(M.generators), M.ring, M.generators)
+        tracked = []
+        for i, g in enumerate(M.generators):
+            v, den = _vec_of(g, packer)
+            tracked.append({**v, packer.pack(M.rank + i, M.ring.zero_exp()): den})
+        pairs = _reduced_basis(packer, tracked, Budget(), False)
+        _assert_reduced([(_unpacked(packer, v), packer.unpack(lead)) for v, lead in pairs],
                         embedded)
         count += 1
     assert count >= 10
@@ -206,8 +275,7 @@ def test_reduced_basis_of_fixture_modules_is_reduced():
 def test_reduced_basis_of_random_modules_is_reduced(case, data):
     _, _, heap, ncomp, _ = case
     vecs = data.draw(st.lists(vectors(ncomp, 3, max_exp=2), min_size=1, max_size=3))
-    _assert_reduced(_reduced_basis(heap, [_integer(v) for v in vecs], Budget(), False),
-                    heap)
+    _assert_reduced(_reduced(heap, ncomp, [_integer(v) for v in vecs], Budget()), heap)
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
@@ -217,9 +285,36 @@ def test_reduced_basis_of_random_modules_is_reduced(case, data):
 def test_reduced_basis_matches_fraction_reference(case, data):
     _, raw, heap, ncomp, _ = case
     vecs = data.draw(st.lists(vectors(ncomp, 3, max_exp=2), min_size=1, max_size=3))
-    got = _reduced_basis(heap, [_integer(v) for v in vecs], Budget(), False)
+    budget = Budget()
+    got = _reduced(heap, ncomp, [_integer(v) for v in vecs], budget)
     assert ({frozenset(_monic(vec, lead).items()) for vec, lead in got}
             == reduced_basis_reference(vecs, raw))
+    # from fields just wide enough for the inputs the run may overflow and
+    # start again on wider ones: the same basis, each step counted once
+    narrow = Budget(max_reductions=budget.reductions)
+    bits = max(x for v in vecs for _, e in v for x in e).bit_length() or 1
+    assert _reduced(heap, ncomp, [_integer(v) for v in vecs], narrow, bits=bits) == got
+    assert narrow.stats() == budget.stats()
+
+
+@pytest.mark.parametrize("base", ["grevlex", "lex"])
+def test_reduced_basis_with_exponents_above_2_64(base):
+    # the basis reaches exponents above 2**65; fields too narrow for them
+    # would wrap into their neighbours and give a wrong basis
+    big = 2**64 + 5
+    vecs = [{(0, (big, 1, 0)): Fraction(1), (1, (0, 0, big)): Fraction(-2)},
+            {(0, (1, big, 0)): Fraction(3), (1, (big + 1, 0, 0)): Fraction(1)},
+            {(0, (0, 2, 0)): Fraction(1), (1, (0, 0, 1)): Fraction(-1)}]
+    morder = ModuleOrder(BASES[base])
+    expected = reduced_basis_reference(vecs, partial(module_order_key, morder))
+    got = _reduced(morder.heap_key, RANK, [_integer(v) for v in vecs], Budget(), bits=1)
+    assert {frozenset(_monic(vec, lead).items()) for vec, lead in got} == expected
+    M = Submodule(RING, RANK, [ModuleElement(RING, [
+        Polynomial(RING, {e: k for (c, e), k in v.items() if c == i}) for i in range(RANK)])
+        for v in vecs], morder)
+    assert ({frozenset(((c, e), k) for c, p in enumerate(g.entries) for e, k in p.terms.items())
+             for g in compute_gb(M).elements} == expected)
+    assert max(x for vec, _ in got for _, e in vec for x in e) > 2**65
 
 
 def _sympy_basis(polys, ring, order):
