@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .poly import MonomialOrder, Polynomial, VarSet, exact_divide, integer_normalize
-from .modules import ModuleElement, ModuleOrder, Submodule, proportional
+from .modules import ModuleElement, Submodule, proportional
 from .groebner import (
     Budget,
     GroebnerBasis,

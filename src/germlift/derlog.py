@@ -50,6 +50,7 @@ from .poly import (
     exact_divide,
     fresh_name,
     integer_normalize,
+    positive_weights,
     rering,
     set_zero,
     zero_section,
@@ -70,7 +71,7 @@ class Divisor:
             raise StructureError("divisor must pass through the origin")
         self.ring = ring
         self.h = h
-        self.weights = tuple(weights) if weights is not None else None
+        self.weights = None if weights is None else positive_weights(weights, len(ring))
         if self.weights is not None and not h.is_weighted_homogeneous(self.weights):
             raise StructureError("equation is not quasihomogeneous for the weights")
 
@@ -129,13 +130,11 @@ def derlog_tangent(D: Divisor, budget: Budget | None = None) -> TangentFields:
 
 def euler_field(space: VarSet, weights=None) -> ModuleElement:
     """sum w_i x_i d/dx_i for the given (or the ring's) weights."""
-    w = tuple(weights) if weights is not None else space.weights
+    w = positive_weights(weights, len(space)) if weights is not None else space.weights
     if w is None:
         raise AmbientError("no weights available for an Euler field")
-    if len(w) != len(space) or any(x <= 0 for x in w):
-        raise AmbientError("need one positive weight per variable")
     return VectorField(
-        space, [Polynomial.variable(space, n) * int(wi) for n, wi in zip(space.names, w)]
+        space, [Polynomial.variable(space, n) * wi for n, wi in zip(space.names, w)]
     )
 
 

@@ -2,7 +2,7 @@
 
 One engine serves five needs:
 
-* reduced Groebner bases (deterministic for a fixed module order),
+* reduced Groebner bases (deterministic for a fixed monomial order),
 * normal forms and membership with coefficient extraction (``_divide``);
   ``express`` re-verifies each returned identity, and
   ``lifting.is_liftable`` divides directly because its certificate
@@ -10,7 +10,8 @@ One engine serves five needs:
 * syzygy modules, computed by embedding the generators alongside unit
   vectors and eliminating the leading block,
 * submodule intersection, read off the syzygies of both generating sets
-  together, and variable elimination via block orders,
+  together, and variable elimination via block orders, both finished by
+  :func:`reduced_basis`,
 * pruning a generating set (``prune_module``) with one incremental run
   whose basis prefixes answer every drop test.
 
@@ -29,7 +30,7 @@ leaves.
 A term ``(c, e)`` is packed into one non-negative int (Monagan-Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", CASC 2007) by a :class:`_Packer`.  From the most significant end
-the int holds the fields of the order's heap key (``ModuleOrder.heap_key``
+the int holds the fields of the order's heap key (:func:`_module_key`
 or :func:`_embedded_key`, least for the greatest term), each offset to be
 non-negative, then the component, then the raw exponents, each under a
 guard bit.  The packer reads this layout off the heap key by probing unit
@@ -88,7 +89,7 @@ from operator import add, lshift, mul, or_, sub
 from typing import Callable, Sequence
 
 from .errors import AmbientError, GroebnerTimeout, RankError, StructureError
-from .modules import GREVLEX, ModuleElement, ModuleOrder, Submodule, combine
+from .modules import GREVLEX, ModuleElement, Submodule, combine
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -635,16 +636,26 @@ class _Kernel:
             self.terms[i] = self._split(vec)
 
 
-def _embedded_key(morder: ModuleOrder, main_rank: int):
-    """Heap key of the order that embeds ``morder`` on components below
-    ``main_rank`` above trailing components ordered by grevlex, then position."""
-    base = morder.heap_key
-    tail = MonomialOrder.grevlex().heap_key
+def _module_key(order: MonomialOrder) -> Callable:
+    """Heap key of ``order`` extended to terms ``(c, e)`` term over
+    position: the monomial's key, then the component, so that of two equal
+    monomials the one in the earlier component is greater.  Every module
+    basis, sort and packer reads its order through this key."""
+    mono = order.heap_key
+    return lambda c, e: mono(e) + (c,)
+
+
+def _embedded_key(order: MonomialOrder, main_rank: int):
+    """Heap key of the order that embeds ``order`` on components below
+    ``main_rank`` above trailing components ordered by grevlex, each term
+    over position."""
+    base = _module_key(order)
+    tail = _module_key(GREVLEX)
 
     def key(c, e):
         if c < main_rank:
             return (-1,) + base(c, e)
-        return (0,) + tail(e) + (c - main_rank,)
+        return (0,) + tail(c - main_rank, e)
 
     return key
 
@@ -659,16 +670,16 @@ def _reduced_basis(packer: _Packer, vecs: Sequence[Vec], budget: Budget,
     return sorted(zip(kern.basis, kern.keys), key=lambda p: p[1], reverse=True)
 
 
-def grevlex_basis(ring: VarSet, rank: int, elems: Sequence[ModuleElement],
-                  budget: Budget) -> list[ModuleElement]:
-    """The reduced grevlex (term over position) basis of the module that
-    ``elems`` generate, least lead first, without tracking."""
+def reduced_basis(ring: VarSet, rank: int, elems: Sequence[ModuleElement],
+                  order: MonomialOrder, budget: Budget) -> list[ModuleElement]:
+    """The reduced basis under ``order`` (term over position) of the module
+    that ``elems`` generate, least lead first, without tracking."""
     def attempt(packer):
         pairs = _reduced_basis(packer, [_vec_of(g, packer)[0] for g in elems], budget,
                                rank == 1)
         return [_elem_of(ring, rank, vec, vec[lead], packer) for vec, lead in pairs]
 
-    return _widening(budget, _packer(GREVLEX.heap_key, rank, ring, elems), attempt)
+    return _widening(budget, _packer(_module_key(order), rank, ring, elems), attempt)
 
 
 def _recombines(vec: Vec, rank: int, mains: Sequence[Vec], dens: Sequence[int],
@@ -770,7 +781,7 @@ class GroebnerBasis:
 
 
 def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
-                morder: ModuleOrder, budget: Budget | None) -> GroebnerBasis:
+                order: MonomialOrder, budget: Budget | None) -> GroebnerBasis:
     budget = budget or Budget()
     zero = ring.zero_exp()
 
@@ -797,7 +808,7 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
                 raise StructureError("internal: generator does not reduce to zero")
         return gb
 
-    return _widening(budget, _packer(_embedded_key(morder, rank), rank + len(gens), ring,
+    return _widening(budget, _packer(_embedded_key(order, rank), rank + len(gens), ring,
                                      gens), attempt)
 
 
@@ -880,21 +891,15 @@ def module_equal(M: Submodule, N: Submodule, budget: Budget | None = None) -> bo
 
 
 def syzygy_module(gens: Sequence[ModuleElement], budget: Budget | None = None,
-                  order: ModuleOrder | None = None) -> Submodule:
+                  order: MonomialOrder | None = None) -> Submodule:
     """All relations sum(c_i * gens_i) = 0, each verified by exact expansion
     (:func:`_recombines`) before it is returned."""
     if not gens:
         raise RankError("syzygy computation needs at least one generator")
-    ring = gens[0].ring
-    rank = gens[0].rank
-    for g in gens:
-        if g.ring != ring:
-            raise AmbientError("generators over different rings")
-        if g.rank != rank:
-            raise RankError("generators of unequal rank")
-    morder = order or ModuleOrder(ring.default_order())
-    gb = _tracked_gb(ring, rank, gens, morder, budget)
-    return Submodule(ring, len(gens), gb.syzygies)
+    # the generators' module checks their ring, their rank and the order
+    M = Submodule(gens[0].ring, gens[0].rank, gens, order)
+    gb = _tracked_gb(M.ring, M.rank, M.generators, M.order, budget)
+    return Submodule(M.ring, len(gens), gb.syzygies)
 
 
 def module_intersect(M: Submodule, N: Submodule,
@@ -919,10 +924,10 @@ def module_intersect(M: Submodule, N: Submodule,
     budget = budget or Budget()
     m = len(M.generators)
     syz = syzygy_module(M.generators + N.generators, budget, GREVLEX)
-    gens_out = grevlex_basis(
+    gens_out = reduced_basis(
         ring, rank,
         [combine(ring, rank, s.entries[:m], M.generators) for s in syz.generators],
-        budget)
+        GREVLEX, budget)
     for g in gens_out:
         if not express(g, M, budget).is_member or not express(g, N, budget).is_member:
             raise StructureError("internal: intersection output failed membership")
@@ -946,30 +951,26 @@ def eliminate(I: Submodule, names: Sequence[str],
         kept_weights = [ring.weights[i] for i in keep_idx]
     kept_ring = VarSet([ring.names[i] for i in keep_idx], kept_weights)
     nb = len(elim_idx)
-    key = ModuleOrder(MonomialOrder.elimination(nb)).heap_key
     # the generators over the ring with the eliminated variables first
     permuted = VarSet([ring.names[i] for i in perm])
     gens = [ModuleElement(permuted, [Polynomial(permuted, {tuple(e[i] for i in perm): k
                                                            for e, k in g.entries[0].terms.items()})])
             for g in I.generators]
-    budget = budget or Budget()
-
-    def attempt(packer):
-        out = []
-        for vec, lead in _reduced_basis(packer, [_vec_of(g, packer)[0] for g in gens],
-                                        budget, True):
-            p = _elem_of(permuted, 1, vec, vec[lead], packer).entries[0]
-            if all(not any(e[:nb]) for e in p.terms):
-                out.append(Polynomial(kept_ring, {e[nb:]: k for e, k in p.terms.items()}))
-        return out
-
-    return Submodule.ideal(kept_ring, _widening(budget, _packer(key, 1, ring, gens), attempt))
+    out = []
+    for g in reduced_basis(permuted, 1, gens, MonomialOrder.elimination(nb),
+                           budget or Budget()):
+        p = g.entries[0]
+        if all(not any(e[:nb]) for e in p.terms):
+            out.append(Polynomial(kept_ring, {e[nb:]: k for e, k in p.terms.items()}))
+    return Submodule.ideal(kept_ring, out)
 
 
-def _element_sort_key(g: ModuleElement, morder: ModuleOrder):
-    """Terms in descending order, each as (negated heap key, coefficient):
-    negating flat keys of one length orders them like their terms."""
-    terms = sorted((morder.heap_key(c, e), k)
+def _element_sort_key(g: ModuleElement, order: MonomialOrder):
+    """Terms in descending order under ``order`` (term over position), each
+    as (negated heap key, coefficient): negating flat keys of one length
+    orders them like their terms."""
+    key = _module_key(order)
+    terms = sorted((key(c, e), k)
                    for c, p in enumerate(g.entries) for e, k in p.terms.items())
     return tuple((tuple(-x for x in h), k) for h, k in terms)
 
@@ -996,7 +997,7 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     basis of the pruned module is built.
     """
     budget = budget or Budget()
-    sort_order = ModuleOrder(M.ring.default_order())
+    sort_order = M.ring.default_order()
     gens = [g for g in M.generators if not g.is_zero]
     gens.sort(key=lambda g: _element_sort_key(g, sort_order))
 
@@ -1015,7 +1016,7 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
                 above.append(i)
         return above
 
-    above = _widening(budget, _packer(M.order.heap_key, M.rank, M.ring, gens), attempt)
+    above = _widening(budget, _packer(_module_key(M.order), M.rank, M.ring, gens), attempt)
     out = Submodule(M.ring, M.rank, [gens[i] for i in reversed(above)], M.order)
     kept = set(above)
     for i, g in enumerate(gens):

@@ -26,7 +26,7 @@ from .errors import (
     StructureError,
 )
 from .germs import MapGerm, Unfolding, check_field, tf_generators, wf_apply
-from .groebner import Budget, _divide, grevlex_basis, prune_module, syzygy_module
+from .groebner import Budget, _divide, prune_module, reduced_basis, syzygy_module
 from .modules import GREVLEX, ModuleElement, Submodule, combine, membership_module
 from .poly import Polynomial, set_zero, zero_section
 
@@ -136,7 +136,7 @@ def restrictable_part(U: Unfolding, liftF: Submodule,
         at_zero = [ModuleElement(ring, _zero_section_params(g, U)) for g in gens]
         syz = syzygy_module(at_zero, budget, GREVLEX)
         spanning += [combine(ring, U.total.p, b.entries, gens) for b in syz.generators]
-    basis = grevlex_basis(ring, U.total.p, spanning, budget)
+    basis = reduced_basis(ring, U.total.p, spanning, GREVLEX, budget)
     if not all(restrictable(g, U) for g in basis):
         raise StructureError("internal: intersection output is not restrictable")
     return basis

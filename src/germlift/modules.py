@@ -1,8 +1,11 @@
-"""Free-module elements and finitely generated submodules over a polynomial ring."""
+"""Free-module elements and finitely generated submodules over a polynomial ring.
+
+A submodule's working order is a :class:`~germlift.poly.MonomialOrder`,
+which the Groebner kernel extends to vectors term over position.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -104,35 +107,7 @@ def proportional(a: ModuleElement, b: ModuleElement) -> Fraction | None:
     return Fraction(1) if c is None else c
 
 
-@dataclass(frozen=True)
-class ModuleOrder:
-    """Extension of a monomial order to (monomial, component) pairs.
-
-    ``precedence`` ranks components, earlier entries are greater; the default
-    is the natural order e_0 > e_1 > ...
-    """
-
-    base: MonomialOrder
-    position_over_term: bool = False
-    precedence: tuple[int, ...] | None = None
-
-    def component_rank(self, comp: int) -> int:
-        if self.precedence is None:
-            return comp
-        return self.precedence.index(comp)
-
-    def heap_key(self, comp: int, exp: Exp) -> tuple[int, ...]:
-        """Flat int tuple, least for the greatest term (see
-        :meth:`MonomialOrder.heap_key`); components of higher precedence
-        are greater."""
-        mono = self.base.heap_key(exp)
-        pos = (self.component_rank(comp),)
-        if self.position_over_term:
-            return pos + mono
-        return mono + pos
-
-
-GREVLEX = ModuleOrder(MonomialOrder.grevlex())
+GREVLEX = MonomialOrder.grevlex()
 
 
 def combine(ring: VarSet, rank: int, coeffs: Iterable,
@@ -169,7 +144,7 @@ class Submodule:
         ring: VarSet,
         rank: int,
         generators: Iterable[ModuleElement],
-        order: ModuleOrder | None = None,
+        order: MonomialOrder | None = None,
     ):
         self.ring = ring
         self.rank = int(rank)
@@ -181,7 +156,12 @@ class Submodule:
                 raise AmbientError("generators over a different ring")
             if g.rank != self.rank:
                 raise RankError("generator rank differs from module rank")
-        self.order = order or ModuleOrder(ring.default_order())
+        if order is None:
+            order = ring.default_order()
+        elif order.weights is not None and len(order.weights) != len(ring):
+            raise AmbientError(f"{len(order.weights)} order weights for the "
+                               f"{len(ring)} variables of {ring!r}")
+        self.order = order
         self._gb = None  # GroebnerBasis, filled lazily
 
     @staticmethod

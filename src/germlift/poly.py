@@ -5,12 +5,13 @@ point anywhere in the package.  Monomials are dense exponent tuples whose
 length is fixed by the ambient :class:`VarSet`.
 
 Composition has one routine, :func:`compose`: it sums ``c_e * img^e`` into
-one term dict.  When every image it reads is a single term or zero, it
-maps each term's exponent straight to its image term; otherwise it takes
-each monomial image ``img^e`` from a cache that the caller supplies.
+one term dict, taking each monomial image ``img^e`` from a cache that the
+caller supplies, whatever the images look like.
 ``Polynomial.substitute`` passes a fresh cache, and ``germs.pull_back``
 the cache kept on the germ.  Products with a one-term factor and powers of
-one term shift exponents instead of summing term products.  Setting
+one term shift exponents instead of summing term products, so a monomial
+image costs no term products.  Weights, of a ring, an order, a grading
+or an Euler field, pass one check (:func:`positive_weights`).  Setting
 variables to 0 is an exponent filter: over the same ring
 (:func:`set_zero`), or with the other variables renamed in order onto
 another ring (:func:`zero_section`).  Exact division pops the remainder's
@@ -55,6 +56,18 @@ def exp_divides(a: Exp, b: Exp) -> bool:
     return all(map(le, a, b))
 
 
+def positive_weights(weights: Iterable, n: int | None = None) -> tuple[int, ...]:
+    """``weights`` as a tuple of positive ints (not bools, floats or
+    strings that convert to one), one per variable of an ``n``-variable
+    ring when ``n`` is given; :class:`AmbientError` otherwise."""
+    w = tuple(weights)
+    if not all(type(x) is int and x > 0 for x in w):
+        raise AmbientError(f"weights must be positive integers: {w}")
+    if n is not None and len(w) != n:
+        raise AmbientError(f"{len(w)} weights for {n} variables")
+    return w
+
+
 # the pattern of "ident" in the published manifest schema
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -74,11 +87,7 @@ class VarSet:
         if weights is None:
             self.weights = None
         else:
-            self.weights = tuple(int(w) for w in weights)
-            if len(self.weights) != len(self.names):
-                raise AmbientError("weights length does not match variable count")
-            if any(w <= 0 for w in self.weights):
-                raise AmbientError("weights must be positive integers")
+            self.weights = positive_weights(weights, len(self.names))
         self._index = {n: i for i, n in enumerate(self.names)}
 
     def __len__(self) -> int:
@@ -142,7 +151,7 @@ class MonomialOrder:
 
     @staticmethod
     def wgrevlex(weights: Iterable[int]) -> "MonomialOrder":
-        return MonomialOrder("wgrevlex", weights=tuple(weights))
+        return MonomialOrder("wgrevlex", weights=positive_weights(weights))
 
     @staticmethod
     def elimination(block: int) -> "MonomialOrder":
@@ -386,11 +395,7 @@ class Polynomial:
                 raise AmbientError("no weights declared for this ring")
             w = self.ring.weights
         else:
-            w = tuple(weights)
-            if len(w) != len(self.ring):
-                raise AmbientError("weights length does not match ring")
-            if any(x <= 0 for x in w):
-                raise AmbientError("weights must be positive")
+            w = positive_weights(weights, len(self.ring))
         degs = {sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms}
         return tuple(sorted(degs))
 
@@ -461,54 +466,20 @@ def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
     over the terms of ``p``, summed into one term dict.
 
     ``images[i]`` is read only if some term of ``p`` contains variable
-    ``i``.  When every image read is a single term or zero (a renaming, an
-    embedding, a zero section, ``z -> z^k``), each term of ``p`` maps
-    straight to one term: its coefficient is ``c * prod(a_i^e_i)`` and its
-    exponent ``sum(e_i * m_i)`` for the images ``a_i * x^m_i``, and a term
-    that meets a zero image is dropped.  ``cache`` is then not used.
-
-    Otherwise ``img^e = prod(images[i]^e_i)`` comes from ``cache``
+    ``i``.  ``img^e = prod(images[i]^e_i)`` comes from ``cache``
     (exponent -> image), which is valid for as long as the caller keeps the
     images fixed.  A missing image is the product of the powers
     ``images[i]^e_i``, each cached under its own exponent: a first power
     is ``images[i]`` itself, a higher one is built from
     ``images[i]^(e_i - 1)`` when that is cached, else by repeated
     squaring, so no exponent costs more than its bit length in products
-    and nothing recurses.  With a ``budget``, :meth:`Budget.check_clock`
+    and nothing recurses.  A one-term image (a renaming, an embedding,
+    ``z -> z^k``) makes each of those products a shift of exponents
+    (:meth:`Polynomial.__mul__`, :meth:`Polynomial.power`), and a zero
+    image makes them zero.  With a ``budget``, :meth:`Budget.check_clock`
     runs before each of those products, each squaring included.
     """
     acc: dict[Exp, Fraction] = {}
-    general = [i for i, img in enumerate(images) if img is None or len(img.terms) > 1]
-    if not general or not any(e[i] for e in p.terms for i in general):
-        # per variable: None for a zero image (or one that p does not
-        # read), else the image's coefficient (None for 1) and the
-        # (index, exponent) pairs of its monomial with a nonzero exponent
-        parts: list = []
-        for img in images:
-            if img is None or len(img.terms) != 1:
-                parts.append(None)
-                continue
-            (m, a), = img.terms.items()
-            parts.append((None if a == 1 else a, [(j, k) for j, k in enumerate(m) if k]))
-        width = len(ring)
-        for e, c in p.terms.items():
-            out = [0] * width
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                part = parts[i]
-                if part is None:
-                    break
-                a, m = part
-                if a is not None:
-                    c = c * a ** k
-                for j, mj in m:
-                    out[j] += k * mj
-            else:
-                e2 = tuple(out)
-                s = acc.get(e2)
-                acc[e2] = c if s is None else s + c
-        return Polynomial._of(ring, {e: c for e, c in acc.items() if c})
     for e, c in p.terms.items():
         img = cache.get(e)
         if img is None:

@@ -26,12 +26,13 @@ from germlift.germs import jacobian
 from germlift.groebner import (
     _element_sort_key,
     _Kernel,
+    _module_key,
     _packer,
     _reduced_basis,
     _vec_of,
     eliminate,
 )
-from germlift.modules import ModuleElement, ModuleOrder, Submodule
+from germlift.modules import ModuleElement, Submodule
 from germlift.poly import (
     MonomialOrder,
     Polynomial,
@@ -265,22 +266,21 @@ def order_key(order, e):
     raise ValueError(f"unknown order kind {order.kind!r}")
 
 
-def module_order_key(morder, c, e):
-    """Nested sort key of the ModuleOrder ``morder`` on the term (c, e)."""
-    mono = order_key(morder.base, e)
-    pos = -morder.component_rank(c)
-    return (pos, mono) if morder.position_over_term else (mono, pos)
+def module_order_key(order, c, e):
+    """Nested sort key of the MonomialOrder ``order`` extended term over
+    position on the term (c, e): the monomial, then the earlier component."""
+    return (order_key(order, e), -c)
 
 
-def embedded_order_key(morder, main_rank):
+def embedded_order_key(order, main_rank):
     """Sort key (greater term, greater key) of the order that puts components
-    below ``main_rank``, ordered by ``morder``, above the trailing ones, which
+    below ``main_rank``, ordered by ``order``, above the trailing ones, which
     compare by grevlex and then by position."""
     tail = MonomialOrder.grevlex()
 
     def key(c, e):
         if c < main_rank:
-            return (1, module_order_key(morder, c, e))
+            return (1, module_order_key(order, c, e))
         return (0, (order_key(tail, e), main_rank - c))
 
     return key
@@ -391,10 +391,10 @@ def prune_reference(M, budget):
     order, then, from the greatest down, build the reduced basis of the
     generators still kept other than this one and drop it when it reduces
     to zero against that basis.  Every basis is charged to ``budget``."""
-    sort_order = ModuleOrder(M.ring.default_order())
+    sort_order = M.ring.default_order()
     gens = [g for g in M.generators if not g.is_zero]
     gens.sort(key=lambda g: _element_sort_key(g, sort_order))
-    packer = _packer(M.order.heap_key, M.rank, M.ring, gens)
+    packer = _packer(_module_key(M.order), M.rank, M.ring, gens)
     kept = list(range(len(gens)))
     for i in sorted(kept, key=lambda i: _element_sort_key(gens[i], sort_order),
                     reverse=True):

@@ -16,13 +16,13 @@ from germlift.poly import Polynomial, VarSet, exp_lcm, exp_sub
 from oracles import intersection_bounded, module_order_key, random_element, random_poly
 
 
-def _lead(elem, morder):
+def _lead(elem, order):
     terms = [
         ((c, e), k)
         for c, p in enumerate(elem.entries)
         for e, k in p.terms.items()
     ]
-    return max(terms, key=lambda t: module_order_key(morder, *t[0]))
+    return max(terms, key=lambda t: module_order_key(order, *t[0]))
 
 
 def _random_module(rng, rank_choices=(1, 2), nvars=2, gens=3, max_deg=2):

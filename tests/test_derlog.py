@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germlift.errors import (
+    AmbientError,
     DescentResidueError,
     GroebnerTimeout,
     NotDivisible,
@@ -47,6 +48,24 @@ except ImportError:
 
 def _field(ring, *texts):
     return VectorField(ring, [parse_poly(t, ring) for t in texts])
+
+
+@pytest.mark.parametrize("weights", [[1.5, 2], [True, 2]], ids=["float", "bool"])
+def test_euler_field_weights_must_be_positive_ints(weights):
+    # 1.5 used to be truncated to 1
+    with pytest.raises(AmbientError, match="positive integers"):
+        euler_field(VarSet(["x", "y"]), weights)
+
+
+@pytest.mark.parametrize("weights,h", [([Fraction(3, 2), 2], "x^4 - y^3"),
+                                       ([1.5, 2], "x^4 - y^3"),
+                                       ([True, 2], "x^2 - y")],
+                         ids=["fraction", "float", "bool"])
+def test_divisor_weights_must_be_positive_ints(weights, h):
+    # each equation is quasihomogeneous for its weights
+    R = VarSet(["x", "y"])
+    with pytest.raises(AmbientError, match="positive integers"):
+        Divisor(R, parse_poly(h, R), weights)
 
 
 def test_derlog_strict_rotation():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germlift import groebner
-from germlift.errors import GroebnerTimeout, RankError, StructureError
+from germlift.errors import AmbientError, GroebnerTimeout, RankError, StructureError
 from germlift.exprio import parse_poly
 from germlift.groebner import (
     Budget,
@@ -24,7 +24,7 @@ from germlift.groebner import (
     prune_module,
     syzygy_module,
 )
-from germlift.modules import GREVLEX, ModuleElement, ModuleOrder, Submodule, combine
+from germlift.modules import GREVLEX, ModuleElement, Submodule, combine
 from germlift.poly import MonomialOrder, Polynomial, VarSet, integer_normalize
 
 from oracles import (
@@ -34,6 +34,11 @@ from oracles import (
     random_element,
     random_poly,
 )
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
 
 
 def _ideal(ring, *texts):
@@ -157,6 +162,50 @@ def test_eliminate_t_trick(xy):
     assert [str(g) for g in E.ideal_generators()] == ["x*y"]
 
 
+# s and t sit at places 3 and 1 of (a, t, b, s) and are named out of ring order
+SCATTERED = ("a - s^2 - t", "b - s*t", "t^2 - s^3")
+
+
+def test_eliminate_a_block_that_is_neither_first_nor_in_ring_order():
+    got, want = Budget(), Budget()
+    E = eliminate(_ideal(VarSet(["a", "t", "b", "s"]), *SCATTERED), ["s", "t"], got)
+    F = eliminate(_ideal(VarSet(["s", "t", "a", "b"]), *SCATTERED), ["s", "t"], want)
+    assert E.ring == F.ring == VarSet(["a", "b"])
+    assert E.generators == F.generators
+    assert got.stats() == want.stats()
+    # (a, b) = (u^4 + u^3, u^5) at s = u^2, t = u^3
+    assert [str(g) for g in E.ideal_generators()] == ["a^5 - 5*a^2*b^2 - 5*a*b^3 - b^4 - b^3"]
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+def test_eliminate_a_scattered_block_matches_sympy_lex_elimination():
+    ring = VarSet(["a", "t", "b", "s"])
+    E = eliminate(_ideal(ring, *SCATTERED), ["s", "t"])
+    a, t, b, s = sympy.symbols("a t b s")
+    exprs = [sympy.sympify(x.replace("^", "**"), locals={"a": a, "t": t, "b": b, "s": s})
+             for x in SCATTERED]
+    polys = []
+    for g in sympy.groebner(exprs, s, t, a, b, order="lex").exprs:
+        if not g.has(s) and not g.has(t):
+            polys.append(Polynomial(E.ring, {
+                tuple(int(x) for x in e): Fraction(int(k.p), int(k.q))
+                for e, k in sympy.Poly(g, a, b).terms()}))
+    assert polys
+    assert module_equal(E, Submodule.ideal(E.ring, polys))
+
+
+@pytest.mark.parametrize("weights", [[3], [3, 1, 2]], ids=["short", "long"])
+def test_order_weights_must_match_the_ring(xy, weights):
+    # zip used to truncate the longer side silently
+    order = MonomialOrder.wgrevlex(weights)
+    gens = [ModuleElement(xy, [parse_poly("x^2 - y", xy)]),
+            ModuleElement(xy, [parse_poly("x*y", xy)])]
+    with pytest.raises(AmbientError, match="order weights"):
+        Submodule(xy, 1, gens, order)
+    with pytest.raises(AmbientError, match="order weights"):
+        syzygy_module(gens, order=order)
+
+
 def test_reduced_gb_unique_under_shuffle():
     rng = random.Random(17)
     R = VarSet(["x", "y", "z"])
@@ -266,15 +315,6 @@ def test_divisions_reuse_the_reducer_of_the_basis(xy, monkeypatch):
     assert built == []
 
 
-def test_position_over_term_order(xy):
-    # POT puts every term of an earlier component above later components
-    gens = [ModuleElement(xy, [parse_poly("x", xy), parse_poly("y^5", xy)])]
-    order = ModuleOrder(xy.default_order(), position_over_term=True)
-    M = Submodule(xy, 2, gens, order)
-    gb = compute_gb(M)
-    assert gb.elements[0].entries[0] == parse_poly("x", xy)
-
-
 def test_submodule_operations(xy):
     x = parse_poly("x", xy)
     y = parse_poly("y", xy)
@@ -324,7 +364,7 @@ def test_integer_re_expansion_agrees_with_combine(seed, perturb):
     holds = combine(ring, rank, coeffs, gens) == v
     assert holds == (perturb == "none" or (perturb == "tail" and gens[i].is_zero))
     # every exponent, and every product's, is at most 4
-    packer = _Packer(_embedded_key(ModuleOrder(ring.default_order()), rank),
+    packer = _Packer(_embedded_key(ring.default_order(), rank),
                      rank + len(gens), nvars, 3)
     mains, dens = zip(*(_vec_of(g, packer) for g in gens))
     vec = _vec_of(ModuleElement(ring, v.entries + tuple(coeffs)), packer)[0]
@@ -337,7 +377,7 @@ def test_re_expansion_outgrowing_the_fields_is_redone_on_wider_ones(xy):
     x3 = parse_poly("x^3", xy)
     gens = [ModuleElement(xy, [x3]), ModuleElement(xy, [x3 - parse_poly("y", xy)])]
     whole = ModuleElement(xy, [parse_poly("x^3*y", xy), x3, -x3])
-    packer = _Packer(_embedded_key(ModuleOrder(xy.default_order()), 1), 3, 2, 2)
+    packer = _Packer(_embedded_key(xy.default_order(), 1), 3, 2, 2)
 
     def attempt(packer):
         mains, dens = zip(*(_vec_of(g, packer) for g in gens))
@@ -352,7 +392,7 @@ def test_corrupted_basis_vector_is_refused(xy, monkeypatch):
     # bump one tail term, then one main term, of each tracked basis vector
     # in turn: both builders of a tracked basis must refuse every such basis
     gens = [ModuleElement(xy, (parse_poly(t, xy),)) for t in ("x^2 - y", "x*y", "y^2 + x")]
-    packer = _packer(_embedded_key(ModuleOrder(xy.default_order()), 1), 1 + len(gens),
+    packer = _packer(_embedded_key(xy.default_order(), 1), 1 + len(gens),
                      xy, gens)
     vecs = []
     for i, g in enumerate(gens):
@@ -399,9 +439,8 @@ def test_results_agree_across_orders(seed):
         v = ModuleElement.zero(ring, rank)
         for g in gm:
             v = v + g.scale(random_element(rng, ring, 1, max_deg=1).entries[0])
-    orders = [ModuleOrder(o) for o in (
-        MonomialOrder.grevlex(), MonomialOrder.lex(),
-        MonomialOrder.wgrevlex((2, 3, 1)[:nvars]))]
+    orders = [MonomialOrder.grevlex(), MonomialOrder.lex(),
+              MonomialOrder.wgrevlex((2, 3, 1)[:nvars])]
     members, meets, syzygies = [], [], []
     for order in orders:
         M = Submodule(ring, rank, gm, order)
@@ -433,9 +472,8 @@ def test_prune_and_membership_do_not_depend_on_the_working_order(seed):
         gens.insert(rng.randint(0, len(gens)), combo)
     v = combo if rng.random() < 0.5 else _nonzero_elements(rng, ring, rank, 1)[0]
     witness = membership_bounded(v, gens, 1)
-    orders = [ModuleOrder(o) for o in (
-        MonomialOrder.grevlex(), MonomialOrder.wgrevlex((3, 1, 2)[:nvars]),
-        MonomialOrder.lex())]
+    orders = [MonomialOrder.grevlex(), MonomialOrder.wgrevlex((3, 1, 2)[:nvars]),
+              MonomialOrder.lex()]
     pruned = []
     for order in orders:
         M = Submodule(ring, rank, gens, order)
@@ -473,8 +511,7 @@ def test_prune_matches_the_direct_reference(seed):
             for h in gens:
                 extra = extra + h.scale(random_element(rng, ring, 1, max_deg=1).entries[0])
         gens.insert(rng.randint(0, len(gens)), extra)
-    order = rng.choice([GREVLEX, ModuleOrder(ring.default_order()),
-                        ModuleOrder(MonomialOrder.lex())])
+    order = rng.choice([GREVLEX, ring.default_order(), MonomialOrder.lex()])
     M = Submodule(ring, rank, gens, order)
     try:
         expected = prune_reference(M, Budget(max_reductions=20_000))
@@ -494,11 +531,11 @@ def _kernel_results(seed):
                   MonomialOrder.wgrevlex((2, 3, 1))):
         rank = rng.randint(1, 2)
         gens = _nonzero_elements(rng, ring, rank, 3)
-        M = Submodule(ring, rank, gens, ModuleOrder(order))
+        M = Submodule(ring, rank, gens, order)
         budget = Budget()
         v = combine(ring, rank, [random_poly(rng, ring, max_deg=2) for _ in gens], gens)
         out.append((compute_gb(M, budget).elements,
-                    syzygy_module(gens, budget, ModuleOrder(order)).generators,
+                    syzygy_module(gens, budget, order).generators,
                     express(v, M, budget).coefficients,
                     prune_module(Submodule(ring, rank, gens + [v]), budget).generators,
                     budget.stats()))

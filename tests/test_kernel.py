@@ -27,13 +27,14 @@ from germlift.groebner import (
     _Kernel,
     _Packer,
     _embedded_key,
+    _module_key,
     _packer,
     _reduced_basis,
     _vec_of,
     _widening,
     compute_gb,
 )
-from germlift.modules import ModuleElement, ModuleOrder, Submodule
+from germlift.modules import ModuleElement, Submodule
 from germlift.poly import MonomialOrder, Polynomial, VarSet, exp_add, exp_divides
 from germlift.suite import bundled_manifests
 
@@ -41,6 +42,7 @@ from oracles import (
     embedded_order_key,
     module_order_key,
     normal_form_maxscan,
+    order_key,
     reduced_basis_reference,
 )
 
@@ -65,17 +67,22 @@ BASES = {
 
 def _cases():
     out = []
-    morders = {name: ModuleOrder(base) for name, base in BASES.items()}
-    morders["pot"] = ModuleOrder(MonomialOrder.grevlex(), position_over_term=True)
-    morders["precedence"] = ModuleOrder(MonomialOrder.wgrevlex([1, 2, 1]),
-                                        precedence=(1, 0))
-    for name, morder in morders.items():
-        out.append((name, partial(module_order_key, morder), morder.heap_key,
+    for name, order in BASES.items():
+        out.append((name, partial(module_order_key, order), _module_key(order),
                     RANK, (None,)))
+    # Keys of no module order: the component before the monomial ("pot"),
+    # and the components ranked in reverse ("precedence").  The packer and
+    # the kernel take any key that is affine in the exponent on each class
+    # of components, and these keep that contract under test.
+    pot, weighted = MonomialOrder.grevlex(), MonomialOrder.wgrevlex([1, 2, 1])
+    out.append(("pot", lambda c, e: (-c, order_key(pot, e)),
+                lambda c, e: (c,) + pot.heap_key(e), RANK, (None,)))
+    out.append(("precedence", lambda c, e: (order_key(weighted, e), c),
+                lambda c, e: weighted.heap_key(e) + (RANK - 1 - c,), RANK, (None,)))
     for name in ("grevlex", "lex"):
-        morder = ModuleOrder(BASES[name])
-        out.append((f"embedded-{name}", embedded_order_key(morder, RANK),
-                    _embedded_key(morder, RANK), RANK + TAIL, (None, RANK)))
+        order = BASES[name]
+        out.append((f"embedded-{name}", embedded_order_key(order, RANK),
+                    _embedded_key(order, RANK), RANK + TAIL, (None, RANK)))
     return out
 
 
@@ -250,11 +257,11 @@ def _fixture_modules():
 def test_reduced_basis_of_fixture_modules_is_reduced():
     count = 0
     for M in _fixture_modules():
-        packer = _packer(M.order.heap_key, M.rank, M.ring, M.generators)
+        packer = _packer(_module_key(M.order), M.rank, M.ring, M.generators)
         plain = _reduced_basis(packer, [_vec_of(g, packer)[0] for g in M.generators],
                                Budget(), M.rank == 1)
         _assert_reduced([(_unpacked(packer, v), packer.unpack(lead)) for v, lead in plain],
-                        M.order.heap_key)
+                        _module_key(M.order))
         embedded = _embedded_key(M.order, M.rank)
         packer = _packer(embedded, M.rank + len(M.generators), M.ring, M.generators)
         tracked = []
@@ -305,13 +312,13 @@ def test_reduced_basis_with_exponents_above_2_64(base):
     vecs = [{(0, (big, 1, 0)): Fraction(1), (1, (0, 0, big)): Fraction(-2)},
             {(0, (1, big, 0)): Fraction(3), (1, (big + 1, 0, 0)): Fraction(1)},
             {(0, (0, 2, 0)): Fraction(1), (1, (0, 0, 1)): Fraction(-1)}]
-    morder = ModuleOrder(BASES[base])
-    expected = reduced_basis_reference(vecs, partial(module_order_key, morder))
-    got = _reduced(morder.heap_key, RANK, [_integer(v) for v in vecs], Budget(), bits=1)
+    order = BASES[base]
+    expected = reduced_basis_reference(vecs, partial(module_order_key, order))
+    got = _reduced(_module_key(order), RANK, [_integer(v) for v in vecs], Budget(), bits=1)
     assert {frozenset(_monic(vec, lead).items()) for vec, lead in got} == expected
     M = Submodule(RING, RANK, [ModuleElement(RING, [
         Polynomial(RING, {e: k for (c, e), k in v.items() if c == i}) for i in range(RANK)])
-        for v in vecs], morder)
+        for v in vecs], order)
     assert ({frozenset(((c, e), k) for c, p in enumerate(g.entries) for e, k in p.terms.items())
              for g in compute_gb(M).elements} == expected)
     assert max(x for vec, _ in got for _, e in vec for x in e) > 2**65
@@ -342,6 +349,6 @@ def test_reduced_ideal_basis_matches_sympy(order, data):
     polys = [Polynomial(ring, {e: k for (_, e), k in v.items()})
              for v in data.draw(st.lists(small, min_size=1, max_size=3))]
     expected = _sympy_basis(polys, ring, order)
-    I = Submodule.ideal(ring, polys, ModuleOrder(BASES[order]))
+    I = Submodule.ideal(ring, polys, BASES[order])
     got = {frozenset(g.entries[0].terms.items()) for g in compute_gb(I).elements}
     assert got == expected

@@ -1,8 +1,10 @@
 """The shortcuts that move exponents instead of multiplying polynomials:
-products and powers with one term, compositions whose images are single
-terms or zero, and ``combine``'s one term dict per component.  Each is
-checked against the term-by-term oracles of ``oracles`` (and sympy where it
-is installed) on random data with negative, fractional and zero
+products and powers with one term, and ``combine``'s one term dict per
+component.  ``compose`` has one path, the cached monomial images, for
+every kind of image; its test feeds it single-term and zero images (often
+only those), whose cached products are shifts and zeros.  Each is checked
+against the term-by-term oracles of ``oracles`` (and sympy where it is
+installed) on random data with negative, fractional and zero
 coefficients."""
 
 import random

@@ -34,6 +34,29 @@ def test_varset_invariants():
     VarSet([])
 
 
+@pytest.mark.parametrize("weights", [[1.5, 2], [2.0, 1], ["2", 1], [True, 2]],
+                         ids=["float", "integral-float", "string", "bool"])
+def test_ring_weights_must_be_positive_ints(weights):
+    # none of these may be converted to a weight: 1.5 used to become 1
+    with pytest.raises(AmbientError, match="positive integers"):
+        VarSet(["x", "y"], weights)
+
+
+@pytest.mark.parametrize("weights", [[1.5, 2], [True, 2]], ids=["float", "bool"])
+def test_grading_weights_must_be_positive_ints(xy, weights):
+    with pytest.raises(AmbientError, match="positive integers"):
+        parse_poly("x^4 - y^3", xy).weighted_degrees(weights)
+
+
+@pytest.mark.parametrize("weights", [[-1, 1], [0, 1], [1.5, 1], [True, 1]],
+                         ids=["negative", "zero", "float", "bool"])
+def test_order_weights_must_be_positive_ints(weights):
+    # under wgrevlex([-1, 1]) the powers of x grow without bound, and a
+    # Groebner basis run never ends
+    with pytest.raises(AmbientError, match="positive integers"):
+        MonomialOrder.wgrevlex(weights)
+
+
 def test_zero_section_drops_the_zeroed_variables_and_renames_the_rest():
     src, short = VarSet(["x", "a", "y"]), VarSet(["u", "v"], [2, 3])
     p = parse_poly("x^2*y + 3*a*x - 1/2*y^4 + a^2", src)
