@@ -34,19 +34,20 @@ the int holds the fields of the order's heap key (:func:`_module_key`
 or :func:`_embedded_key`, least for the greatest term), each offset to be
 non-negative, then the component, then the raw exponents, each under a
 guard bit.  The packer reads this layout off the heap key by probing unit
-exponents: every key in use is affine in the exponent within a class of
-components (one class for a module order; the embedded order has a second
-one, the tracking tails, unless its base is grevlex).  So the int of the
-greatest term is the least, multiplying a term by ``x^s`` adds one
-constant per class, and a lead divides a term when subtracting its
-exponent fields from the term's, with the guard bits set, leaves every
-guard bit set.  The fields are sized from the inputs' largest exponent
-with room to grow.  A result that would outgrow them raises
-``_Overflow`` before it is used, and :func:`_widening` runs the whole
-computation again on wider fields, with the budget's counters put back,
-so the width changes neither an answer nor a counter.  Terms are
-packed and unpacked only at the kernel's boundary; the leads are also kept
-decoded, for the pair criteria.
+exponents once per class of components, within which every key in use is
+affine in the exponent (one class for a module order; the embedded order
+declares a second, the tracking tails, which merges with the first when
+its base is grevlex).  So the int of the greatest term is the least,
+multiplying a term by ``x^s`` adds one constant per class, and every test
+on leads reads their exponent fields as they are: ``a`` divides ``b``
+when ``(b | guard) - a`` keeps every guard bit, the same subtraction
+marks the fields of a fieldwise max, and a proper divisor is a smaller
+int.  The fields are sized from the inputs' largest exponent with room to
+grow.  A result that would outgrow them raises ``_Overflow`` before it is
+used, and :func:`_widening` runs the whole computation again on wider
+fields, with the budget's counters put back, so the width changes neither
+an answer nor a counter.  Terms are packed and unpacked only at the
+kernel's boundary.
 
 Each kernel identity is verified once, in the kernel's integers, by
 :func:`_recombines`: with the generators as ``main_i = den_i * gen_i`` and
@@ -78,6 +79,7 @@ itself once a cap or the budget's deadline is passed.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import time
@@ -90,15 +92,7 @@ from typing import Callable, Sequence
 
 from .errors import AmbientError, GroebnerTimeout, RankError, StructureError
 from .modules import GREVLEX, ModuleElement, Submodule, combine
-from .poly import (
-    MonomialOrder,
-    Polynomial,
-    VarSet,
-    exp_add,
-    exp_divides,
-    exp_lcm,
-    exp_sub,
-)
+from .poly import MonomialOrder, Polynomial, VarSet
 
 Vec = dict  # {packed term: int}
 
@@ -170,91 +164,109 @@ class _Packer:
     variables into ints ordered like ``key(c, e)``, for exponents of at most
     ``cap = 2**bits - 1``.
 
-    ``key`` must be affine in ``e`` on each class of components; a class is
-    read off the key as the components whose unit exponents move it
-    alike.  Then ``pack(c, e) = base[c] + sum(e_i * units[cls[c]][i])``, and
-    each field of the key is offset and sized by its least and greatest
-    value over all exponents up to ``cap``.
+    ``key`` must be affine in ``e`` on each class of components.  The key
+    declares its classes: ``key.classes``, when set, holds the first
+    component of each, and otherwise all components form one.  The key is
+    probed at the zero exponent of every component and at the unit
+    exponents of each class's first component; classes whose keys move
+    alike are merged.  Then
+    ``pack(c, e) = base[c] + sum(e_i * units[cls[c]][i])``, and each field
+    of the key is offset and sized by its least and greatest value over all
+    exponents up to ``cap``.
     """
 
     def __init__(self, key: Callable, ncomp: int, nvars: int, bits: int):
-        self.key = key
         self.ncomp = ncomp
         self.nvars = nvars
+        consts = [key(c, (0,) * nvars) for c in range(ncomp)]
+        # each key has one length on a component; shorter ones get zero fields
+        self.width = width = max(map(len, consts))
+
+        def padded(k):
+            return k + (0,) * (width - len(k))
+
+        self.consts = consts = [padded(k) for k in consts]
+        starts = [c for c in getattr(key, "classes", (0,)) if c < ncomp] + [ncomp]
+        # per class: field j's change per unit of variable i, at i * width + j
+        self.slopes: list = []
+        self.cls: list[int] = []
+        for c, end in zip(starts, starts[1:]):
+            moved = [padded(key(c, tuple(int(i == j) for j in range(nvars))))
+                     for i in range(nvars)]
+            s = tuple(map(sub, chain.from_iterable(moved), consts[c] * nvars))
+            if s not in self.slopes:
+                self.slopes.append(s)
+            self.cls += [self.slopes.index(s)] * (end - c)
+        self._lay_out(bits)
+
+    def _lay_out(self, bits: int):
+        """Place the fields for exponents of at most ``2**bits - 1``."""
+        nvars, width, slopes = self.nvars, self.width, self.slopes
         self.bits = bits
         self.cap = cap = (1 << bits) - 1
-        probes = [(0,) * nvars] + [tuple(int(i == j) for j in range(nvars))
-                                   for i in range(nvars)]
-        # each key has one length on a component; shorter ones get zero fields
-        keys = [[key(c, e) for e in probes] for c in range(ncomp)]
-        width = max(len(row[0]) for row in keys)
-        keys = [row if len(row[0]) == width else [k + (0,) * (width - len(k)) for k in row]
-                for row in keys]
-        consts = [row[0] for row in keys]
-        # per class: field j's change per unit of variable i, at i * width + j
-        slopes: list = []
-        self.cls: list[int] = []
-        for k0, *ks in keys:
-            s = tuple(map(sub, chain.from_iterable(ks), k0 * nvars))
-            if s not in slopes:
-                slopes.append(s)
-            self.cls.append(slopes.index(s))
         # each field's least and greatest value over exponents up to cap
         down = [[cap * sum(filter((0).__gt__, s[j::width])) for j in range(width)]
                 for s in slopes]
         up = [[cap * sum(filter((0).__lt__, s[j::width])) for j in range(width)]
               for s in slopes]
         lo = [min(col) for col in zip(*[map(add, k0, down[k])
-                                        for k0, k in zip(consts, self.cls)])]
+                                        for k0, k in zip(self.consts, self.cls)])]
         hi = [max(col) for col in zip(*[map(add, k0, up[k])
-                                        for k0, k in zip(consts, self.cls)])]
+                                        for k0, k in zip(self.consts, self.cls)])]
         self.raw_pos = [i * (bits + 1) for i in range(nvars)]
         self.guard = sum(1 << (p + bits) for p in self.raw_pos)
         self.low = sum(cap << p for p in self.raw_pos)
         self.comp_pos = pos = nvars * (bits + 1)
         self.rawmask = (1 << pos) - 1
-        self.comp_mask = (1 << (ncomp - 1).bit_length()) - 1
-        pos += (ncomp - 1).bit_length()
+        self.comp_mask = (1 << (self.ncomp - 1).bit_length()) - 1
+        pos += (self.ncomp - 1).bit_length()
         place = [0] * width
         for j in reversed(range(width)):
             place[j] = pos
             pos += (hi[j] - lo[j]).bit_length()
         offset = -sum(map(lshift, lo, place))
         self.base = [sum(map(lshift, k0, place)) + offset + (c << self.comp_pos)
-                     for c, k0 in enumerate(consts)]
+                     for c, k0 in enumerate(self.consts)]
         self.units = [[sum(map(lshift, s[i * width:(i + 1) * width], place)) + (1 << r)
                        for i, r in enumerate(self.raw_pos)] for s in slopes]
 
     def widened(self, bits: int) -> "_Packer":
         """A packer for the same order with fields at least ``bits`` wide,
-        and at least twice as wide as these."""
-        return _Packer(self.key, self.ncomp, self.nvars, max(2 * self.bits, bits))
+        and at least twice as wide as these, from the same probes of the key."""
+        out = copy.copy(self)
+        out._lay_out(max(2 * self.bits, bits))
+        return out
 
     def pack(self, c: int, e) -> int:
         return self.base[c] + sum(map(mul, e, self.units[self.cls[c]]))
 
-    def shift(self, cls: int, s) -> int:
-        """What multiplying a term of class ``cls`` by ``x^s`` adds."""
-        return sum(map(mul, s, self.units[cls]))
+    def shift(self, cls: int, s: int) -> int:
+        """What multiplying a term of class ``cls`` by ``x^e`` adds, where
+        ``e`` is read off the exponent fields of ``s``."""
+        cap = self.cap
+        return sum([((s >> p) & cap) * u for p, u in zip(self.raw_pos, self.units[cls])])
 
     def comp(self, t: int) -> int:
         return (t >> self.comp_pos) & self.comp_mask
 
-    def exps(self, t: int) -> tuple:
-        """The raw exponent fields of ``t``."""
-        cap = self.cap
-        return tuple([(t >> p) & cap for p in self.raw_pos])
-
     def unpack(self, t: int) -> tuple:
-        return self.comp(t), self.exps(t)
-
-    def raw(self, e) -> int:
-        """The exponent fields alone of an exponent tuple."""
-        return sum(x << p for x, p in zip(e, self.raw_pos))
+        return self.comp(t), tuple([(t >> p) & self.cap for p in self.raw_pos])
 
     def support(self, t: int) -> int:
         """The guard bits of the nonzero exponent fields of ``t``."""
         return ((t & self.rawmask) + self.low) & self.guard
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the exponent fields ``a`` divide ``b``: no field of
+        ``(b | guard) - a`` borrows its guard bit."""
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The fieldwise greatest of the exponent fields ``a`` and ``b``;
+        ``(a | guard) - b`` keeps the guard bit of each field where ``a``
+        is at least ``b``."""
+        ge = ((a | self.guard) - b) & self.guard
+        return b ^ ((a ^ b) & (ge - (ge >> self.bits)))
 
 
 def _packer(key: Callable, ncomp: int, ring: VarSet,
@@ -302,13 +314,13 @@ def _elem_of(ring: VarSet, rank: int, vec: Vec, den: int, packer: _Packer,
     """The element ``vec / den`` of components ``first`` to
     ``first + rank - 1``; terms of other components are left out."""
     polys = [dict() for _ in range(rank)]
-    comp = packer.comp
-    exps = packer.exps
+    comp_pos, comp_mask = packer.comp_pos, packer.comp_mask
+    cap, raw_pos = packer.cap, packer.raw_pos
     for t, k in vec.items():
-        c = comp(t) - first
+        c = ((t >> comp_pos) & comp_mask) - first
         if 0 <= c < rank:
-            polys[c][exps(t)] = Fraction(k, den)
-    return ModuleElement(ring, [Polynomial(ring, t) for t in polys])
+            polys[c][tuple([(t >> p) & cap for p in raw_pos])] = Fraction(k, den)
+    return ModuleElement(ring, [Polynomial._of(ring, t) for t in polys])
 
 
 def _primitive(vec: Vec, lead) -> Vec:
@@ -336,8 +348,11 @@ class _Kernel:
     ``top``, the bitwise or of its terms' exponent fields: at least its
     greatest exponent in each variable, so a shift whose fields added to
     ``top`` set no guard bit overflows no field of any term.  The leads are
-    kept packed (``keys``), for the heaps, and decoded (``leads``), for the
-    pair criteria.
+    kept packed (``keys``) and nowhere decoded: the pair criteria, the
+    S-pairs and minimalization read their exponent fields with the
+    guard-bit tests of :meth:`_Packer.divides` and :meth:`_Packer.lcm`.
+    Each pending pair keeps the packed lcm of its leads, which orders the
+    pair heap and, less either lead, is the shift of that lead's class.
     """
 
     def __init__(self, packer: _Packer, use_product: bool,
@@ -347,10 +362,9 @@ class _Kernel:
         self.main_rank = main_rank
         self.basis: list[Vec] = []
         self.keys: list[int] = []  # packed leads
-        self.leads: list[tuple] = []  # decoded leads (comp, exp)
         self.terms: list[tuple] = []  # (groups, top) per basis vector
         self.slots: dict = {}  # comp -> [(index, support mask, lead fields)]
-        self.pairs: dict = {}  # (i,j) -> lcm exp
+        self.pairs: dict = {}  # (i, j) -> packed lcm of the leads
         self.heap: list = []
         # per component: its shift class, and whether its terms are targets
         self.kinds = [(cls, main_rank is None or c < main_rank)
@@ -373,23 +387,17 @@ class _Kernel:
         top = reduce(or_, vec) & self.packer.rawmask
         return [(cls, target, items) for (cls, target), items in groups.items()], top
 
-    def _slot(self, i: int) -> tuple:
+    def _slot(self, i: int):
+        """File lead ``i`` under its component in ``slots``."""
         lead = self.keys[i]
-        return i, self.packer.support(lead), lead & self.packer.rawmask
-
-    def _slots(self, n: int) -> dict:
-        slots: dict = {}
-        for i in range(n):
-            slots.setdefault(self.leads[i][0], []).append(self._slot(i))
-        return slots
+        self.slots.setdefault(self.packer.comp(lead), []).append(
+            (i, self.packer.support(lead), lead & self.packer.rawmask))
 
     def _append(self, vec: Vec, lead: int):
-        c, e = self.packer.unpack(lead)
         self.basis.append(vec)
         self.keys.append(lead)
-        self.leads.append((c, e))
         self.terms.append(self._split(vec))
-        self.slots.setdefault(c, []).append(self._slot(len(self.keys) - 1))
+        self._slot(len(self.keys) - 1)
 
     def prefix(self, n: int) -> "_Kernel":
         """A kernel holding the first ``n`` basis vectors.  When ``n`` is the
@@ -399,9 +407,9 @@ class _Kernel:
         out = _Kernel(self.packer, self.use_product, main_rank=self.main_rank)
         out.basis = self.basis[:n]
         out.keys = self.keys[:n]
-        out.leads = self.leads[:n]
         out.terms = self.terms[:n]
-        out.slots = self._slots(n)
+        for i in range(n):
+            out._slot(i)
         return out
 
     def reduce_full(self, work: Vec, budget: Budget,
@@ -491,14 +499,8 @@ class _Kernel:
                     scale *= m
                 q = -(coeff // d)
             own = cls_of[c]
-            quotient = None  # the quotient monomial's exponents, if needed
             for cls, target, items in groups:
-                if cls == own:
-                    sh = t - lead
-                else:
-                    if quotient is None:
-                        quotient = pk.exps(raw_shift)
-                    sh = pk.shift(cls, quotient)
+                sh = t - lead if cls == own else pk.shift(cls, raw_shift)
                 for u, k in items:
                     u += sh
                     v = work.get(u)
@@ -520,62 +522,61 @@ class _Kernel:
 
     def add(self, vec: Vec):
         """Insert a (nonzero) vector, updating the pair set a la Gebauer-Moeller."""
+        pk = self.packer
+        rawmask = pk.rawmask
+        lcm = pk.lcm
+        keys = self.keys
         t = len(self.basis)
         lead = min(vec)
         self._append(_primitive(vec, lead), lead)
-        ct, et = self.leads[t]
+        ct = pk.comp(lead)
+        et = lead & rawmask
         # criterion B: prune old pairs strictly covered by the new lead
-        for (i, j), L in list(self.pairs.items()):
-            if self.leads[i][0] == ct and exp_divides(et, L):
-                if exp_lcm(self.leads[i][1], et) != L and exp_lcm(self.leads[j][1], et) != L:
+        for (i, j), P in list(self.pairs.items()):
+            L = P & rawmask
+            if pk.comp(P) == ct and pk.divides(et, L):
+                if lcm(keys[i] & rawmask, et) != L and lcm(keys[j] & rawmask, et) != L:
                     del self.pairs[(i, j)]
-        cand = [i for i in range(t) if self.leads[i][0] == ct]
-        lcms = {i: exp_lcm(self.leads[i][1], et) for i in cand}
-        # criterion M: keep only minimal lcms.  A proper divisor of an lcm
-        # has lower degree, and divisibility is transitive, so each lcm is
-        # tested only against the minimal lcms of lower degree.
-        minimal: list = []  # (degree, lcm) of the minimal lcms found so far
-        kept = set()
-        for i in sorted(cand, key=lambda i: sum(lcms[i])):
-            Li = lcms[i]
-            deg = sum(Li)
-            if not any(dj < deg and exp_divides(Lj, Li) for dj, Lj in minimal):
-                kept.add(i)
-                minimal.append((deg, Li))
-        keep = [i for i in cand if i in kept]
-        # criterion F: one representative per lcm
-        seen: dict = {}
-        for i in keep:
-            L = lcms[i]
-            if L in seen:
+        # criteria M and F: one pair, the one of least index, per lcm that
+        # no other lcm properly divides.  A proper divisor is a smaller int
+        # and divisibility is transitive, so in ascending order each lcm is
+        # tested against the lcms kept before it, an equal one included.
+        own = pk.cls[ct]
+        kept: list = []
+        for L, i in sorted((lcm(e, et), i) for i, _, e in self.slots[ct][:-1]):
+            if any(pk.divides(K, L) for K in kept):
                 continue
-            seen[L] = i
+            kept.append(L)
             # product criterion is only sound for ideals (rank 1)
-            if self.use_product and L == exp_add(self.leads[i][1], et):
+            if self.use_product and L == (keys[i] & rawmask) + et:
                 continue
-            self.pairs[(i, t)] = L
-            # normal strategy: least lcm first, so the greatest packed lcm.
-            # The lcm's exponents are those of leads, so its fields hold it.
-            heapq.heappush(self.heap, (-self.packer.pack(ct, L), i, t))
+            # the lcm's fields are those of leads, so they hold it
+            P = lead + pk.shift(own, L - et)
+            self.pairs[(i, t)] = P
+            # normal strategy: least lcm first, so the greatest packed lcm
+            heapq.heappush(self.heap, (-P, i, t))
 
-    def spair(self, i: int, j: int) -> Vec:
+    def spair(self, i: int, j: int, lcm: int) -> Vec:
         """``(c_j/d) x^{s_i} g_i - (c_i/d) x^{s_j} g_j`` for lead coefficients
-        ``c_i``, ``c_j`` with ``d = gcd(c_i, c_j)``: a positive multiple of the
-        S-vector of the monic forms."""
+        ``c_i``, ``c_j`` with ``d = gcd(c_i, c_j)`` and the packed lcm
+        ``lcm`` of the leads: a positive multiple of the S-vector of the
+        monic forms.  In the leads' class ``x^{s_i}`` adds ``lcm`` less
+        lead ``i``; its exponent fields are that difference's."""
         pk = self.packer
-        ei = self.leads[i][1]
-        ej = self.leads[j][1]
-        ki = self.basis[i][self.keys[i]]
-        kj = self.basis[j][self.keys[j]]
+        keys = self.keys
+        ki = self.basis[i][keys[i]]
+        kj = self.basis[j][keys[j]]
         d = math.gcd(ki, kj)
-        L = exp_lcm(ei, ej)
+        own = pk.cls[pk.comp(lcm)]
         out: Vec = {}
-        for n, s, f in ((i, exp_sub(L, ei), kj // d), (j, exp_sub(L, ej), -(ki // d))):
+        for n, f in ((i, kj // d), (j, -(ki // d))):
             groups, top = self.terms[n]
-            if (top + pk.raw(s)) & pk.guard:
+            step = lcm - keys[n]
+            raw_shift = step & pk.rawmask
+            if (top + raw_shift) & pk.guard:
                 raise _Overflow(pk.bits + 1)
             for cls, _, items in groups:
-                sh = pk.shift(cls, s)
+                sh = step if cls == own else pk.shift(cls, raw_shift)
                 for u, k in items:
                     u += sh
                     v = out.get(u)
@@ -597,12 +598,12 @@ class _Kernel:
             if r:
                 self.add(r)
         while self.heap:
-            _, i, j = heapq.heappop(self.heap)
+            neg_lcm, i, j = heapq.heappop(self.heap)
             if (i, j) not in self.pairs:
                 continue
             del self.pairs[(i, j)]
             budget.charge_spair(len(self.basis))
-            r = self.reduce_full(self.spair(i, j), budget)[0]
+            r = self.reduce_full(self.spair(i, j, -neg_lcm), budget)[0]
             if r:
                 self.add(r)
             else:
@@ -617,19 +618,20 @@ class _Kernel:
         term is reducible depends only on the leads, which no longer change,
         so one sweep leaves every element reduced.
         """
-        order = sorted(range(len(self.basis)), key=self.keys.__getitem__, reverse=True)
-        minimal: list[int] = []
-        for i in order:
-            ci, ei = self.leads[i]
-            if any(self.leads[j][0] == ci and exp_divides(self.leads[j][1], ei)
-                   for j in minimal):
-                continue
-            minimal.append(i)
+        pk = self.packer
+        keys = self.keys
+        order = sorted(range(len(self.basis)), key=keys.__getitem__, reverse=True)
+        # the minimal leads are those that no other lead divides: a lead
+        # divided by one that is not minimal is divided by a minimal one
+        minimal = [i for i in order
+                   if not any(j != i and pk.divides(e, keys[i] & pk.rawmask)
+                              for j, _, e in self.slots[pk.comp(keys[i])])]
         self.basis = [self.basis[i] for i in minimal]
         self.keys = [self.keys[i] for i in minimal]
-        self.leads = [self.leads[i] for i in minimal]
         self.terms = [self.terms[i] for i in minimal]
-        self.slots = self._slots(len(minimal))
+        self.slots = {}
+        for i in range(len(self.basis)):
+            self._slot(i)
         for i in range(len(self.basis)):
             rem = self.reduce_full(dict(self.basis[i]), budget, skip=i)[0]
             self.basis[i] = vec = _primitive(rem, self.keys[i])
@@ -657,6 +659,7 @@ def _embedded_key(order: MonomialOrder, main_rank: int):
             return (-1,) + base(c, e)
         return (0,) + tail(c - main_rank, e)
 
+    key.classes = (0, main_rank)  # the main components, then the tails
     return key
 
 
@@ -709,7 +712,7 @@ def _recombines(vec: Vec, rank: int, mains: Sequence[Vec], dens: Sequence[int],
             continue
         i = c - rank
         f = k * (D // dens[i])
-        sh = packer.shift(main, packer.exps(t))
+        sh = packer.shift(main, t)
         for u, k2 in mains[i].items():
             u += sh
             acc[u] = get(u, 0) + f * k2

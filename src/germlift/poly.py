@@ -39,16 +39,8 @@ Exp = tuple[int, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-def exp_add(a: Exp, b: Exp) -> Exp:
-    return tuple(map(add, a, b))
-
-
 def exp_sub(a: Exp, b: Exp) -> Exp:
     return tuple(map(sub, a, b))
-
-
-def exp_lcm(a: Exp, b: Exp) -> Exp:
-    return tuple(x if x > y else y for x, y in zip(a, b))
 
 
 def exp_divides(a: Exp, b: Exp) -> bool:
@@ -188,7 +180,8 @@ class Polynomial:
         clean: dict[Exp, Fraction] = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     clean[tuple(e)] = c
         self.terms = clean

@@ -8,7 +8,9 @@ keys of the orders, and reduced bases by Buchberger's algorithm over
 Groebner kernel.  The two exceptions check bookkeeping around the
 kernel, not the kernel: ``prune_reference``, the direct prune (one reduced
 basis per tested generator) that ``prune_module``'s incremental run
-replaced, and ``discriminant_reference``, the discriminant by elimination
+replaced, ``pair_update_reference``, the Gebauer-Moeller update on
+decoded exponent tuples that ``_Kernel.add`` ran before it read packed
+leads, and ``discriminant_reference``, the discriminant by elimination
 of every source variable and the gcd loop, the construction that
 ``derlog.discriminant`` shortens or, for corank-1 germs, replaces by a
 determinant.  Products and compositions of polynomials are made term by
@@ -20,6 +22,7 @@ deliberately slower paths stay independent of the code they check.
 
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from germlift.derlog import poly_gcd
 from germlift.germs import jacobian
@@ -38,9 +41,20 @@ from germlift.poly import (
     Polynomial,
     VarSet,
     exact_divide,
+    exp_divides,
     integer_normalize,
     rering,
 )
+
+
+def exp_add(a, b):
+    """The exponents of the product of two monomials."""
+    return tuple(map(add, a, b))
+
+
+def exp_lcm(a, b):
+    """The exponents of the lcm of two monomials."""
+    return tuple(x if x > y else y for x, y in zip(a, b))
 
 
 def monomials_up_to(n_vars, max_deg):
@@ -383,6 +397,40 @@ def reduced_basis_reference(vecs, key):
             minimal.append(b)
     return {frozenset(monic(nf(b, [o for o in minimal if o is not b])).items())
             for b in minimal}
+
+
+def pair_update_reference(leads, pairs, use_product):
+    """The Gebauer-Moeller update for the last of the leads ``leads``
+    (decoded ``(comp, exp)`` tuples): ``pairs`` ({(i, j): lcm exponent}, the
+    pending pairs among the earlier leads) loses the pairs that criterion B
+    prunes, and gains and returns the new pairs ``(i, t)`` with their lcms,
+    in index order, that criteria M and F and, with ``use_product``, the
+    product criterion keep."""
+    t = len(leads) - 1
+    ct, et = leads[t]
+    # criterion B: prune old pairs strictly covered by the new lead
+    for (i, j), L in list(pairs.items()):
+        if leads[i][0] == ct and exp_divides(et, L):
+            if exp_lcm(leads[i][1], et) != L and exp_lcm(leads[j][1], et) != L:
+                del pairs[(i, j)]
+    cand = [i for i in range(t) if leads[i][0] == ct]
+    lcms = {i: exp_lcm(leads[i][1], et) for i in cand}
+    # criterion M: keep only the lcms that no other lcm properly divides
+    keep = [i for i in cand
+            if not any(lcms[j] != lcms[i] and exp_divides(lcms[j], lcms[i]) for j in cand)]
+    # criterion F: one representative per lcm
+    seen = set()
+    new = {}
+    for i in keep:
+        L = lcms[i]
+        if L in seen:
+            continue
+        seen.add(L)
+        if use_product and L == exp_add(leads[i][1], et):
+            continue
+        new[(i, t)] = L
+    pairs.update(new)
+    return new
 
 
 def prune_reference(M, budget):

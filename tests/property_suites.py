@@ -11,9 +11,15 @@ from germlift.germs import MapGerm, VectorField, jacobian, wf_apply
 from germlift.groebner import compute_gb, express, module_intersect, syzygy_module
 from germlift.lifting import is_liftable
 from germlift.modules import ModuleElement, Submodule
-from germlift.poly import Polynomial, VarSet, exp_lcm, exp_sub
+from germlift.poly import Polynomial, VarSet, exp_sub
 
-from oracles import intersection_bounded, module_order_key, random_element, random_poly
+from oracles import (
+    exp_lcm,
+    intersection_bounded,
+    module_order_key,
+    random_element,
+    random_poly,
+)
 
 
 def _lead(elem, order):

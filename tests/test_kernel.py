@@ -8,10 +8,13 @@ monic vectors and rescans for the greatest term under the nested sort keys.
 Vectors enter the kernel through ``_vec_of`` and leave it unpacked.  The
 kernel's remainder must be the reference times the kernel's scale, for the
 same number of reductions.  The packing must agree with the heap key it is
-read from.  Reduced bases are checked for their defining property, against
-a Fraction Buchberger reference (also with exponents above 2**64, and from
-fields just wide enough for the inputs, which a run may outgrow) and, for
-ideals, against sympy.
+read from, probing it once per class of components.  The guard-bit tests
+on packed leads (divisibility, lcm, the product criterion) and the pair
+update built on them must agree with the same on exponent tuples
+(``oracles.pair_update_reference``).  Reduced bases are checked for their
+defining property, against a Fraction Buchberger reference (also with
+exponents above 2**64, and from fields just wide enough for the inputs,
+which a run may outgrow) and, for ideals, against sympy.
 """
 
 import math
@@ -35,14 +38,17 @@ from germlift.groebner import (
     compute_gb,
 )
 from germlift.modules import ModuleElement, Submodule
-from germlift.poly import MonomialOrder, Polynomial, VarSet, exp_add, exp_divides
+from germlift.poly import MonomialOrder, Polynomial, VarSet, exp_divides
 from germlift.suite import bundled_manifests
 
 from oracles import (
     embedded_order_key,
+    exp_add,
+    exp_lcm,
     module_order_key,
     normal_form_maxscan,
     order_key,
+    pair_update_reference,
     reduced_basis_reference,
 )
 
@@ -88,6 +94,10 @@ def _cases():
 
 CASES = _cases()
 CASE_IDS = [c[0] for c in CASES]
+# the cases of one order on every component, with no tracking tails
+MODULE_CASES = [c for c in CASES if c[4] == (None,)]
+assert [c[0] for c in MODULE_CASES] == ["grevlex", "lex", "wgrevlex", "block", "pot",
+                                        "precedence"]
 
 coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
 
@@ -221,9 +231,84 @@ def test_packing_agrees_with_heap_key(case, bits, data):
     # multiplying by x^s adds the shift of s of the term's class
     c, e = a
     s = tuple(data.draw(st.integers(0, cap - x)) for x in e)
-    assert packer.pack(c, exp_add(e, s)) == pa + packer.shift(packer.cls[c], s)
+    fields = packer.pack(c, s) & packer.rawmask
+    assert packer.pack(c, exp_add(e, s)) == pa + packer.shift(packer.cls[c], fields)
     # unpacking inverts packing
     assert packer.unpack(pa) == a
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("bits", [1, 4, 70])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_packed_pair_tests_agree_with_tuples(case, bits, data):
+    _, _, heap, ncomp, _ = case
+    packer = _Packer(heap, ncomp, N_VARS, bits)
+    cap = packer.cap
+    field = st.sampled_from([0, cap]) | st.integers(0, cap)
+    a = data.draw(st.tuples(*[field] * N_VARS))
+    b = data.draw(st.tuples(*[field] * N_VARS))
+    # the exponent fields of a packed term of any component
+    ra, rb = (packer.pack(data.draw(st.integers(0, ncomp - 1)), e) & packer.rawmask
+              for e in (a, b))
+    assert packer.divides(ra, rb) == exp_divides(a, b)
+    assert packer.divides(rb, ra) == exp_divides(b, a)
+    lcm = packer.lcm(ra, rb)
+    assert packer.unpack(lcm)[1] == exp_lcm(a, b)
+    assert lcm == packer.lcm(rb, ra)
+    # the product criterion: the lcm is the product when no variable is shared
+    assert (lcm == ra + rb) == (exp_lcm(a, b) == exp_add(a, b))
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_pair_update_matches_tuple_reference(case, data):
+    _, raw, heap, ncomp, _ = case
+    use_product = data.draw(st.booleans())
+    vecs = data.draw(st.lists(vectors(ncomp, 3), min_size=1, max_size=8))
+    packer = _Packer(heap, ncomp, N_VARS, BITS)
+    kernel = _Kernel(packer, use_product)
+    leads, pairs, pushed = [], {}, []
+    for v in vecs:
+        kernel.add(_packed(packer, _integer(v), ncomp))
+        leads.append(max(v, key=lambda t: raw(*t)))
+        new = pair_update_reference(leads, pairs, use_product)
+        pushed += [(raw(leads[j][0], L), i, j) for (i, j), L in new.items()]
+        assert {ij: packer.unpack(P) for ij, P in kernel.pairs.items()} == {
+            (i, j): (leads[j][0], L) for (i, j), L in pairs.items()}
+        # least lcm first, then by index, stale pairs included
+        assert [(i, j) for _, i, j in sorted(kernel.heap)] == [
+            (i, j) for _, i, j in sorted(pushed)]
+
+
+class _CountingKey:
+    def __init__(self, key):
+        self.key = key
+        self.calls = 0
+        if hasattr(key, "classes"):
+            self.classes = key.classes
+
+    def __call__(self, c, e):
+        self.calls += 1
+        return self.key(c, e)
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_packer_probes_each_class_once(case):
+    _, _, heap, ncomp, _ = case
+    key = _CountingKey(heap)
+    packer = _Packer(key, ncomp, N_VARS, 4)
+    classes = len(getattr(heap, "classes", (0,)))
+    assert key.calls <= ncomp + classes * N_VARS
+    calls = key.calls
+    wide = packer.widened(70)
+    assert key.calls == calls
+    assert wide.bits == 70
+    for c in range(ncomp):
+        e = (wide.cap, 0, 3)
+        assert wide.unpack(wide.pack(c, e)) == (c, e)
 
 
 def _monic(vec, lead):
@@ -275,7 +360,7 @@ def test_reduced_basis_of_fixture_modules_is_reduced():
     assert count >= 10
 
 
-@pytest.mark.parametrize("case", CASES[:6], ids=CASE_IDS[:6])
+@pytest.mark.parametrize("case", MODULE_CASES, ids=[c[0] for c in MODULE_CASES])
 @given(data=st.data())
 @settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
