@@ -447,8 +447,6 @@ class _Kernel:
         keys = self.keys
         terms = self.terms
         slots = self.slots
-        if skip is not None:
-            slots = {c: [s for s in row if s[0] != skip] for c, row in slots.items()}
         rem: Vec = {}
         earlier: list = []  # (scale, remainder terms moved out at that scale)
         scale = 1
@@ -472,7 +470,8 @@ class _Kernel:
                 outside = guard ^ ((raw + low) & guard)
                 above = raw | guard
                 for i, m, lead_raw in row:
-                    if not m & outside and (above - lead_raw) & guard == guard:
+                    if not m & outside and (above - lead_raw) & guard == guard \
+                            and i != skip:
                         hit = i
                         break
             if hit < 0:
@@ -616,7 +615,9 @@ class _Kernel:
         After minimalization no lead divides another, so each element keeps
         its lead (still positive) when reduced against the others.  Whether a
         term is reducible depends only on the leads, which no longer change,
-        so one sweep leaves every element reduced.
+        so one sweep leaves every element reduced.  An element whose tail
+        reduction takes no step (charges no reduction) keeps its vector and
+        its split.
         """
         pk = self.packer
         keys = self.keys
@@ -633,9 +634,11 @@ class _Kernel:
         for i in range(len(self.basis)):
             self._slot(i)
         for i in range(len(self.basis)):
+            steps = budget.reductions
             rem = self.reduce_full(dict(self.basis[i]), budget, skip=i)[0]
-            self.basis[i] = vec = _primitive(rem, self.keys[i])
-            self.terms[i] = self._split(vec)
+            if budget.reductions != steps:
+                self.basis[i] = vec = _primitive(rem, self.keys[i])
+                self.terms[i] = self._split(vec)
 
 
 def _module_key(order: MonomialOrder) -> Callable:
@@ -991,13 +994,15 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     One incremental Buchberger run takes the sorted generators one at a
     time.  It only appends and never changes a stored vector, so the first
     ``n_i`` basis vectors, those present before generator ``i`` went in,
-    are a (not reduced) Groebner basis of the generators below ``i``.  The
-    test of generator ``i`` extends a copy of that prefix by the
-    generators kept above ``i``, which together generate the module of the
-    others, and drops ``i`` when it reduces to zero.  Module equality with
-    the input is verified by membership of every dropped generator in the
-    pruned module; a kept one generates it, so when nothing is dropped no
-    basis of the pruned module is built.
+    are a (not reduced) Groebner basis of the generators below ``i``.  A
+    generator that the run reduced to zero, so that the basis did not
+    grow, lies in the span of the generators below it and is dropped with
+    no further test.  The test of any other generator ``i`` extends a copy
+    of that prefix by the generators kept above ``i``, which together
+    generate the module of the others, and drops ``i`` when it reduces to
+    zero.  Module equality with the input is verified by membership of
+    every dropped generator in the pruned module; a kept one generates it,
+    so when nothing is dropped no basis of the pruned module is built.
     """
     budget = budget or Budget()
     sort_order = M.ring.default_order()
@@ -1007,12 +1012,14 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
     def attempt(packer):
         vecs = [_vec_of(g, packer)[0] for g in gens]
         kern = _Kernel(packer, M.rank == 1)
-        sizes = []
+        sizes = [0]  # basis size before generator i, then after the last
         for v in vecs:
-            sizes.append(len(kern.basis))
             kern.run([v], budget)
+            sizes.append(len(kern.basis))
         above: list[int] = []  # indices of the generators kept, greatest first
         for i in reversed(range(len(vecs))):
+            if sizes[i + 1] == sizes[i]:
+                continue  # it reduced to zero against the generators below it
             test = kern.prefix(sizes[i])
             test.run([vecs[j] for j in reversed(above)], budget)
             if test.reduce_full(dict(vecs[i]), budget)[0]:

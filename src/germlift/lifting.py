@@ -5,7 +5,10 @@ field xi on the source; both are module elements with one entry per
 coordinate (see :mod:`germlift.germs`).  Certificates carry the witness xi
 and re-verify the defining identity by exact expansion; that is the one
 re-expansion behind a certified lift, as :func:`is_liftable` divides by the
-columns of df without ``express``'s own check.  The pipeline recovers the
+columns of df without ``express``'s own check.  Each certified lift also
+composes eta o f once: :func:`is_liftable` hands the image it divided to
+the certificate, which re-expands against it, while a certificate built by
+hand composes eta o f itself.  The pipeline recovers the
 liftable fields of a core germ from those of an unfolding by intersecting
 with the restrictable fields (whose parameter components vanish on the zero
 section of the parameters, a monomial module), restricting, and pruning,
@@ -15,7 +18,7 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -36,20 +39,24 @@ class LiftCertificate:
     """A verified witness pair: df o xi = eta o f, exactly.
 
     Building one re-expands sum(xi_j * (column j of df)) against eta o f
-    and raises StructureError when they differ.
+    and raises StructureError when they differ.  A certificate built by
+    hand composes eta o f itself; :func:`is_liftable` passes the eta o f it
+    divided (``_image``), so a certified lift composes it once.
     """
 
     germ: MapGerm
     eta: ModuleElement
     xi: ModuleElement
+    _: KW_ONLY
+    _image: InitVar[ModuleElement | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _image):
         germ = self.germ
         check_field(self.eta, germ.target, "the target of the germ")
         check_field(self.xi, germ.source, "the source of the germ")
         lhs = combine(germ.source, germ.p, self.xi.entries,
                       tf_generators(germ).generators)
-        if lhs != wf_apply(self.eta, germ):
+        if lhs != (wf_apply(self.eta, germ) if _image is None else _image):
             raise StructureError("certificate identity df(xi) = eta o f failed")
 
 
@@ -83,16 +90,17 @@ def _graded_setup(f: MapGerm, rhs: ModuleElement) -> bool:
 def is_liftable(f: MapGerm, eta: ModuleElement, budget: Budget | None = None) -> LiftResult:
     """Decide polynomial liftability of eta over f, producing a certificate.
 
-    eta o f is divided by the columns of df once; a witness is returned only
-    inside a :class:`LiftCertificate`, whose construction re-expands
-    df(xi) = eta o f exactly.  ``wf_apply`` checks that eta is a field on
-    the target of f, and reads the budget's clock while it composes.
+    eta o f is composed once and divided by the columns of df once; a
+    witness is returned only inside a :class:`LiftCertificate`, whose
+    construction re-expands df(xi) against that eta o f exactly.
+    ``wf_apply`` checks that eta is a field on the target of f, and reads
+    the budget's clock while it composes.
     """
     rhs = wf_apply(eta, f, budget)
     membership = _divide(rhs, tf_generators(f), budget)
     if membership.is_member:
         xi = ModuleElement(f.source, membership.coefficients)
-        return LiftResult(LiftCertificate(f, eta, xi))
+        return LiftResult(LiftCertificate(f, eta, xi, _image=rhs))
     return LiftResult(None, membership.remainder, _graded_setup(f, rhs))
 
 

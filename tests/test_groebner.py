@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germlift import groebner
@@ -487,8 +487,10 @@ def test_prune_and_membership_do_not_depend_on_the_working_order(seed):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_prune_matches_the_direct_reference(seed):
     # The incremental run must keep exactly the generators that the direct
-    # prune keeps.  Rank 1 runs with the product criterion; equal copies,
-    # scalar multiples and combinations make generators that must go.
+    # prune keeps, in the same order, under every working order.  Rank 1
+    # runs with the product criterion; equal copies, scalar and polynomial
+    # multiples, sums of earlier generators and combinations make
+    # generators that must go, and that the run itself may reduce to zero.
     # Random non-homogeneous modules can grow very long coefficients, so
     # both sides run on a reduction budget and are compared when both finish.
     rng = random.Random(seed)
@@ -497,28 +499,35 @@ def test_prune_matches_the_direct_reference(seed):
     weights = (2, 3, 1)[:nvars] if rng.random() < 0.5 else None
     ring = VarSet(["x", "y", "z"][:nvars], weights)
     gens = _nonzero_elements(rng, ring, rank, rng.randint(1, 4))
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(0, 4)):
         g = rng.choice(gens)
-        kind = rng.randrange(4)
+        kind = rng.randrange(6)
         if kind == 0:
             extra = g
         elif kind == 1:
             extra = ModuleElement(ring, g.entries)
         elif kind == 2:
             extra = g.scale(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)))
+        elif kind == 3:
+            extra = g.scale(random_element(rng, ring, 1, max_deg=1).entries[0])
+        elif kind == 4:
+            extra = ModuleElement.zero(ring, rank)
+            for h in rng.sample(gens, rng.randint(1, len(gens))):
+                extra = extra + h
         else:
             extra = ModuleElement.zero(ring, rank)
             for h in gens:
                 extra = extra + h.scale(random_element(rng, ring, 1, max_deg=1).entries[0])
         gens.insert(rng.randint(0, len(gens)), extra)
-    order = rng.choice([GREVLEX, ring.default_order(), MonomialOrder.lex()])
-    M = Submodule(ring, rank, gens, order)
-    try:
-        expected = prune_reference(M, Budget(max_reductions=20_000))
-        got = prune_module(M, Budget(max_reductions=20_000)).generators
-    except GroebnerTimeout:
-        assume(False)
-    assert list(got) == expected
+    for order in (GREVLEX, MonomialOrder.wgrevlex((2, 3, 1)[:nvars]),
+                  MonomialOrder.lex()):
+        M = Submodule(ring, rank, gens, order)
+        try:
+            expected = prune_reference(M, Budget(max_reductions=20_000))
+            got = prune_module(M, Budget(max_reductions=20_000)).generators
+        except GroebnerTimeout:
+            continue
+        assert list(got) == expected
 
 
 def _kernel_results(seed):

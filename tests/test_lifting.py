@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germlift import groebner, lifting
+from germlift import germs, groebner, lifting
 from germlift.errors import InputNotLiftable, StructureError
 from germlift.exprio import parse_poly
 from germlift.germs import MapGerm, Unfolding, VectorField, tf_generators, wf_apply
 from germlift.groebner import (
+    Budget,
     Membership,
     compute_gb,
     express,
@@ -77,14 +78,22 @@ def test_certificate_identity_enforced():
                         _field(H2.source, "x", "y"))
 
 
-def _wrong_division(monkeypatch, module):
-    """Make ``module``'s division step return coefficients off by one."""
+def _off_by_one(coefficients):
+    return tuple(c + 1 for c in coefficients)
+
+
+def _last_dropped(coefficients):
+    return coefficients[:-1] + (Polynomial.zero(coefficients[-1].ring),)
+
+
+def _wrong_division(monkeypatch, module, change=_off_by_one):
+    """Make ``module``'s division step return coefficients that ``change``
+    alters (by default, each off by one)."""
     real = groebner._divide
 
     def wrong(v, M, budget=None):
         membership = real(v, M, budget)
-        return Membership(tuple(c + 1 for c in membership.coefficients),
-                          membership.remainder)
+        return Membership(change(membership.coefficients), membership.remainder)
 
     monkeypatch.setattr(module, "_divide", wrong)
 
@@ -110,6 +119,38 @@ def test_wrong_division_is_refused_not_certified(monkeypatch):
     _wrong_division(monkeypatch, lifting)
     with pytest.raises(StructureError):
         is_liftable(H2, eta)
+
+
+def test_witness_wrong_in_one_entry_is_refused_not_certified(monkeypatch):
+    # the certificate re-expands the witness against the eta o f that
+    # is_liftable composed and divided, every entry of it
+    H2 = _H2()
+    eta = _field(H2.target, "4*X", "3*Y", "5*Z")
+    _wrong_division(monkeypatch, lifting, _last_dropped)
+    with pytest.raises(StructureError):
+        is_liftable(H2, eta)
+
+
+def test_certified_lift_composes_eta_o_f_once_under_the_callers_budget(monkeypatch):
+    H2 = _H2()
+    eta = _field(H2.target, "4*X", "3*Y", "5*Z")
+    budgets = []
+    real = germs.pull_back
+
+    def counted(p, f, budget=None):
+        budgets.append(budget)
+        return real(p, f, budget)
+
+    monkeypatch.setattr(germs, "pull_back", counted)
+    budget = Budget()
+    res = is_liftable(H2, eta, budget)
+    assert res.certified
+    assert len(budgets) == eta.rank
+    assert all(b is budget for b in budgets)
+    # a certificate built by hand composes eta o f itself
+    budgets.clear()
+    LiftCertificate(H2, eta, res.certificate.xi)
+    assert budgets == [None] * eta.rank
 
 
 def test_express_re_expands_on_its_own(monkeypatch):

@@ -201,44 +201,44 @@ PINNED_COUNTERS = {
     "hk2.transport": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "hk2.combinations": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "hk2.tau": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
-    "hk2.pipeline": {"reductions": 937, "s_pairs": 105, "zero_reductions": 56},
+    "hk2.pipeline": {"reductions": 837, "s_pairs": 83, "zero_reductions": 44},
     "hk3.certify": {"reductions": 20, "s_pairs": 1, "zero_reductions": 0},
     "hk3.bogus": {"reductions": 4, "s_pairs": 1, "zero_reductions": 0},
     "hk3.lift_F_valid": {"reductions": 47, "s_pairs": 1, "zero_reductions": 0},
     "hk3.transport": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "hk3.combinations": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "hk3.tau": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
-    "hk3.pipeline": {"reductions": 591, "s_pairs": 112, "zero_reductions": 68},
+    "hk3.pipeline": {"reductions": 528, "s_pairs": 90, "zero_reductions": 52},
     "hk4.certify": {"reductions": 20, "s_pairs": 1, "zero_reductions": 0},
     "hk4.bogus": {"reductions": 4, "s_pairs": 1, "zero_reductions": 0},
     "hk4.lift_F_valid": {"reductions": 47, "s_pairs": 1, "zero_reductions": 0},
     "hk4.transport": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "hk4.combinations": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "hk4.tau": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
-    "hk4.pipeline": {"reductions": 620, "s_pairs": 113, "zero_reductions": 69},
+    "hk4.pipeline": {"reductions": 557, "s_pairs": 91, "zero_reductions": 53},
     "hk5.certify": {"reductions": 20, "s_pairs": 1, "zero_reductions": 0},
     "hk5.bogus": {"reductions": 4, "s_pairs": 1, "zero_reductions": 0},
     "hk5.lift_F_valid": {"reductions": 47, "s_pairs": 1, "zero_reductions": 0},
     "hk5.transport": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "hk5.combinations": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "hk5.tau": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
-    "hk5.pipeline": {"reductions": 651, "s_pairs": 113, "zero_reductions": 69},
+    "hk5.pipeline": {"reductions": 588, "s_pairs": 91, "zero_reductions": 53},
     "aug.disc_F": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "aug.disc_f": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "aug.disc_k2": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "aug.disc_k3": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
-    "aug.derlog_H": {"reductions": 52, "s_pairs": 30, "zero_reductions": 4},
-    "aug.derlog_k2": {"reductions": 93, "s_pairs": 37, "zero_reductions": 11},
-    "aug.derlog_k3": {"reductions": 100, "s_pairs": 39, "zero_reductions": 12},
+    "aug.derlog_H": {"reductions": 47, "s_pairs": 30, "zero_reductions": 4},
+    "aug.derlog_k2": {"reductions": 91, "s_pairs": 37, "zero_reductions": 11},
+    "aug.derlog_k3": {"reductions": 98, "s_pairs": 39, "zero_reductions": 12},
     "aug.euler": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "aug.tilde_k2": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "aug.tilde_k3": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
-    "aug.pi2_k2": {"reductions": 139, "s_pairs": 65, "zero_reductions": 13},
-    "aug.pi2_k3": {"reductions": 146, "s_pairs": 67, "zero_reductions": 14},
+    "aug.pi2_k2": {"reductions": 132, "s_pairs": 65, "zero_reductions": 13},
+    "aug.pi2_k3": {"reductions": 139, "s_pairs": 67, "zero_reductions": 14},
     "aug.descend_k1": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "aug.descend_k2": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
     "aug.descend_k3": {"reductions": 0, "s_pairs": 0, "zero_reductions": 0},
-    "aug.pipeline_f": {"reductions": 67, "s_pairs": 22, "zero_reductions": 4},
+    "aug.pipeline_f": {"reductions": 65, "s_pairs": 22, "zero_reductions": 4},
     "aug.tau_AF_k2": {"reductions": 20, "s_pairs": 4, "zero_reductions": 0},
     "aug.tau_AF_k3": {"reductions": 23, "s_pairs": 7, "zero_reductions": 1},
 }
