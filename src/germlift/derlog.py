@@ -332,8 +332,8 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     earlier component, is bare.  When every component but one is bare and
     the last one has a nonzero constant leading coefficient in the remaining
     source variable, ``h`` is the squarefree part of the norm of det(df)
-    (:func:`_norm`), and ``h o f`` is checked to be a multiple of det(df).
-    No Groebner run is made unless ``squarefree_part`` needs one.
+    (:func:`_norm`).  No Groebner run is made unless ``squarefree_part``
+    needs one.
 
     Otherwise the source variables are eliminated from the graph ideal
     together with det(df), and ``h`` is the squarefree part of the one
@@ -342,6 +342,9 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     ideal is the image of the full one under ``x_j -> X_i``, which fixes the
     target ring, so its elimination ideal, and the one reduced generator,
     are the same.
+
+    On either route ``h o f`` is checked to be a multiple of det(df) by
+    exact division (:func:`_certify_discriminant`).
     """
     if f.n != f.p:
         raise NotEquidimensional(f"need n = p, got {f.n} -> {f.p}")
@@ -361,7 +364,6 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     norm = _norm(f, det, bare, kept[0], budget) if len(kept) == 1 else None
     if norm is not None:
         h = squarefree_part(norm, budget)
-        _certify_discriminant(f, h, det, budget)
     else:
         rest = [n for n in f.source.names if n not in bare]
         big = VarSet(rest + list(f.target.names))
@@ -376,6 +378,7 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
                 f"eliminated ideal is not principal ({len(polys)} generators)"
             )
         h = squarefree_part(rering(polys[0], f.target), budget)
+    _certify_discriminant(f, h, det, budget)
     weights = None
     if f.target.weights is not None and h.is_weighted_homogeneous(f.target.weights):
         weights = f.target.weights

@@ -43,15 +43,18 @@ on leads reads their exponent fields as they are: ``a`` divides ``b``
 when ``(b | guard) - a`` keeps every guard bit, the same subtraction
 marks the fields of a fieldwise max, and a proper divisor is a smaller
 int.  The fields are sized from the inputs' largest exponent with room to
-grow.  A result that would outgrow them raises ``_Overflow`` before it is
-used, and :func:`_widening` runs the whole computation again on wider
-fields, with the budget's counters put back, so the width changes neither
-an answer nor a counter.  Terms are packed and unpacked only at the
-kernel's boundary.
+grow.  Every product of a vector by a term (a reduction step, each half
+of an S-vector, each tail term of a re-expansion) is formed by one
+routine, :func:`_add_multiple`, which raises ``_Overflow`` before it adds
+anything when a product would outgrow the fields, and :func:`_widening`
+runs the whole computation again on wider fields, with the budget's
+counters put back, so the width changes neither an answer nor a counter.
+Terms are packed and unpacked only at the kernel's boundary.
 
 Each kernel identity is verified once, in the kernel's integers, by
-:func:`_recombines`: with the generators as ``main_i = den_i * gen_i`` and
-``D = lcm(den_i)``, the embedded vector ``(v, tail)`` must satisfy
+:func:`_recombines`: with the generators as ``main_i = den_i * gen_i``,
+kept split as the kernel keeps its basis vectors, and ``D = lcm(den_i)``,
+the embedded vector ``(v, tail)`` must satisfy
 ``D * v == sum_i tail_i * main_i * (D / den_i)``.  The tracked basis checks
 every basis vector so (an element against its representation, a syzygy
 against zero), and :func:`express` checks each membership it returns.  The
@@ -59,8 +62,8 @@ callers of ``syzygy_module`` (``derlog``) rely on that check instead of
 expanding the syzygies again.
 
 Every step above runs through one normal-form routine,
-``_Kernel.reduce_full``.  The terms still to be reduced sit in a heap of
-packed ints (Monagan-Pearce), so each leading term is popped instead of
+``_Kernel.reduce_full``.  Every term of the working vector sits in a heap
+of packed ints (Monagan-Pearce), so each leading term is popped instead of
 found by rescanning the vector.  Each lead carries a bitmask of the
 variables it contains, on the guard bits; a lead whose mask is not within
 the term's mask cannot divide it, so most divisibility tests end after one
@@ -69,8 +72,9 @@ sweep: once the basis is minimal its leads no longer change, and
 reducibility depends on the leads alone.
 
 A tracked basis builds its reducer, the kernel that only reduces against
-it, once: its self-check runs on it, and so does every later division by
-the module.  Each call charges the budget it is given.
+its vectors led in the module's own components, once: its self-check
+runs on it, and so does every later division by the module.  Each call
+charges the budget it is given.
 
 :class:`Budget` alone decides every limit: the kernel charges it each
 reduction and each S-pair, and the charge raises :class:`GroebnerTimeout`
@@ -334,58 +338,79 @@ def _primitive(vec: Vec, lead) -> Vec:
     return {t: k // g for t, k in vec.items()}
 
 
+def _split(vec: Vec, packer: _Packer) -> tuple:
+    """``vec``'s terms grouped by shift class, ``[(cls, [(term, coeff)])]``,
+    and ``top``, the bitwise or of their exponent fields: at least their
+    greatest exponent in each variable."""
+    if len(packer.slopes) == 1:
+        groups = {0: list(vec.items())}
+    else:
+        comp_pos, comp_mask, cls = packer.comp_pos, packer.comp_mask, packer.cls
+        groups = {}
+        for t, k in vec.items():
+            groups.setdefault(cls[(t >> comp_pos) & comp_mask], []).append((t, k))
+    return list(groups.items()), reduce(or_, vec, 0) & packer.rawmask
+
+
+def _add_multiple(out: Vec, f: int, split: tuple, step: int, own: int,
+                  packer: _Packer, heap: list | None = None) -> None:
+    """Add ``f * x^s * v`` into ``out``, for ``v`` split by :func:`_split`
+    and ``step`` what ``x^s`` adds to a term of class ``own``: the exponent
+    fields of ``step`` are those of ``s``, and a term of another class
+    moves by the shift of the same exponent.  A product outgrows a field
+    only if the fields of ``s`` added to ``top`` set a guard bit; then
+    :class:`_Overflow` is raised before anything is added.  Each term new
+    to ``out`` is pushed onto ``heap``, when one is given."""
+    groups, top = split
+    raw = step & packer.rawmask
+    if (top + raw) & packer.guard:
+        raise _Overflow(packer.bits + 1)
+    for cls, items in groups:
+        sh = step if cls == own else packer.shift(cls, raw)
+        for u, k in items:
+            u += sh
+            v = out.get(u)
+            if v is None:
+                out[u] = f * k
+                if heap is not None:
+                    heapq.heappush(heap, u)
+            else:
+                v += f * k
+                if v:
+                    out[u] = v
+                else:
+                    del out[u]
+
+
 class _Kernel:
     """One Buchberger run over packed terms.
 
     ``basis``, (primitive vector, packed lead) pairs of a finished basis,
-    makes a kernel that only reduces.  With ``main_rank`` set, only terms
-    in components below it are reduction targets; the rest pass through to
-    the remainder.  The work of each call is charged to the ``Budget`` the
+    makes a kernel that only reduces; a term no lead divides, as in a
+    component that holds no lead, passes to the remainder.  The product
+    criterion, sound for ideals only, applies when the packer has one
+    component.  The work of each call is charged to the ``Budget`` the
     call is given, so one kernel can serve many callers.
 
     Each basis vector is kept with its terms split once, when it is added,
-    into groups by shift class and by whether they are targets, and with
-    ``top``, the bitwise or of its terms' exponent fields: at least its
-    greatest exponent in each variable, so a shift whose fields added to
-    ``top`` set no guard bit overflows no field of any term.  The leads are
-    kept packed (``keys``) and nowhere decoded: the pair criteria, the
-    S-pairs and minimalization read their exponent fields with the
-    guard-bit tests of :meth:`_Packer.divides` and :meth:`_Packer.lcm`.
-    Each pending pair keeps the packed lcm of its leads, which orders the
-    pair heap and, less either lead, is the shift of that lead's class.
+    by :func:`_split`.  The leads are kept packed (``keys``) and nowhere
+    decoded: the pair criteria, the S-pairs and minimalization read their
+    exponent fields with the guard-bit tests of :meth:`_Packer.divides` and
+    :meth:`_Packer.lcm`.  Each pending pair keeps the packed lcm of its
+    leads, which orders the pair heap and, less either lead, is the shift
+    of that lead's class.
     """
 
-    def __init__(self, packer: _Packer, use_product: bool,
-                 basis: Sequence[tuple[Vec, int]] = (), main_rank: int | None = None):
+    def __init__(self, packer: _Packer, basis: Sequence[tuple[Vec, int]] = ()):
         self.packer = packer
-        self.use_product = use_product
-        self.main_rank = main_rank
         self.basis: list[Vec] = []
         self.keys: list[int] = []  # packed leads
-        self.terms: list[tuple] = []  # (groups, top) per basis vector
+        self.terms: list[tuple] = []  # each basis vector split by _split
         self.slots: dict = {}  # comp -> [(index, support mask, lead fields)]
         self.pairs: dict = {}  # (i, j) -> packed lcm of the leads
         self.heap: list = []
-        # per component: its shift class, and whether its terms are targets
-        self.kinds = [(cls, main_rank is None or c < main_rank)
-                      for c, cls in enumerate(packer.cls)]
-        self.uniform = len(set(self.kinds)) == 1
         for vec, lead in basis:
             self._append(vec, lead)
-
-    def _split(self, vec: Vec) -> tuple:
-        kinds = self.kinds
-        if self.uniform:
-            groups = {kinds[0]: list(vec.items())}
-        else:
-            comp_pos = self.packer.comp_pos
-            comp_mask = self.packer.comp_mask
-            groups = {}
-            for t, k in vec.items():
-                groups.setdefault(kinds[(t >> comp_pos) & comp_mask], []).append((t, k))
-        # the or of the exponent fields is at least their greatest value
-        top = reduce(or_, vec) & self.packer.rawmask
-        return [(cls, target, items) for (cls, target), items in groups.items()], top
 
     def _slot(self, i: int):
         """File lead ``i`` under its component in ``slots``."""
@@ -396,7 +421,7 @@ class _Kernel:
     def _append(self, vec: Vec, lead: int):
         self.basis.append(vec)
         self.keys.append(lead)
-        self.terms.append(self._split(vec))
+        self.terms.append(_split(vec, self.packer))
         self._slot(len(self.keys) - 1)
 
     def prefix(self, n: int) -> "_Kernel":
@@ -404,7 +429,7 @@ class _Kernel:
         basis size at the end of an earlier :meth:`run`, no pair was pending
         then, so the prefix is a Groebner basis of the vectors taken in up
         to that point."""
-        out = _Kernel(self.packer, self.use_product, main_rank=self.main_rank)
+        out = _Kernel(self.packer)
         out.basis = self.basis[:n]
         out.keys = self.keys[:n]
         out.terms = self.terms[:n]
@@ -419,19 +444,20 @@ class _Kernel:
         form of ``work`` over Q and ``scale`` a positive integer.  ``skip``
         excludes one basis index (used during interreduction).
 
-        Targets sit in a heap of packed terms, so each step pops the
-        greatest remaining target.  A term is pushed when it enters
+        Every term of ``work`` sits in a heap of packed ints, so each step
+        pops the greatest remaining term.  A term is pushed when it enters
         ``work``; a popped term that has since cancelled is skipped.  A
         reduction step only adds terms below the term it removes, so a
-        popped term never returns and the steps are those of a full rescan
-        for the maximum.  Divisor candidates are the leads of the term's
-        component, pre-filtered by support masks: lead ``l`` can divide
-        ``t`` only if ``mask(l) & ~mask(t) == 0``; the guard-bit
-        subtraction then decides.  Multiplying the reducer by the quotient
-        monomial adds ``t - lead`` to each term of the lead's class, and the
-        shift of the same exponent to each term of another class.
+        popped term never returns, the steps are those of a full rescan for
+        the maximum, and ``work`` is empty at the end.  Divisor candidates
+        are the leads of the term's component, pre-filtered by support
+        masks: lead ``l`` can divide ``t`` only if ``mask(l) & ~mask(t) ==
+        0``; the guard-bit subtraction then decides.  A term no lead divides
+        moves to the remainder.  The reducer times the quotient monomial is
+        added by :func:`_add_multiple`, with ``t - lead`` added to each term
+        of the lead's class.
 
-        A target ``a`` against a lead coefficient ``L`` with ``d = gcd(a, L)``
+        A term ``a`` against a lead coefficient ``L`` with ``d = gcd(a, L)``
         scales ``work`` by ``L/d`` (when that is not 1) and subtracts
         ``a/d`` times the shifted reducer.  Terms already moved to the
         remainder are brought up to the final scale once, at the end.
@@ -443,20 +469,15 @@ class _Kernel:
         comp_pos = pk.comp_pos
         comp_mask = pk.comp_mask
         cls_of = pk.cls
-        basis = self.basis
         keys = self.keys
         terms = self.terms
         slots = self.slots
         rem: Vec = {}
         earlier: list = []  # (scale, remainder terms moved out at that scale)
         scale = 1
-        if self.main_rank is None:
-            heap = list(work)
-        else:
-            heap = [t for t in work if (t >> comp_pos) & comp_mask < self.main_rank]
+        heap = list(work)
         heapq.heapify(heap)
         pop = heapq.heappop
-        push = heapq.heappush
         while heap:
             t = pop(heap)
             coeff = work.get(t)
@@ -479,14 +500,9 @@ class _Kernel:
                 del work[t]
                 continue
             budget.charge_reduction()
-            groups, top = terms[hit]
-            raw_shift = raw - lead_raw
-            if (top + raw_shift) & guard:
-                raise _Overflow(pk.bits + 1)
             lead = keys[hit]
-            red = basis[hit]
-            q = -coeff  # the negated quotient, so the loop below adds
-            lc = red[lead]
+            lc = self.basis[hit][lead]
+            q = -coeff  # the negated quotient, so that the product is added
             if lc != 1:
                 d = math.gcd(coeff, lc)
                 m = lc // d
@@ -497,26 +513,10 @@ class _Kernel:
                     work = {u: k * m for u, k in work.items()}
                     scale *= m
                 q = -(coeff // d)
-            own = cls_of[c]
-            for cls, target, items in groups:
-                sh = t - lead if cls == own else pk.shift(cls, raw_shift)
-                for u, k in items:
-                    u += sh
-                    v = work.get(u)
-                    if v is None:
-                        work[u] = q * k
-                        if target:
-                            push(heap, u)
-                    else:
-                        v += q * k
-                        if v:
-                            work[u] = v
-                        else:
-                            del work[u]
+            _add_multiple(work, q, terms[hit], t - lead, cls_of[c], pk, heap)
         for s, part in earlier:
             m = scale // s
             rem.update((u, k * m) for u, k in part.items())
-        rem.update(work)
         return rem, scale
 
     def add(self, vec: Vec):
@@ -546,8 +546,8 @@ class _Kernel:
             if any(pk.divides(K, L) for K in kept):
                 continue
             kept.append(L)
-            # product criterion is only sound for ideals (rank 1)
-            if self.use_product and L == (keys[i] & rawmask) + et:
+            # the product criterion is sound for ideals only
+            if pk.ncomp == 1 and L == (keys[i] & rawmask) + et:
                 continue
             # the lcm's fields are those of leads, so they hold it
             P = lead + pk.shift(own, L - et)
@@ -568,25 +568,8 @@ class _Kernel:
         d = math.gcd(ki, kj)
         own = pk.cls[pk.comp(lcm)]
         out: Vec = {}
-        for n, f in ((i, kj // d), (j, -(ki // d))):
-            groups, top = self.terms[n]
-            step = lcm - keys[n]
-            raw_shift = step & pk.rawmask
-            if (top + raw_shift) & pk.guard:
-                raise _Overflow(pk.bits + 1)
-            for cls, _, items in groups:
-                sh = step if cls == own else pk.shift(cls, raw_shift)
-                for u, k in items:
-                    u += sh
-                    v = out.get(u)
-                    if v is None:
-                        out[u] = f * k
-                    else:
-                        v += f * k
-                        if v:
-                            out[u] = v
-                        else:
-                            del out[u]
+        _add_multiple(out, kj // d, self.terms[i], lcm - keys[i], own, pk)
+        _add_multiple(out, -(ki // d), self.terms[j], lcm - keys[j], own, pk)
         return out
 
     def run(self, vecs: Sequence[Vec], budget: Budget):
@@ -638,7 +621,7 @@ class _Kernel:
             rem = self.reduce_full(dict(self.basis[i]), budget, skip=i)[0]
             if budget.reductions != steps:
                 self.basis[i] = vec = _primitive(rem, self.keys[i])
-                self.terms[i] = self._split(vec)
+                self.terms[i] = _split(vec, pk)
 
 
 def _module_key(order: MonomialOrder) -> Callable:
@@ -650,27 +633,27 @@ def _module_key(order: MonomialOrder) -> Callable:
     return lambda c, e: mono(e) + (c,)
 
 
-def _embedded_key(order: MonomialOrder, main_rank: int):
+def _embedded_key(order: MonomialOrder, rank: int):
     """Heap key of the order that embeds ``order`` on components below
-    ``main_rank`` above trailing components ordered by grevlex, each term
-    over position."""
+    ``rank`` above trailing components ordered by grevlex, each term over
+    position."""
     base = _module_key(order)
     tail = _module_key(GREVLEX)
 
     def key(c, e):
-        if c < main_rank:
+        if c < rank:
             return (-1,) + base(c, e)
-        return (0,) + tail(c - main_rank, e)
+        return (0,) + tail(c - rank, e)
 
-    key.classes = (0, main_rank)  # the main components, then the tails
+    key.classes = (0, rank)  # the main components, then the tails
     return key
 
 
-def _reduced_basis(packer: _Packer, vecs: Sequence[Vec], budget: Budget,
-                   use_product: bool) -> list[tuple[Vec, int]]:
+def _reduced_basis(packer: _Packer, vecs: Sequence[Vec],
+                   budget: Budget) -> list[tuple[Vec, int]]:
     """The reduced basis of the packed integer vectors ``vecs`` as (primitive
     vector, packed lead) pairs, least lead first."""
-    kern = _Kernel(packer, use_product)
+    kern = _Kernel(packer)
     kern.run(vecs, budget)
     kern.interreduce(budget)
     return sorted(zip(kern.basis, kern.keys), key=lambda p: p[1], reverse=True)
@@ -681,48 +664,36 @@ def reduced_basis(ring: VarSet, rank: int, elems: Sequence[ModuleElement],
     """The reduced basis under ``order`` (term over position) of the module
     that ``elems`` generate, least lead first, without tracking."""
     def attempt(packer):
-        pairs = _reduced_basis(packer, [_vec_of(g, packer)[0] for g in elems], budget,
-                               rank == 1)
+        pairs = _reduced_basis(packer, [_vec_of(g, packer)[0] for g in elems], budget)
         return [_elem_of(ring, rank, vec, vec[lead], packer) for vec, lead in pairs]
 
     return _widening(budget, _packer(_module_key(order), rank, ring, elems), attempt)
 
 
-def _recombines(vec: Vec, rank: int, mains: Sequence[Vec], dens: Sequence[int],
+def _recombines(vec: Vec, rank: int, gens: Sequence[tuple], dens: Sequence[int],
                 packer: _Packer) -> bool:
     """Whether the embedded vector ``vec`` re-expands exactly: its part in
     components below ``rank`` equals ``sum_i tail_i * gen_i``, where
-    ``tail_i`` is its component ``rank + i`` and each generator is given as
-    the integer vector ``mains[i] = dens[i] * gen_i`` (:func:`_vec_of`).
+    ``tail_i`` is its component ``rank + i`` and ``gens[i]`` is the integer
+    vector ``dens[i] * gen_i`` (:func:`_vec_of`) split by :func:`_split`.
 
-    Both sides are multiplied by ``D = lcm(dens)``: every term product of
-    ``sum_i tail_i * mains[i] * (D / dens[i])`` is summed into one int dict,
-    less ``D`` times the main part, and the identity holds when nothing is
-    left.  No ``Fraction`` is built.  The components below ``rank`` share
-    one shift class, as a module order's key moves with the exponent alike
-    in every component.  A product that outgrows the exponent fields sets
-    a guard bit, which no packed term has, and raises :class:`_Overflow`.
+    Both sides are multiplied by ``D = lcm(dens)``: starting from ``-D``
+    times the main part, :func:`_add_multiple` adds each product
+    ``tail_i * gens[i] * (D / dens[i])`` into one int dict, and the
+    identity holds when nothing is left.  No ``Fraction`` is built.  The
+    components below ``rank`` share one shift class, as a module order's
+    key moves with the exponent alike in every component.
     """
     D = math.lcm(*dens)
     main = packer.cls[0]
-    acc: Vec = {}
-    get = acc.get
     comp = packer.comp
+    acc: Vec = {t: -D * k for t, k in vec.items() if comp(t) < rank}
     for t, k in vec.items():
-        c = comp(t)
-        if c < rank:
-            acc[t] = get(t, 0) - D * k
-            continue
-        i = c - rank
-        f = k * (D // dens[i])
-        sh = packer.shift(main, t)
-        for u, k2 in mains[i].items():
-            u += sh
-            acc[u] = get(u, 0) + f * k2
-    guard = packer.guard
-    if any(t & guard for t in acc):
-        raise _Overflow(packer.bits + 1)
-    return not any(acc.values())
+        i = comp(t) - rank
+        if i >= 0:
+            _add_multiple(acc, k * (D // dens[i]), gens[i], packer.shift(main, t), main,
+                          packer)
+    return not acc
 
 
 @dataclass
@@ -734,12 +705,14 @@ class GroebnerBasis:
     ``packer``: each vector carries its representation in the original
     generators in the trailing components.  ``mains`` and ``dens`` are
     those generators as :func:`_vec_of` gives them,
-    ``mains[i] = dens[i] * gen_i``.  ``reducer`` is the kernel that reduces
-    against the pairs whose lead lies in the module itself, not in a tail;
-    it is built with the basis, and every division by the module runs on
-    it.  A division whose terms outgrow the packer's fields moves all
-    three to a wider packer (:meth:`use`).  The Fraction forms below are
-    built on first read.
+    ``mains[i] = dens[i] * gen_i``, and ``split_mains`` holds them split
+    once by :func:`_split`, for :func:`_recombines`.  ``reducer`` is the
+    kernel that reduces against the pairs whose lead lies in the module
+    itself, not in a tail, so every tail term passes to the remainder; it
+    is built with the basis, and every division by the module runs on it.
+    A division whose terms outgrow the packer's fields moves all of them
+    to a wider packer (:meth:`use`).  The Fraction forms below are built
+    on first read.
     """
 
     ring: VarSet
@@ -748,13 +721,14 @@ class GroebnerBasis:
     pairs: tuple = field(repr=False)
     mains: tuple = field(repr=False)
     dens: tuple = field(repr=False)
+    split_mains: tuple = field(init=False, repr=False)
     reducer: _Kernel = field(init=False, repr=False)
 
     def __post_init__(self):
         packer = self.packer
-        self.reducer = _Kernel(packer, False,
-                               [p for p in self.pairs if packer.comp(p[1]) < self.rank],
-                               main_rank=self.rank)
+        self.split_mains = tuple(_split(v, packer) for v in self.mains)
+        self.reducer = _Kernel(packer, [p for p in self.pairs
+                                        if packer.comp(p[1]) < self.rank])
 
     def use(self, packer: _Packer) -> None:
         """Repack the pairs, the generators and the reducer by ``packer``."""
@@ -797,14 +771,14 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
         dens = tuple(den for _, den in inputs)
         vecs = [{**v, packer.pack(rank + i, zero): den} for i, (v, den) in enumerate(inputs)]
         gb = GroebnerBasis(ring, rank, packer,
-                           tuple(_reduced_basis(packer, vecs, budget, False)), mains, dens)
+                           tuple(_reduced_basis(packer, vecs, budget)), mains, dens)
 
         # self-check: every basis vector re-expands from its tracking
         # components (an element from its representation, a syzygy to
         # zero), and every input generator reduces to zero against the
         # basis (mutual membership of the cached basis).
         for vec, lead in gb.pairs:
-            if not _recombines(vec, rank, mains, dens, packer):
+            if not _recombines(vec, rank, gb.split_mains, dens, packer):
                 if packer.comp(lead) < rank:
                     raise StructureError("internal: basis representation failed to re-expand")
                 raise StructureError("internal: syzygy failed to expand to zero")
@@ -882,7 +856,8 @@ def express(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
 
         def attempt(packer):
             gb.use(packer)
-            return _recombines(_vec_of(whole, packer)[0], M.rank, gb.mains, gb.dens, packer)
+            return _recombines(_vec_of(whole, packer)[0], M.rank, gb.split_mains, gb.dens,
+                               packer)
 
         if not _widening(budget, gb.packer, attempt):
             raise StructureError("internal: expressed coefficients failed to re-expand")
@@ -1011,7 +986,7 @@ def prune_module(M: Submodule, budget: Budget | None = None) -> Submodule:
 
     def attempt(packer):
         vecs = [_vec_of(g, packer)[0] for g in gens]
-        kern = _Kernel(packer, M.rank == 1)
+        kern = _Kernel(packer)
         sizes = [0]  # basis size before generator i, then after the last
         for v in vecs:
             kern.run([v], budget)

@@ -3,9 +3,9 @@
 Membership and intersection are decided by degree-bounded exact linear
 algebra, derivatives by Newton forward differences of point evaluations,
 normal forms by a plain rescan for the greatest term under the nested sort
-keys of the orders, and reduced bases by Buchberger's algorithm over
-``Fraction`` with every S-pair and no criteria; none of these touches the
-Groebner kernel.  The two exceptions check bookkeeping around the
+keys of the orders, S-vectors by shifting exponent tuples, and reduced
+bases by Buchberger's algorithm over ``Fraction`` with every S-pair and no
+criteria; none of these touches the Groebner kernel.  The two exceptions check bookkeeping around the
 kernel, not the kernel: ``prune_reference``, the direct prune (one reduced
 basis per tested generator) that ``prune_module``'s incremental run
 replaced, ``pair_update_reference``, the Gebauer-Moeller update on
@@ -22,6 +22,7 @@ deliberately slower paths stay independent of the code they check.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import add
 
 from germlift.derlog import poly_gcd
@@ -433,6 +434,24 @@ def pair_update_reference(leads, pairs, use_product):
     return new
 
 
+def spair_reference(vecs, leads, i, j):
+    """The S-vector ``(c_j/d) x^{s_i} g_i - (c_i/d) x^{s_j} g_j`` of the
+    integer vectors ``g_n = vecs[n]`` ({(comp, exp): int}) with leads
+    ``leads[n]`` ((comp, exp)) in one component and lead coefficients
+    ``c_n``, where ``d = gcd(c_i, c_j)`` and ``x^{s_n}`` is the lcm of the
+    two lead monomials over that of lead ``n``, on exponent tuples."""
+    ci, cj = vecs[i][leads[i]], vecs[j][leads[j]]
+    d = gcd(ci, cj)
+    lcm = exp_lcm(leads[i][1], leads[j][1])
+    out = {}
+    for n, f in ((i, cj // d), (j, -(ci // d))):
+        shift = tuple(x - y for x, y in zip(lcm, leads[n][1]))
+        for (c, e), k in vecs[n].items():
+            t = (c, exp_add(e, shift))
+            out[t] = out.get(t, 0) + f * k
+    return {t: k for t, k in out.items() if k}
+
+
 def prune_reference(M, budget):
     """The generators of the submodule ``M`` that ``prune_module`` keeps,
     found directly: sort the nonzero generators by the ring's default
@@ -450,9 +469,8 @@ def prune_reference(M, budget):
         if not others:
             continue
         plain = _reduced_basis(packer, [_vec_of(gens[j], packer)[0] for j in others],
-                               budget, M.rank == 1)
-        if not _Kernel(packer, False, plain).reduce_full(_vec_of(gens[i], packer)[0],
-                                                         budget)[0]:
+                               budget)
+        if not _Kernel(packer, plain).reduce_full(_vec_of(gens[i], packer)[0], budget)[0]:
             kept = others
     return [gens[j] for j in kept]
 

@@ -605,6 +605,21 @@ def test_discriminant_certificate_refuses_a_wrong_equation():
             _certify_discriminant(f, wrong, det)
 
 
+def test_discriminant_certificate_checks_the_elimination_route(monkeypatch):
+    # (x^2, y^2) has no bare component, so h comes from elimination; a
+    # wrong principal ideal there must fail the certificate, not be returned
+    src, tgt = VarSet(["x", "y"]), VarSet(["X", "Y"])
+    f = MapGerm(src, tgt, [parse_poly("x^2", src), parse_poly("y^2", src)])
+    assert discriminant(f).h == parse_poly("X*Y", tgt)
+
+    def wrong(I, names, budget=None):
+        return Submodule.ideal(tgt, [parse_poly("X + Y", tgt)])
+
+    monkeypatch.setattr(derlog, "eliminate", wrong)
+    with pytest.raises(StructureError, match="certificate"):
+        discriminant(f)
+
+
 def _random_corank1_germ(rng, n):
     """An n -> n germ with n - 1 bare components at random places and the
     other ``c*y^m + sum_{k<m} g_k y^k`` for a random source variable y, a

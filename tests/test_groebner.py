@@ -15,6 +15,7 @@ from germlift.groebner import (
     _embedded_key,
     _packer,
     _reduced_basis,
+    _split,
     _vec_of,
     compute_gb,
     eliminate,
@@ -368,7 +369,8 @@ def test_integer_re_expansion_agrees_with_combine(seed, perturb):
                      rank + len(gens), nvars, 3)
     mains, dens = zip(*(_vec_of(g, packer) for g in gens))
     vec = _vec_of(ModuleElement(ring, v.entries + tuple(coeffs)), packer)[0]
-    assert groebner._recombines(vec, rank, mains, dens, packer) == holds
+    split = [_split(m, packer) for m in mains]
+    assert groebner._recombines(vec, rank, split, dens, packer) == holds
 
 
 def test_re_expansion_outgrowing_the_fields_is_redone_on_wider_ones(xy):
@@ -381,7 +383,8 @@ def test_re_expansion_outgrowing_the_fields_is_redone_on_wider_ones(xy):
 
     def attempt(packer):
         mains, dens = zip(*(_vec_of(g, packer) for g in gens))
-        return groebner._recombines(_vec_of(whole, packer)[0], 1, mains, dens, packer)
+        split = [_split(m, packer) for m in mains]
+        return groebner._recombines(_vec_of(whole, packer)[0], 1, split, dens, packer)
 
     with pytest.raises(groebner._Overflow):
         attempt(packer)
@@ -398,7 +401,7 @@ def test_corrupted_basis_vector_is_refused(xy, monkeypatch):
     for i, g in enumerate(gens):
         v, den = _vec_of(g, packer)
         vecs.append({**v, packer.pack(1 + i, (0, 0)): den})
-    basis = _reduced_basis(packer, vecs, Budget(), False)
+    basis = _reduced_basis(packer, vecs, Budget())
     mutants = 0
     for n, (vec, _) in enumerate(basis):
         for tail in (True, False):
@@ -406,8 +409,8 @@ def test_corrupted_basis_vector_is_refused(xy, monkeypatch):
             if not terms:
                 continue
 
-            def bumped(packer, vecs, budget, use_product, _n=n, _t=terms[0]):
-                pairs = _reduced_basis(packer, vecs, budget, use_product)
+            def bumped(packer, vecs, budget, _n=n, _t=terms[0]):
+                pairs = _reduced_basis(packer, vecs, budget)
                 vec, lead = pairs[_n]
                 t = packer.pack(*_t)
                 pairs[_n] = ({**vec, t: vec[t] + 1}, lead)

@@ -7,11 +7,16 @@ like the heap key) and pre-filters divisors by support masks;
 monic vectors and rescans for the greatest term under the nested sort keys.
 Vectors enter the kernel through ``_vec_of`` and leave it unpacked.  The
 kernel's remainder must be the reference times the kernel's scale, for the
-same number of reductions.  The packing must agree with the heap key it is
-read from, probing it once per class of components.  The guard-bit tests
-on packed leads (divisibility, lcm, the product criterion) and the pair
-update built on them must agree with the same on exponent tuples
-(``oracles.pair_update_reference``).  Reduced bases are checked for their
+same number of reductions; against a basis shaped like a tracked basis's
+reducer, every lead in a main component, the reference reduces no tail
+term, and the kernel, which has no such mode, must agree.  S-vectors must
+equal ``oracles.spair_reference``, and a product that would outgrow a
+field must raise ``_Overflow`` before adding a term.  The packing must
+agree with the heap key it is read from, probing it once per class of
+components.  The guard-bit tests on packed leads (divisibility, lcm, the
+product criterion) and the pair update built on them must agree with the
+same on exponent tuples (``oracles.pair_update_reference``), on one
+component with the product criterion.  Reduced bases are checked for their
 defining property, against a Fraction Buchberger reference (also with
 exponents above 2**64, and from fields just wide enough for the inputs,
 which a run may outgrow) and, for ideals, against sympy.
@@ -28,11 +33,14 @@ from hypothesis import strategies as st
 from germlift.groebner import (
     Budget,
     _Kernel,
+    _Overflow,
     _Packer,
+    _add_multiple,
     _embedded_key,
     _module_key,
     _packer,
     _reduced_basis,
+    _split,
     _vec_of,
     _widening,
     compute_gb,
@@ -50,6 +58,7 @@ from oracles import (
     order_key,
     pair_update_reference,
     reduced_basis_reference,
+    spair_reference,
 )
 
 try:
@@ -98,6 +107,9 @@ CASE_IDS = [c[0] for c in CASES]
 MODULE_CASES = [c for c in CASES if c[4] == (None,)]
 assert [c[0] for c in MODULE_CASES] == ["grevlex", "lex", "wgrevlex", "block", "pot",
                                         "precedence"]
+# the same keys on one component, where the kernel applies the product criterion
+IDEAL_CASES = [(f"{name}-ideal", raw, heap, 1, (None,))
+               for name, raw, heap, _, _ in MODULE_CASES]
 
 coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
 
@@ -156,8 +168,7 @@ def _reduced(key, ncomp, vecs, budget, bits=BITS):
     as unpacked (vector, lead) pairs, from fields ``bits`` wide, widened as
     often as the run needs."""
     def attempt(packer):
-        pairs = _reduced_basis(packer, [_packed(packer, v, ncomp) for v in vecs], budget,
-                               False)
+        pairs = _reduced_basis(packer, [_packed(packer, v, ncomp) for v in vecs], budget)
         return [(_unpacked(packer, vec), packer.unpack(lead)) for vec, lead in pairs]
 
     return _widening(budget, _Packer(key, ncomp, N_VARS, bits), attempt)
@@ -169,7 +180,17 @@ def _reduced(key, ncomp, vecs, budget, bits=BITS):
           suppress_health_check=[HealthCheck.too_slow])
 def test_reduce_full_matches_maxscan_reference(case, data):
     _, raw, heap, ncomp, main_ranks = case
-    vecs = data.draw(st.lists(vectors(ncomp, 4, max_exp=2), min_size=1, max_size=6))
+    main_rank = data.draw(st.sampled_from(main_ranks))
+    if main_rank is None:
+        vecs = data.draw(st.lists(vectors(ncomp, 4, max_exp=2), min_size=1, max_size=6))
+    else:
+        # shaped like a tracked basis's reducer: every vector has a term, so
+        # its lead, in a main component, and terms in the tails below it
+        tails = st.builds(lambda v: {(c + main_rank, e): k for (c, e), k in v.items()},
+                          vectors(ncomp - main_rank, 2, max_exp=2, min_size=0))
+        vecs = data.draw(st.lists(st.builds(lambda m, t: {**m, **t},
+                                            vectors(main_rank, 3, max_exp=2), tails),
+                                  min_size=1, max_size=6))
     # random terms plus multiples of basis vectors, so that reductions happen
     work = data.draw(vectors(ncomp, 4, min_size=0))
     multiples = st.tuples(st.integers(0, len(vecs) - 1),
@@ -179,13 +200,14 @@ def test_reduce_full_matches_maxscan_reference(case, data):
             t = (c, tuple(x + y for x, y in zip(e, shift)))
             work[t] = work.get(t, 0) + k * v
     work = _integer({t: v for t, v in work.items() if v})
-    main_rank = data.draw(st.sampled_from(main_ranks))
     skip = data.draw(st.none() | st.integers(0, len(vecs) - 1))
     pairs = _monic_pairs(vecs, raw)
+    assert main_rank is None or all(c < main_rank for _, (c, _) in pairs)
     packer = _Packer(heap, ncomp, N_VARS, BITS)
-    kernel = _Kernel(packer, False, [(_packed(packer, _primitive(v, lead), ncomp),
-                                      packer.pack(*lead)) for v, lead in pairs],
-                     main_rank=main_rank)
+    # the kernel has no targets: against a reducer's basis no term of a
+    # tail finds a divisor, so it matches the reference that skips the tails
+    kernel = _Kernel(packer, [(_packed(packer, _primitive(v, lead), ncomp),
+                               packer.pack(*lead)) for v, lead in pairs])
     got_budget = Budget()
     got, scale = kernel.reduce_full(_packed(packer, work, ncomp), got_budget, skip=skip)
     got = _unpacked(packer, got)
@@ -260,27 +282,66 @@ def test_packed_pair_tests_agree_with_tuples(case, bits, data):
     assert (lcm == ra + rb) == (exp_lcm(a, b) == exp_add(a, b))
 
 
-@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("case", CASES + IDEAL_CASES,
+                         ids=CASE_IDS + [c[0] for c in IDEAL_CASES])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_pair_update_matches_tuple_reference(case, data):
     _, raw, heap, ncomp, _ = case
-    use_product = data.draw(st.booleans())
     vecs = data.draw(st.lists(vectors(ncomp, 3), min_size=1, max_size=8))
     packer = _Packer(heap, ncomp, N_VARS, BITS)
-    kernel = _Kernel(packer, use_product)
+    kernel = _Kernel(packer)
     leads, pairs, pushed = [], {}, []
     for v in vecs:
         kernel.add(_packed(packer, _integer(v), ncomp))
         leads.append(max(v, key=lambda t: raw(*t)))
-        new = pair_update_reference(leads, pairs, use_product)
+        new = pair_update_reference(leads, pairs, ncomp == 1)
         pushed += [(raw(leads[j][0], L), i, j) for (i, j), L in new.items()]
         assert {ij: packer.unpack(P) for ij, P in kernel.pairs.items()} == {
             (i, j): (leads[j][0], L) for (i, j), L in pairs.items()}
         # least lcm first, then by index, stale pairs included
         assert [(i, j) for _, i, j in sorted(kernel.heap)] == [
             (i, j) for _, i, j in sorted(pushed)]
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_spair_matches_tuple_reference(case, data):
+    # the embedded vectors have terms in both shift classes (merged under
+    # grevlex), so each half of an S-vector moves a tail by its own shift
+    _, raw, heap, ncomp, _ = case
+    vecs = data.draw(st.lists(vectors(ncomp, 4), min_size=2, max_size=5))
+    leads = [max(v, key=lambda t: raw(*t)) for v in vecs]
+    ints = [_primitive(v, lead) for v, lead in zip(vecs, leads)]
+    packer = _Packer(heap, ncomp, N_VARS, BITS)
+    kernel = _Kernel(packer, [(_packed(packer, v, ncomp), packer.pack(*lead))
+                              for v, lead in zip(ints, leads)])
+    for j in range(len(vecs)):
+        for i in range(j):
+            (c, ei), (cj, ej) = leads[i], leads[j]
+            if c == cj:
+                got = kernel.spair(i, j, packer.pack(c, exp_lcm(ei, ej)))
+                assert _unpacked(packer, got) == spair_reference(ints, leads, i, j)
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_product_outgrowing_a_field_raises_before_adding(case):
+    _, _, heap, ncomp, _ = case
+    packer = _Packer(heap, ncomp, N_VARS, 2)  # exponents up to 3
+    x = packer.shift(packer.cls[0], packer.pack(0, (1, 0, 0)))  # what x adds in class 0
+    out = {packer.pack(0, (1, 0, 0)): 5}
+    # x times the first term fits, x times the second (of the last
+    # component, a tail in the embedded cases) does not
+    vec = {packer.pack(0, (0, 0, 0)): 1, packer.pack(ncomp - 1, (3, 1, 0)): 2}
+    with pytest.raises(_Overflow):
+        _add_multiple(out, -5, _split(vec, packer), x, packer.cls[0], packer)
+    assert _unpacked(packer, out) == {(0, (1, 0, 0)): 5}
+    vec = {packer.pack(0, (0, 0, 0)): 1, packer.pack(ncomp - 1, (2, 1, 0)): 2}
+    _add_multiple(out, -5, _split(vec, packer), x, packer.cls[0], packer)
+    assert _unpacked(packer, out) == {(ncomp - 1, (3, 1, 0)): -10}
 
 
 class _CountingKey:
@@ -344,7 +405,7 @@ def test_reduced_basis_of_fixture_modules_is_reduced():
     for M in _fixture_modules():
         packer = _packer(_module_key(M.order), M.rank, M.ring, M.generators)
         plain = _reduced_basis(packer, [_vec_of(g, packer)[0] for g in M.generators],
-                               Budget(), M.rank == 1)
+                               Budget())
         _assert_reduced([(_unpacked(packer, v), packer.unpack(lead)) for v, lead in plain],
                         _module_key(M.order))
         embedded = _embedded_key(M.order, M.rank)
@@ -353,7 +414,7 @@ def test_reduced_basis_of_fixture_modules_is_reduced():
         for i, g in enumerate(M.generators):
             v, den = _vec_of(g, packer)
             tracked.append({**v, packer.pack(M.rank + i, M.ring.zero_exp()): den})
-        pairs = _reduced_basis(packer, tracked, Budget(), False)
+        pairs = _reduced_basis(packer, tracked, Budget())
         _assert_reduced([(_unpacked(packer, v), packer.unpack(lead)) for v, lead in pairs],
                         embedded)
         count += 1
