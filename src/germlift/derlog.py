@@ -1,10 +1,9 @@
 """Discriminants, logarithmic vector fields, and augmentation transforms.
 
-A discriminant of a corank-1 germ, every component but one a bare source
-variable and the last one ``g`` with a constant leading coefficient in the
-remaining variable, is the squarefree part of a norm: the determinant of
-multiplication by det(df) on the free module ``Q[X][y]/(g - X_i)``, checked
-by dividing ``h o f`` by det(df).  Every other germ's discriminant is a
+A discriminant is the squarefree part of a norm when the leading terms of
+the components show ``Q[x]`` free over ``Q[X]`` on power products: the
+determinant of multiplication by det(df) in that basis, checked by
+dividing ``h o f`` by det(df).  The discriminant of any other germ is a
 Groebner elimination of its graph ideal.
 
 For a reduced equation h, the strict module is the annihilator
@@ -23,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations, product
 from math import gcd
+from operator import add, sub
 
 from .errors import (
     AmbientError,
@@ -44,6 +45,7 @@ from .germs import (
 from .groebner import Budget, eliminate, prune_module, syzygy_module
 from .modules import GREVLEX, ModuleElement, Submodule, membership_module
 from .poly import (
+    MonomialOrder,
     Polynomial,
     VarSet,
     determinant,
@@ -245,69 +247,74 @@ def squarefree_part(h: Polynomial, budget: Budget | None = None) -> Polynomial:
     return integer_normalize(exact_divide(h, g))
 
 
-def _bare_variable(p: Polynomial) -> str | None:
-    """The name of the variable that p is exactly, else None."""
-    if len(p.terms) != 1:
-        return None
-    ((e, c),) = p.terms.items()
-    if c != 1 or sum(e) != 1:
-        return None
-    return p.ring.names[e.index(1)]
+def _free_norm(gens: list, d: Polynomial, target: VarSet,
+               budget: Budget | None) -> Polynomial | None:
+    """The norm of ``d`` over ``Q[X]``, or None when ``gens``, the ``X_i -
+    f_i`` over the ``q`` non-bare source variables and then ``target``, lack
+    the shape.
 
-
-def _norm(f: MapGerm, det: Polynomial, bare: dict, kept: tuple[str, Polynomial],
-          budget: Budget | None) -> Polynomial | None:
-    """det(M_d) for ``d = det`` when f has the corank-1 shape, else None.
-
-    ``bare`` maps all source variables but one, ``y``, to the target
-    coordinates equal to them, and ``kept`` is the other component ``X_i =
-    g``.  When ``g = c*y^m + sum_{k<m} g_k y^k`` with ``c`` a nonzero
-    constant, ``A = Q[X][y]/(g - X_i)`` is free over ``Q[X]`` with basis
-    ``1, y, ..., y^(m-1)``, and ``y^m = (X_i - sum_{k<m} g_k y^k)/c`` in
-    ``A``.  ``M_d`` is the matrix of multiplication by ``d`` on ``A``: its
-    column ``j`` holds the coefficients of ``d*y^j``, each column ``y``
-    times the one before.  ``det(M_d)``, the norm of ``d``, generates the
-    0th Fitting ideal of ``f_*O`` (D. Mond and R. Pellikaan, LNM 1414,
-    1989), which has the discriminant as its zero set.
+    The shape asks for lex or grevlex over some ordering of the ``q``
+    variables under which each ``f_i`` has ``c_i*x_j^d_j`` as its greatest
+    power product in them, ``c_i`` a constant and the ``j`` distinct.  Those
+    leads are pairwise coprime, so the ``X_i - f_i`` are a Groebner basis
+    (Buchberger's first criterion) and ``Q[x]`` is free over ``Q[X]`` with
+    basis ``{x^a : a_j < d_j}``.  The normal form rewrites ``x_j^d_j`` as
+    ``(X_i - rest_i)/c_i`` in every term it divides, pass after pass; each
+    rewrite puts lesser terms in the order for one, so the passes end.
+    Column ``a`` of the matrix of multiplication by ``d``, the normal form
+    of ``d*x^a``, is an earlier column times one variable, with
+    :meth:`Budget.check_clock` read once per column.  For ``d = det(df)`` the norm generates the 0th Fitting ideal of
+    ``f_*O`` (D. Mond and R. Pellikaan, LNM 1414, 1989).
     """
-    (y,) = [n for n in f.source.names if n not in bare]
-    yi = f.source.index(y)
-    target = f.target
-    moves = [(f.source.index(x), target.index(X)) for x, X in bare.items()]
+    q, zero = len(gens), Polynomial.zero(target)
 
-    def in_y(p: Polynomial) -> list[Polynomial]:
-        """The coefficients over ``target`` of the powers of ``y`` in p."""
-        by_power: dict[int, dict] = {}
+    def coords(p: Polynomial) -> dict:
+        """p over ``Q[X]``: exponent of the ``q`` variables -> coefficient."""
+        out: dict = {}
         for e, c in p.terms.items():
-            out = [0] * len(target)
-            for i, j in moves:
-                out[j] = e[i]
-            by_power.setdefault(e[yi], {})[tuple(out)] = c
-        return [Polynomial._of(target, by_power.get(k, {}))
-                for k in range(max(by_power, default=0) + 1)]
+            out.setdefault(e[:q], {})[e[q:]] = c
+        return {a: Polynomial._of(target, t) for a, t in out.items()}
 
-    name, g = kept
-    gs = in_y(g)  # m >= 1, as det(df) = +-dg/dy is not zero
-    m = len(gs) - 1
-    if list(gs[m].terms) != [target.zero_exp()]:
+    for key in (lambda a, o=o, p=p: o.heap_key(tuple(a[k] for k in p))
+                for p in permutations(range(q)) for o in (MonomialOrder.lex(), GREVLEX)):
+        rules = {}  # j -> (d_j, x_j^d_j in A, its exponents less those of x_j^d_j)
+        for part in map(coords, gens):
+            a = min(part, key=key)
+            if 0 < (m := max(a)) == sum(a) and part[a].total_degree() == 0:
+                inv = -1 / part[a].constant_term()
+                rules[a.index(m)] = (m, {tuple(map(sub, b, a)): r * inv
+                                         for b, r in part.items() if b != a})
+        if len(rules) == q:
+            break
+    else:
         return None
-    # y^m in A, as coefficients of 1, ..., y^(m-1)
-    inv = 1 / gs[m].terms[target.zero_exp()]
-    top = [gk * -inv for gk in gs[:m]]
-    top[0] = top[0] + Polynomial.variable(target, name) * inv
 
-    def times_y(v: list[Polynomial]) -> list[Polynomial]:
-        out = [Polynomial.zero(target)] + v[:-1]
-        return out if v[-1].is_zero else [a + v[-1] * t for a, t in zip(out, top)]
+    def normal_form(work: dict) -> dict:
+        out = {}
+        while work:
+            new = {}
+            for a, c in work.items():
+                j = next((j for j, (m, _) in rules.items() if a[j] >= m), None)
+                if j is None:
+                    out[a] = out[a] + c if a in out else c
+                    continue
+                for b, r in rules[j][1].items():
+                    u = tuple(map(add, a, b))
+                    new[u] = new[u] + c * r if u in new else c * r
+            work = new
+        return out
 
-    column = [Polynomial.zero(target)] * m
-    for dk in reversed(in_y(det)):
-        column = times_y(column)
-        column[0] = column[0] + dk
-    columns = [column]
-    for _ in range(m - 1):
-        columns.append(times_y(columns[-1]))
-    return determinant(columns, budget)
+    basis = list(product(*(range(rules[j][0]) for j in range(q))))
+    unit = [tuple(int(i == j) for i in range(q)) for j in range(q)]
+    columns = {}
+    for a in basis:
+        if budget is not None:
+            budget.check_clock()
+        j = next((j for j in reversed(range(q)) if a[j]), None)
+        columns[a] = normal_form(coords(d) if j is None else {
+            tuple(map(add, b, unit[j])): c
+            for b, c in columns[tuple(map(sub, a, unit[j]))].items()})
+    return determinant([[columns[a].get(b, zero) for b in basis] for a in basis], budget)
 
 
 def _certify_discriminant(f: MapGerm, h: Polynomial, det: Polynomial,
@@ -329,19 +336,18 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     integer coefficients with positive leading term.
 
     A component ``X_i = x_j`` that is one source variable, not taken by an
-    earlier component, is bare.  When every component but one is bare and
-    the last one has a nonzero constant leading coefficient in the remaining
-    source variable, ``h`` is the squarefree part of the norm of det(df)
-    (:func:`_norm`).  No Groebner run is made unless ``squarefree_part``
-    needs one.
+    earlier component, is bare: ``X_i`` replaces ``x_j`` in the other
+    components and in det(df).  When those components have a free basis
+    (:func:`_free_norm`: under lex or grevlex over some ordering of the
+    other source variables, each leads with a constant times a power of its
+    own variable), ``h`` is the squarefree part of the norm of det(df), and
+    no Groebner run is made unless ``squarefree_part`` needs one.  Lex with
+    the one non-bare variable first is the corank-1 shape.
 
-    Otherwise the source variables are eliminated from the graph ideal
-    together with det(df), and ``h`` is the squarefree part of the one
-    generator.  A bare component leaves that ideal: ``X_i`` replaces
-    ``x_j`` in the other generators and ``x_j`` is not eliminated.  That
-    ideal is the image of the full one under ``x_j -> X_i``, which fixes the
-    target ring, so its elimination ideal, and the one reduced generator,
-    are the same.
+    Otherwise the other source variables are eliminated from the ``X_i -
+    f_i`` together with det(df), and ``h`` is the squarefree part of the one
+    generator: the image of the graph ideal under ``x_j -> X_i`` fixes the
+    target ring, so its elimination ideal, and the generator, are the same.
 
     On either route ``h o f`` is checked to be a multiple of det(df) by
     exact division (:func:`_certify_discriminant`).
@@ -356,33 +362,36 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     bare = {}  # source variable -> the target coordinate equal to it
     kept = []  # the other components with their target coordinates
     for name, comp in zip(f.target.names, f.components):
-        x = _bare_variable(comp)
+        (e, c), *more = comp.terms.items()
+        x = None if more or c != 1 or sum(e) != 1 else f.source.names[e.index(1)]
         if x is not None and x not in bare:
             bare[x] = name
         else:
             kept.append((name, comp))
-    norm = _norm(f, det, bare, kept[0], budget) if len(kept) == 1 else None
-    if norm is not None:
-        h = squarefree_part(norm, budget)
-    else:
-        rest = [n for n in f.source.names if n not in bare]
-        big = VarSet(rest + list(f.target.names))
-        image = {n: Polynomial.variable(big, bare.get(n, n)) for n in f.source.names}
-        gens = [Polynomial.variable(big, name) - comp.substitute(image, into=big)
-                for name, comp in kept]
-        gens.append(det.substitute(image, into=big))
-        elim = eliminate(Submodule.ideal(big, gens), rest, budget)
-        polys = elim.ideal_generators()
+    rest = [n for n in f.source.names if n not in bare]
+    big = VarSet(rest + list(f.target.names))
+    move = [big.index(bare.get(n, n)) for n in f.source.names]
+    pick = [move.index(i) if i in move else -1 for i in range(len(big))]
+
+    def embed(p: Polynomial) -> Polynomial:
+        """p over big, the source variable ``j`` moved to ``move[j]``."""
+        return Polynomial._of(big, {tuple(e[k] if k >= 0 else 0 for k in pick): c
+                                    for e, c in p.terms.items()})
+
+    gens = [Polynomial.variable(big, name) - embed(comp) for name, comp in kept]
+    d = embed(det)
+    g = _free_norm(gens, d, f.target, budget)
+    if g is None:
+        polys = eliminate(Submodule.ideal(big, gens + [d]), rest, budget).ideal_generators()
         if len(polys) != 1:
             raise StructureError(
-                f"eliminated ideal is not principal ({len(polys)} generators)"
-            )
-        h = squarefree_part(rering(polys[0], f.target), budget)
+                f"eliminated ideal is not principal ({len(polys)} generators)")
+        g = rering(polys[0], f.target)
+    h = squarefree_part(g, budget)
     _certify_discriminant(f, h, det, budget)
-    weights = None
-    if f.target.weights is not None and h.is_weighted_homogeneous(f.target.weights):
-        weights = f.target.weights
-    return Divisor(f.target, h, weights)
+    w = f.target.weights
+    return Divisor(f.target, h,
+                   w if w is not None and h.is_weighted_homogeneous(w) else None)
 
 
 def augment_map(unfolding: Unfolding, k: int) -> MapGerm:

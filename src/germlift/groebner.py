@@ -405,6 +405,7 @@ class _Kernel:
         self.packer = packer
         self.basis: list[Vec] = []
         self.keys: list[int] = []  # packed leads
+        self.last = -1  # the greatest packed lead, the least lead in the order
         self.terms: list[tuple] = []  # each basis vector split by _split
         self.slots: dict = {}  # comp -> [(index, support mask, lead fields)]
         self.pairs: dict = {}  # (i, j) -> packed lcm of the leads
@@ -421,6 +422,7 @@ class _Kernel:
     def _append(self, vec: Vec, lead: int):
         self.basis.append(vec)
         self.keys.append(lead)
+        self.last = max(self.last, lead)
         self.terms.append(_split(vec, self.packer))
         self._slot(len(self.keys) - 1)
 
@@ -432,6 +434,7 @@ class _Kernel:
         out = _Kernel(self.packer)
         out.basis = self.basis[:n]
         out.keys = self.keys[:n]
+        out.last = max(out.keys, default=-1)
         out.terms = self.terms[:n]
         for i in range(n):
             out._slot(i)
@@ -448,14 +451,18 @@ class _Kernel:
         pops the greatest remaining term.  A term is pushed when it enters
         ``work``; a popped term that has since cancelled is skipped.  A
         reduction step only adds terms below the term it removes, so a
-        popped term never returns, the steps are those of a full rescan for
-        the maximum, and ``work`` is empty at the end.  Divisor candidates
-        are the leads of the term's component, pre-filtered by support
-        masks: lead ``l`` can divide ``t`` only if ``mask(l) & ~mask(t) ==
-        0``; the guard-bit subtraction then decides.  A term no lead divides
-        moves to the remainder.  The reducer times the quotient monomial is
-        added by :func:`_add_multiple`, with ``t - lead`` added to each term
-        of the lead's class.
+        popped term never returns and the steps are those of a full rescan
+        for the maximum.  Divisor candidates are the leads of the term's
+        component, pre-filtered by support masks: lead ``l`` can divide
+        ``t`` only if ``mask(l) & ~mask(t) == 0``; the guard-bit subtraction
+        then decides.  A term no lead divides moves to the remainder.  A
+        lead divides only terms at least as great, which are ints no greater
+        than it, so once a popped term is a greater int than every lead
+        (``last``), all of ``work`` moves to the remainder at once: on a
+        tracked basis's reducer that is every tail term, which the embedded
+        key puts after every main term.  The reducer times the quotient
+        monomial is added by :func:`_add_multiple`, with ``t - lead`` added
+        to each term of the lead's class.
 
         A term ``a`` against a lead coefficient ``L`` with ``d = gcd(a, L)``
         scales ``work`` by ``L/d`` (when that is not 1) and subtracts
@@ -470,6 +477,7 @@ class _Kernel:
         comp_mask = pk.comp_mask
         cls_of = pk.cls
         keys = self.keys
+        last = self.last
         terms = self.terms
         slots = self.slots
         rem: Vec = {}
@@ -480,6 +488,9 @@ class _Kernel:
         pop = heapq.heappop
         while heap:
             t = pop(heap)
+            if t > last:
+                rem.update(work)
+                break
             coeff = work.get(t)
             if coeff is None:
                 continue
@@ -612,6 +623,7 @@ class _Kernel:
                               for j, _, e in self.slots[pk.comp(keys[i])])]
         self.basis = [self.basis[i] for i in minimal]
         self.keys = [self.keys[i] for i in minimal]
+        self.last = max(self.keys, default=-1)
         self.terms = [self.terms[i] for i in minimal]
         self.slots = {}
         for i in range(len(self.basis)):

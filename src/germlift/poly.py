@@ -241,8 +241,7 @@ class Polynomial:
                 del res[e]
         return Polynomial._of(self.ring, res)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
         return Polynomial._of(self.ring, {e: -c for e, c in self.terms.items()})
@@ -272,8 +271,7 @@ class Polynomial:
         add_products(res, a, b)
         return Polynomial._of(self.ring, {e: c for e, c in res.items() if c})
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         return self.power(n)
@@ -569,8 +567,8 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
     quot: dict[Exp, Fraction] = {}
     while heap:
         e = heapq.heappop(heap)[1]
-        c = rem.pop(e, None)
-        if c is None:
+        c = rem.pop(e)
+        if not c:
             continue
         if not exp_divides(eb, e):
             raise NotDivisible(f"{b} does not divide {a}")
@@ -578,16 +576,9 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
         q = quot[shift] = c / cb
         for et, ct in tail:
             t = tuple(map(add, shift, et))
-            old = rem.get(t)
-            if old is None:
-                rem[t] = -q * ct
+            if t not in rem:
                 heapq.heappush(heap, (key(t), t))
-            else:
-                new = old - q * ct
-                if new:
-                    rem[t] = new
-                else:
-                    del rem[t]
+            rem[t] = rem.get(t, ZERO) - q * ct
     return Polynomial._of(a.ring, quot)
 
 

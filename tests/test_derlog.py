@@ -574,8 +574,9 @@ def test_norm_route_reads_the_clock_once_per_pivot():
     ("x", "x*y^3 + y^2"),
     ("x", "y^3 + x*y^3 + y^2"),
     ("x", "y^2 + x*z^3 + z^2", "y"),
-    # two kept components
-    ("x^2", "y^2"),
+    # two kept components; no order makes both lead with powers of
+    # distinct variables
+    ("x^2 + y^2", "x*y"),
     ("x^2 + y^3", "y^2 + x*y"),
 ])
 def test_discriminant_off_the_norm_route_eliminates(texts, monkeypatch):
@@ -606,11 +607,12 @@ def test_discriminant_certificate_refuses_a_wrong_equation():
 
 
 def test_discriminant_certificate_checks_the_elimination_route(monkeypatch):
-    # (x^2, y^2) has no bare component, so h comes from elimination; a
-    # wrong principal ideal there must fail the certificate, not be returned
+    # (x^2 + y^3, y^2 + x*y) has no free basis, so h comes from
+    # elimination; a wrong principal ideal there must fail the certificate,
+    # not be returned
     src, tgt = VarSet(["x", "y"]), VarSet(["X", "Y"])
-    f = MapGerm(src, tgt, [parse_poly("x^2", src), parse_poly("y^2", src)])
-    assert discriminant(f).h == parse_poly("X*Y", tgt)
+    f = MapGerm(src, tgt, [parse_poly("x^2 + y^3", src), parse_poly("y^2 + x*y", src)])
+    assert discriminant(f).h == discriminant_reference(f)
 
     def wrong(I, names, budget=None):
         return Submodule.ideal(tgt, [parse_poly("X + Y", tgt)])
@@ -618,6 +620,125 @@ def test_discriminant_certificate_checks_the_elimination_route(monkeypatch):
     monkeypatch.setattr(derlog, "eliminate", wrong)
     with pytest.raises(StructureError, match="certificate"):
         discriminant(f)
+
+
+def _germ2(*texts):
+    src, tgt = VarSet(["x", "y"]), VarSet(["X", "Y"])
+    return MapGerm(src, tgt, [parse_poly(t, src) for t in texts])
+
+
+# h of (x^3 - 2*y^2, y^3 + 2*x*y), whose grevlex leads x^3 and y^3 give a
+# free basis of rank 9; eliminating its graph ideal gives the same h after
+# 28,382 reductions, about 10 s on one core
+FREE_CUBIC_H = (
+    "387420489*X^6*Y^6 + 1377495072*X^7*Y^4 + 6198727824*X^3*Y^8"
+    " + 1632586752*X^8*Y^2 + 28978414848*X^4*Y^6 + 24794911296*Y^10"
+    " + 644972544*X^9 + 50186926080*X^5*Y^4 + 65303470080*X*Y^8"
+    " + 40704933888*X^6*Y^2 + 40131624960*X^2*Y^6 + 12230590464*X^7"
+    " + 47563407360*X^3*Y^4 + 108716359680*X^4*Y^2 + 209715200000*Y^6"
+    " + 57982058496*X^5")
+
+# h of (x^2 + y^3, y^2 + x^3), whose grevlex leads y^3 and x^3 swap the
+# variables; discriminant_reference gives the same h in about 30 s
+SWAPPED_CUBIC_H = (
+    "387420489*X^6*Y^6 - 774840978*X^8*Y^3 - 774840978*X^3*Y^8"
+    " + 387420489*X^10 + 1600700292*X^5*Y^5 + 387420489*Y^10"
+    " - 825859314*X^7*Y^2 - 825859314*X^2*Y^7 + 394698825*X^4*Y^4"
+    " + 43740000*X^6*Y + 43740000*X*Y^6 - 42940000*X^3*Y^3 - 800000*X^5"
+    " - 800000*Y^5 + 800000*X^2*Y^2")
+
+
+def test_discriminant_of_a_free_germ_without_bare_components_makes_no_groebner_run():
+    f = _germ2("x^3 - 2*y^2", "y^3 + 2*x*y")
+    budget = Budget(max_reductions=0)
+    h = discriminant(f, budget).h
+    assert h == parse_poly(FREE_CUBIC_H, f.target)
+    assert len(h.terms) == 16
+    assert budget.stats() == {"reductions": 0, "s_pairs": 0, "zero_reductions": 0}
+
+
+@pytest.mark.parametrize("texts", [
+    ("x^2", "y^2"),
+    # lex with y first leads with y^2 and x^2
+    ("x^3 + y^2", "x^2"),
+    ("x^2 + y^3", "y^2 + x^3"),
+])
+def test_discriminant_of_free_germs_takes_the_norm_route(texts, monkeypatch):
+    f = _germ2(*texts)
+    if texts == ("x^2 + y^3", "y^2 + x^3"):
+        want = parse_poly(SWAPPED_CUBIC_H, f.target)
+    else:
+        want = discriminant_reference(f)
+    monkeypatch.setattr(derlog, "eliminate", _no_elimination)
+    assert discriminant(f).h == want
+
+
+def test_free_norm_reads_the_clock_before_its_determinant(monkeypatch):
+    def unbudgeted_only(rows, budget=None):
+        if budget is not None:
+            raise AssertionError("the norm's determinant was reached")
+        return determinant(rows)
+
+    monkeypatch.setattr(derlog, "determinant", unbudgeted_only)
+    monkeypatch.setattr(derlog, "eliminate", _no_elimination)
+    with pytest.raises(GroebnerTimeout, match="time limit"):
+        discriminant(_germ2("x^3 - 2*y^2", "y^3 + 2*x*y"), Budget(seconds=0))
+
+
+def _random_free_germ(rng, n, n_bare):
+    """An n -> n germ, singular at 0, with a free basis, and whether it
+    permutes the variables.  The components at n_bare random places are
+    distinct random source variables; every other one is ``c*u^d`` plus up
+    to two terms of degree at least 2 whose degree in the non-bare
+    variables is below d, for d from 2 to 6 - n and the non-bare variables
+    u in random order, so that grevlex leads it with ``c*u^d``.  It permutes
+    the variables when some non-bare component's u is not the variable at
+    its own place."""
+    src = VarSet(["x", "y", "z"][:n])
+    tgt = VarSet(["X", "Y", "Z"][:n])
+    places = rng.sample(range(n), n_bare)
+    bare = rng.sample(range(n), n_bare)
+    free = [j for j in range(n) if j not in bare]
+    rng.shuffle(free)
+    comps, permuted = [], False
+    for i in range(n):
+        if i in places:
+            comps.append(Polynomial.variable(src, src.names[bare[places.index(i)]]))
+            continue
+        u = free.pop()
+        permuted |= u != i
+        d = rng.randint(2, 6 - n)
+        terms = {tuple(d * k for k in src.unit_exp(u)):
+                 Fraction(rng.choice([1, -1, 2, Fraction(1, 2)]))}
+        for _ in range(rng.randint(0, 2)):
+            e = [0] * n
+            for _ in range(rng.randint(1, d - 1)):
+                e[rng.choice([j for j in range(n) if j not in bare])] += 1
+            for _ in range(rng.randint(0, 2) if bare else 0):
+                e[rng.choice(bare)] += 1
+            if sum(e) >= 2:
+                terms[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        comps.append(Polynomial(src, terms))
+    return MapGerm(src, tgt, comps), permuted
+
+
+@pytest.mark.parametrize("n, n_bare", [(2, 0), (2, 1), (3, 1), (3, 2)])
+def test_discriminant_of_random_free_germs_takes_the_norm_route(n, n_bare, monkeypatch):
+    rng = random.Random(2600 + 10 * n + n_bare)
+    drawn = [_random_free_germ(rng, n, n_bare) for _ in range(8)]
+    wants = []
+    for f, _ in drawn:
+        try:
+            wants.append(discriminant_reference(f, Budget(max_reductions=2000)))
+        except GroebnerTimeout:  # too costly for a unit test
+            wants.append(None)
+    compared = [permuted for (_, permuted), w in zip(drawn, wants) if w is not None]
+    assert len(compared) >= 4 and any(compared) and not all(compared)
+    monkeypatch.setattr(derlog, "eliminate", _no_elimination)
+    for (f, _), want in zip(drawn, wants):
+        h = discriminant(f).h
+        if want is not None:
+            assert h == want, [str(c) for c in f.components]
 
 
 def _random_corank1_germ(rng, n):

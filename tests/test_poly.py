@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from germlift.errors import AmbientError, NotDivisible
+from germlift.errors import AmbientError, GroebnerTimeout, NotDivisible
 from germlift.exprio import parse_poly
+from germlift.groebner import Budget
 from germlift.poly import (
     MonomialOrder,
     Polynomial,
@@ -315,6 +316,23 @@ def test_determinant_matches_cofactor_expansion():
     assert determinant([[zero, parse_poly("x", R)], [zero, parse_poly("y", R)]]).is_zero
     with pytest.raises(ValueError):
         determinant([[zero, zero]])
+
+
+def test_determinant_reads_the_clock_once_per_pivot():
+    class Clock:
+        reads = 0
+
+        def check_clock(self):
+            self.reads += 1
+
+    R = VarSet(["x"])
+    # x*I + (1 - I): every leading principal minor is a nonzero polynomial
+    M = [[parse_poly("x" if i == j else "1", R) for j in range(4)] for i in range(4)]
+    clock = Clock()
+    assert determinant(M, clock) == cofactor_determinant(M)
+    assert clock.reads == 3
+    with pytest.raises(GroebnerTimeout, match="time limit"):
+        determinant(M, Budget(seconds=0))
 
 
 def test_integer_normalize():
