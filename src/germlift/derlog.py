@@ -247,6 +247,16 @@ def squarefree_part(h: Polynomial, budget: Budget | None = None) -> Polynomial:
     return integer_normalize(exact_divide(h, g))
 
 
+def _bare_variable(p: Polynomial) -> str | None:
+    """The name of the variable that p is exactly, else None."""
+    if len(p.terms) != 1:
+        return None
+    ((e, c),) = p.terms.items()
+    if c != 1 or sum(e) != 1:
+        return None
+    return p.ring.names[e.index(1)]
+
+
 def _free_norm(gens: list, d: Polynomial, target: VarSet,
                budget: Budget | None) -> Polynomial | None:
     """The norm of ``d`` over ``Q[X]``, or None when ``gens``, the ``X_i -
@@ -263,8 +273,9 @@ def _free_norm(gens: list, d: Polynomial, target: VarSet,
     rewrite puts lesser terms in the order for one, so the passes end.
     Column ``a`` of the matrix of multiplication by ``d``, the normal form
     of ``d*x^a``, is an earlier column times one variable, with
-    :meth:`Budget.check_clock` read once per column.  For ``d = det(df)`` the norm generates the 0th Fitting ideal of
-    ``f_*O`` (D. Mond and R. Pellikaan, LNM 1414, 1989).
+    :meth:`Budget.check_clock` read once per column.  For ``d = det(df)``
+    the norm generates the 0th Fitting ideal of ``f_*O`` (D. Mond and R.
+    Pellikaan, LNM 1414, 1989).
     """
     q, zero = len(gens), Polynomial.zero(target)
 
@@ -275,10 +286,11 @@ def _free_norm(gens: list, d: Polynomial, target: VarSet,
             out.setdefault(e[:q], {})[e[q:]] = c
         return {a: Polynomial._of(target, t) for a, t in out.items()}
 
+    parts = [coords(g) for g in gens]
     for key in (lambda a, o=o, p=p: o.heap_key(tuple(a[k] for k in p))
                 for p in permutations(range(q)) for o in (MonomialOrder.lex(), GREVLEX)):
         rules = {}  # j -> (d_j, x_j^d_j in A, its exponents less those of x_j^d_j)
-        for part in map(coords, gens):
+        for part in parts:
             a = min(part, key=key)
             if 0 < (m := max(a)) == sum(a) and part[a].total_degree() == 0:
                 inv = -1 / part[a].constant_term()
@@ -362,36 +374,33 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     bare = {}  # source variable -> the target coordinate equal to it
     kept = []  # the other components with their target coordinates
     for name, comp in zip(f.target.names, f.components):
-        (e, c), *more = comp.terms.items()
-        x = None if more or c != 1 or sum(e) != 1 else f.source.names[e.index(1)]
+        x = _bare_variable(comp)
         if x is not None and x not in bare:
             bare[x] = name
         else:
             kept.append((name, comp))
     rest = [n for n in f.source.names if n not in bare]
     big = VarSet(rest + list(f.target.names))
-    move = [big.index(bare.get(n, n)) for n in f.source.names]
-    pick = [move.index(i) if i in move else -1 for i in range(len(big))]
-
-    def embed(p: Polynomial) -> Polynomial:
-        """p over big, the source variable ``j`` moved to ``move[j]``."""
-        return Polynomial._of(big, {tuple(e[k] if k >= 0 else 0 for k in pick): c
-                                    for e, c in p.terms.items()})
-
-    gens = [Polynomial.variable(big, name) - embed(comp) for name, comp in kept]
-    d = embed(det)
-    g = _free_norm(gens, d, f.target, budget)
-    if g is None:
-        polys = eliminate(Submodule.ideal(big, gens + [d]), rest, budget).ideal_generators()
+    image = {n: Polynomial.variable(big, bare.get(n, n)) for n in f.source.names}
+    gens = [Polynomial.variable(big, name) - comp.substitute(image, into=big)
+            for name, comp in kept]
+    d = det.substitute(image, into=big)
+    norm = _free_norm(gens, d, f.target, budget)
+    if norm is not None:
+        h = squarefree_part(norm, budget)
+    else:
+        elim = eliminate(Submodule.ideal(big, gens + [d]), rest, budget)
+        polys = elim.ideal_generators()
         if len(polys) != 1:
             raise StructureError(
-                f"eliminated ideal is not principal ({len(polys)} generators)")
-        g = rering(polys[0], f.target)
-    h = squarefree_part(g, budget)
+                f"eliminated ideal is not principal ({len(polys)} generators)"
+            )
+        h = squarefree_part(rering(polys[0], f.target), budget)
     _certify_discriminant(f, h, det, budget)
-    w = f.target.weights
-    return Divisor(f.target, h,
-                   w if w is not None and h.is_weighted_homogeneous(w) else None)
+    weights = None
+    if f.target.weights is not None and h.is_weighted_homogeneous(f.target.weights):
+        weights = f.target.weights
+    return Divisor(f.target, h, weights)
 
 
 def augment_map(unfolding: Unfolding, k: int) -> MapGerm:

@@ -241,7 +241,8 @@ class Polynomial:
                 del res[e]
         return Polynomial._of(self.ring, res)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return self.__add__(other)
 
     def __neg__(self):
         return Polynomial._of(self.ring, {e: -c for e, c in self.terms.items()})
@@ -271,7 +272,8 @@ class Polynomial:
         add_products(res, a, b)
         return Polynomial._of(self.ring, {e: c for e, c in res.items() if c})
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return self.__mul__(other)
 
     def __pow__(self, n: int):
         return self.power(n)
@@ -567,8 +569,8 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
     quot: dict[Exp, Fraction] = {}
     while heap:
         e = heapq.heappop(heap)[1]
-        c = rem.pop(e)
-        if not c:
+        c = rem.pop(e, None)
+        if c is None:
             continue
         if not exp_divides(eb, e):
             raise NotDivisible(f"{b} does not divide {a}")
@@ -576,9 +578,16 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
         q = quot[shift] = c / cb
         for et, ct in tail:
             t = tuple(map(add, shift, et))
-            if t not in rem:
+            old = rem.get(t)
+            if old is None:
+                rem[t] = -q * ct
                 heapq.heappush(heap, (key(t), t))
-            rem[t] = rem.get(t, ZERO) - q * ct
+            else:
+                new = old - q * ct
+                if new:
+                    rem[t] = new
+                else:
+                    del rem[t]
     return Polynomial._of(a.ring, quot)
 
 
