@@ -3,8 +3,8 @@
 A discriminant is the squarefree part of a norm when the leading terms of
 the components show ``Q[x]`` free over ``Q[X]`` on power products: the
 determinant of multiplication by det(df) in that basis, checked by
-dividing ``h o f`` by det(df).  The discriminant of any other germ is a
-Groebner elimination of its graph ideal.
+dividing ``h o f`` by det(df) and the norm by ``h``.  The discriminant of
+any other germ is a Groebner elimination of its graph ideal.
 
 For a reduced equation h, the strict module is the annihilator
 {eta : eta(h) = 0}; the tangent module is {eta : eta(h) in <h>}, computed as
@@ -330,15 +330,20 @@ def _free_norm(gens: list, d: Polynomial, target: VarSet,
 
 
 def _certify_discriminant(f: MapGerm, h: Polynomial, det: Polynomial,
+                          norm: Polynomial | None = None,
                           budget: Budget | None = None) -> None:
-    """Raise :class:`StructureError` unless ``h o f = q * det(df)`` for a
-    polynomial ``q``, checked by exact division: h vanishes on the image of
-    the critical set."""
-    try:
-        exact_divide(pull_back(h, f, budget), det)
-    except NotDivisible:
-        raise StructureError("discriminant certificate failed: "
-                             "det(df) does not divide h o f") from None
+    """Raise :class:`StructureError` unless det(df) divides ``h o f`` (h
+    vanishes on the image of the critical set) and, given the ``norm`` of
+    det(df), whose zero set is that image for a finite germ, ``h`` divides
+    it (a squarefree ``h`` is then fixed up to a scalar): exact divisions."""
+    checks = [(pull_back(h, f, budget), det, "det(df) does not divide h o f")]
+    if norm is not None:
+        checks.append((norm, h, "h does not divide the norm of det(df)"))
+    for a, b, failed in checks:
+        try:
+            exact_divide(a, b)
+        except NotDivisible:
+            raise StructureError(f"discriminant certificate failed: {failed}") from None
 
 
 def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
@@ -362,13 +367,17 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
     target ring, so its elimination ideal, and the generator, are the same.
 
     On either route ``h o f`` is checked to be a multiple of det(df) by
-    exact division (:func:`_certify_discriminant`).
+    exact division (:func:`_certify_discriminant`), and on the norm route
+    ``h`` is checked to divide the norm.  A submersion at 0 (``det(df)(0) !=
+    0``) has no discriminant there and raises before either route runs.
     """
     if f.n != f.p:
         raise NotEquidimensional(f"need n = p, got {f.n} -> {f.p}")
     det = determinant(jacobian(f))
     if det.is_zero:
         raise StructureError("Jacobian determinant vanishes identically")
+    if det.constant_term() != 0:
+        raise StructureError("germ is a submersion at 0 and has no discriminant there")
     if set(f.source.names) & set(f.target.names):
         raise AmbientError("source and target variable names must be disjoint")
     bare = {}  # source variable -> the target coordinate equal to it
@@ -396,7 +405,7 @@ def discriminant(f: MapGerm, budget: Budget | None = None) -> Divisor:
                 f"eliminated ideal is not principal ({len(polys)} generators)"
             )
         h = squarefree_part(rering(polys[0], f.target), budget)
-    _certify_discriminant(f, h, det, budget)
+    _certify_discriminant(f, h, det, norm, budget)
     weights = None
     if f.target.weights is not None and h.is_weighted_homogeneous(f.target.weights):
         weights = f.target.weights

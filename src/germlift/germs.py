@@ -11,7 +11,8 @@ Every composition with a germ f (``wf_apply``, ``MapGerm.compose``,
 ``push_forward``) runs through :func:`pull_back`, which hands
 ``poly.compose`` the germ's own cache of monomial images ``f^e``
 (``MapGerm._images``), so a field composed with f reuses every image that
-an earlier field needed.
+an earlier field needed.  Each takes the caller's budget, whose clock
+``poly.compose`` reads.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import AmbientError, InverseCheckFailed, RankError, StructureError
-from .modules import ModuleElement, Submodule
+from .modules import ModuleElement, Submodule, combine
 from .poly import Exp, Polynomial, VarSet, compose, zero_section
 
 if TYPE_CHECKING:
@@ -66,11 +67,11 @@ class MapGerm:
     def p(self) -> int:
         return len(self.target)
 
-    def compose(self, inner: "MapGerm") -> "MapGerm":
-        """self after inner."""
+    def compose(self, inner: "MapGerm", budget: Budget | None = None) -> "MapGerm":
+        """self after inner; a ``budget``'s clock is read as in :func:`pull_back`."""
         if inner.target.names != self.source.names:
             raise AmbientError("composition: inner target must match outer source")
-        comps = [pull_back(c, inner) for c in self.components]
+        comps = [pull_back(c, inner, budget) for c in self.components]
         return MapGerm(inner.source, self.target, comps)
 
     def is_identity(self) -> bool:
@@ -157,27 +158,26 @@ def wf_apply(eta: ModuleElement, f: MapGerm, budget: Budget | None = None) -> Mo
     return ModuleElement(f.source, [pull_back(p, f, budget) for p in eta.entries])
 
 
-def push_forward(eta: ModuleElement, H: MapGerm, H_inv: MapGerm) -> ModuleElement:
-    """Transport of a field through a diffeomorphism, dH o eta o H^{-1}.
+def push_forward(eta: ModuleElement, H: MapGerm, H_inv: MapGerm,
+                 budget: Budget | None = None) -> ModuleElement:
+    """Transport of a field through a diffeomorphism, dH o eta o H^{-1}:
+    the combination of the columns of dH o H^{-1} by eta o H^{-1}.
 
     Both composites of H and H_inv are checked to be the identity, exactly,
     once per pair: ``H`` remembers the inverse it passed with.  An inverse
-    that fails is never remembered, so every call with it raises.
+    that fails is never remembered, so every call with it raises.  Every
+    composition reads the ``budget``'s clock, as in :func:`pull_back`.
     """
     check_field(eta, H.source, "the source of the diffeomorphism")
     if H._inverse is not H_inv:
-        if not H.compose(H_inv).is_identity() or not H_inv.compose(H).is_identity():
+        if not H.compose(H_inv, budget).is_identity() \
+                or not H_inv.compose(H, budget).is_identity():
             raise InverseCheckFailed("supplied inverse does not invert the map")
         H._inverse = H_inv
     J = jacobian(H)
-    entries_at_inv = wf_apply(eta, H_inv).entries
-    out = []
-    for i in range(H.p):
-        acc = Polynomial.zero(H.target)
-        for j in range(H.n):
-            acc = acc + pull_back(J[i][j], H_inv) * entries_at_inv[j]
-        out.append(acc)
-    return ModuleElement(H.target, out)
+    columns = [ModuleElement(H.target, [pull_back(J[i][j], H_inv, budget) for i in range(H.p)])
+               for j in range(H.n)]
+    return combine(H.target, H.p, wf_apply(eta, H_inv, budget).entries, columns)
 
 
 class Unfolding:

@@ -6,7 +6,7 @@ One engine serves five needs:
 * normal forms and membership with coefficient extraction (``_divide``);
   ``express`` re-verifies each returned identity, and
   ``lifting.is_liftable`` divides directly because its certificate
-  re-expands the same identity,
+  re-expands the same identity through the same routine,
 * syzygy modules, computed by embedding the generators alongside unit
   vectors and eliminating the leading block,
 * submodule intersection, read off the syzygies of both generating sets
@@ -51,15 +51,16 @@ runs the whole computation again on wider fields, with the budget's
 counters put back, so the width changes neither an answer nor a counter.
 Terms are packed and unpacked only at the kernel's boundary.
 
-Each kernel identity is verified once, in the kernel's integers, by
-:func:`_recombines`: with the generators as ``main_i = den_i * gen_i``,
-kept split as the kernel keeps its basis vectors, and ``D = lcm(den_i)``,
-the embedded vector ``(v, tail)`` must satisfy
-``D * v == sum_i tail_i * main_i * (D / den_i)``.  The tracked basis checks
-every basis vector so (an element against its representation, a syzygy
-against zero), and :func:`express` checks each membership it returns.  The
-callers of ``syzygy_module`` (``derlog``) rely on that check instead of
-expanding the syzygies again.
+Every module identity ``v == sum_i c_i * gen_i`` is verified once, in the
+kernel's integers, by :func:`_recombines`: with the generators as
+``main_i = den_i * gen_i``, kept split as the kernel keeps its basis
+vectors, and ``D = lcm(den_i)``, the embedded vector ``(v, c)`` must
+satisfy ``D * v == sum_i c_i * main_i * (D / den_i)``.  The tracked basis
+checks every basis vector so (an element against its representation, a
+syzygy against zero).  :func:`re_expands` packs any other identity and
+checks it the same way: each membership :func:`express` returns, and each
+``lifting.LiftCertificate``.  The callers of ``syzygy_module``
+(``derlog``) rely on that check instead of expanding the syzygies again.
 
 Every step above runs through one normal-form routine,
 ``_Kernel.reduce_full``.  Every term of the working vector sits in a heap
@@ -96,7 +97,7 @@ from typing import Callable, Sequence
 
 from .errors import AmbientError, GroebnerTimeout, RankError, StructureError
 from .modules import GREVLEX, ModuleElement, Submodule, combine
-from .poly import MonomialOrder, Polynomial, VarSet
+from .poly import MonomialOrder, Polynomial, VarSet, zero_section
 
 Vec = dict  # {packed term: int}
 
@@ -708,52 +709,60 @@ def _recombines(vec: Vec, rank: int, gens: Sequence[tuple], dens: Sequence[int],
     return not acc
 
 
+def re_expands(v: ModuleElement, coeffs: Sequence[Polynomial], M: Submodule,
+               budget: Budget | None = None) -> bool:
+    """Whether ``v == sum_i coeffs_i * gen_i`` over the generators of ``M``,
+    checked by :func:`_recombines` on ``(v, coeffs)`` packed as one embedded
+    vector.  The packer is that of ``M``'s cached basis when it has one, and
+    otherwise one sized from the identity; a product that outgrows its
+    fields is redone on wider ones (:func:`_widening`)."""
+    gens = M.generators
+    whole = ModuleElement(M.ring, v.entries + tuple(coeffs))
+
+    def attempt(packer):
+        inputs = [_vec_of(g, packer) for g in gens]
+        return _recombines(_vec_of(whole, packer)[0], M.rank,
+                           [_split(vec, packer) for vec, _ in inputs],
+                           [den for _, den in inputs], packer)
+
+    packer = M._gb.packer if M._gb is not None else _packer(
+        _embedded_key(M.order, M.rank), M.rank + len(gens), M.ring, [whole, *gens])
+    return _widening(budget or Budget(), packer, attempt)
+
+
 @dataclass
 class GroebnerBasis:
     """Reduced basis of a submodule plus tracking data.
 
     ``pairs`` is the reduced basis of the embedded order, least lead first,
     as (primitive integer vector, lead) pairs of terms packed by
-    ``packer``: each vector carries its representation in the original
-    generators in the trailing components.  ``mains`` and ``dens`` are
-    those generators as :func:`_vec_of` gives them,
-    ``mains[i] = dens[i] * gen_i``, and ``split_mains`` holds them split
-    once by :func:`_split`, for :func:`_recombines`.  ``reducer`` is the
-    kernel that reduces against the pairs whose lead lies in the module
-    itself, not in a tail, so every tail term passes to the remainder; it
-    is built with the basis, and every division by the module runs on it.
-    A division whose terms outgrow the packer's fields moves all of them
-    to a wider packer (:meth:`use`).  The Fraction forms below are built
-    on first read.
+    ``packer``, whose components past ``rank`` are one per original
+    generator: each vector carries its representation in the generators
+    there.  ``reducer`` is the kernel that reduces against the pairs whose
+    lead lies in the module itself, not in a tail, so every tail term
+    passes to the remainder; it is built with the basis, and every division
+    by the module runs on it.  A division whose terms outgrow the packer's
+    fields moves the pairs to a wider packer (:meth:`use`).  The Fraction
+    forms below are built on first read.
     """
 
     ring: VarSet
     rank: int
     packer: _Packer = field(repr=False)
     pairs: tuple = field(repr=False)
-    mains: tuple = field(repr=False)
-    dens: tuple = field(repr=False)
-    split_mains: tuple = field(init=False, repr=False)
     reducer: _Kernel = field(init=False, repr=False)
 
     def __post_init__(self):
-        packer = self.packer
-        self.split_mains = tuple(_split(v, packer) for v in self.mains)
-        self.reducer = _Kernel(packer, [p for p in self.pairs
-                                        if packer.comp(p[1]) < self.rank])
+        self.reducer = _Kernel(self.packer, [p for p in self.pairs
+                                             if self.packer.comp(p[1]) < self.rank])
 
     def use(self, packer: _Packer) -> None:
-        """Repack the pairs, the generators and the reducer by ``packer``."""
+        """Repack the pairs, and rebuild the reducer, by ``packer``."""
         old = self.packer
         if packer is old:
             return
-
-        def repack(vec):
-            return {packer.pack(*old.unpack(t)): k for t, k in vec.items()}
-
-        self.pairs = tuple((repack(vec), packer.pack(*old.unpack(lead)))
-                           for vec, lead in self.pairs)
-        self.mains = tuple(repack(vec) for vec in self.mains)
+        self.pairs = tuple(({packer.pack(*old.unpack(t)): k for t, k in vec.items()},
+                            packer.pack(*old.unpack(lead))) for vec, lead in self.pairs)
         self.packer = packer
         self.__post_init__()
 
@@ -766,10 +775,10 @@ class GroebnerBasis:
     @cached_property
     def syzygies(self) -> tuple:
         """Monic generators of all relations among the original generators."""
-        rank = self.rank
+        rank, packer = self.rank, self.packer
         return tuple(
-            _elem_of(self.ring, len(self.mains), vec, vec[lead], self.packer, rank)
-            for vec, lead in self.pairs if self.packer.comp(lead) >= rank)
+            _elem_of(self.ring, packer.ncomp - rank, vec, vec[lead], packer, rank)
+            for vec, lead in self.pairs if packer.comp(lead) >= rank)
 
 
 def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
@@ -779,22 +788,21 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
 
     def attempt(packer):
         inputs = [_vec_of(g, packer) for g in gens]
-        mains = tuple(v for v, _ in inputs)
-        dens = tuple(den for _, den in inputs)
+        split = [_split(v, packer) for v, _ in inputs]
+        dens = [den for _, den in inputs]
         vecs = [{**v, packer.pack(rank + i, zero): den} for i, (v, den) in enumerate(inputs)]
-        gb = GroebnerBasis(ring, rank, packer,
-                           tuple(_reduced_basis(packer, vecs, budget)), mains, dens)
+        gb = GroebnerBasis(ring, rank, packer, tuple(_reduced_basis(packer, vecs, budget)))
 
         # self-check: every basis vector re-expands from its tracking
         # components (an element from its representation, a syzygy to
         # zero), and every input generator reduces to zero against the
         # basis (mutual membership of the cached basis).
         for vec, lead in gb.pairs:
-            if not _recombines(vec, rank, gb.split_mains, dens, packer):
+            if not _recombines(vec, rank, split, dens, packer):
                 if packer.comp(lead) < rank:
                     raise StructureError("internal: basis representation failed to re-expand")
                 raise StructureError("internal: syzygy failed to expand to zero")
-        for v in mains:
+        for v, _ in inputs:
             rem = gb.reducer.reduce_full(dict(v), budget)[0]
             if any(packer.comp(t) < rank for t in rem):
                 raise StructureError("internal: generator does not reduce to zero")
@@ -827,7 +835,7 @@ def _divide(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
     """Division of ``v`` by the tracked basis of ``M``: the normal form and,
     when it is zero, the coefficients read off the tracking components.
     The identity sum(c_i * gen_i) == v is not re-expanded here; every
-    caller does that once (:func:`express`, ``lifting.LiftCertificate``).
+    caller does that once, by :func:`re_expands`.
     """
     if v.ring != M.ring:
         raise AmbientError("vector and module over different rings")
@@ -847,32 +855,20 @@ def _divide(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Mem
     remainder = _elem_of(M.ring, M.rank, rem_all, den, gb.packer)
     if not remainder.is_zero:
         return Membership(None, remainder)
-    coeffs = _elem_of(M.ring, m if m else 1, {t: -k for t, k in rem_all.items()}, den,
-                      gb.packer, M.rank)
-    return Membership(tuple(coeffs.entries[:m]), remainder)
+    coeffs = _elem_of(M.ring, m, {t: -k for t, k in rem_all.items()}, den, gb.packer, M.rank)
+    return Membership(coeffs.entries, remainder)
 
 
 def express(v: ModuleElement, M: Submodule, budget: Budget | None = None) -> Membership:
     """Division with coefficient extraction against the original generators.
 
     On membership, returns coefficients c with sum(c_i * gen_i) == v, the
-    identity re-verified by :func:`_recombines` on ``(v, c)`` as an integer
-    vector before returning.  Otherwise the nonzero normal form is the
-    certificate of polynomial non-membership.
+    identity re-verified by :func:`re_expands` before returning.  Otherwise
+    the nonzero normal form is the certificate of polynomial non-membership.
     """
-    budget = budget or Budget()
     membership = _divide(v, M, budget)
-    if membership.is_member:
-        gb = M._gb  # cached by _divide
-        whole = ModuleElement(M.ring, v.entries + membership.coefficients)
-
-        def attempt(packer):
-            gb.use(packer)
-            return _recombines(_vec_of(whole, packer)[0], M.rank, gb.split_mains, gb.dens,
-                               packer)
-
-        if not _widening(budget, gb.packer, attempt):
-            raise StructureError("internal: expressed coefficients failed to re-expand")
+    if membership.is_member and not re_expands(v, membership.coefficients, M, budget):
+        raise StructureError("internal: expressed coefficients failed to re-expand")
     return membership
 
 
@@ -931,30 +927,23 @@ def eliminate(I: Submodule, names: Sequence[str],
               budget: Budget | None = None) -> Submodule:
     """Generators of I intersected with the subring without ``names``.
 
-    ``I`` must have rank 1; the result lives over the reduced variable set.
+    ``I`` must have rank 1.  The block order eliminating ``names`` runs on
+    ``I``'s own ring; each basis element free of them moves onto the ring of
+    the other variables, in order and with their weights (``zero_section``).
     """
     if I.rank != 1:
         raise RankError("elimination expects a rank-1 module (an ideal)")
     ring = I.ring
-    elim_idx = [ring.index(n) for n in names]
-    keep_idx = [i for i in range(len(ring)) if i not in elim_idx]
-    perm = elim_idx + keep_idx
-    kept_weights = None
-    if ring.weights is not None:
-        kept_weights = [ring.weights[i] for i in keep_idx]
-    kept_ring = VarSet([ring.names[i] for i in keep_idx], kept_weights)
-    nb = len(elim_idx)
-    # the generators over the ring with the eliminated variables first
-    permuted = VarSet([ring.names[i] for i in perm])
-    gens = [ModuleElement(permuted, [Polynomial(permuted, {tuple(e[i] for i in perm): k
-                                                           for e, k in g.entries[0].terms.items()})])
-            for g in I.generators]
+    elim = [ring.index(n) for n in names]
+    kept_ring = VarSet([n for i, n in enumerate(ring.names) if i not in elim],
+                       None if ring.weights is None else
+                       [w for i, w in enumerate(ring.weights) if i not in elim])
     out = []
-    for g in reduced_basis(permuted, 1, gens, MonomialOrder.elimination(nb),
+    for g in reduced_basis(ring, 1, I.generators, MonomialOrder.elimination(elim),
                            budget or Budget()):
         p = g.entries[0]
-        if all(not any(e[:nb]) for e in p.terms):
-            out.append(Polynomial(kept_ring, {e[nb:]: k for e, k in p.terms.items()}))
+        if not any(e[i] for e in p.terms for i in elim):
+            out.append(zero_section(p, names, kept_ring))
     return Submodule.ideal(kept_ring, out)
 
 

@@ -3,13 +3,14 @@
 A field eta on the target is liftable over f when df o xi = eta o f for some
 field xi on the source; both are module elements with one entry per
 coordinate (see :mod:`germlift.germs`).  Certificates carry the witness xi
-and re-verify the defining identity by exact expansion; that is the one
-re-expansion behind a certified lift, as :func:`is_liftable` divides by the
-columns of df without ``express``'s own check.  Each certified lift also
-composes eta o f once: :func:`is_liftable` hands the image it divided to
-the certificate, which re-expands against it, while a certificate built by
-hand composes eta o f itself.  The pipeline recovers the
-liftable fields of a core germ from those of an unfolding by intersecting
+and re-verify the defining identity by exact expansion in the kernel's
+integers (``groebner.re_expands``, the routine behind ``express``'s own
+check); that is the one re-expansion behind a certified lift, as
+:func:`is_liftable` divides by the columns of df without ``express``.  Each
+certified lift also composes eta o f once: :func:`is_liftable` hands the
+image it divided to the certificate, which re-expands against it, while a
+certificate built by hand composes eta o f itself.  The pipeline recovers
+the liftable fields of a core germ from those of an unfolding by intersecting
 with the restrictable fields (whose parameter components vanish on the zero
 section of the parameters, a monomial module), restricting, and pruning,
 and returns the certificate of every output generator along with the
@@ -29,7 +30,7 @@ from .errors import (
     StructureError,
 )
 from .germs import MapGerm, Unfolding, check_field, tf_generators, wf_apply
-from .groebner import Budget, _divide, prune_module, reduced_basis, syzygy_module
+from .groebner import Budget, _divide, prune_module, re_expands, reduced_basis, syzygy_module
 from .modules import GREVLEX, ModuleElement, Submodule, combine, membership_module
 from .poly import Polynomial, set_zero, zero_section
 
@@ -39,9 +40,10 @@ class LiftCertificate:
     """A verified witness pair: df o xi = eta o f, exactly.
 
     Building one re-expands sum(xi_j * (column j of df)) against eta o f
-    and raises StructureError when they differ.  A certificate built by
-    hand composes eta o f itself; :func:`is_liftable` passes the eta o f it
-    divided (``_image``), so a certified lift composes it once.
+    by ``groebner.re_expands`` and raises StructureError when they differ.
+    A certificate built by hand composes eta o f itself; :func:`is_liftable`
+    passes the eta o f it divided (``_image``), so a certified lift composes
+    it once.
     """
 
     germ: MapGerm
@@ -54,9 +56,8 @@ class LiftCertificate:
         germ = self.germ
         check_field(self.eta, germ.target, "the target of the germ")
         check_field(self.xi, germ.source, "the source of the germ")
-        lhs = combine(germ.source, germ.p, self.xi.entries,
-                      tf_generators(germ).generators)
-        if lhs != (wf_apply(self.eta, germ) if _image is None else _image):
+        image = wf_apply(self.eta, germ) if _image is None else _image
+        if not re_expands(image, self.xi.entries, tf_generators(germ)):
             raise StructureError("certificate identity df(xi) = eta o f failed")
 
 

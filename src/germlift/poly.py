@@ -131,7 +131,7 @@ class MonomialOrder:
 
     kind: str
     weights: tuple[int, ...] | None = None
-    block: int = 0
+    block: tuple[int, ...] = ()
 
     @staticmethod
     def lex() -> "MonomialOrder":
@@ -146,9 +146,9 @@ class MonomialOrder:
         return MonomialOrder("wgrevlex", weights=positive_weights(weights))
 
     @staticmethod
-    def elimination(block: int) -> "MonomialOrder":
-        """Block order eliminating the first ``block`` variables."""
-        return MonomialOrder("block", block=block)
+    def elimination(block: Iterable[int]) -> "MonomialOrder":
+        """Block order eliminating the variables at positions ``block``, in that order."""
+        return MonomialOrder("block", block=tuple(block))
 
     def heap_key(self, e: Exp) -> tuple[int, ...]:
         """A flat int tuple, least for the greatest monomial, so ``min``
@@ -164,8 +164,8 @@ class MonomialOrder:
         if self.kind == "lex":
             return tuple(-x for x in e)
         if self.kind == "block":
-            hi = e[:self.block]
-            lo = e[self.block:]
+            hi = tuple([e[i] for i in self.block])
+            lo = tuple([x for i, x in enumerate(e) if i not in self.block])
             return (-sum(hi),) + hi[::-1] + (-sum(lo),) + lo[::-1]
         raise ValueError(f"unknown order kind {self.kind!r}")
 

@@ -109,7 +109,7 @@ def _run_transport(task, budget) -> Report:
     H, H_inv, src, exp = task["map"], task["inverse"], task["fields"], task["expect"]
     bad = []
     for i, (eta, want) in enumerate(zip(src.fields, exp.fields)):
-        got = push_forward(eta, H, H_inv)
+        got = push_forward(eta, H, H_inv, budget)
         if got != want:
             bad.append(i)
     if bad:

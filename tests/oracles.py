@@ -277,7 +277,8 @@ def order_key(order, e):
     if order.kind == "lex":
         return e
     if order.kind == "block":
-        return (_grevlex(e[:order.block]), _grevlex(e[order.block:]))
+        return (_grevlex(tuple(e[i] for i in order.block)),
+                _grevlex(tuple(x for i, x in enumerate(e) if i not in order.block)))
     raise ValueError(f"unknown order kind {order.kind!r}")
 
 

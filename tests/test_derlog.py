@@ -622,6 +622,37 @@ def test_discriminant_certificate_checks_the_elimination_route(monkeypatch):
         discriminant(f)
 
 
+def test_discriminant_certificate_refuses_a_multiple_on_the_norm_route(monkeypatch):
+    # h*(U + 1) passes the division of h o f by det(df), as any multiple of
+    # h does; the norm, a scalar times h, is not divisible by it
+    src, tgt = VarSet(["u", "x"]), VarSet(["U", "X"])
+    f = MapGerm(src, tgt, [parse_poly("u", src), parse_poly("x^3 + u*x", src)])
+    det = determinant(jacobian(f))
+    h = discriminant(f).h
+    assert h == parse_poly("4*U^3 + 27*X^2", tgt)
+    multiple = h * parse_poly("U + 1", tgt)
+    _certify_discriminant(f, multiple, det)
+    real = squarefree_part
+    monkeypatch.setattr(derlog, "squarefree_part",
+                        lambda p, budget=None: real(p, budget) * parse_poly("U + 1", tgt))
+    with pytest.raises(StructureError, match="norm"):
+        discriminant(f)
+
+
+def _no_norm(*args, **kwargs):
+    raise AssertionError("discriminant took the norm")
+
+
+@pytest.mark.parametrize("texts", [("x", "y"), ("x^2 + y", "y^2 + x")])
+def test_discriminant_of_a_submersion_is_refused_before_either_route(texts, monkeypatch):
+    src, tgt = VarSet(["x", "y"]), VarSet(["X", "Y"])
+    f = MapGerm(src, tgt, [parse_poly(t, src) for t in texts])
+    monkeypatch.setattr(derlog, "_free_norm", _no_norm)
+    monkeypatch.setattr(derlog, "eliminate", _no_elimination)
+    with pytest.raises(StructureError, match="submersion at 0"):
+        discriminant(f)
+
+
 def _germ2(*texts):
     src, tgt = VarSet(["x", "y"]), VarSet(["X", "Y"])
     return MapGerm(src, tgt, [parse_poly(t, src) for t in texts])

@@ -254,9 +254,9 @@ def test_inverse_pair_checked_once_and_refused_every_time(monkeypatch):
     composed = []
     compose = MapGerm.compose
 
-    def counted(self, inner):
+    def counted(self, inner, budget=None):
         composed.append(1)
-        return compose(self, inner)
+        return compose(self, inner, budget)
 
     monkeypatch.setattr(MapGerm, "compose", counted)
     eta = _field5(R, "2*U1", "2*V1", "V2", "3*W1", "3*W2")

@@ -76,7 +76,7 @@ BASES = {
     "grevlex": MonomialOrder.grevlex(),
     "lex": MonomialOrder.lex(),
     "wgrevlex": MonomialOrder.wgrevlex([3, 1, 2]),
-    "block": MonomialOrder.elimination(1),
+    "block": MonomialOrder.elimination([0]),
 }
 
 

@@ -104,10 +104,10 @@ def test_certified_lift_re_expands_its_identity_once(monkeypatch):
     compute_gb(tf_generators(H2))
     calls = []
     for module in (lifting, groebner):
-        def counted(*args, _module=module, _real=module.combine):
+        def counted(*args, _module=module, _real=module.re_expands):
             calls.append(_module.__name__)
             return _real(*args)
-        monkeypatch.setattr(module, "combine", counted)
+        monkeypatch.setattr(module, "re_expands", counted)
     res = is_liftable(H2, _field(H2.target, "4*X", "3*Y", "5*Z"))
     assert res.certified
     assert calls == ["germlift.lifting"]

@@ -220,7 +220,7 @@ def test_orders_are_multiplicative_well_orders():
         MonomialOrder.lex(),
         MonomialOrder.grevlex(),
         MonomialOrder.wgrevlex((3, 1, 2)),
-        MonomialOrder.elimination(1),
+        MonomialOrder.elimination([0]),
     ]
     zero = (0, 0, 0)
     for order in orders:
@@ -241,7 +241,7 @@ def test_orders_are_multiplicative_well_orders():
 
 
 def test_elimination_order_blocks_dominate():
-    order = MonomialOrder.elimination(1)
+    order = MonomialOrder.elimination([0])
     # anything containing the first variable beats anything that does not
     assert order.heap_key((1, 0, 0)) < order.heap_key((0, 9, 9))
 

@@ -314,3 +314,11 @@ def test_paper_suite_seconds_limit_each_task(only):
     assert [(r.task_id, r.verdict) for r in reports] == [(only, TIMEOUT)]
     assert reports[0].details == ["time limit 0s exceeded"]
     assert set(reports[0].counters) == {"reductions", "s_pairs", "zero_reductions"}
+
+
+def test_paper_suite_seconds_limit_a_transport():
+    # push_forward composes through MapGerm.compose, wf_apply and pull_back,
+    # each reading the task's budget
+    reports = run_paper_suite(only="hk2.transport", seconds=0)
+    assert [(r.task_id, r.verdict) for r in reports] == [("hk2.transport", TIMEOUT)]
+    assert reports[0].details == ["time limit 0s exceeded"]
