@@ -48,6 +48,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     VarSet,
+    _cleared,
     determinant,
     exact_divide,
     fresh_name,
@@ -164,7 +165,7 @@ def poly_gcd(a: Polynomial, b: Polynomial, budget: Budget | None = None) -> Poly
         return integer_normalize(b)
     if b.is_zero:
         return integer_normalize(a)
-    return integer_normalize(exact_divide(b, _cofactor(a, b, budget)))
+    return integer_normalize(exact_divide(b, _cofactor(a, b, budget), budget))
 
 
 # the point at which squarefree_part's certificate evaluates the other
@@ -203,9 +204,8 @@ def _certified_squarefree(h: Polynomial) -> bool:
     ``g_a^2`` divides ``h_a`` with ``deg g_a = deg_v g``: a ``h_a`` prime
     to its derivative therefore proves ``h`` squarefree.
     """
-    den = reduce(lambda m, c: m * c.denominator // gcd(m, c.denominator),
-                 h.terms.values(), 1)
-    terms = [(e, int(c * den)) for e, c in h.terms.items()]
+    (cleared,), _ = _cleared(h)
+    terms = cleared.items()
     for i in range(len(h.ring)):
         d = max(e[i] for e, _ in terms)
         top = [e for e, _ in terms if e[i] == d]
@@ -244,7 +244,7 @@ def squarefree_part(h: Polynomial, budget: Budget | None = None) -> Polynomial:
         g = poly_gcd(g, d, budget)
         if g.total_degree() == 0:
             break
-    return integer_normalize(exact_divide(h, g))
+    return integer_normalize(exact_divide(h, g, budget))
 
 
 def _bare_variable(p: Polynomial) -> str | None:
@@ -341,7 +341,7 @@ def _certify_discriminant(f: MapGerm, h: Polynomial, det: Polynomial,
         checks.append((norm, h, "h does not divide the norm of det(df)"))
     for a, b, failed in checks:
         try:
-            exact_divide(a, b)
+            exact_divide(a, b, budget)
         except NotDivisible:
             raise StructureError(f"discriminant certificate failed: {failed}") from None
 

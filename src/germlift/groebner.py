@@ -111,8 +111,9 @@ class Budget:
     cap and :meth:`check_clock` checks the deadline; a limit that is passed
     raises :class:`GroebnerTimeout` with :meth:`stats` attached.  The clock
     is read per S-pair, every 512 reductions, and wherever other work calls
-    :meth:`check_clock` (``poly.determinant``, once per pivot, and
-    ``poly.compose``, before each product for a monomial image).
+    :meth:`check_clock` (``poly.determinant``, once per pivot,
+    ``poly.exact_divide``, once per division, and ``poly.compose``, before
+    each product for a monomial image).
     """
 
     max_reductions: int | None = 4_000_000

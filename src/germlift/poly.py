@@ -17,6 +17,14 @@ variables to 0 is an exponent filter: over the same ring
 another ring (:func:`zero_section`).  Exact division pops the remainder's
 terms from a heap (:func:`exact_divide`), and a determinant of a matrix of
 polynomials is one fraction-free elimination (:func:`determinant`).
+
+Exact division, the determinant and :func:`integer_normalize` work on
+integer coefficients: :func:`_cleared` scales their inputs to integers,
+and the result is scaled back with one Fraction per term.  Both exact
+algorithms divide by one integer loop (:func:`_divide`).  Exact division
+first divides the divisor by its content; by Gauss's lemma a quotient by a
+primitive integer polynomial has integer coefficients when it exists, so a
+lead coefficient that does not divide refuses the division.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
@@ -544,38 +552,54 @@ def fresh_name(ring: VarSet, stem: str) -> str:
     return name
 
 
-def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Return ``q`` with ``a == q*b``; raise :class:`NotDivisible` otherwise.
+def _cleared(*polys: Polynomial) -> tuple[list[dict[Exp, int]], int]:
+    """``([den * p for p in polys], den)`` as integer term dicts, with
+    ``den`` the lcm of the denominators of all their coefficients."""
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+            for p in polys], den
 
-    Long division by the leading term of ``b`` in the ring's default order.
-    The remainder is a term dict whose terms sit in a heap of heap keys,
-    each pushed when it enters the remainder, so each step pops the greatest
-    remaining term without a rescan; a popped term that has since cancelled
-    is skipped.  A step only adds terms below the one it removes, so the
-    steps are those of a rescan for the leading term, and the division
-    fails at the first leading term that the lead of ``b`` does not divide.
+
+def _rational(ring: VarSet, terms: Mapping[Exp, int], num: int, den: int) -> Polynomial:
+    """The polynomial ``terms * num / den`` over ``ring``, from nonzero integer
+    ``terms``, ``num`` nonzero and ``den`` positive: one Fraction per term."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    if den == 1:
+        return Polynomial._of(ring, {e: Fraction(c * num) for e, c in terms.items()})
+    return Polynomial._of(ring, {e: Fraction(c * num, den) for e, c in terms.items()})
+
+
+def _divide(a: Mapping[Exp, int], b: Mapping[Exp, int], key) -> dict[Exp, int]:
+    """``q`` with integer coefficients and ``a == q*b``, for integer term dicts
+    with ``b`` nonzero; :class:`NotDivisible` when there is none.
+
+    Long division by the leading term of ``b`` under ``key``.  The remainder
+    is a term dict whose terms sit in a heap of heap keys, each pushed when
+    it enters the remainder, so each step pops the greatest remaining term
+    without a rescan; a popped term that has since cancelled is skipped.  A
+    step only adds terms below the one it removes, so the steps are those of
+    a rescan for the leading term, and the division fails at the first
+    leading term that the lead of ``b`` does not divide, in its exponents or
+    in its coefficient.
     """
-    a._check_same_ring(b)
-    if b.is_zero:
-        if a.is_zero:
-            return a
-        raise NotDivisible("division by zero polynomial")
-    key = a.ring.default_order().heap_key
-    eb, cb = b.leading()
-    tail = [(e, c) for e, c in b.terms.items() if e != eb]
-    rem = dict(a.terms)
+    eb = min(b, key=key)
+    cb = b[eb]
+    tail = [(e, c) for e, c in b.items() if e != eb]
+    rem = dict(a)
     heap = [(key(e), e) for e in rem]
     heapq.heapify(heap)
-    quot: dict[Exp, Fraction] = {}
+    quot: dict[Exp, int] = {}
     while heap:
         e = heapq.heappop(heap)[1]
         c = rem.pop(e, None)
         if c is None:
             continue
-        if not exp_divides(eb, e):
-            raise NotDivisible(f"{b} does not divide {a}")
+        q, r = divmod(c, cb)
+        if r or not exp_divides(eb, e):
+            raise NotDivisible
         shift = exp_sub(e, eb)
-        q = quot[shift] = c / cb
+        quot[shift] = q
         for et, ct in tail:
             t = tuple(map(add, shift, et))
             old = rem.get(t)
@@ -588,58 +612,98 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
                     rem[t] = new
                 else:
                     del rem[t]
-    return Polynomial._of(a.ring, quot)
+    return quot
+
+
+def exact_divide(a: Polynomial, b: Polynomial, budget: Budget | None = None) -> Polynomial:
+    """Return ``q`` with ``a == q*b``; raise :class:`NotDivisible` otherwise.
+
+    The division runs on integers (:func:`_divide`, in the ring's default
+    order): ``a`` and ``b`` are scaled to integer coefficients, and ``b`` is
+    divided by its content.  By Gauss's lemma a quotient by a primitive
+    integer polynomial, when there is one, has integer coefficients, so the
+    first step whose lead does not divide proves that ``b`` does not divide
+    ``a``.  The integer quotient is scaled back once, one Fraction per term.
+    With a ``budget``, :meth:`Budget.check_clock` runs once, before dividing.
+    """
+    a._check_same_ring(b)
+    if budget is not None:
+        budget.check_clock()
+    if b.is_zero:
+        if a.is_zero:
+            return a
+        raise NotDivisible("division by zero polynomial")
+    (num,), den_a = _cleared(a)
+    (prim,), den_b = _cleared(b)
+    content = gcd(*prim.values())
+    prim = {e: c // content for e, c in prim.items()}
+    try:
+        quot = _divide(num, prim, a.ring.default_order().heap_key)
+    except NotDivisible:
+        raise NotDivisible(f"{b} does not divide {a}") from None
+    return _rational(a.ring, quot, den_b, den_a * content)
 
 
 def determinant(rows: Sequence[Sequence[Polynomial]],
                 budget: Budget | None = None) -> Polynomial:
     """The determinant of a nonempty square matrix of polynomials over one
     ring, by fraction-free elimination (E. H. Bareiss, Math. Comp. 22,
-    1968).
+    1968) on integer coefficients.
 
-    Step ``k`` replaces each entry below and right of the pivot ``a[k][k]``
-    by ``(a[k][k]*a[i][j] - a[i][k]*a[k][j]) / p``, with ``p`` the previous
-    pivot.  Every such entry is then a minor of the matrix, so each division
-    is exact, and the last entry is the determinant.  A zero pivot is
-    swapped with the first lower row that is nonzero in its column, which
-    flips the sign; with none, the determinant is 0.  With a ``budget``,
-    :meth:`Budget.check_clock` runs once per pivot.
+    Each row is scaled to integer coefficients once, by the lcm of its
+    denominators, and the determinant of the scaled matrix is divided by
+    the product of those scales at the end.  Step ``k`` replaces each entry
+    below and right of the pivot ``a[k][k]`` by ``(a[k][k]*a[i][j] -
+    a[i][k]*a[k][j]) / p``, with ``p`` the previous pivot.  Every such entry
+    is then a minor of the integer matrix, so each division (:func:`_divide`)
+    is exact over the integers, and the last entry is the determinant.  A
+    zero pivot is swapped with the first lower row that is nonzero in its
+    column, which flips the sign; with none, the determinant is 0.  With a
+    ``budget``, :meth:`Budget.check_clock` runs once per pivot.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("determinant needs a nonempty square matrix")
-    a = [list(r) for r in rows]
+    first = rows[0][0]
+    ring = first.ring
+    a, scale = [], 1
+    for r in rows:
+        for p in r:
+            first._check_same_ring(p)
+        row, den = _cleared(*r)
+        a.append(row)
+        scale *= den
+    key = ring.default_order().heap_key
     negate = False
     prev = None
     for k in range(n - 1):
         if budget is not None:
             budget.check_clock()
-        if a[k][k].is_zero:
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
-                return Polynomial.zero(a[k][k].ring)
+                return Polynomial.zero(ring)
             a[k], a[swap] = a[swap], a[k]
             negate = not negate
         pivot = a[k][k]
         for i in range(k + 1, n):
+            minus = {e: -c for e, c in a[i][k].items()}
             for j in range(k + 1, n):
-                t = pivot * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = t if prev is None else exact_divide(t, prev)
+                t: dict[Exp, int] = {}
+                add_products(t, pivot, a[i][j])
+                add_products(t, minus, a[k][j])
+                t = {e: c for e, c in t.items() if c}
+                a[i][j] = t if prev is None else _divide(t, prev, key)
         prev = pivot
-    return -a[-1][-1] if negate else a[-1][-1]
+    return _rational(ring, a[-1][-1], -1 if negate else 1, scale)
 
 
 def integer_normalize(p: Polynomial) -> Polynomial:
     """Scale to coprime integer coefficients with positive leading coefficient."""
     if p.is_zero:
         return p
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
+    (terms,), _ = _cleared(p)
+    content = gcd(*terms.values())
     if p.leading()[1] < 0:
-        scale = -scale
-    return p * scale
+        content = -content
+    return Polynomial._of(p.ring, {e: Fraction(c // content) for e, c in terms.items()})

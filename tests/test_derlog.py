@@ -38,6 +38,7 @@ from germlift.groebner import Budget, eliminate, express, module_equal
 from germlift.modules import ModuleElement, Submodule
 from germlift.poly import Polynomial, VarSet, determinant, exact_divide, integer_normalize
 
+from conftest import versal
 from oracles import discriminant_reference, random_poly
 
 try:
@@ -477,16 +478,6 @@ def test_image_tangency_module_matches_certified_generators():
         assert module_equal(T.module, M), k
 
 
-def _versal(mu):
-    """The versal unfolding (x^(mu+1) + sum a_i x^i, a) of A_mu."""
-    params = [f"a{i}" for i in range(1, mu)]
-    w = [mu + 1 - i for i in range(1, mu)]
-    src = VarSet(["x"] + params, [1] + w)
-    tgt = VarSet(["X"] + [p.upper() for p in params], [mu + 1] + w)
-    first = f"x^{mu + 1}" + "".join(f" + a{i}*x^{i}" for i in range(1, mu))
-    return MapGerm(src, tgt, [parse_poly(t, src) for t in [first] + params])
-
-
 def _augmented_quartic(k):
     """(x^4 + y*x + z^k*x^2, y, z), the k-th augmentation of the quartic."""
     src = VarSet(["x", "y", "z"], [k, 3 * k, 2])
@@ -503,7 +494,7 @@ def _divisor(label):
     from germlift.suite import bundled_manifests
 
     if label in ("A3", "A4"):
-        return discriminant(_versal(int(label[1:])))
+        return discriminant(versal(int(label[1:])))
     if label.startswith("aug"):
         return discriminant(_augmented_quartic(int(label[3:])))
     (D,) = [m.divisors[label] for m in bundled_manifests() if label in m.divisors]
@@ -542,7 +533,7 @@ def _no_elimination(*args, **kwargs):
 def test_discriminant_matches_the_full_graph_ideal(label, monkeypatch):
     # every component but the first is a bare variable in these germs, and
     # the first is monic in x: the norm route, with no Groebner run
-    f = _versal(int(label[1:])) if label[0] == "A" else _augmented_quartic(int(label[3:]))
+    f = versal(int(label[1:])) if label[0] == "A" else _augmented_quartic(int(label[3:]))
     want = discriminant_reference(f)
     monkeypatch.setattr(derlog, "eliminate", _no_elimination)
     budget = Budget()
@@ -566,7 +557,7 @@ def test_bundled_discriminants_need_no_elimination(name, monkeypatch):
 
 def test_norm_route_reads_the_clock_once_per_pivot():
     with pytest.raises(GroebnerTimeout, match="time limit"):
-        discriminant(_versal(4), Budget(seconds=0))
+        discriminant(versal(4), Budget(seconds=0))
 
 
 @pytest.mark.parametrize("texts", [
@@ -596,7 +587,7 @@ def test_discriminant_off_the_norm_route_eliminates(texts, monkeypatch):
 
 
 def test_discriminant_certificate_refuses_a_wrong_equation():
-    f = _versal(3)
+    f = versal(3)
     det = determinant(jacobian(f))
     h = discriminant(f).h
     _certify_discriminant(f, h, det)

@@ -20,19 +20,22 @@ from germlift.manifest import load_manifest
 from germlift.lifting import is_liftable
 from germlift.modules import ModuleElement, proportional
 
-from conftest import fixture_path
+from conftest import fixture_path, versal
 
 SCALES = (2, -3, 5)
+# rational scales send denominators through the integer boundary of the
+# norm's determinant and of the certificate's divisions
+RATIONAL_SCALES = (Fraction(1, 2), Fraction(-3, 5), Fraction(7, 3), -2)
 
 
 def _map(source, target, texts):
     return MapGerm(source, target, [parse_poly(t, source) for t in texts])
 
 
-def _scaling(ring):
-    """``psi = diag(2, -3, 5)`` on the first coordinates of ``ring``, and
-    its inverse."""
-    scales = SCALES[:len(ring)]
+def _scaling(ring, scales=SCALES):
+    """``psi = diag(2, -3, 5)``, or the diagonal of ``scales``, on the first
+    coordinates of ``ring``, and its inverse."""
+    scales = scales[:len(ring)]
     psi = _map(ring, ring, [f"{c}*{v}" for c, v in zip(scales, ring.names)])
     psi_inv = _map(ring, ring, [f"{Fraction(1, c)}*{v}" for c, v in zip(scales, ring.names)])
     return psi, psi_inv
@@ -73,6 +76,24 @@ def test_discriminant_moves_with_the_target(name):
     # the maps of the aug.disc_* tasks
     f = load_manifest(fixture_path("augment.manifest.json")).maps[name]
     psi, psi_inv = _scaling(f.target)
+    h = discriminant(f).h
+    moved = discriminant(psi.compose(f)).h
+    ring = f.target
+    assert proportional(ModuleElement(ring, [moved]),
+                        ModuleElement(ring, [pull_back(h, psi_inv)])) is not None
+
+
+def _discriminant_germ(name):
+    if name in ("A3", "A4"):
+        return versal(int(name[1:]))
+    return load_manifest(fixture_path("augment.manifest.json")).maps[name]
+
+
+@pytest.mark.parametrize("name", ["F", "f", "A2f", "A3f", "A3", "A4"])
+def test_discriminant_moves_with_a_rational_scaling(name):
+    # psi = diag(1/2, -3/5, 7/3, -2), one scale per target coordinate
+    f = _discriminant_germ(name)
+    psi, psi_inv = _scaling(f.target, RATIONAL_SCALES)
     h = discriminant(f).h
     moved = discriminant(psi.compose(f)).h
     ring = f.target

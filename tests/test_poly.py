@@ -286,6 +286,38 @@ def test_exact_divide_random():
             exact_divide(bumped, b)
 
 
+def _clean(p: Polynomial) -> bool:
+    """Every coefficient is a nonzero Fraction: ``Polynomial._of`` checks
+    nothing, so the integer routines must build exactly that."""
+    return all(isinstance(c, Fraction) and c for c in p.terms.values())
+
+
+def test_exact_divide_on_the_integer_boundary(xy, P):
+    # every lead exponent divides, but 2x + 1 is primitive and the quotient
+    # would need a non-integer coefficient: refused by Gauss's lemma
+    with pytest.raises(NotDivisible, match=r"^2\*x \+ 1 does not divide x \+ 1$"):
+        exact_divide(P("x + 1", xy), P("2*x + 1", xy))
+    # 3xy + y^2 = y*(2x + y) + xy: dropping the remainder 1 of 3 = 1*2 + 1
+    # would leave a quotient y whose every later step divides
+    with pytest.raises(NotDivisible):
+        exact_divide(P("3*x*y + y^2", xy), P("2*x + y", xy))
+    # a divisor of content 2, a quotient that is not integral
+    q = exact_divide(P("x^2 - 1/4", xy), P("2*x + 1", xy))
+    assert q == P("1/2*x - 1/4", xy) and _clean(q)
+    # a divisor with a negative lead and denominators on both sides
+    q = exact_divide(P("-3/2*x^2*y + 1/3*y^2", xy), P("-9/2*x^2 + y", xy))
+    assert q == P("1/3*y", xy) and _clean(q)
+    assert exact_divide(P("0", xy), P("-6*x + 4", xy)).is_zero
+    for a, b in ((P("x^3 - 8/27", xy), P("3*x - 2", xy)), (P("x*y", xy), P("-x", xy))):
+        q = exact_divide(a, b)
+        assert q * b == a and _clean(q)
+
+
+def test_exact_divide_reads_the_clock(xy, P):
+    with pytest.raises(GroebnerTimeout, match="time limit"):
+        exact_divide(P("x^2 - y^2", xy), P("x + y", xy), Budget(seconds=0))
+
+
 def _random_matrix(rng, ring, n):
     return [[random_poly(rng, ring, max_deg=2, max_terms=3) for _ in range(n)]
             for _ in range(n)]
@@ -318,6 +350,25 @@ def test_determinant_matches_cofactor_expansion():
         determinant([[zero, zero]])
 
 
+def test_determinant_of_rows_with_unlike_denominators(xy, P):
+    M = [[P("1/2*x + 1", xy), P("y", xy), P("3/2", xy)],
+         [P("1/3*x*y", xy), P("x - 2/3", xy), P("y^2", xy)],
+         [P("5/6", xy), P("1/6*y - x", xy), P("1/2*x^2", xy)]]
+    det = determinant(M)
+    assert det == cofactor_determinant(M) and _clean(det)
+    assert not det.is_zero
+    # a zero first pivot: the rows and their scales are swapped, the sign flips
+    M[0][0] = P("0", xy)
+    det = determinant(M)
+    assert det == cofactor_determinant(M) and _clean(det)
+
+
+def test_determinant_refuses_entries_over_different_rings(xy, P):
+    uv = VarSet(["u", "v"])
+    with pytest.raises(AmbientError):
+        determinant([[P("x", xy), P("1", xy)], [P("u", uv), P("v", uv)]])
+
+
 def test_determinant_reads_the_clock_once_per_pivot():
     class Clock:
         reads = 0
@@ -340,6 +391,14 @@ def test_integer_normalize():
     p = parse_poly("x", R) * Fraction(-3, 4) + Polynomial.const(R, Fraction(1, 2))
     q = integer_normalize(p)
     assert q == parse_poly("3*x", R) - Polynomial.const(R, 2)
+
+
+def test_integer_normalize_builds_clean_coefficients(xy, P):
+    for text, expected in (("-4/3*x^2 + 2/9*y", "6*x^2 - y"),
+                           ("6*x*y - 4", "3*x*y - 2"),
+                           ("-1/5", "1")):
+        q = integer_normalize(P(text, xy))
+        assert q == P(expected, xy) and _clean(q), text
 
 
 def test_ambient_mismatch():
