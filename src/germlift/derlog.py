@@ -204,7 +204,7 @@ def _certified_squarefree(h: Polynomial) -> bool:
     ``g_a^2`` divides ``h_a`` with ``deg g_a = deg_v g``: a ``h_a`` prime
     to its derivative therefore proves ``h`` squarefree.
     """
-    (cleared,), _ = _cleared(h)
+    (cleared,), _ = _cleared(h.terms)
     terms = cleared.items()
     for i in range(len(h.ring)):
         d = max(e[i] for e, _ in terms)

@@ -11,9 +11,14 @@ only unary form, matching what the printer emits):
     factor := base ('^' nat)?
     base   := nat | nat '/' nat | ident | '(' expr ')'
 
-The parser evaluates while it parses: each rule returns the polynomial its
-text denotes, so a text with several faults reports the first one in text
-order.  Identifiers must be declared variables of the ring.
+The parser evaluates while it parses: each rule returns the term dict its
+text denotes, with int or Fraction coefficients, and the polynomial is
+built once, from the whole text's dict.  A product goes through
+``poly.term_product`` (by a one-term factor, an exponent add; otherwise in
+integers) and a power through ``poly.term_power``.  The tokenizer scans
+the text once, before parsing; a fault that it meets is raised only when
+the parser reaches it, so a text with several faults reports the first one
+in text order.  Identifiers must be declared variables of the ring.
 ``parse_poly(str(p), p.ring) == p`` for every polynomial: the printed
 text round-trips.
 
@@ -25,12 +30,12 @@ at the offset of the operator (or literal) at fault:
 * a power ``base^n`` of a ``v``-term base is expanded only if its
   multinomial term bound C(n+v-1, v-1) is at most ``MAX_TERMS``:
   (x+y+z+1)^20, with 1771 terms, is;
-* a product ``a*b`` is expanded only if ``len(a.terms) * len(b.terms)`` is
-  at most ``MAX_TERMS``, so (x+y+z+1)^20*(x+y+z+1)^20 is rejected;
+* a product ``a*b`` is expanded only if ``len(a) * len(b)`` is at most
+  ``MAX_TERMS``, so (x+y+z+1)^20*(x+y+z+1)^20 is rejected;
 * the term products of a whole text number at most ``MAX_PRODUCTS``: each
-  ``a*b`` counts ``len(a.terms) * len(b.terms)``, and each power of a
-  base with more than one term counts the products that
-  ``Polynomial.__pow__``'s repeated squaring makes, from the term bound
+  ``a*b`` counts ``len(a) * len(b)`` for its operands' term dicts, and
+  each power of a base with more than one term counts the products that
+  ``poly.term_power``'s repeated squaring makes, from the term bound
   of each intermediate power (:func:`_power_products`).  (x+1)^1999
   passes the term bound but would make 1.65 million products, while
   (x+y+z+1)^20 makes 62,516, so a text holds one such power and not two;
@@ -49,10 +54,11 @@ at the offset of the operator (or literal) at fault:
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
-from .errors import ExprSyntaxError, UnknownVariable
-from .poly import Polynomial, VarSet
+from .errors import AmbientError, ExprSyntaxError, UnknownVariable
+from .poly import Exp, Polynomial, VarSet, term_power, term_product
 
 MAX_NESTING = 100
 MAX_TERMS = 2000
@@ -67,7 +73,7 @@ _LONG = f"could have a coefficient longer than {MAX_DIGITS} digits"
 
 
 def _power_products(v: int, n: int) -> int:
-    """A bound on the term products that ``Polynomial.__pow__`` makes for
+    """A bound on the term products that ``poly.term_power`` makes for
     the ``n``-th power of a ``v``-term polynomial: its square-and-multiply
     loop, with each power ``k`` of the base counted as C(k+v-1, v-1) terms."""
     def size(k):
@@ -86,93 +92,107 @@ def _power_products(v: int, n: int) -> int:
     return total
 
 
-def _height(p: Polynomial) -> int:
-    """A bound on p's numerators and denominators from which those of a
-    product or power follow: every coefficient of ``a*b`` has numerator and
-    denominator at most ``_height(a) * _height(b)``, and of ``p^n`` at most
-    ``_height(p)^n``.  It is the larger of the lcm ``d`` of p's
-    denominators and the sum of ``|d*c|`` over p's coefficients ``c``."""
-    d = 1
-    for c in p.terms.values():
-        d = math.lcm(d, c.denominator)
-    return max(d, sum(abs(c.numerator) * (d // c.denominator) for c in p.terms.values()))
+def _height(terms: dict[Exp, Fraction | int]) -> int:
+    """A bound on the numerators and denominators of a term dict from which
+    those of a product or power follow: every coefficient of ``a*b`` has
+    numerator and denominator at most ``_height(a) * _height(b)``, and of
+    ``p^n`` at most ``_height(p)^n``.  It is the larger of the lcm ``d`` of
+    the denominators and the sum of ``|d*c|`` over the coefficients ``c``."""
+    if len(terms) == 1:
+        c, = terms.values()
+        return max(c.denominator, abs(c.numerator))
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return max(d, sum(abs(c.numerator) * (d // c.denominator) for c in terms.values()))
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# white space, a natural number, a word, an operator, or any other
+# character; \w and \s match exactly the characters that str.isalnum (or
+# "_") and str.isspace accept
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<nat>[0-9]+)|(?P<word>\w+)|(?P<op>[-+*^()/])|.", re.S)
 
-    def peek(self):
-        t = self.text
-        n = len(t)
-        i = self.pos
-        while i < n and t[i].isspace():
-            i += 1
-        self.pos = i
-        if i >= n:
-            return ("end", "", i)
-        ch = t[i]
-        # ASCII only: str.isdigit also accepts digits that int() rejects
-        if ch.isascii() and ch.isdigit():
-            j = i
-            while j < n and t[j].isascii() and t[j].isdigit():
-                j += 1
-            if j - i > MAX_DIGITS:
-                raise ExprSyntaxError(
-                    f"numeric literal longer than {MAX_DIGITS} digits", i)
-            return ("nat", t[i:j], i)
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (t[j].isalnum() or t[j] == "_"):
-                j += 1
-            return ("ident", t[i:j], i)
-        if ch in "+-*^()/":
-            return (ch, ch, i)
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
 
-    def next(self):
-        kind, val, off = self.peek()
-        self.pos = off + len(val)
-        return kind, val, off
+def _tokens(text: str) -> list[tuple]:
+    """The tokens of ``text`` as ``(kind, value, offset)``, scanned once,
+    up to an ``("end", "", offset)`` token.  At a character no token
+    starts with (a word must start with a letter or "_"), or a literal that
+    is too long, the list ends with ``("fault", error, offset)`` instead,
+    which the parser raises when it reaches it, so a fault earlier in the
+    text is reported first."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        if group == "space":
+            continue
+        val, off = m.group(), m.start()
+        if group == "op":
+            out.append((val, val, off))
+        elif group == "word" and (val[0].isalpha() or val[0] == "_"):
+            out.append(("ident", val, off))
+        elif group == "nat" and len(val) <= MAX_DIGITS:
+            out.append(("nat", val, off))
+        else:
+            if group == "nat":
+                fault = f"numeric literal longer than {MAX_DIGITS} digits"
+            else:
+                fault = f"unexpected character {val[0]!r}"
+            out.append(("fault", ExprSyntaxError(fault, off), off))
+            return out
+    out.append(("end", "", len(text)))
+    return out
 
 
 class _Parser:
-    """Recursive descent over the grammar above; each rule returns the
-    polynomial over ``ring`` that its text denotes."""
+    """Recursive descent over the grammar above; each rule returns the term
+    dict over ``ring`` that its text denotes, with int or Fraction
+    coefficients."""
 
     def __init__(self, text: str, ring: VarSet):
-        self.toks = _Tokenizer(text)
+        self.toks = _tokens(text)
+        self.i = 0
         self.ring = ring
+        self.zero = ring.zero_exp()
         self.depth = 0
         self.products = 0  # term products made so far, for MAX_PRODUCTS
 
+    def peek(self) -> tuple:
+        tok = self.toks[self.i]
+        if tok[0] == "fault":
+            raise tok[1]
+        return tok
+
+    def next(self) -> tuple:
+        tok = self.peek()
+        self.i += 1
+        return tok
+
     def parse(self) -> Polynomial:
         p = self.expr()
-        kind, val, off = self.toks.peek()
+        kind, val, off = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"trailing input {val!r}", off)
-        return p
+        return Polynomial._of(self.ring, {e: Fraction(c) if type(c) is int else c
+                                          for e, c in p.items()})
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         """A sum is collected in one dict, so it costs its length once.
         Each term that a ``+`` or ``-`` adds is charged to ``MAX_PRODUCTS``
         at that operator, and each coefficient it touches is checked."""
-        if self.toks.peek()[0] == "-":
-            self.toks.next()
-            first = -self.term()
+        if self.peek()[0] == "-":
+            self.i += 1
+            first = {e: -c for e, c in self.term().items()}
         else:
             first = self.term()
-        kind = self.toks.peek()[0]
-        if kind not in ("+", "-"):
-            return first
-        acc = dict(first.terms)
+        # every rule returns a dict of its own, so the sum collects in it
+        acc = first
+        kind = self.peek()[0]
         while kind in ("+", "-"):
-            off = self.toks.next()[2]
-            right = self.term() if kind == "+" else -self.term()
-            self._charge(len(right.terms), off)
-            for e, c in right.terms.items():
+            off = self.next()[2]
+            right = self.term()
+            self._charge(len(right), off)
+            for e, c in right.items():
                 s = acc.get(e)
+                if kind == "-":
+                    c = -c
                 s = c if s is None else s + c
                 if not s:
                     del acc[e]
@@ -181,34 +201,34 @@ class _Parser:
                         f"sum has a coefficient longer than {MAX_DIGITS} digits", off)
                 else:
                     acc[e] = s
-            kind = self.toks.peek()[0]
-        return Polynomial._of(self.ring, acc)
+            kind = self.peek()[0]
+        return acc
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         acc = self.factor()
         while True:
-            kind, _, off = self.toks.peek()
+            kind, _, off = self.peek()
             if kind != "*":
                 return acc
-            self.toks.next()
+            self.i += 1
             right = self.factor()
-            if len(acc.terms) * len(right.terms) > MAX_TERMS:
+            if len(acc) * len(right) > MAX_TERMS:
                 raise ExprSyntaxError(f"product {_MANY}", off)
             if _height(acc) * _height(right) >= _TOO_LONG:
                 raise ExprSyntaxError(f"product {_LONG}", off)
-            self._charge(len(acc.terms) * len(right.terms), off)
-            acc = acc * right
+            self._charge(len(acc) * len(right), off)
+            acc = term_product(acc, right)
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         base = self.base()
-        kind, _, off = self.toks.peek()
+        kind, _, off = self.peek()
         if kind != "^":
             return base
-        self.toks.next()
-        k2, val, off2 = self.toks.next()
+        self.i += 1
+        k2, val, off2 = self.next()
         if k2 != "nat":
             raise ExprSyntaxError("exponent must be a literal natural number", off2)
-        v, n = len(base.terms), int(val)
+        v, n = len(base), int(val)
         # C(n+v-1, n) > n for v > 1: a large n is rejected without computing it
         if v > 1 and (n >= MAX_TERMS or math.comb(n + v - 1, n) > MAX_TERMS):
             raise ExprSyntaxError(f"power {_MANY}", off)
@@ -218,7 +238,7 @@ class _Parser:
             raise ExprSyntaxError(f"power {_LONG}", off)
         if v > 1:
             self._charge(_power_products(v, n), off)
-        return base ** n
+        return term_power(base, n, self.zero)
 
     def _charge(self, products: int, off: int):
         """Count the term products of the operator at ``off`` against the
@@ -228,22 +248,26 @@ class _Parser:
             raise ExprSyntaxError(
                 f"text would make more than {MAX_PRODUCTS} term products", off)
 
-    def base(self) -> Polynomial:
-        kind, val, off = self.toks.next()
+    def base(self) -> dict:
+        kind, val, off = self.next()
         if kind == "nat":
-            if self.toks.peek()[0] != "/":
-                return Polynomial.const(self.ring, int(val))
-            self.toks.next()
-            k3, den, off3 = self.toks.next()
-            if k3 != "nat":
-                raise ExprSyntaxError("denominator must be a natural number", off3)
-            if int(den) == 0:
-                raise ExprSyntaxError("zero denominator", off3)
-            return Polynomial.const(self.ring, Fraction(int(val), int(den)))
+            if self.peek()[0] != "/":
+                c = int(val)
+            else:
+                self.i += 1
+                k3, den, off3 = self.next()
+                if k3 != "nat":
+                    raise ExprSyntaxError("denominator must be a natural number", off3)
+                if int(den) == 0:
+                    raise ExprSyntaxError("zero denominator", off3)
+                c = Fraction(int(val), int(den))
+            return {self.zero: c} if c else {}
         if kind == "ident":
-            if val not in self.ring.names:
-                raise UnknownVariable(val, off)
-            return Polynomial.variable(self.ring, val)
+            try:
+                i = self.ring.index(val)
+            except AmbientError:
+                raise UnknownVariable(val, off) from None
+            return {self.zero[:i] + (1,) + self.zero[i + 1:]: 1}
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ExprSyntaxError(
@@ -251,7 +275,7 @@ class _Parser:
             self.depth += 1
             p = self.expr()
             self.depth -= 1
-            k2, _, off2 = self.toks.next()
+            k2, _, off2 = self.next()
             if k2 != ")":
                 raise ExprSyntaxError("expected ')'", off2)
             return p

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import AmbientError, RankError
-from .poly import Exp, MonomialOrder, Polynomial, VarSet, add_products
+from .poly import Exp, MonomialOrder, Polynomial, VarSet, _cleared, _rational, add_products
 
 
 class ModuleElement:
@@ -114,26 +114,40 @@ def combine(ring: VarSet, rank: int, coeffs: Iterable,
             gens: Iterable[ModuleElement]) -> ModuleElement:
     """sum(coeffs_i * gens_i), the zero vector of ``rank`` for no terms.
 
-    Every term product is summed into one term dict per component, and
-    each component becomes a polynomial once, at the end.  A coefficient
-    is a Polynomial over ``ring``, a Fraction or an int.
+    A coefficient is a Polynomial over ``ring``, a Fraction or an int.
+    The coefficients are scaled to integers by one common denominator, and
+    the generators' entries by another (``poly._cleared``).  Every term
+    product is summed in ``int`` into one term dict per component, and
+    each component becomes a polynomial once, at the end, with one
+    Fraction per term.
     """
-    acc: list[dict[Exp, Fraction]] = [{} for _ in range(rank)]
+    cs, gs, at = [], [], []  # coefficients, nonzero entries, (coefficient, component)
     for c, g in zip(coeffs, gens):
         if g.ring is not ring and g.ring != ring:
             raise AmbientError("module elements over different rings")
         if g.rank != rank:
             raise RankError(f"rank mismatch: {rank} vs {g.rank}")
         if isinstance(c, (int, Fraction)):
-            c = {ring.zero_exp(): Fraction(c)} if c else {}
-        else:
+            c = {ring.zero_exp(): c} if c else {}
+        elif isinstance(c, Polynomial):
             if c.ring is not ring and c.ring != ring:
                 raise AmbientError(f"ambient mismatch: {ring!r} vs {c.ring!r}")
             c = c.terms
-        for d, p in zip(acc, g.entries):
-            add_products(d, c, p.terms)
-    return ModuleElement(ring, [Polynomial._of(ring, {e: v for e, v in d.items() if v})
-                                for d in acc])
+        else:
+            raise TypeError(f"a coefficient must be a Polynomial, int or Fraction, not {c!r}")
+        if not c:
+            continue
+        for j, p in enumerate(g.entries):
+            if p.terms:
+                gs.append(p.terms)
+                at.append((len(cs), j))
+        cs.append(c)
+    cs, dc = _cleared(*cs)
+    gs, dg = _cleared(*gs)
+    acc: list[dict[Exp, int]] = [{} for _ in range(rank)]
+    for (i, j), p in zip(at, gs):
+        add_products(acc[j], cs[i], p)
+    return ModuleElement(ring, [Polynomial._of(ring, _rational(d, 1, dc * dg)) for d in acc])
 
 
 class Submodule:

@@ -1,8 +1,9 @@
 """Exact multivariate polynomials over the rationals.
 
 Coefficients are :class:`fractions.Fraction` throughout; there is no floating
-point anywhere in the package.  Monomials are dense exponent tuples whose
-length is fixed by the ambient :class:`VarSet`.
+point anywhere in the package, and a float coefficient or exponent is
+refused with a :class:`TypeError`.  Monomials are dense exponent tuples
+whose length is fixed by the ambient :class:`VarSet`.
 
 Composition has one routine, :func:`compose`: it sums ``c_e * img^e`` into
 one term dict, taking each monomial image ``img^e`` from a cache that the
@@ -18,13 +19,17 @@ another ring (:func:`zero_section`).  Exact division pops the remainder's
 terms from a heap (:func:`exact_divide`), and a determinant of a matrix of
 polynomials is one fraction-free elimination (:func:`determinant`).
 
-Exact division, the determinant and :func:`integer_normalize` work on
-integer coefficients: :func:`_cleared` scales their inputs to integers,
-and the result is scaled back with one Fraction per term.  Both exact
-algorithms divide by one integer loop (:func:`_divide`).  Exact division
-first divides the divisor by its content; by Gauss's lemma a quotient by a
-primitive integer polynomial has integer coefficients when it exists, so a
-lead coefficient that does not divide refuses the division.
+Products of several terms by several (:func:`term_product`), powers of
+several terms (:func:`term_power`), ``modules.combine``, exact division,
+the determinant and :func:`integer_normalize` work on integer
+coefficients: :func:`_cleared` scales their inputs to integers, and the
+result is scaled back with one Fraction per term (:func:`_rational`).
+Every term product is summed by one loop (:func:`add_products`).  Both
+exact algorithms divide by one integer loop (:func:`_divide`).  Exact
+division first divides the divisor by its content; by Gauss's lemma a
+quotient by a primitive integer polynomial has integer coefficients when
+it exists, so a lead coefficient that does not divide refuses the
+division.  :func:`compose` sums its ``c_e * img^e`` in Fractions.
 """
 
 from __future__ import annotations
@@ -183,13 +188,13 @@ class Polynomial:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: VarSet, terms: Mapping[Exp, Fraction] | None = None):
+    def __init__(self, ring: VarSet, terms: Mapping[Exp, Fraction | int] | None = None):
         self.ring = ring
         clean: dict[Exp, Fraction] = {}
         if terms:
             for e, c in terms.items():
                 if not isinstance(c, Fraction):
-                    c = Fraction(c)
+                    c = _exact(c)
                 if c:
                     clean[tuple(e)] = c
         self.terms = clean
@@ -210,7 +215,7 @@ class Polynomial:
 
     @staticmethod
     def const(ring: VarSet, c) -> "Polynomial":
-        return Polynomial(ring, {ring.zero_exp(): Fraction(c)})
+        return Polynomial(ring, {ring.zero_exp(): c})
 
     @staticmethod
     def variable(ring: VarSet, name: str) -> "Polynomial":
@@ -218,7 +223,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(ring: VarSet, exp: Exp, coeff=ONE) -> "Polynomial":
-        return Polynomial(ring, {tuple(exp): Fraction(coeff)})
+        return Polynomial(ring, {tuple(exp): coeff})
 
     # -- structure ---------------------------------------------------------
 
@@ -262,23 +267,11 @@ class Polynomial:
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        """The product; by a one-term factor it is a shift of the other
-        factor's exponents, made without summing."""
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Polynomial.zero(self.ring)
-            return Polynomial._of(self.ring, {e: k * c for e, k in self.terms.items()})
+        """The product (:func:`term_product`); an int or Fraction factor is
+        a constant polynomial."""
+        other = self._coerce(other)
         self._check_same_ring(other)
-        a, b = self.terms, other.terms
-        if len(a) == 1 or len(b) == 1:
-            # distinct exponents stay distinct and no coefficient vanishes
-            return Polynomial._of(self.ring, {
-                tuple(map(add, e1, e2)): c1 * c2
-                for e1, c1 in a.items() for e2, c2 in b.items()})
-        res: dict[Exp, Fraction] = {}
-        add_products(res, a, b)
-        return Polynomial._of(self.ring, {e: c for e, c in res.items() if c})
+        return Polynomial._of(self.ring, term_product(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -287,27 +280,9 @@ class Polynomial:
         return self.power(n)
 
     def power(self, n: int, budget: Budget | None = None) -> "Polynomial":
-        """The ``n``-th power: of one term, its coefficient to the ``n`` and
-        its exponents times ``n``; otherwise by repeated squaring.  With a
-        ``budget``, :meth:`Budget.check_clock` runs before each product."""
-        if n < 0:
-            raise ValueError("negative exponents are outside the polynomial model")
-        if len(self.terms) == 1:
-            (e, c), = self.terms.items()
-            return Polynomial._of(self.ring, {tuple(k * n for k in e): c ** n})
-        result = Polynomial.const(self.ring, 1)
-        base = self
-        while n:
-            if n & 1:
-                if budget is not None:
-                    budget.check_clock()
-                result = result * base
-            if n > 1:
-                if budget is not None:
-                    budget.check_clock()
-                base = base * base
-            n >>= 1
-        return result
+        """The ``n``-th power (:func:`term_power`).  With a ``budget``,
+        :meth:`Budget.check_clock` runs before each product."""
+        return Polynomial._of(self.ring, term_power(self.terms, n, self.ring.zero_exp(), budget))
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -376,8 +351,9 @@ class Polynomial:
         return compose(self, images, target, {})
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Exact evaluation at a rational point (all variables required)."""
-        vals = [Fraction(point[n]) for n in self.ring.names]
+        """Exact evaluation at a rational point (all variables required); a
+        coordinate that is not an int or Fraction raises :class:`TypeError`."""
+        vals = [_exact(point[n]) for n in self.ring.names]
         total = ZERO
         for e, c in self.terms.items():
             v = c
@@ -447,9 +423,8 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def add_products(acc: dict[Exp, Fraction], a: Mapping[Exp, Fraction],
-                 b: Mapping[Exp, Fraction]) -> None:
-    """Add the product of the term dicts ``a`` and ``b`` into ``acc``.
+def add_products(acc: dict[Exp, int], a: Mapping[Exp, int], b: Mapping[Exp, int]) -> None:
+    """Add the product of the integer term dicts ``a`` and ``b`` into ``acc``.
 
     Sums that cancel stay in ``acc`` as zero coefficients; whoever wraps
     ``acc`` as a polynomial drops them once, at the end.
@@ -459,6 +434,77 @@ def add_products(acc: dict[Exp, Fraction], a: Mapping[Exp, Fraction],
             e = tuple(map(add, e1, e2))
             s = acc.get(e)
             acc[e] = c1 * c2 if s is None else s + c1 * c2
+
+
+def _int_product(a: Mapping[Exp, int], b: Mapping[Exp, int]) -> dict[Exp, int]:
+    """The product of two integer term dicts, without zero coefficients."""
+    acc: dict[Exp, int] = {}
+    add_products(acc, a, b)
+    return {e: c for e, c in acc.items() if c}
+
+
+def term_product(a: Mapping[Exp, Fraction], b: Mapping[Exp, Fraction]) -> dict[Exp, Fraction]:
+    """The product of two term dicts with nonzero rational (Fraction or
+    int) coefficients, as another.
+
+    By a one-term factor it is a shift of the other factor's exponents:
+    distinct exponents stay distinct and no coefficient vanishes, and a
+    coefficient 1 leaves the other factor's coefficients as they are.
+    Otherwise both factors are scaled to integers by one denominator
+    (:func:`_cleared`), every term product is summed in ``int``
+    (:func:`add_products`), and the sum is scaled back with one Fraction
+    per term (:func:`_rational`).  So the coefficients are Fractions when
+    the inputs' are, and only a shift can leave ``int`` ones.
+    """
+    if len(a) == 1 or len(b) == 1:
+        if len(a) != 1:
+            a, b = b, a
+        (e1, c1), = a.items()
+        if c1 == 1:
+            return {tuple(map(add, e1, e2)): c2 for e2, c2 in b.items()}
+        return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+    (ia, ib), den = _cleared(a, b)
+    acc: dict[Exp, int] = {}
+    add_products(acc, ia, ib)
+    return _rational(acc, 1, den * den)
+
+
+def term_power(terms: Mapping[Exp, Fraction], n: int, zero: Exp,
+               budget: Budget | None = None) -> dict[Exp, Fraction]:
+    """The ``n``-th power of a term dict with nonzero rational (Fraction or
+    int) coefficients, whose exponents have the length of ``zero``, the
+    exponent of 1.
+
+    Of one term it is the coefficient to the ``n`` and the exponents times
+    ``n``.  Otherwise the base is scaled to integers once and raised by
+    repeated squaring in ``int``, starting from 1, and the power is scaled
+    back with one Fraction per term.  With a ``budget``,
+    :meth:`Budget.check_clock` runs before each product.  An exponent that
+    is not an ``int`` raises :class:`TypeError`, a negative one
+    :class:`ValueError`, before any work.
+    """
+    if type(n) is not int:
+        raise TypeError(f"exponent must be an int, not {type(n).__name__} {n!r}")
+    if n < 0:
+        raise ValueError("negative exponents are outside the polynomial model")
+    if len(terms) == 1:
+        (e, c), = terms.items()
+        return {tuple(k * n for k in e): c ** n}
+    (base,), den = _cleared(terms)
+    # from 1, so the products are those that exprio._power_products counts
+    result = {zero: 1}
+    k = n
+    while k:
+        if k & 1:
+            if budget is not None:
+                budget.check_clock()
+            result = _int_product(result, base)
+        if k > 1:
+            if budget is not None:
+                budget.check_clock()
+            base = _int_product(base, base)
+        k >>= 1
+    return _rational(result, 1, den ** n)
 
 
 def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
@@ -552,22 +598,35 @@ def fresh_name(ring: VarSet, stem: str) -> str:
     return name
 
 
-def _cleared(*polys: Polynomial) -> tuple[list[dict[Exp, int]], int]:
-    """``([den * p for p in polys], den)`` as integer term dicts, with
+def _exact(c) -> Fraction:
+    """``c``, a Fraction or an int, as a Fraction; :class:`TypeError` for
+    anything else, floats included."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__} {c!r}")
+
+
+def _cleared(*terms: Mapping[Exp, Fraction]) -> tuple[list[dict[Exp, int]], int]:
+    """``([den * t for t in terms], den)`` as integer term dicts, with
     ``den`` the lcm of the denominators of all their coefficients."""
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return [{e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-            for p in polys], den
+    den = lcm(*[c.denominator for t in terms for c in t.values()])
+    if den == 1:
+        return [{e: c.numerator for e, c in t.items()} for t in terms], 1
+    return [{e: c.numerator * (den // c.denominator) for e, c in t.items()}
+            for t in terms], den
 
 
-def _rational(ring: VarSet, terms: Mapping[Exp, int], num: int, den: int) -> Polynomial:
-    """The polynomial ``terms * num / den`` over ``ring``, from nonzero integer
-    ``terms``, ``num`` nonzero and ``den`` positive: one Fraction per term."""
+def _rational(terms: Mapping[Exp, int], num: int, den: int) -> dict[Exp, Fraction]:
+    """The term dict ``terms * num / den`` without its zero terms, from
+    integer ``terms``, ``num`` nonzero and ``den`` positive: one Fraction
+    per term."""
     g = gcd(num, den)
     num, den = num // g, den // g
     if den == 1:
-        return Polynomial._of(ring, {e: Fraction(c * num) for e, c in terms.items()})
-    return Polynomial._of(ring, {e: Fraction(c * num, den) for e, c in terms.items()})
+        return {e: Fraction(c * num) for e, c in terms.items() if c}
+    return {e: Fraction(c * num, den) for e, c in terms.items() if c}
 
 
 def _divide(a: Mapping[Exp, int], b: Mapping[Exp, int], key) -> dict[Exp, int]:
@@ -633,15 +692,15 @@ def exact_divide(a: Polynomial, b: Polynomial, budget: Budget | None = None) -> 
         if a.is_zero:
             return a
         raise NotDivisible("division by zero polynomial")
-    (num,), den_a = _cleared(a)
-    (prim,), den_b = _cleared(b)
+    (num,), den_a = _cleared(a.terms)
+    (prim,), den_b = _cleared(b.terms)
     content = gcd(*prim.values())
     prim = {e: c // content for e, c in prim.items()}
     try:
         quot = _divide(num, prim, a.ring.default_order().heap_key)
     except NotDivisible:
         raise NotDivisible(f"{b} does not divide {a}") from None
-    return _rational(a.ring, quot, den_b, den_a * content)
+    return Polynomial._of(a.ring, _rational(quot, den_b, den_a * content))
 
 
 def determinant(rows: Sequence[Sequence[Polynomial]],
@@ -670,7 +729,7 @@ def determinant(rows: Sequence[Sequence[Polynomial]],
     for r in rows:
         for p in r:
             first._check_same_ring(p)
-        row, den = _cleared(*r)
+        row, den = _cleared(*[p.terms for p in r])
         a.append(row)
         scale *= den
     key = ring.default_order().heap_key
@@ -695,14 +754,14 @@ def determinant(rows: Sequence[Sequence[Polynomial]],
                 t = {e: c for e, c in t.items() if c}
                 a[i][j] = t if prev is None else _divide(t, prev, key)
         prev = pivot
-    return _rational(ring, a[-1][-1], -1 if negate else 1, scale)
+    return Polynomial._of(ring, _rational(a[-1][-1], -1 if negate else 1, scale))
 
 
 def integer_normalize(p: Polynomial) -> Polynomial:
     """Scale to coprime integer coefficients with positive leading coefficient."""
     if p.is_zero:
         return p
-    (terms,), _ = _cleared(p)
+    (terms,), _ = _cleared(p.terms)
     content = gcd(*terms.values())
     if p.leading()[1] < 0:
         content = -content

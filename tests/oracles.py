@@ -510,6 +510,14 @@ def discriminant_reference(f, budget=None) -> Polynomial:
     return integer_normalize(exact_divide(h, g))
 
 
+def clean(p: Polynomial) -> bool:
+    """Every coefficient is a nonzero Fraction and every exponent fits the
+    ring: ``Polynomial._of`` checks nothing, so the routines that build
+    term dicts themselves must build exactly that."""
+    return all(isinstance(c, Fraction) and c and len(e) == len(p.ring)
+               for e, c in p.terms.items())
+
+
 def mul_terms(a: dict, b: dict) -> dict:
     """The product of two term dicts, every term product summed and the
     zero sums dropped at the end."""

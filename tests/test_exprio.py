@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germlift import exprio
+from germlift import exprio, poly
 from germlift.errors import ExprSyntaxError, UnknownVariable
 from germlift.exprio import (
     MAX_DIGITS,
@@ -16,7 +16,7 @@ from germlift.exprio import (
     _power_products,
     parse_poly,
 )
-from germlift.poly import Polynomial, VarSet
+from germlift.poly import VarSet
 
 from oracles import random_poly
 
@@ -106,15 +106,16 @@ def test_power_term_count_is_bounded():
 
 def test_power_work_is_bounded(monkeypatch):
     xyz = VarSet(["x", "y", "z"])
-    # the count is exact for a dense base: every power has all its terms
+    # the count is exact for a dense base: every power has all its terms.
+    # Every term product of a power is made in poly.add_products.
     made = []
-    mul = Polynomial.__mul__
+    add_products = poly.add_products
 
-    def counting(a, b):
-        made.append(len(a.terms) * len(b.terms))
-        return mul(a, b)
+    def counting(acc, a, b):
+        made.append(len(a) * len(b))
+        return add_products(acc, a, b)
 
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(poly, "add_products", counting)
     assert len(parse_poly("(x + y + z + 1)^20", xyz).terms) == 1771
     assert sum(made) == _power_products(4, 20) <= MAX_PRODUCTS
     made.clear()
@@ -224,6 +225,96 @@ def test_first_fault_in_text_order_is_reported(xy):
         with pytest.raises(ExprSyntaxError) as e:
             parse_poly(text, xy)
         assert e.value.offset == offset
+
+
+# Faulty texts, each with the message and offset that it has always been
+# refused with: the evaluation order of the rules and of the bounds decides
+# which of several faults is reported, so these pin that order.
+_ONE = "(x + y + z + 1)^20"
+_CHAIN = "*".join(["(x + y)"] * 200)
+_LONGEST = "9" * MAX_DIGITS
+_NINES = "9" * (MAX_DIGITS // 2)
+_SMALL = f"1/{10 ** 999 + 1}*x"
+
+_FAULTS = [
+    ("x + ?", ExprSyntaxError, "unexpected character '?'", 4),
+    ("x^¹", ExprSyntaxError, "unexpected character '¹'", 2),
+    ("(" * 5000 + "x" + ")" * 5000, ExprSyntaxError, 'parentheses nested deeper than 100', 100),
+    ("2*(x + y + z + 1)^40", ExprSyntaxError, 'power would expand to more than 2000 terms', 17),
+    ("y + (x + 1)^1999", ExprSyntaxError, 'text would make more than 100000 term products', 11),
+    (f"{_ONE} + {_ONE}", ExprSyntaxError, 'text would make more than 100000 term products', 36),
+    (f"{_ONE} + {_CHAIN}", ExprSyntaxError, 'text would make more than 100000 term products', 1556),
+    ("y + (x + y + z)^8 * (x + y + z)^8", ExprSyntaxError, 'product would expand to more than 2000 terms', 18),
+    ("x + " + "1" * (MAX_DIGITS + 1), ExprSyntaxError, 'numeric literal longer than 1000 digits', 4),
+    ("x^" + "9" * 5000, ExprSyntaxError, 'numeric literal longer than 1000 digits', 2),
+    ("x + 1/" + "7" * 5000, ExprSyntaxError, 'numeric literal longer than 1000 digits', 6),
+    ("x + 2^3322", ExprSyntaxError, 'power could have a coefficient longer than 1000 digits', 5),
+    ("(1/2*x)^3322", ExprSyntaxError, 'power could have a coefficient longer than 1000 digits', 7),
+    (f"{_NINES}*{_NINES}9*y", ExprSyntaxError, 'product could have a coefficient longer than 1000 digits', 500),
+    ("(1000*x + 1)^1999", ExprSyntaxError, 'power could have a coefficient longer than 1000 digits', 12),
+    ("x^100000*2^3321*2", ExprSyntaxError, 'product could have a coefficient longer than 1000 digits', 15),
+    (f"{_SMALL} + 1/{10 ** 999 + 3}*x", ExprSyntaxError, 'sum has a coefficient longer than 1000 digits', 1005),
+    (f"{_SMALL} - 1/{10 ** 999 + 3}*x", ExprSyntaxError, 'sum has a coefficient longer than 1000 digits', 1005),
+    (f"x + {_LONGEST}*y + {_LONGEST}*y", ExprSyntaxError, 'sum has a coefficient longer than 1000 digits', 1007),
+    (f"-{_LONGEST}*y - {_LONGEST}*y", ExprSyntaxError, 'sum has a coefficient longer than 1000 digits', 1004),
+    ("(x + y + 1)^2001 + ?", ExprSyntaxError, 'power would expand to more than 2000 terms', 11),
+    ("q + x)", UnknownVariable, "unknown variable 'q'", 0),
+    ("x*q + (y", UnknownVariable, "unknown variable 'q'", 2),
+    ("2^20000 + 1/0", ExprSyntaxError, 'power could have a coefficient longer than 1000 digits', 1),
+    ("x + q", UnknownVariable, "unknown variable 'q'", 4),
+    ("2 x", ExprSyntaxError, "trailing input 'x'", 2),
+    ("x/2", ExprSyntaxError, "trailing input '/'", 1),
+    ("x^-1", ExprSyntaxError, 'exponent must be a literal natural number', 2),
+    ("1/0", ExprSyntaxError, 'zero denominator', 2),
+    ("x + y)", ExprSyntaxError, "trailing input ')'", 5),
+    ("1/2^3/4", ExprSyntaxError, "trailing input '/'", 5),
+    ("x^2/3", ExprSyntaxError, "trailing input '/'", 3),
+    ("(x + y)/2", ExprSyntaxError, "trailing input '/'", 7),
+    ("1/(2*x)", ExprSyntaxError, 'denominator must be a natural number', 2),
+    ("1/x", ExprSyntaxError, 'denominator must be a natural number', 2),
+    ("x^(2)", ExprSyntaxError, 'exponent must be a literal natural number', 2),
+    ("x^y", ExprSyntaxError, 'exponent must be a literal natural number', 2),
+    ("x^2^3", ExprSyntaxError, "trailing input '^'", 3),
+    ("((x + y)", ExprSyntaxError, "expected ')'", 8),
+    ("(x + y))", ExprSyntaxError, "trailing input ')'", 7),
+    ("q^2", UnknownVariable, "unknown variable 'q'", 0),
+    ("(q + 1)^2", UnknownVariable, "unknown variable 'q'", 1),
+    ("1/2*q", UnknownVariable, "unknown variable 'q'", 4),
+    ("(x + 1/0)^2", ExprSyntaxError, 'zero denominator', 7),
+    ("1/-2", ExprSyntaxError, 'denominator must be a natural number', 2),
+    ("()", ExprSyntaxError, "unexpected token ')'", 1),
+    ("", ExprSyntaxError, "unexpected token ''", 0),
+    ("-", ExprSyntaxError, "unexpected token ''", 1),
+    ("--x", ExprSyntaxError, "unexpected token '-'", 1),
+    ("+x", ExprSyntaxError, "unexpected token '+'", 0),
+    ("x*", ExprSyntaxError, "unexpected token ''", 2),
+    ("x^", ExprSyntaxError, 'exponent must be a literal natural number', 2),
+    ("1/", ExprSyntaxError, 'denominator must be a natural number', 2),
+    ("x + (y*(1/2 + q))^3", UnknownVariable, "unknown variable 'q'", 14),
+    ("(x^2 + 1/3)^2*w", UnknownVariable, "unknown variable 'w'", 14),
+    ("x¹ + y", UnknownVariable, "unknown variable 'x¹'", 0),
+    ("é + x", UnknownVariable, "unknown variable 'é'", 0),
+    ("٣ + x", ExprSyntaxError, "unexpected character '٣'", 0),
+    ("(x + y)^2001/2", ExprSyntaxError, 'power would expand to more than 2000 terms', 7),
+    ("x^3*(y", ExprSyntaxError, "expected ')'", 6),
+    ("q?", UnknownVariable, "unknown variable 'q'", 0),
+    ("(x + y + 1)^2001?", ExprSyntaxError, 'power would expand to more than 2000 terms', 11),
+    ("1/0?", ExprSyntaxError, 'zero denominator', 2),
+    ("x^?", ExprSyntaxError, "unexpected character '?'", 2),
+    ("2?", ExprSyntaxError, "unexpected character '?'", 1),
+    ("x +\t?", ExprSyntaxError, "unexpected character '?'", 4),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, offset", _FAULTS,
+                         ids=[f"fault{i}" for i in range(len(_FAULTS))])
+def test_fault_table(text, kind, message, offset):
+    xyz = VarSet(["x", "y", "z"])
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_poly(text, xyz)
+    assert type(e.value) is kind
+    assert e.value.offset == offset
+    assert str(e.value) == f"{message} (at offset {offset})"
 
 
 _LEAF = st.one_of(

@@ -19,7 +19,7 @@ from germlift.lifting import restrict_field, restrictable
 from germlift.modules import ModuleElement, combine
 from germlift.poly import Polynomial, VarSet, compose
 
-from oracles import compose_reference, mul_terms, random_poly
+from oracles import clean, compose_reference, mul_terms, random_poly
 
 try:
     import sympy
@@ -27,12 +27,6 @@ except ImportError:
     sympy = None
 
 COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4))
-
-
-def _clean(p: Polynomial) -> bool:
-    """Every coefficient is a nonzero Fraction and every exponent fits the ring."""
-    return all(isinstance(c, Fraction) and c and len(e) == len(p.ring)
-               for e, c in p.terms.items())
 
 
 def _one_term(rng, ring: VarSet, max_deg=4) -> Polynomial:
@@ -69,14 +63,14 @@ def test_one_term_products_and_powers_match_the_term_by_term_product(seed, n):
     for left, right in ((a, b), (b, a), (a, a), (a, zero), (zero, a)):
         prod = left * right
         assert prod.terms == mul_terms(left.terms, right.terms)
-        assert _clean(prod)
+        assert clean(prod)
     k = rng.randint(0, 6)
     power = a ** k
     expected = {ring.zero_exp(): Fraction(1)}
     for _ in range(k):
         expected = mul_terms(expected, a.terms)
     assert power.terms == expected
-    assert _clean(power)
+    assert clean(power)
     # several terms: the summed product drops exactly the sums that cancel
     c = random_poly(rng, ring, max_deg=3, max_terms=4)
     d = random_poly(rng, ring, max_deg=3, max_terms=4)
@@ -84,7 +78,7 @@ def test_one_term_products_and_powers_match_the_term_by_term_product(seed, n):
     for left, right in ((c, d), (d, -c), (c + d, c - d)):
         prod = left * right
         assert prod.terms == mul_terms(left.terms, right.terms)
-        assert _clean(prod)
+        assert clean(prod)
     assert (zero ** k) == (Polynomial.const(ring, 1) if k == 0 else zero)
     if sympy is not None:
         assert _sympy_of(a * b) == sympy.expand(_sympy_of(a) * _sympy_of(b))
@@ -108,7 +102,7 @@ def test_compose_with_monomial_and_zero_images_matches_the_reference(seed, n, m)
     expected = compose_reference(p, images, dst)
     got = compose(p, images, dst, {})
     assert got == expected
-    assert _clean(got)
+    assert clean(got)
     mapping = dict(zip(src.names, images))
     assert p.substitute(mapping, into=dst) == expected
     if sympy is not None:
@@ -173,7 +167,7 @@ def test_restriction_matches_the_reference_substitution(seed, n, p, r):
         got = restrict_field(eta, U)
         assert list(got.entries) == [compose_reference(eta.entries[i], to_core, core_tgt)
                                      for i in U.non_param_target_indices()]
-        assert all(_clean(q) for q in got.entries)
+        assert all(clean(q) for q in got.entries)
         assert restrictable(eta, U) == all(
             compose_reference(eta.entries[j], to_zero, tgt).is_zero
             for j in U.target_param_indices())
@@ -209,4 +203,4 @@ def test_combine_matches_the_sum_of_scales(seed, n, rank):
                       ModuleElement.zero(ring, rank))
     assert got == expected
     assert got.rank == rank
-    assert all(_clean(q) for q in got.entries)
+    assert all(clean(q) for q in got.entries)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from germlift.errors import AmbientError, GroebnerTimeout, NotDivisible
 from germlift.exprio import parse_poly
 from germlift.groebner import Budget
+from germlift.modules import ModuleElement, combine
 from germlift.poly import (
     MonomialOrder,
     Polynomial,
@@ -17,7 +19,7 @@ from germlift.poly import (
     zero_section,
 )
 
-from oracles import cofactor_determinant, newton_derivative_at, random_poly
+from oracles import clean, cofactor_determinant, newton_derivative_at, random_poly
 
 
 def test_varset_invariants():
@@ -286,12 +288,6 @@ def test_exact_divide_random():
             exact_divide(bumped, b)
 
 
-def _clean(p: Polynomial) -> bool:
-    """Every coefficient is a nonzero Fraction: ``Polynomial._of`` checks
-    nothing, so the integer routines must build exactly that."""
-    return all(isinstance(c, Fraction) and c for c in p.terms.values())
-
-
 def test_exact_divide_on_the_integer_boundary(xy, P):
     # every lead exponent divides, but 2x + 1 is primitive and the quotient
     # would need a non-integer coefficient: refused by Gauss's lemma
@@ -303,14 +299,14 @@ def test_exact_divide_on_the_integer_boundary(xy, P):
         exact_divide(P("3*x*y + y^2", xy), P("2*x + y", xy))
     # a divisor of content 2, a quotient that is not integral
     q = exact_divide(P("x^2 - 1/4", xy), P("2*x + 1", xy))
-    assert q == P("1/2*x - 1/4", xy) and _clean(q)
+    assert q == P("1/2*x - 1/4", xy) and clean(q)
     # a divisor with a negative lead and denominators on both sides
     q = exact_divide(P("-3/2*x^2*y + 1/3*y^2", xy), P("-9/2*x^2 + y", xy))
-    assert q == P("1/3*y", xy) and _clean(q)
+    assert q == P("1/3*y", xy) and clean(q)
     assert exact_divide(P("0", xy), P("-6*x + 4", xy)).is_zero
     for a, b in ((P("x^3 - 8/27", xy), P("3*x - 2", xy)), (P("x*y", xy), P("-x", xy))):
         q = exact_divide(a, b)
-        assert q * b == a and _clean(q)
+        assert q * b == a and clean(q)
 
 
 def test_exact_divide_reads_the_clock(xy, P):
@@ -355,12 +351,12 @@ def test_determinant_of_rows_with_unlike_denominators(xy, P):
          [P("1/3*x*y", xy), P("x - 2/3", xy), P("y^2", xy)],
          [P("5/6", xy), P("1/6*y - x", xy), P("1/2*x^2", xy)]]
     det = determinant(M)
-    assert det == cofactor_determinant(M) and _clean(det)
+    assert det == cofactor_determinant(M) and clean(det)
     assert not det.is_zero
     # a zero first pivot: the rows and their scales are swapped, the sign flips
     M[0][0] = P("0", xy)
     det = determinant(M)
-    assert det == cofactor_determinant(M) and _clean(det)
+    assert det == cofactor_determinant(M) and clean(det)
 
 
 def test_determinant_refuses_entries_over_different_rings(xy, P):
@@ -398,7 +394,7 @@ def test_integer_normalize_builds_clean_coefficients(xy, P):
                            ("6*x*y - 4", "3*x*y - 2"),
                            ("-1/5", "1")):
         q = integer_normalize(P(text, xy))
-        assert q == P(expected, xy) and _clean(q), text
+        assert q == P(expected, xy) and clean(q), text
 
 
 def test_ambient_mismatch():
@@ -406,3 +402,41 @@ def test_ambient_mismatch():
     S = VarSet(["y"])
     with pytest.raises(AmbientError):
         parse_poly("x", R) + parse_poly("y", S)
+
+
+def test_exponents_must_be_ints(xy, P):
+    class Clock:
+        reads = 0
+
+        def check_clock(self):
+            self.reads += 1
+
+    clock = Clock()
+    for p in (P("x", xy), P("x + y", xy), P("0", xy)):
+        for n in (0.5, 2.0, Fraction(2), "2", True):
+            with pytest.raises(TypeError, match=f"exponent must be an int, not .*{re.escape(repr(n))}"):
+                p ** n
+            with pytest.raises(TypeError):
+                p.power(n, clock)
+        with pytest.raises(ValueError, match="negative exponents"):
+            p.power(-1, clock)
+    # refused before any product is made
+    assert clock.reads == 0
+    assert P("x + y", xy) ** 2 == P("x^2 + 2*x*y + y^2", xy)
+
+
+def test_float_coefficients_are_refused(xy, P):
+    x = P("x", xy)
+    for bad in (lambda: x * 0.5, lambda: 0.5 * x, lambda: x + 0.5, lambda: x - 0.5,
+                lambda: Polynomial(xy, {(1, 0): 0.1}),
+                lambda: Polynomial.const(xy, 0.5),
+                lambda: Polynomial.monomial(xy, (1, 0), 0.25),
+                lambda: x.evaluate({"x": 0.1, "y": 1}),
+                lambda: combine(xy, 1, [0.5], [ModuleElement(xy, [x])])):
+        with pytest.raises(TypeError):
+            bad()
+    # ints and Fractions are the coefficients there are
+    assert x * 2 == 2 * x == P("2*x", xy)
+    assert x * Fraction(1, 2) == Polynomial.monomial(xy, (1, 0), Fraction(1, 2))
+    assert Polynomial(xy, {(1, 0): 3}).terms == {(1, 0): Fraction(3)}
+    assert Polynomial.const(xy, 0).is_zero
