@@ -3,8 +3,8 @@
 
     python3 tools/ab_bench.py BASE CHANGE --workload hk-ladder --pairs 10
 
-Each revision is extracted with ``git archive`` into its own directory
-under ``--workdir``, so both run from committed files alone.  Each pair
+Each revision is extracted with ``git archive`` into its own temporary
+directory, so both run from committed files alone.  Each pair
 runs ``perfbench/run.py`` once on each side, with the same arguments; the
 side that runs first alternates from pair to pair, so drift of the machine
 falls on both alike.  For each workload and metric the script prints each
@@ -40,8 +40,6 @@ def parse_args(argv):
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=25)
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    p.add_argument("--workdir", type=Path, default=None,
-                   help="where to extract the revisions (default: a temporary directory)")
     p.add_argument("--json", type=Path, default=None,
                    help="also write every run's result to this file")
     return p.parse_args(argv)
@@ -110,13 +108,10 @@ def report(results: dict, better: dict[str, str]) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    tmp = None
-    if args.workdir is None:
-        tmp = tempfile.mkdtemp(prefix="ab_bench-")
-        args.workdir = Path(tmp)
+    tmp = Path(tempfile.mkdtemp(prefix="ab_bench-"))
     try:
-        sides = {"base": extract(args.base, args.workdir / "base"),
-                 "change": extract(args.change, args.workdir / "change")}
+        sides = {"base": extract(args.base, tmp / "base"),
+                 "change": extract(args.change, tmp / "change")}
         results = {w: {"base": [], "change": []} for w in args.workload}
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -128,8 +123,7 @@ def main(argv=None) -> int:
             args.json.write_text(json.dumps(results, indent=1))
         report(results, directions(sides["change"]))
     finally:
-        if tmp is not None:
-            shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
     return 0
 
 
