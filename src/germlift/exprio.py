@@ -98,6 +98,9 @@ def _height(terms: dict[Exp, Fraction | int]) -> int:
     numerator and denominator at most ``_height(a) * _height(b)``, and of
     ``p^n`` at most ``_height(p)^n``.  It is the larger of the lcm ``d`` of
     the denominators and the sum of ``|d*c|`` over the coefficients ``c``."""
+    if len(terms) == 1:
+        c, = terms.values()
+        return max(c.denominator, abs(c.numerator))
     d = math.lcm(*[c.denominator for c in terms.values()])
     return max(d, sum(abs(c.numerator) * (d // c.denominator) for c in terms.values()))
 

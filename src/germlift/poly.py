@@ -448,7 +448,8 @@ def term_product(a: Mapping[Exp, Fraction], b: Mapping[Exp, Fraction]) -> dict[E
     int) coefficients, as another.
 
     By a one-term factor it is a shift of the other factor's exponents:
-    distinct exponents stay distinct and no coefficient vanishes.
+    distinct exponents stay distinct and no coefficient vanishes, and a
+    coefficient 1 leaves the other factor's coefficients as they are.
     Otherwise both factors are scaled to integers by one denominator
     (:func:`_cleared`), every term product is summed in ``int``
     (:func:`add_products`), and the sum is scaled back with one Fraction
@@ -459,6 +460,8 @@ def term_product(a: Mapping[Exp, Fraction], b: Mapping[Exp, Fraction]) -> dict[E
         if len(a) != 1:
             a, b = b, a
         (e1, c1), = a.items()
+        if c1 == 1:
+            return {tuple(map(add, e1, e2)): c2 for e2, c2 in b.items()}
         return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
     (ia, ib), den = _cleared(a, b)
     acc: dict[Exp, int] = {}
@@ -609,6 +612,8 @@ def _cleared(*terms: Mapping[Exp, Fraction]) -> tuple[list[dict[Exp, int]], int]
     """``([den * t for t in terms], den)`` as integer term dicts, with
     ``den`` the lcm of the denominators of all their coefficients."""
     den = lcm(*[c.denominator for t in terms for c in t.values()])
+    if den == 1:
+        return [{e: c.numerator for e, c in t.items()} for t in terms], 1
     return [{e: c.numerator * (den // c.denominator) for e, c in t.items()}
             for t in terms], den
 
