@@ -10,9 +10,10 @@ takes a field checks its ring and rank with :func:`check_field`.
 Every composition with a germ f (``wf_apply``, ``MapGerm.compose``,
 ``push_forward``) runs through :func:`pull_back`, which hands
 ``poly.compose`` the germ's own cache of monomial images ``f^e``
-(``MapGerm._images``), so a field composed with f reuses every image that
-an earlier field needed.  Each takes the caller's budget, whose clock
-``poly.compose`` reads.
+(``MapGerm._images``, each as an integer term dict and its denominator),
+so a field composed with f reuses every image that an earlier field
+needed.  Each takes the caller's budget, whose clock ``poly.compose``
+reads.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ class MapGerm:
 
     Three caches live on a germ: its tangent module ``_tf``
     (:func:`tf_generators`), its monomial images ``_images`` (exponent
-    over the target -> f^e over the source, :func:`pull_back`) and
-    ``_inverse``, the germ last verified to invert it
+    ``e`` over the target -> ``(I_e, d_e)``, an integer term dict over the
+    source and a positive denominator with ``f^e == I_e / d_e``,
+    :func:`pull_back`) and ``_inverse``, the germ last verified to invert
+    it together with the columns of ``dH o H^{-1}`` for it
     (:func:`push_forward`).  :meth:`drop_caches` forgets all three.
     """
 
@@ -56,8 +59,8 @@ class MapGerm:
 
     def drop_caches(self):
         self._tf = None
-        self._images: dict[Exp, Polynomial] = {}
-        self._inverse = None
+        self._images: dict[Exp, tuple[dict[Exp, int], int]] = {}
+        self._inverse: tuple[MapGerm, list[ModuleElement]] | None = None
 
     @property
     def n(self) -> int:
@@ -164,20 +167,22 @@ def push_forward(eta: ModuleElement, H: MapGerm, H_inv: MapGerm,
     the combination of the columns of dH o H^{-1} by eta o H^{-1}.
 
     Both composites of H and H_inv are checked to be the identity, exactly,
-    once per pair: ``H`` remembers the inverse it passed with.  An inverse
-    that fails is never remembered, so every call with it raises.  Every
-    composition reads the ``budget``'s clock, as in :func:`pull_back`.
+    once per pair, and the columns of dH o H^{-1} are worked out then:
+    ``H`` remembers the inverse it passed with, and those columns, for
+    every later field.  An inverse that fails is never remembered, so every
+    call with it raises.  Every composition reads the ``budget``'s clock,
+    as in :func:`pull_back`.
     """
     check_field(eta, H.source, "the source of the diffeomorphism")
-    if H._inverse is not H_inv:
+    if H._inverse is None or H._inverse[0] is not H_inv:
         if not H.compose(H_inv, budget).is_identity() \
                 or not H_inv.compose(H, budget).is_identity():
             raise InverseCheckFailed("supplied inverse does not invert the map")
-        H._inverse = H_inv
-    J = jacobian(H)
-    columns = [ModuleElement(H.target, [pull_back(J[i][j], H_inv, budget) for i in range(H.p)])
-               for j in range(H.n)]
-    return combine(H.target, H.p, wf_apply(eta, H_inv, budget).entries, columns)
+        J = jacobian(H)
+        H._inverse = H_inv, [
+            ModuleElement(H.target, [pull_back(J[i][j], H_inv, budget) for i in range(H.p)])
+            for j in range(H.n)]
+    return combine(H.target, H.p, wf_apply(eta, H_inv, budget).entries, H._inverse[1])
 
 
 class Unfolding:

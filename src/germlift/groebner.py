@@ -297,12 +297,21 @@ def _widening(budget: Budget, packer: _Packer, attempt: Callable):
             packer = packer.widened(over.bits)
 
 
-def _vec_of(elem: ModuleElement, packer: _Packer) -> tuple[Vec, int]:
-    """``(den * elem, den)`` packed, with ``den`` the lcm of elem's
-    denominators, so that the vector has integer coefficients."""
+def _vec_of(elem: ModuleElement, packer: _Packer, first: int = 0) -> tuple[Vec, int]:
+    """``(den * elem, den)`` packed, entry ``c`` in component ``first + c``,
+    with ``den`` the lcm of elem's denominators, so that the vector has
+    integer coefficients.
+
+    The packing is kept on ``elem`` (``ModuleElement._packed``); a later
+    call by the same packer object, at the same ``first``, returns a copy
+    of it without packing again.
+    """
+    packed = elem._packed
+    if packed is not None and packed[0] is packer and packed[1] == first:
+        return dict(packed[2]), packed[3]
     den = math.lcm(*(k.denominator for p in elem.entries for k in p.terms.values()))
     v: Vec = {}
-    for c, p in enumerate(elem.entries):
+    for c, p in enumerate(elem.entries, first):
         if not p.terms:
             continue
         top = max(map(max, p.terms)) if packer.nvars else 0
@@ -312,7 +321,8 @@ def _vec_of(elem: ModuleElement, packer: _Packer) -> tuple[Vec, int]:
         units = packer.units[packer.cls[c]]
         for e, k in p.terms.items():
             v[base + sum(map(mul, e, units))] = k.numerator * (den // k.denominator)
-    return v, den
+    elem._packed = packer, first, v, den
+    return dict(v), den
 
 
 def _elem_of(ring: VarSet, rank: int, vec: Vec, den: int, packer: _Packer,
@@ -710,24 +720,51 @@ def _recombines(vec: Vec, rank: int, gens: Sequence[tuple], dens: Sequence[int],
     return not acc
 
 
+def _generators(M: Submodule, packer: _Packer) -> tuple[list, list[int]]:
+    """The generators of ``M`` packed by ``packer`` (:func:`_vec_of`), each
+    split by :func:`_split`, and their denominators; worked out once per
+    packer and kept on ``M`` (``Submodule._packed``)."""
+    packed = M._packed
+    if packed is None or packed[0] is not packer:
+        inputs = [_vec_of(g, packer) for g in M.generators]
+        packed = M._packed = (packer, [_split(vec, packer) for vec, _ in inputs],
+                              [den for _, den in inputs])
+    return packed[1], packed[2]
+
+
 def re_expands(v: ModuleElement, coeffs: Sequence[Polynomial], M: Submodule,
                budget: Budget | None = None) -> bool:
     """Whether ``v == sum_i coeffs_i * gen_i`` over the generators of ``M``,
-    checked by :func:`_recombines` on ``(v, coeffs)`` packed as one embedded
-    vector.  The packer is that of ``M``'s cached basis when it has one, and
-    otherwise one sized from the identity; a product that outgrows its
-    fields is redone on wider ones (:func:`_widening`)."""
-    gens = M.generators
-    whole = ModuleElement(M.ring, v.entries + tuple(coeffs))
+    checked by :func:`_recombines` on ``(v, coeffs)`` as one embedded
+    vector.
+
+    ``v`` and the coefficients are packed apart, ``v`` in the module's
+    components and the coefficients past them, and merged over one common
+    denominator.  ``v`` and the generators reuse a packing by the same
+    packer (:func:`_vec_of`, :func:`_generators`), such as that of the
+    division which found the coefficients; the coefficients are packed
+    from their own Fractions on every call, so the check rests on what
+    they hold.  The packer is that of ``M``'s cached basis when it has one,
+    and otherwise one sized from the identity; a product that outgrows its
+    fields is redone on wider ones (:func:`_widening`).
+    """
+    tail = ModuleElement(M.ring, coeffs)
 
     def attempt(packer):
-        inputs = [_vec_of(g, packer) for g in gens]
-        return _recombines(_vec_of(whole, packer)[0], M.rank,
-                           [_split(vec, packer) for vec, _ in inputs],
-                           [den for _, den in inputs], packer)
+        split, dens = _generators(M, packer)
+        vec, den = _vec_of(v, packer)
+        tvec, tden = _vec_of(tail, packer, M.rank)
+        d = math.lcm(den, tden)
+        if den != d:
+            vec = {t: k * (d // den) for t, k in vec.items()}
+        if tden != d:
+            tvec = {t: k * (d // tden) for t, k in tvec.items()}
+        vec.update(tvec)
+        return _recombines(vec, M.rank, split, dens, packer)
 
     packer = M._gb.packer if M._gb is not None else _packer(
-        _embedded_key(M.order, M.rank), M.rank + len(gens), M.ring, [whole, *gens])
+        _embedded_key(M.order, M.rank), M.rank + len(M.generators), M.ring,
+        [v, tail, *M.generators])
     return _widening(budget or Budget(), packer, attempt)
 
 
@@ -782,15 +819,14 @@ class GroebnerBasis:
             for vec, lead in self.pairs if packer.comp(lead) >= rank)
 
 
-def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
-                order: MonomialOrder, budget: Budget | None) -> GroebnerBasis:
+def _tracked_gb(M: Submodule, budget: Budget | None) -> GroebnerBasis:
+    ring, rank, gens = M.ring, M.rank, M.generators
     budget = budget or Budget()
     zero = ring.zero_exp()
 
     def attempt(packer):
+        split, dens = _generators(M, packer)
         inputs = [_vec_of(g, packer) for g in gens]
-        split = [_split(v, packer) for v, _ in inputs]
-        dens = [den for _, den in inputs]
         vecs = [{**v, packer.pack(rank + i, zero): den} for i, (v, den) in enumerate(inputs)]
         gb = GroebnerBasis(ring, rank, packer, tuple(_reduced_basis(packer, vecs, budget)))
 
@@ -804,19 +840,19 @@ def _tracked_gb(ring: VarSet, rank: int, gens: Sequence[ModuleElement],
                     raise StructureError("internal: basis representation failed to re-expand")
                 raise StructureError("internal: syzygy failed to expand to zero")
         for v, _ in inputs:
-            rem = gb.reducer.reduce_full(dict(v), budget)[0]
+            rem = gb.reducer.reduce_full(v, budget)[0]
             if any(packer.comp(t) < rank for t in rem):
                 raise StructureError("internal: generator does not reduce to zero")
         return gb
 
-    return _widening(budget, _packer(_embedded_key(order, rank), rank + len(gens), ring,
+    return _widening(budget, _packer(_embedded_key(M.order, rank), rank + len(gens), ring,
                                      gens), attempt)
 
 
 def compute_gb(M: Submodule, budget: Budget | None = None) -> GroebnerBasis:
     """The cached reduced basis (with tracking) of a submodule."""
     if M._gb is None:
-        M._gb = _tracked_gb(M.ring, M.rank, M.generators, M.order, budget)
+        M._gb = _tracked_gb(M, budget)
     return M._gb
 
 
@@ -888,7 +924,7 @@ def syzygy_module(gens: Sequence[ModuleElement], budget: Budget | None = None,
         raise RankError("syzygy computation needs at least one generator")
     # the generators' module checks their ring, their rank and the order
     M = Submodule(gens[0].ring, gens[0].rank, gens, order)
-    gb = _tracked_gb(M.ring, M.rank, M.generators, M.order, budget)
+    gb = _tracked_gb(M, budget)
     return Submodule(M.ring, len(gens), gb.syzygies)
 
 

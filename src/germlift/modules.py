@@ -14,13 +14,20 @@ from .poly import Exp, MonomialOrder, Polynomial, VarSet, _cleared, _rational, a
 
 
 class ModuleElement:
-    """A vector of polynomials of fixed rank over one ambient ring."""
+    """A vector of polynomials of fixed rank over one ambient ring.
 
-    __slots__ = ("ring", "entries")
+    An element is immutable, and so are its polynomials, so it can keep its
+    last packing by the Groebner kernel, ``(packer, first component, packed
+    vector, denominator)`` in ``_packed`` (``groebner._vec_of``): packed
+    again by the same packer, it is not packed twice.
+    """
+
+    __slots__ = ("ring", "entries", "_packed")
 
     def __init__(self, ring: VarSet, entries: Sequence[Polynomial]):
         self.ring = ring
         self.entries = tuple(entries)
+        self._packed = None
         for p in self.entries:
             if p.ring is not ring and p.ring != ring:
                 raise AmbientError("module element entries must share one ring")
@@ -177,6 +184,7 @@ class Submodule:
                                f"{len(ring)} variables of {ring!r}")
         self.order = order
         self._gb = None  # GroebnerBasis, filled lazily
+        self._packed = None  # (packer, split generators, denominators): groebner._generators
 
     @staticmethod
     def ideal(ring: VarSet, polys: Iterable[Polynomial], order=None) -> "Submodule":

@@ -476,12 +476,10 @@ def term_power(terms: Mapping[Exp, Fraction], n: int, zero: Exp,
     exponent of 1.
 
     Of one term it is the coefficient to the ``n`` and the exponents times
-    ``n``.  Otherwise the base is scaled to integers once and raised by
-    repeated squaring in ``int``, starting from 1, and the power is scaled
-    back with one Fraction per term.  With a ``budget``,
-    :meth:`Budget.check_clock` runs before each product.  An exponent that
-    is not an ``int`` raises :class:`TypeError`, a negative one
-    :class:`ValueError`, before any work.
+    ``n``.  Otherwise the base is scaled to integers once, raised in ``int``
+    (:func:`_int_power`) and scaled back with one Fraction per term.  An
+    exponent that is not an ``int`` raises :class:`TypeError`, a negative
+    one :class:`ValueError`, before any work.
     """
     if type(n) is not int:
         raise TypeError(f"exponent must be an int, not {type(n).__name__} {n!r}")
@@ -491,6 +489,19 @@ def term_power(terms: Mapping[Exp, Fraction], n: int, zero: Exp,
         (e, c), = terms.items()
         return {tuple(k * n for k in e): c ** n}
     (base,), den = _cleared(terms)
+    return _rational(_int_power(base, n, zero, budget), 1, den ** n)
+
+
+def _int_power(base: Mapping[Exp, int], n: int, zero: Exp,
+               budget: Budget | None = None) -> dict[Exp, int]:
+    """The ``n``-th power of an integer term dict, without zero
+    coefficients: of one term, the coefficient to the ``n`` and the
+    exponents times ``n``; otherwise by repeated squaring, starting from 1
+    (``zero``'s term).  With a ``budget``, :meth:`Budget.check_clock` runs
+    before each product, each squaring included."""
+    if len(base) == 1:
+        (e, c), = base.items()
+        return {tuple(k * n for k in e): c ** n}
     # from 1, so the products are those that exprio._power_products counts
     result = {zero: 1}
     k = n
@@ -504,29 +515,36 @@ def term_power(terms: Mapping[Exp, Fraction], n: int, zero: Exp,
                 budget.check_clock()
             base = _int_product(base, base)
         k >>= 1
-    return _rational(result, 1, den ** n)
+    return result
 
 
 def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
-            cache: dict[Exp, Polynomial], budget: Budget | None = None) -> Polynomial:
+            cache: dict[Exp, tuple[dict[Exp, int], int]],
+            budget: Budget | None = None) -> Polynomial:
     """``p(images[0], images[1], ...)`` over ``ring``: the sum of ``c_e * img^e``
-    over the terms of ``p``, summed into one term dict.
+    over the terms of ``p``, summed in ``int`` into one term dict.
 
     ``images[i]`` is read only if some term of ``p`` contains variable
     ``i``.  ``img^e = prod(images[i]^e_i)`` comes from ``cache``
-    (exponent -> image), which is valid for as long as the caller keeps the
-    images fixed.  A missing image is the product of the powers
-    ``images[i]^e_i``, each cached under its own exponent: a first power
-    is ``images[i]`` itself, a higher one is built from
-    ``images[i]^(e_i - 1)`` when that is cached, else by repeated
-    squaring, so no exponent costs more than its bit length in products
-    and nothing recurses.  A one-term image (a renaming, an embedding,
-    ``z -> z^k``) makes each of those products a shift of exponents
-    (:meth:`Polynomial.__mul__`, :meth:`Polynomial.power`), and a zero
-    image makes them zero.  With a ``budget``, :meth:`Budget.check_clock`
-    runs before each of those products, each squaring included.
+    (exponent -> ``(I_e, d_e)``, an integer term dict and a positive
+    denominator with ``img^e == I_e / d_e``), which is valid for as long as
+    the caller keeps the images fixed.  Each image is scaled to integers
+    at most once per call (:func:`_cleared`).  A missing monomial image is
+    the product of the powers ``images[i]^e_i``, each cached under its
+    own exponent: a higher power is built from ``images[i]^(e_i - 1)``
+    when that is cached, else by repeated squaring (:func:`_int_power`), so
+    no exponent costs more than its bit length in products and nothing
+    recurses.  Every product is one of integer term dicts
+    (:func:`_int_product`); a power of a one-term image (a renaming, an
+    embedding, ``z -> z^k``) is a shift of exponents, and a zero image makes
+    the products zero.  With a ``budget``, :meth:`Budget.check_clock` runs
+    before each of those products, each squaring included.  The sum
+    ``sum(c_e * I_e / d_e)`` is taken over one common denominator and
+    scaled back with one Fraction per result term (:func:`_rational`).
     """
-    acc: dict[Exp, Fraction] = {}
+    zero = ring.zero_exp()
+    cleared: dict[int, tuple[dict[Exp, int], int]] = {}  # i -> images[i] scaled
+    parts = []
     for e, c in p.terms.items():
         img = cache.get(e)
         if img is None:
@@ -536,30 +554,39 @@ def compose(p: Polynomial, images: Sequence[Polynomial | None], ring: VarSet,
                 unit = (0,) * i + (k,) + (0,) * (len(e) - i - 1)
                 power = cache.get(unit)
                 if power is None:
+                    base = cleared.get(i)
+                    if base is None:
+                        (terms,), den = _cleared(images[i].terms)
+                        base = cleared[i] = terms, den
                     if k == 1:
-                        power = images[i]
+                        power = base
                     else:
                         below = cache.get(unit[:i] + (k - 1,) + unit[i + 1:])
-                        if below is None:
-                            power = images[i].power(k, budget)
-                        else:
+                        if below is not None:
                             if budget is not None:
                                 budget.check_clock()
-                            power = below * images[i]
+                            power = _int_product(below[0], base[0]), below[1] * base[1]
+                        else:
+                            power = _int_power(base[0], k, zero, budget), base[1] ** k
                     cache[unit] = power
                 if img is None:
                     img = power
                 else:
                     if budget is not None:
                         budget.check_clock()
-                    img = img * power
+                    img = _int_product(img[0], power[0]), img[1] * power[1]
             if img is None:
-                img = Polynomial.const(ring, 1)
+                img = {zero: 1}, 1
             cache[e] = img
-        for e2, k in img.terms.items():
+        parts.append((c, img))
+    den = lcm(*[c.denominator * d for c, (_, d) in parts])
+    acc: dict[Exp, int] = {}
+    for c, (terms, d) in parts:
+        m = c.numerator * (den // (c.denominator * d))
+        for e2, k in terms.items():
             s = acc.get(e2)
-            acc[e2] = c * k if s is None else s + c * k
-    return Polynomial._of(ring, {e: c for e, c in acc.items() if c})
+            acc[e2] = m * k if s is None else s + m * k
+    return Polynomial._of(ring, _rational(acc, 1, den))
 
 
 def rering(p: Polynomial, ring: VarSet) -> Polynomial:

@@ -542,3 +542,46 @@ def compose_reference(p: Polynomial, images, ring: VarSet) -> Polynomial:
         for e2, c2 in term.items():
             out[e2] = out.get(e2, Fraction(0)) + c2
     return Polynomial(ring, out)
+
+
+def compose_cached_reference(p: Polynomial, images, ring: VarSet, cache: dict,
+                             budget=None) -> Polynomial:
+    """``p(images...)`` over ``ring`` by the Fraction form of the cached
+    composition: ``cache`` maps exponents to monomial images as
+    polynomials, each power of ``images[i]`` is cached under its own
+    exponent and built from the one below it when that is cached, else by
+    ``Polynomial.power``, and the terms are summed in Fractions.  The clock
+    of ``budget`` is read before each product, as ``poly.compose`` must
+    read it."""
+    acc = {}
+    for e, c in p.terms.items():
+        img = cache.get(e)
+        if img is None:
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                unit = (0,) * i + (k,) + (0,) * (len(e) - i - 1)
+                power = cache.get(unit)
+                if power is None:
+                    below = cache.get(unit[:i] + (k - 1,) + unit[i + 1:])
+                    if k == 1:
+                        power = images[i]
+                    elif below is None:
+                        power = images[i].power(k, budget)
+                    else:
+                        if budget is not None:
+                            budget.check_clock()
+                        power = below * images[i]
+                    cache[unit] = power
+                if img is None:
+                    img = power
+                else:
+                    if budget is not None:
+                        budget.check_clock()
+                    img = img * power
+            if img is None:
+                img = Polynomial.const(ring, 1)
+            cache[e] = img
+        for e2, k in img.terms.items():
+            acc[e2] = acc.get(e2, Fraction(0)) + c * k
+    return Polynomial(ring, acc)

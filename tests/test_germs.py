@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from germlift import germs
 from germlift.derlog import (
     Divisor,
     augment_field,
@@ -271,6 +272,40 @@ def test_inverse_pair_checked_once_and_refused_every_time(monkeypatch):
     # a refused inverse does not displace the verified one
     push_forward(eta, G2, G2i)
     assert len(composed) == 4
+
+
+def test_transport_of_a_table_computes_the_jacobian_once(monkeypatch):
+    R = _tgt5()
+    G2 = MapGerm(R, R, [parse_poly(t, R) for t in
+                        ("U1 + V1^2", "V1", "V2 - W1*U1", "W1", "W2 + U1^3")])
+    G2i = MapGerm(R, R, [parse_poly(t, R) for t in
+                         ("U1 - V1^2", "V1", "V2 + W1*U1 - W1*V1^2", "W1",
+                          "W2 - (U1 - V1^2)^3")])
+    rng = random.Random(11)
+    table = [VectorField(R, [random_poly(rng, R, max_deg=2, max_terms=3) for _ in R.names])
+             for _ in range(7)]
+    # each field through a fresh pair, whose caches hold nothing yet
+    fresh = [push_forward(eta, MapGerm(R, R, G2.components), MapGerm(R, R, G2i.components))
+             for eta in table]
+    calls = []
+    real = germs.jacobian
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(germs, "jacobian", counted)
+    assert [push_forward(eta, G2, G2i) for eta in table] == fresh
+    assert calls == [G2]
+    # the columns belong to the verified inverse, and go with the caches
+    G2.drop_caches()
+    assert G2._inverse is None
+    assert push_forward(table[0], G2, G2i) == fresh[0]
+    assert calls == [G2, G2]
+    # a failed inverse remembers neither itself nor columns
+    with pytest.raises(InverseCheckFailed):
+        push_forward(table[0], G2, G2)
+    assert calls == [G2, G2] and G2._inverse[0] is G2i
 
 
 def _H2_unfolding():

@@ -1,11 +1,13 @@
 """The shortcuts that move exponents instead of multiplying polynomials:
 products and powers with one term, and ``combine``'s one term dict per
 component.  ``compose`` has one path, the cached monomial images, for
-every kind of image; its test feeds it single-term and zero images (often
-only those), whose cached products are shifts and zeros.  Each is checked
-against the term-by-term oracles of ``oracles`` (and sympy where it is
-installed) on random data with negative, fractional and zero
-coefficients."""
+every kind of image; its tests feed it single-term and zero images (often
+only those), whose cached products are shifts and zeros, and images with
+denominators, whose integer monomial images carry a denominator each.
+Each is checked against the term-by-term oracles of ``oracles`` (and
+sympy where it is installed) on random data with negative, fractional and
+zero coefficients, and ``compose``'s clock reads against the Fraction
+form of the same cached composition."""
 
 import random
 from fractions import Fraction
@@ -19,7 +21,7 @@ from germlift.lifting import restrict_field, restrictable
 from germlift.modules import ModuleElement, combine
 from germlift.poly import Polynomial, VarSet, compose
 
-from oracles import clean, compose_reference, mul_terms, random_poly
+from oracles import clean, compose_cached_reference, compose_reference, mul_terms, random_poly
 
 try:
     import sympy
@@ -118,6 +120,126 @@ def test_compose_with_monomial_and_zero_images_matches_the_reference(seed, n, m)
     want = [compose_reference(q, comps, dst) for q in field.entries]
     assert list(wf_apply(field, f).entries) == want
     assert list(wf_apply(field, f).entries) == want
+
+
+# coefficients whose denominators are 2, 3 and 6, so that the cleared
+# images and their products carry different denominators
+THIRDS = (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6), Fraction(-7, 2), Fraction(2, 3), 1, -2)
+
+
+def _rational_image(rng, ring: VarSet) -> Polynomial:
+    """Zero, one term or several, every coefficient from ``THIRDS``."""
+    kind = rng.random()
+    if kind < 0.15:
+        return Polynomial.zero(ring)
+    n_terms = 1 if kind < 0.45 else rng.randint(2, 3)
+    return Polynomial(ring, {tuple(rng.randint(0, 2) for _ in ring.names): rng.choice(THIRDS)
+                             for _ in range(n_terms)})
+
+
+class _Clock:
+    def __init__(self):
+        self.reads = 0
+
+    def check_clock(self):
+        self.reads += 1
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.integers(1, 3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_compose_with_rational_images_matches_the_reference_and_its_clock(seed, n, m):
+    rng = random.Random(seed)
+    src = VarSet(["s", "t", "u"][:n])
+    dst = VarSet(["x", "y", "z"][:m])
+    images = [_rational_image(rng, dst) for _ in range(n)]
+    cache, ref_cache = {}, {}
+    # several polynomials through one cache, so that later terms find
+    # their powers (or the power below) already built
+    for _ in range(3):
+        p = Polynomial(src, {tuple(rng.randint(0, 4) for _ in src.names): rng.choice(THIRDS)
+                             for _ in range(rng.randint(0, 5))})
+        clock, ref_clock = _Clock(), _Clock()
+        got = compose(p, images, dst, cache, clock)
+        assert got == compose_cached_reference(p, images, dst, ref_cache, ref_clock)
+        assert got == compose_reference(p, images, dst)
+        assert clean(got)
+        # a read before each product, squarings included, as the Fraction
+        # form makes them
+        assert clock.reads == ref_clock.reads
+        # every cached monomial image is an integer term dict over a
+        # positive denominator, equal to the reference's image
+        for e, (terms, den) in cache.items():
+            assert den > 0 and all(type(k) is int and k for k in terms.values())
+            assert Polynomial(dst, {e2: Fraction(k, den) for e2, k in terms.items()}) \
+                == ref_cache[e]
+        if sympy is not None and got.terms:
+            subs = {sympy.Symbol(v): _sympy_of(img) for v, img in zip(src.names, images)}
+            assert _sympy_of(got) == sympy.expand(_sympy_of(p).xreplace(subs))
+
+
+def test_compose_reads_the_clock_before_each_power_square_and_product():
+    R = VarSet(["x", "y"])
+    two = Polynomial(R, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3)})
+    one = Polynomial(R, {(0, 2): Fraction(5, 6)})
+    zero = Polynomial.zero(R)
+    S = VarSet(["s", "t"])
+    # s^5 by squaring: 1*b, b^2, (b^2)^2, 1*b*b^4: two set bits, two squarings
+    cases = [((5, 0), [two, one], 4),
+             # t^5 of a one-term image is a shift
+             ((0, 5), [two, one], 0),
+             # s^3 * t^2: three reads for s^3, none for t^2, one product
+             ((3, 2), [two, one], 4),
+             # a zero image squares and multiplies like any several-term one
+             ((3, 0), [zero, one], 3),
+             # first powers are the images themselves, one product joins them
+             ((1, 1), [two, zero], 1)]
+    for e, images, reads in cases:
+        p = Polynomial(S, {e: Fraction(-3, 2)})
+        clock, ref_clock = _Clock(), _Clock()
+        cache = {}
+        got = compose(p, images, R, cache, clock)
+        assert got == compose_cached_reference(p, images, R, {}, ref_clock)
+        assert clean(got)
+        assert clock.reads == ref_clock.reads == reads, e
+        # cached: composing again makes no product
+        clock = _Clock()
+        assert compose(p, images, R, cache, clock) == got
+        assert clock.reads == 0
+    # with s^2 cached, s^3 is one product from it
+    p2, p3 = Polynomial(S, {(2, 0): 1}), Polynomial(S, {(3, 0): 1})
+    cache, clock = {}, _Clock()
+    compose(p2, [two, one], R, cache, clock)
+    assert clock.reads == 2
+    assert compose(p3, [two, one], R, cache, clock) == compose_reference(p3, [two, one], R)
+    assert clock.reads == 3
+
+
+def test_compose_sums_that_cancel_to_zero_leave_no_term():
+    R = VarSet(["x", "y"])
+    S = VarSet(["s", "t"])
+    # s*t - u with s -> 1/2*x, t -> 1/3*y and u -> 1/6*x*y: two monomial
+    # images with denominators 6 and 6 that cancel
+    U = VarSet(["s", "t", "u"])
+    images = [Polynomial(R, {(1, 0): Fraction(1, 2)}), Polynomial(R, {(0, 1): Fraction(1, 3)}),
+              Polynomial(R, {(1, 1): Fraction(1, 6)})]
+    p = Polynomial(U, {(1, 1, 0): 1, (0, 0, 1): -1})
+    got = compose(p, images, R, {})
+    assert got.is_zero and got.terms == {}
+    # (s + t)^2 - (s - t)^2 - 4*s*t = 0 with several-term images
+    a = Polynomial(R, {(1, 0): Fraction(2, 3), (0, 2): Fraction(-1, 2)})
+    b = Polynomial(R, {(0, 1): Fraction(5, 6), (0, 0): Fraction(1, 3)})
+    q = Polynomial(S, {(2, 0): 1, (1, 1): 2, (0, 2): 1})  # (s + t)^2
+    r = Polynomial(S, {(2, 0): 1, (1, 1): -2, (0, 2): 1})  # (s - t)^2
+    st_ = Polynomial(S, {(1, 1): 4})
+    assert compose(q - r - st_, [a, b], R, {}).is_zero
+    # a partial cancellation keeps exactly the terms that survive
+    got = compose(q - r, [a, b], R, {})
+    assert got == compose_reference(q - r, [a, b], R) == a * b * 4
+    assert clean(got)
+    # zero images and the zero polynomial
+    assert compose(Polynomial.zero(S), [a, b], R, {}).terms == {}
+    assert compose(Polynomial(S, {(1, 0): 3, (0, 0): Fraction(1, 2)}),
+                   [Polynomial.zero(R), b], R, {}) == Polynomial.const(R, Fraction(1, 2))
 
 
 def _random_unfolding(rng, n, p, r):

@@ -54,3 +54,37 @@ def test_ab_bench_summary_counts_wins_in_the_better_direction():
     # the tie at 2.0 counts for neither side
     assert (s["wins"], s["pairs"]) == (3, 5)
     assert summarize(base, change, "higher")["wins"] == 1
+
+
+def _run(metrics: dict) -> dict:
+    return {"correct": 1, "failed": 0,
+            "metrics": {name: {"value": v} for name, v in metrics.items()}}
+
+
+def test_ab_bench_marks_medians_worse_than_their_bound(capsys):
+    ab = _ab_bench()
+    specs = {"wall_s": {"better": "lower", "bound": 0.25},
+             "ratio": {"better": "higher", "bound": 0.1},
+             "calls": {"better": "lower"}}
+    # wall_s +30% against a 25% bound; ratio -20% against 10%; calls has no bound
+    base = [_run({"wall_s": 1.0, "ratio": 1.0, "calls": 10}) for _ in range(3)]
+    change = [_run({"wall_s": 1.3, "ratio": 0.8, "calls": 100}) for _ in range(3)]
+    ab.report({"w": {"base": base, "change": change}}, specs)
+    lines = capsys.readouterr().out.splitlines()
+    marked = [line.split()[0] for line in lines if line.endswith("  OUT")]
+    assert marked == ["wall_s", "ratio"]
+    verdicts = [line for line in lines if "verdict" in line]
+    assert verdicts == ["w: verdict: out of bound: wall_s +30.0% (bound 25%), "
+                        "ratio -20.0% (bound 10%)"]
+    # inside the bounds, and better: one verdict line, nothing marked
+    change = [_run({"wall_s": 1.2, "ratio": 0.95, "calls": 1}) for _ in range(3)]
+    ab.report({"w": {"base": base, "change": change},
+               "v": {"base": base, "change": base}}, specs)
+    lines = capsys.readouterr().out.splitlines()
+    assert not any(line.endswith("OUT") for line in lines)
+    assert [line for line in lines if "verdict" in line] == [
+        "w: verdict: every bounded metric within its bound",
+        "v: verdict: every bounded metric within its bound"]
+    s = ab.summarize([1.0, 1.0], [1.25, 1.25], "lower")
+    assert not ab.out_of_bound(s, "lower", 0.25)  # exactly at the bound
+    assert ab.out_of_bound(s, "higher", 0.1) is False  # better in that direction

@@ -9,8 +9,11 @@ runs ``perfbench/run.py`` once on each side, with the same arguments; the
 side that runs first alternates from pair to pair, so drift of the machine
 falls on both alike.  For each workload and metric the script prints each
 side's median and interquartile range (IQR) and the number of pairs the
-change won.  A metric's better direction comes from ``BENCHMARK.json`` in
-CHANGE; ties count for neither side.
+change won.  A metric's better direction and its bound come from
+``BENCHMARK.json`` in CHANGE; ties count for neither side.  A metric whose
+change median is worse than the base median by more than its bound (a
+fraction of the base median) is marked ``OUT``, and each workload ends
+with one verdict line naming those metrics.
 
 To compare uncommitted work, pass ``$(git stash create)`` as CHANGE: it
 names a commit of the index and the work tree without touching either.
@@ -83,12 +86,22 @@ def summarize(base: list[float], change: list[float], better: str) -> dict:
             "wins": wins, "pairs": len(base)}
 
 
-def directions(checkout: Path) -> dict[str, str]:
+def metric_specs(checkout: Path) -> dict[str, dict]:
+    """Each metric of ``BENCHMARK.json`` in ``checkout`` by name."""
     doc = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in doc["end_to_end"] + doc["per_layer"]}
+    return {m["name"]: m for m in doc["end_to_end"] + doc["per_layer"]}
 
 
-def report(results: dict, better: dict[str, str]) -> None:
+def out_of_bound(s: dict, better: str, bound: float | None) -> bool:
+    """Whether the change median of summary ``s`` is worse than the base
+    median by more than ``bound``, a fraction of the base median; a metric
+    without a bound never is."""
+    if bound is None:
+        return False
+    return (s["delta"] if better == "lower" else -s["delta"]) > bound
+
+
+def report(results: dict, specs: dict[str, dict]) -> None:
     for workload, sides in results.items():
         base, change = sides["base"], sides["change"]
         print(f"\n{workload}: {len(base)} pairs; correct "
@@ -97,13 +110,21 @@ def report(results: dict, better: dict[str, str]) -> None:
               f"{sum(r['failed'] for r in base)} base, {sum(r['failed'] for r in change)} change")
         print(f"  {'metric':<40} {'base median':>12} {'IQR':>10} "
               f"{'change median':>14} {'IQR':>10} {'delta':>8} {'wins':>6}")
+        out = []
         for name in base[0]["metrics"]:
+            spec = specs.get(name, {})
+            better, bound = spec.get("better", "lower"), spec.get("bound")
             s = summarize([r["metrics"][name]["value"] for r in base],
-                          [r["metrics"][name]["value"] for r in change],
-                          better.get(name, "lower"))
+                          [r["metrics"][name]["value"] for r in change], better)
+            mark = ""
+            if out_of_bound(s, better, bound):
+                out.append(f"{name} {s['delta']:+.1%} (bound {bound:.0%})")
+                mark = "  OUT"
             print(f"  {name:<40} {s['base_median']:>12.5g} {s['base_iqr']:>10.3g} "
                   f"{s['change_median']:>14.5g} {s['change_iqr']:>10.3g} "
-                  f"{s['delta']:>+8.1%} {s['wins']:>3}/{s['pairs']}")
+                  f"{s['delta']:>+8.1%} {s['wins']:>3}/{s['pairs']}{mark}")
+        print(f"{workload}: verdict: " + ("out of bound: " + ", ".join(out) if out
+                                          else "every bounded metric within its bound"))
 
 
 def main(argv=None) -> int:
@@ -121,7 +142,7 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1}/{args.pairs} {workload} done", file=sys.stderr)
         if args.json is not None:
             args.json.write_text(json.dumps(results, indent=1))
-        report(results, directions(sides["change"]))
+        report(results, metric_specs(sides["change"]))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
