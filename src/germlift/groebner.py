@@ -25,7 +25,14 @@ makes the same reductions.  Fractions appear only at the boundary:
 :func:`_vec_of` clears denominators when a vector enters, and
 :func:`_elem_of` divides by a given integer (a lead coefficient, or in
 :func:`_divide` the denominator times the reduction's scale) when it
-leaves.
+leaves.  Each element is packed at most once per packer: ``_vec_of``
+keeps the packing on the element (``ModuleElement._packed``, sound since
+elements and their polynomials are immutable) and hands a copy of it to
+a later call by the same packer object, and a module's generators are
+also split for re-expansion once per packer (:func:`_generators`).  So a
+certified lift's image, packed by :func:`_divide`, is not packed again by
+:func:`re_expands`, and a basis moved to wider fields (``use``) packs
+everything again.
 
 A term ``(c, e)`` is packed into one non-negative int (Monagan-Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -57,9 +64,11 @@ kernel's integers, by :func:`_recombines`: with the generators as
 vectors, and ``D = lcm(den_i)``, the embedded vector ``(v, c)`` must
 satisfy ``D * v == sum_i c_i * main_i * (D / den_i)``.  The tracked basis
 checks every basis vector so (an element against its representation, a
-syzygy against zero).  :func:`re_expands` packs any other identity and
-checks it the same way: each membership :func:`express` returns, and each
-``lifting.LiftCertificate``.  The callers of ``syzygy_module``
+syzygy against zero).  :func:`re_expands` checks any other identity the
+same way: each membership :func:`express` returns, and each
+``lifting.LiftCertificate``.  It packs the coefficients, the witness of a
+certificate, from their own Fractions on every call, so every check rests
+on what the certificate holds.  The callers of ``syzygy_module``
 (``derlog``) rely on that check instead of expanding the syzygies again.
 
 Every step above runs through one normal-form routine,

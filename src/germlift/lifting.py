@@ -7,9 +7,10 @@ and re-verify the defining identity by exact expansion in the kernel's
 integers (``groebner.re_expands``, the routine behind ``express``'s own
 check); that is the one re-expansion behind a certified lift, as
 :func:`is_liftable` divides by the columns of df without ``express``.  Each
-certified lift also composes eta o f once: :func:`is_liftable` hands the
-image it divided to the certificate, which re-expands against it, while a
-certificate built by hand composes eta o f itself.  The pipeline recovers
+certified lift also composes eta o f once, and packs it for the kernel
+once: :func:`is_liftable` hands the image it divided to the certificate,
+which re-expands against it, while a certificate built by hand composes
+eta o f itself.  The pipeline recovers
 the liftable fields of a core germ from those of an unfolding by intersecting
 with the restrictable fields (whose parameter components vanish on the zero
 section of the parameters, a monomial module), restricting, and pruning,

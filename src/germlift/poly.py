@@ -11,25 +11,28 @@ caller supplies, whatever the images look like.
 ``Polynomial.substitute`` passes a fresh cache, and ``germs.pull_back``
 the cache kept on the germ.  Products with a one-term factor and powers of
 one term shift exponents instead of summing term products, so a monomial
-image costs no term products.  Weights, of a ring, an order, a grading
-or an Euler field, pass one check (:func:`positive_weights`).  Setting
-variables to 0 is an exponent filter: over the same ring
-(:func:`set_zero`), or with the other variables renamed in order onto
-another ring (:func:`zero_section`).  Exact division pops the remainder's
+image of one-term images costs no term products.  Weights, of a ring, an
+order, a grading or an Euler field, pass one check
+(:func:`positive_weights`).  Setting variables to 0 is an exponent filter:
+over the same ring (:func:`set_zero`), or with the other variables renamed
+in order onto another ring (:func:`zero_section`).  Exact division pops the remainder's
 terms from a heap (:func:`exact_divide`), and a determinant of a matrix of
 polynomials is one fraction-free elimination (:func:`determinant`).
 
 Products of several terms by several (:func:`term_product`), powers of
-several terms (:func:`term_power`), ``modules.combine``, exact division,
-the determinant and :func:`integer_normalize` work on integer
-coefficients: :func:`_cleared` scales their inputs to integers, and the
-result is scaled back with one Fraction per term (:func:`_rational`).
-Every term product is summed by one loop (:func:`add_products`).  Both
-exact algorithms divide by one integer loop (:func:`_divide`).  Exact
-division first divides the divisor by its content; by Gauss's lemma a
-quotient by a primitive integer polynomial has integer coefficients when
-it exists, so a lead coefficient that does not divide refuses the
-division.  :func:`compose` sums its ``c_e * img^e`` in Fractions.
+several terms (:func:`term_power`), composition, ``modules.combine``,
+exact division, the determinant and :func:`integer_normalize` work on
+integer coefficients: :func:`_cleared` scales their inputs to integers,
+and the result is scaled back with one Fraction per term
+(:func:`_rational`).  :func:`compose` keeps each monomial image as an
+integer term dict over a denominator, builds them by integer products and
+powers (:func:`_int_product`, :func:`_int_power`) and sums
+``c_e * img^e`` over one common denominator.  Every term product is
+summed by one loop (:func:`add_products`).  Both exact algorithms divide
+by one integer loop (:func:`_divide`).  Exact division first divides the
+divisor by its content; by Gauss's lemma a quotient by a primitive
+integer polynomial has integer coefficients when it exists, so a lead
+coefficient that does not divide refuses the division.
 """
 
 from __future__ import annotations
@@ -477,9 +480,10 @@ def term_power(terms: Mapping[Exp, Fraction], n: int, zero: Exp,
 
     Of one term it is the coefficient to the ``n`` and the exponents times
     ``n``.  Otherwise the base is scaled to integers once, raised in ``int``
-    (:func:`_int_power`) and scaled back with one Fraction per term.  An
-    exponent that is not an ``int`` raises :class:`TypeError`, a negative
-    one :class:`ValueError`, before any work.
+    (:func:`_int_power`, which reads a ``budget``'s clock before each
+    product) and scaled back with one Fraction per term.  An exponent that
+    is not an ``int`` raises :class:`TypeError`, a negative one
+    :class:`ValueError`, before any work.
     """
     if type(n) is not int:
         raise TypeError(f"exponent must be an int, not {type(n).__name__} {n!r}")

@@ -124,7 +124,8 @@ def test_compose_with_monomial_and_zero_images_matches_the_reference(seed, n, m)
 
 # coefficients whose denominators are 2, 3 and 6, so that the cleared
 # images and their products carry different denominators
-THIRDS = (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6), Fraction(-7, 2), Fraction(2, 3), 1, -2)
+THIRDS = (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6), Fraction(-7, 2),
+          Fraction(2, 3), 1, -2)
 
 
 def _rational_image(rng, ring: VarSet) -> Polynomial:
